@@ -5,9 +5,7 @@ perturbation theory, Laplace-domain memory kernels, regression-theorem
 corrections, and an exact-diagonalization oracle."""
 
 from . import (  # noqa: F401
-    accel,
     bath,
-    cli,
     core,
     memkernel,
     multitime,

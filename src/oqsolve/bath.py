@@ -26,8 +26,6 @@ import numpy as np
 from scipy import integrate, linalg, special
 from scipy.interpolate import CubicSpline
 
-from . import accel
-
 __all__ = [
     "BathModel",
     "WhiteNoise",
@@ -50,8 +48,6 @@ __all__ = [
 ]
 
 _MATSUBARA_TERMS = 120_000
-_STOP_RTOL = 1e-13
-_STOP_KMIN = 4
 
 
 class BathModel:
@@ -325,22 +321,30 @@ class _ThermalChannel:
             self._terms = (c, z)
         return self._terms
 
-    def alpha_time_many(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if np.any(t == 0.0):
+    def _n_terms(self, t: float) -> int:
+        """Matsubara terms kept at time t > 0, besides the cutoff term c0."""
+        # Tail bound: past K = ln(1/eps) / (2 pi T t) every term has
+        # e^{-nu_k t} <= eps e^{-2 pi T t (k - K)}, so the dropped tail of
+        # sum_k c_k e^{-nu_k t} / p_k (|p_k| >= nu_k) is at most
+        # eps max_{k>K} |c_k / nu_k| / (e^{2 pi T t} - 1), with
+        # |c_k / nu_k| = 2 gamma0 T Lam^2 / (nu_k^2 - Lam^2) ~ 2 gamma0 T Lam^2 (t / ln(1/eps))^2:
+        # a few eps relative to A(inf; w), and likewise to alpha(t) (p_k = 1).
+        # K also covers the Matsubara frequency nearest Lam, whose term nearly
+        # cancels c0 e^{-Lam t} when Lam sits close to it.
+        a = 2 * np.pi * self.temperature
+        k_eps = np.ceil(np.log(1 / np.finfo(float).eps) / (a * t))
+        k = max(k_eps, np.ceil(self.cutoff / a))
+        return int(min(_MATSUBARA_TERMS, k))
+
+    def alpha_time(self, t: float) -> complex:
+        if t == 0.0:
             raise ValueError(
                 "thermal correlation is logarithmically divergent at t = 0"
             )
         c, z = self.terms()
-        out = np.empty(t.shape, dtype=complex)
-        pos = t > 0
-        if np.any(pos):
-            out[pos] = accel.exp_sum_eval(c, z, t[pos], _STOP_RTOL, _STOP_KMIN)
-        if np.any(~pos):
-            out[~pos] = np.conj(
-                accel.exp_sum_eval(c, z, -t[~pos], _STOP_RTOL, _STOP_KMIN)
-            )
-        return out
+        k = self._n_terms(abs(t)) + 1
+        val = np.sum(c[:k] * np.exp(-z[:k] * abs(t)))
+        return val if t > 0 else np.conj(val)
 
     def laplace(self, s: complex) -> complex:
         """Closed form of the Matsubara sum via digamma functions."""
@@ -382,14 +386,11 @@ class _ThermalChannel:
         a = 2 * np.pi * self.temperature
         if a * _MATSUBARA_TERMS * t < 5.0:
             # near t=0 the direct form has truncation error O(t log t) -> 0
-            out = accel.coeff_full_eval(
-                c, z, 1j * w, np.array([t]), _STOP_RTOL, _STOP_KMIN
-            )
-            return complex(out[0])
-        rem = accel.exp_shift_div_eval(
-            c, z, 1j * w, np.array([t]), _STOP_RTOL, _STOP_KMIN
-        )
-        return complex(self.laplace(1j * w) - rem[0])
+            p = z + 1j * w
+            return complex(np.sum(c * (1.0 - np.exp(-p * t)) / p))
+        k = self._n_terms(t) + 1
+        p = z[:k] + 1j * w
+        return complex(self.laplace(1j * w) - np.sum(c[:k] * np.exp(-p * t) / p))
 
 
 @dataclass(frozen=True)
@@ -437,13 +438,7 @@ class ThermalLorentz(BathModel):
         return out
 
     def alpha_time(self, t: float) -> np.ndarray:
-        vals = []
-        for ch in self._impl:
-            if isinstance(ch, _ThermalChannel):
-                vals.append(ch.alpha_time_many(np.array([t]))[0])
-            else:
-                vals.append(ch.alpha_time(t))
-        return self._diag(vals)
+        return self._diag([ch.alpha_time(t) for ch in self._impl])
 
     def alpha_spectrum(self, w: float) -> np.ndarray:
         return self._diag([ch.spectrum(w) for ch in self._impl])

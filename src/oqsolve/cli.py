@@ -57,7 +57,7 @@ def _require_hermitian(x, name):
     return x
 
 
-def _build_bath(node, model_dir):
+def _build_bath(node, model_dir, n_channels):
     if not isinstance(node, dict) or "variant" not in node:
         raise ValidationError("bath: expected an object with a 'variant' tag")
     variant = node["variant"]
@@ -67,6 +67,7 @@ def _build_bath(node, model_dir):
                 gamma0=node["gamma0"],
                 cutoff=node["cutoff"],
                 temperature=node["temperature"],
+                n_channels=n_channels,
             )
         if variant == "ou":
             return bath_mod.ExponentialOU(c=node["c"], lam=node["lam"])
@@ -115,7 +116,9 @@ def load_model(path):
         if l.shape != h.shape:
             raise ValidationError(f"{name}: shape {l.shape} does not match Hamiltonian")
         couplings.append(l)
-    bath = _build_bath(doc["bath"], os.path.dirname(os.path.abspath(path)))
+    bath = _build_bath(
+        doc["bath"], os.path.dirname(os.path.abspath(path)), len(couplings)
+    )
     try:
         model = tcl2.SystemModel(h=h, couplings=couplings, bath=bath)
     except ValueError as exc:
@@ -318,7 +321,7 @@ def cmd_cp_audit(model, run, args):
     for t in tgrid:
         gen = positivity.magnus_phi2(model, float(t))
         delta_mins.append(float(np.linalg.eigvalsh(gen.delta)[0]))
-        g = positivity.magnus_propagator(model, float(t))
+        g = positivity.algebraic_propagator(model, gen)
         choi_mins.append(min_choi_eigenvalue(choi_rearrange(g)))
     dense = np.linspace(0.0, float(tgrid[-1]), int(run.get("weak_points", 2001)))
     weak = positivity.weak_cp_test(
@@ -446,11 +449,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("OQS_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     parser = argparse.ArgumentParser(
         prog="oqsolve",
         description="Second-order non-Markovian master equations: batch solver and audits.",

@@ -28,6 +28,7 @@ __all__ = [
     "AlgebraicGenerator",
     "magnus_phi2",
     "magnus_propagator",
+    "algebraic_propagator",
     "delta_double_time",
     "weak_cp_test",
     "interaction_dissipator_samples",
@@ -76,11 +77,15 @@ def magnus_phi2(m: SystemModel, t: float, tol: float = 1e-9) -> AlgebraicGenerat
     return AlgebraicGenerator(t=float(t), phi2=prev, delta=delta)
 
 
+def algebraic_propagator(m: SystemModel, gen: AlgebraicGenerator) -> np.ndarray:
+    """G(t) = G0(t) exp(Phi2(t)) from a computed generator; exactly completely positive."""
+    u0 = expm(-1j * m.h * gen.t)
+    return unitary_superop(u0) @ expm(gen.phi2)
+
+
 def magnus_propagator(m: SystemModel, t: float) -> np.ndarray:
     """G(t) = G0(t) exp(Phi2(t)); exactly completely positive."""
-    gen = magnus_phi2(m, t)
-    u0 = expm(-1j * m.h * t)
-    return unitary_superop(u0) @ expm(gen.phi2)
+    return algebraic_propagator(m, magnus_phi2(m, t))
 
 
 def delta_double_time(m: SystemModel, t: float, nodes: int = 48) -> np.ndarray:

@@ -106,6 +106,61 @@ class TestThermalLorentz:
         assert a[1, 1] == pytest.approx(single.alpha_time(0.4)[0, 0], rel=1e-12)
 
 
+class TestMatsubaraTruncation:
+    """The time-dependent Matsubara sums stop after K(t) terms; compare them
+    with the full N-term sums written out here."""
+
+    TIMES = (1e-4, 1e-3, 0.01, 0.1, 1.0, 8.0, 20.0)
+    FREQS = (-3.0, -1.0, 0.0, 0.4, 1.0, 3.0)
+
+    @staticmethod
+    def full_terms(ch):
+        g0, lam, temp = ch.gamma0, ch.cutoff, ch.temperature
+        nu = 2 * np.pi * temp * np.arange(1, bath._MATSUBARA_TERMS + 1)
+        c0 = (g0 * lam**2 / 2) * (1 / np.tan(lam / (2 * temp)) - 1j)
+        c = np.concatenate([[c0], -2 * g0 * temp * lam**2 * nu / (lam**2 - nu**2)])
+        return c, np.concatenate([[lam], nu])
+
+    @pytest.mark.parametrize("temp", [0.05, 0.25, 2.0])
+    @pytest.mark.parametrize("cutoff", [1.0, 5.0])
+    def test_coefficient_full_matches_full_sum(self, temp, cutoff):
+        b = bath.ThermalLorentz(gamma0=0.1, cutoff=cutoff, temperature=temp)
+        ch = b._impl[0]
+        c, z = self.full_terms(ch)
+        for w in self.FREQS:
+            p = z + 1j * w
+            scale = abs(b.coefficient_stationary(w)[0, 0])
+            for t in self.TIMES:
+                if 2 * np.pi * temp * bath._MATSUBARA_TERMS * t < 5.0:
+                    want = np.sum(c * (1.0 - np.exp(-p * t)) / p)
+                else:
+                    want = ch.laplace(1j * w) - np.sum(c * np.exp(-p * t) / p)
+                got = b.coefficient_full(t, w)[0, 0]
+                assert abs(got - want) <= 1e-14 * scale, (w, t)
+
+    @pytest.mark.parametrize("temp", [0.05, 0.25, 2.0])
+    @pytest.mark.parametrize("cutoff", [1.0, 5.0])
+    def test_alpha_time_matches_full_sum(self, temp, cutoff):
+        b = bath.ThermalLorentz(gamma0=0.1, cutoff=cutoff, temperature=temp)
+        c, z = self.full_terms(b._impl[0])
+        for t in self.TIMES:
+            want = np.sum(c * np.exp(-z * t))
+            assert abs(b.alpha_time(t)[0, 0] - want) <= 1e-12 * abs(want), t
+            assert b.alpha_time(-t)[0, 0] == np.conj(b.alpha_time(t)[0, 0])
+
+    @pytest.mark.parametrize("rel", [1e-9, 1e-7, 1e-5])
+    def test_cutoff_near_matsubara_frequency(self, rel):
+        # c0 e^{-Lam t} nearly cancels the k = 100 term; neither may be dropped alone
+        temp = 0.01
+        lam = 2 * np.pi * temp * 100 * (1 + rel)
+        b = bath.ThermalLorentz(gamma0=0.1, cutoff=lam, temperature=temp)
+        ch = b._impl[0]
+        c, z = self.full_terms(ch)
+        scale = abs(b.coefficient_stationary(0.0)[0, 0])
+        for t in np.linspace(36.1 / lam, 40.0 / lam, 8):
+            want = ch.laplace(0j) - np.sum(c * np.exp(-z * t) / z)
+            assert abs(b.coefficient_full(t, 0.0)[0, 0] - want) <= 1e-14 * scale, t
+
 class TestThermalZeroTemperature:
     # frozen from QAWF quadrature of the one-sided zero-temperature spectrum
     ALPHA_REF = {

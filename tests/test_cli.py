@@ -1,10 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oqsolve
 from oqsolve import bath, cli
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _pairs(m):
@@ -81,6 +86,51 @@ class TestReports:
         assert report["checks"]["gibbs"] == "pass"
         assert report["checks"]["detailed_balance"] == "pass"
         assert report["checks"]["column_sums"] == "pass"
+
+    def test_pauli_two_coupling_thermal(self, tmp_path, capsys):
+        doc = qubit_doc()
+        doc["system"]["couplings"].append(_pairs(np.diag([1.0, -1.0])))
+        model = write_model(tmp_path, doc)
+        assert cli.main(["pauli", "--model", model]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"]["gibbs"] == "pass"
+
+    def test_pauli_four_level_balance(self, tmp_path, capsys):
+        # populations spread over seven decades
+        doc = qubit_doc()
+        doc["system"] = {
+            "hamiltonian": _pairs(np.diag([0.0, 1.1, 2.3, 3.7])),
+            "couplings": [_pairs(np.ones((4, 4)) - np.eye(4))],
+        }
+        doc["bath"]["temperature"] = 0.23
+        model = write_model(tmp_path, doc)
+        assert cli.main(["pauli", "--model", model]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"]["gibbs"] == "pass"
+        assert report["checks"]["detailed_balance"] == "pass"
+
+    @pytest.mark.parametrize("node", [
+        {"variant": "ou", "c": [[0.1]], "lam": 1.0},
+        {"variant": "white", "c": [[0.1]]},
+    ])
+    def test_pauli_ou_and_white_tags(self, tmp_path, capsys, node):
+        doc = qubit_doc()
+        doc["bath"] = node
+        model = write_model(tmp_path, doc)
+        assert cli.main(["pauli", "--model", model]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"]["column_sums"] == "pass"
+
+    def test_module_entry_point_without_runpy_warning(self):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(oqsolve.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "oqsolve.cli", "pauli",
+             "--model", "examples_models/qubit_relaxation.json"],
+            cwd=REPO, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_coefficients(self, tmp_path, capsys):
         model = write_model(tmp_path, qubit_doc(t_max=5.0, n_points=6))

@@ -153,6 +153,17 @@ class TestDetailedBalance:
         assert spectral.detailed_balance_residual(m) > 1e-2
 
 
+    def test_widely_spread_populations_balance(self):
+        # population ratio ~1e7: the Pauli state matches Gibbs to round-off
+        b = bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=0.23)
+        m = tcl2.SystemModel(
+            h=np.diag([0.0, 1.1, 2.3, 3.7]), couplings=[np.ones((4, 4)) - np.eye(4)], bath=b
+        )
+        gibbs = np.exp(-m.basis.energies / 0.23)
+        gibbs /= gibbs.sum()
+        assert np.max(np.abs(spectral.pauli_system(m).stationary - gibbs)) < 1e-13
+        assert spectral.detailed_balance_residual(m) < 1e-10
+
 class TestDampingBasis:
     def test_orthogonality_defect_scales_as_fourth_power(self):
         d1 = spectral.damping_basis_orthogonality(
