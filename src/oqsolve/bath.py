@@ -13,6 +13,12 @@ ThermalLorentz (thermal state with Lorentzian damping kernel
 gamma~(w) = gamma0 / (1 + (w/Lam)^2), evaluated by Matsubara summation with
 digamma closed forms), and Tabulated (sampled data on a uniform grid).
 
+The evaluators laplace(s), coefficient_stationary(w) and coefficient_full(t, w)
+take a scalar and return an (n, n) matrix, or take a 1-D array of k points and
+return the (k, n, n) stack, so that one call serves every distinct gap.  The
+array case is told apart by the exact type numpy.ndarray, the cheapest test
+on the scalar path.
+
 Real decomposition alpha = nu + i mu with damping kernel mu~ = i w gamma~;
 diagnostics: KMS symmetry, fluctuation-dissipation inequality, FDR kernel.
 """
@@ -20,6 +26,7 @@ diagnostics: KMS symmetry, fluctuation-dissipation inequality, FDR kernel.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +55,17 @@ __all__ = [
 ]
 
 _MATSUBARA_TERMS = 120_000
+
+
+def _stacked(method):
+    """Let a scalar evaluator take a 1-D array as its last argument, looping
+    over it and stacking the results along a new first axis."""
+    @functools.wraps(method)
+    def wrapper(self, *args):
+        if type(args[-1]) is np.ndarray:
+            return np.array([method(self, *args[:-1], x) for x in args[-1]])
+        return method(self, *args)
+    return wrapper
 
 
 class BathModel:
@@ -115,12 +133,12 @@ class WhiteNoise(BathModel):
 
     def laplace(self, s: complex) -> np.ndarray:
         # boundary half-weight convention: int_0^t delta(tau) dtau = 1/2
-        return self.c.astype(complex) / 2.0
+        half = self.c.astype(complex) / 2.0
+        return np.repeat(half[None], len(s), axis=0) if type(s) is np.ndarray else half
 
     def coefficient_full(self, t: float, w: float) -> np.ndarray:
-        if t == 0.0:
-            return np.zeros_like(self.c, dtype=complex)
-        return self.c.astype(complex) / 2.0
+        half = self.c.astype(complex) / 2.0 if t != 0.0 else np.zeros_like(self.c, dtype=complex)
+        return np.repeat(half[None], len(w), axis=0) if type(w) is np.ndarray else half
 
     def gamma_spectrum(self, w: float) -> np.ndarray:
         return np.zeros_like(self.c, dtype=complex)
@@ -161,12 +179,14 @@ class ExponentialOU(BathModel):
         return self.c * 2 * self.lam / (self.lam**2 + w**2)
 
     def laplace(self, s: complex) -> np.ndarray:
-        if abs(s + self.lam) < 1e-12 * self.lam:
+        stacked = type(s) is np.ndarray
+        p = self.lam + (s[:, None, None] if stacked else s)
+        if np.any(np.abs(p) < 1e-12 * self.lam) if stacked else abs(p) < 1e-12 * self.lam:
             raise ValueError(f"Laplace transform pole at s = {-self.lam}")
-        return self.c / (self.lam + s)
+        return self.c / p
 
     def coefficient_full(self, t: float, w: float) -> np.ndarray:
-        p = self.lam + 1j * w
+        p = self.lam + 1j * (w[:, None, None] if type(w) is np.ndarray else w)
         return self.c * (1.0 - np.exp(-p * t)) / p
 
 
@@ -211,6 +231,7 @@ class _ThermalChannelT0:
         val = re + 1j * im
         return val if t > 0 else np.conj(val)
 
+    @_stacked
     def laplace(self, s: complex) -> complex:
         # alpha^(s) = (1/2pi) int_0^inf 2 u gamma~(u) / (s + i u) du
         lam = self.cutoff
@@ -229,6 +250,7 @@ class _ThermalChannelT0:
         )
         return re + 1j * im + tail
 
+    @_stacked
     def coefficient_stationary(self, w: float) -> complex:
         # He part = alpha~(w)/2 exactly; An part is the principal-value integral
         he = 0.5 * self.spectrum(w).real
@@ -252,6 +274,7 @@ class _ThermalChannelT0:
             pv, _ = integrate.quad(pv_integrand, 0, np.inf, limit=400)
         return he + 1j * pv
 
+    @_stacked
     def coefficient_full(self, t: float, w: float) -> complex:
         # A(t;w) = (1/2pi) int_0^inf 2 u gamma~(u) (1 - e^{-i(w+u)t}) / (i(w+u)) du
         if t == 0.0:
@@ -292,6 +315,10 @@ class _ThermalChannel:
         if k_near >= 1 and abs(cutoff - a * k_near) < 1e-10 * cutoff:
             cutoff = cutoff * (1 + 1e-8)
         self.cutoff = cutoff
+        self._c0 = (gamma0 * cutoff**2 / 2) * (
+            np.cos(cutoff / (2 * temperature)) / np.sin(cutoff / (2 * temperature)) - 1j
+        )
+        self._psi = (special.digamma(1 - cutoff / a), special.digamma(1 + cutoff / a))
         self._terms = None
 
     def gamma_tilde(self, w: float) -> float:
@@ -313,8 +340,8 @@ class _ThermalChannel:
             k = np.arange(1, _MATSUBARA_TERMS + 1)
             nu = a * k
             c = np.empty(_MATSUBARA_TERMS + 1, dtype=complex)
-            z = np.empty(_MATSUBARA_TERMS + 1, dtype=complex)
-            c[0] = (g0 * lam**2 / 2) * (np.cos(lam / (2 * T)) / np.sin(lam / (2 * T)) - 1j)
+            z = np.empty(_MATSUBARA_TERMS + 1)
+            c[0] = self._c0
             z[0] = lam
             c[1:] = -2 * g0 * T * lam**2 * nu / (lam**2 - nu**2)
             z[1:] = nu
@@ -346,51 +373,63 @@ class _ThermalChannel:
         val = np.sum(c[:k] * np.exp(-z[:k] * abs(t)))
         return val if t > 0 else np.conj(val)
 
-    def laplace(self, s: complex) -> complex:
-        """Closed form of the Matsubara sum via digamma functions."""
-        g0, lam, T = self.gamma0, self.cutoff, self.temperature
-        a = 2 * np.pi * T
-        s = complex(s)
+    def _regular_point(self, s: complex) -> complex:
+        """Reject the poles of the digamma form at s; nudge s off its
+        spurious partial-fraction poles at s = +-Lam."""
+        lam, a = self.cutoff, 2 * np.pi * self.temperature
         for pole in (-lam, -a):
             if abs(s - pole) < 1e-12 * max(lam, a):
                 raise ValueError(f"Laplace transform pole at s = {pole}")
         if abs(s.real + a * round(-s.real / a)) < 1e-12 * a and abs(s.imag) < 1e-12 * a \
                 and s.real < -0.5 * a:
             raise ValueError(f"Laplace transform pole near s = {s}")
-        # avoid the spurious partial-fraction poles at s = +-Lam
         for sp in (lam, -lam):
-            if abs(s - sp) < 1e-9 * lam and abs(s - sp) > 0:
+            if 0 < abs(s - sp) < 1e-9 * lam:
                 s = sp + 1e-9 * lam * (s - sp) / abs(s - sp)
-            elif s == sp and sp == lam:
-                pass  # s = +Lam is regular for the exact sum; nudge below
-        if abs(s - lam) == 0:
-            s = lam * (1 + 1e-9)
-        c0 = (g0 * lam**2 / 2) * (np.cos(lam / (2 * T)) / np.sin(lam / (2 * T)) - 1j)
+        return lam * (1 + 1e-9) if s == lam else s
+
+    def laplace(self, s):
+        """Closed form of the Matsubara sum via digamma functions; a 1-D array
+        of s gives the array of values."""
+        g0, lam, T = self.gamma0, self.cutoff, self.temperature
+        a = 2 * np.pi * T
+        if type(s) is np.ndarray:
+            s = s.astype(complex)
+            # every pole and nudge of _regular_point lies this close to the real axis
+            for k in np.flatnonzero(np.abs(s.imag) < 1e-9 * max(lam, a)):
+                s[k] = self._regular_point(complex(s[k]))
+        else:
+            s = self._regular_point(complex(s))
         A = 1.0 / (2 * (lam + s))
         B = 1.0 / (2 * (lam - s))
         C = -s / (lam**2 - s**2)
-        psi = special.digamma
-        ssum = (
-            (A / a) * psi(1 - lam / a)
-            - (B / a) * psi(1 + lam / a)
-            - (C / a) * psi(1 + s / a)
-        )
-        return c0 / (lam + s) - 2 * g0 * T * lam**2 * ssum
+        psi_minus, psi_plus = self._psi
+        ssum = (A / a) * psi_minus - (B / a) * psi_plus - (C / a) * special.digamma(1 + s / a)
+        return self._c0 / (lam + s) - 2 * g0 * T * lam**2 * ssum
 
-    def coefficient_full(self, t: float, w: float) -> complex:
-        if t == 0.0:
-            return 0.0 + 0.0j
+    def coefficient_stationary(self, w):
+        return self.laplace(1j * w)
+
+    def coefficient_full(self, t: float, w):
+        """A(t; w); a 1-D array of w gives the array of values."""
         if t < 0:
             raise ValueError("coefficient_full requires t >= 0")
+        stacked = type(w) is np.ndarray
+        ws = w if stacked else (w,)
+        pack = np.array if stacked else (lambda vals: complex(vals[0]))
+        if t == 0.0:
+            return pack([0j] * len(ws))
         c, z = self.terms()
-        a = 2 * np.pi * self.temperature
-        if a * _MATSUBARA_TERMS * t < 5.0:
+        if 2 * np.pi * self.temperature * _MATSUBARA_TERMS * t < 5.0:
             # near t=0 the direct form has truncation error O(t log t) -> 0
-            p = z + 1j * w
-            return complex(np.sum(c * (1.0 - np.exp(-p * t)) / p))
+            cz = c * np.exp(-z * t)
+            return pack([((c - cz * np.exp(-1j * wj * t)) / (z + 1j * wj)).sum() for wj in ws])
+        # alpha^(iw) - e^{-iwt} sum_k c_k e^{-z_k t} / (z_k + iw): the terms
+        # c_k e^{-z_k t} once, then one short sum per frequency
         k = self._n_terms(t) + 1
-        p = z[:k] + 1j * w
-        return complex(self.laplace(1j * w) - np.sum(c[:k] * np.exp(-p * t) / p))
+        cz, z = c[:k] * np.exp(-z[:k] * t), z[:k]
+        tail = pack([(cz / (z + 1j * wj)).sum() for wj in ws])
+        return self.laplace(1j * w) - np.exp(-1j * w * t) * tail
 
 
 @dataclass(frozen=True)
@@ -433,9 +472,12 @@ class ThermalLorentz(BathModel):
         return float(np.max(self.cutoff))
 
     def _diag(self, values) -> np.ndarray:
-        out = np.zeros((self.n_channels, self.n_channels), dtype=complex)
-        np.fill_diagonal(out, values)
-        return out
+        """Channel-diagonal (n, n), or (k, n, n) from per-channel arrays of k values."""
+        vals = np.asarray(values)
+        n = self.n_channels
+        out = np.zeros(vals.shape[1:] + (n * n,), dtype=complex)
+        out[..., :: n + 1] = vals.T
+        return out.reshape(vals.shape[1:] + (n, n))
 
     def alpha_time(self, t: float) -> np.ndarray:
         return self._diag([ch.alpha_time(t) for ch in self._impl])
@@ -447,23 +489,13 @@ class ThermalLorentz(BathModel):
         return self._diag([ch.laplace(s) for ch in self._impl])
 
     def coefficient_stationary(self, w: float) -> np.ndarray:
-        vals = []
-        for ch in self._impl:
-            if isinstance(ch, _ThermalChannelT0):
-                vals.append(ch.coefficient_stationary(w))
-            else:
-                vals.append(ch.laplace(1j * w))
-        return self._diag(vals)
+        return self._diag([ch.coefficient_stationary(w) for ch in self._impl])
 
     def coefficient_full(self, t: float, w: float) -> np.ndarray:
         return self._diag([ch.coefficient_full(t, w) for ch in self._impl])
 
     def gamma_spectrum(self, w: float) -> np.ndarray:
         return self._diag([ch.gamma_tilde(w) for ch in self._impl])
-
-    def gamma_time_zero(self) -> np.ndarray:
-        """Equal-time damping kernel gamma(0) = gamma0 Lam / 2 per channel."""
-        return self._diag(self.gamma0 * self.cutoff / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +572,7 @@ class Tabulated(BathModel):
             self._fine = (tf, self._spline(tf))
         return self._fine
 
+    @_stacked
     def laplace(self, s: complex) -> np.ndarray:
         tf, af = self._fine_grid()
         w = np.exp(-s * tf)[:, None, None]
@@ -558,6 +591,7 @@ class Tabulated(BathModel):
         f = self.laplace(1j * w)
         return f + np.conj(f).T
 
+    @_stacked
     def coefficient_full(self, t: float, w: float) -> np.ndarray:
         if t < 0:
             raise ValueError("coefficient_full requires t >= 0")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bath as bath_mod
 from . import memkernel, multitime, oracle, positivity, spectral, tcl2
-from .core import apply_superop, herm_defect, herm_part, min_choi_eigenvalue, choi_rearrange
+from .core import herm_defect, herm_part, min_choi_eigenvalue, choi_rearrange
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -317,12 +317,12 @@ def cmd_cp_audit(model, run, args):
         _emit_json(args.out, report)
         return
     tgrid = _grid(run, default_tmax=8.0, default_n=9)[1:]
-    choi_mins, delta_mins = [], []
-    for t in tgrid:
-        gen = positivity.magnus_phi2(model, float(t))
-        delta_mins.append(float(np.linalg.eigvalsh(gen.delta)[0]))
-        g = positivity.algebraic_propagator(model, gen)
-        choi_mins.append(min_choi_eigenvalue(choi_rearrange(g)))
+    gens = [positivity.magnus_phi2(model, float(t)) for t in tgrid]
+    delta_mins = [float(np.linalg.eigvalsh(g.delta)[0]) for g in gens]
+    choi_mins = [
+        min_choi_eigenvalue(choi_rearrange(positivity.algebraic_propagator(model, g)))
+        for g in gens
+    ]
     dense = np.linspace(0.0, float(tgrid[-1]), int(run.get("weak_points", 2001)))
     weak = positivity.weak_cp_test(
         positivity.interaction_dissipator_samples(model, dense), dense
@@ -334,6 +334,9 @@ def cmd_cp_audit(model, run, args):
         "magnus_choi_min": min(choi_mins),
         "magnus_choi_min_per_time": choi_mins,
         "delta_min_eigenvalue": min(delta_mins),
+        "magnus_nodes_per_time": [g.nodes for g in gens],
+        "magnus_change_per_time": [g.change for g in gens],
+        "magnus_converged": all(g.converged for g in gens),
         "weak_test_min_eigenvalue": weak,
         "checks": {
             "magnus_cp": "pass" if min(choi_mins) >= -1e-10 else "fail",

@@ -58,7 +58,8 @@ def dag(x: np.ndarray) -> np.ndarray:
 
 
 def herm_part(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + dag(x))
+    """(X + X^dag)/2, matrix by matrix for a (k, n, n) stack."""
+    return 0.5 * (x + np.conj(x).swapaxes(-1, -2))
 
 
 def herm_defect(x: np.ndarray) -> float:
@@ -162,9 +163,10 @@ def is_hermiticity_preserving(s: np.ndarray, tol: float = 1e-10) -> bool:
 
 
 def choi_rearrange(s: np.ndarray) -> np.ndarray:
-    """Choi matrix C[(i,i'),(j,j')] = S[(i,j),(i',j')]; involutive."""
-    d = int(round(np.sqrt(s.shape[0])))
-    return s.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    """Choi matrix C[(i,i'),(j,j')] = S[(i,j),(i',j')]; involutive.  A
+    (k, d^2, d^2) stack is rearranged matrix by matrix."""
+    d = int(round(np.sqrt(s.shape[-1])))
+    return s.reshape(s.shape[:-2] + (d, d, d, d)).swapaxes(-3, -2).reshape(s.shape)
 
 
 def min_choi_eigenvalue(c: np.ndarray) -> float:

@@ -8,17 +8,17 @@ unit e_ij it equals the second-order assembly with the coefficient replacements
 
 plus the free part -i w_ij, so that K2(-i w_ij){e_ij} reproduces the
 stationary time-local generator column exactly (the pole/shift identity).
+Columns share s' within a gap class, so two bath calls on the grid of
+distinct-gap pairs give every column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import dag, superop_sandwich, unvec, vec
-from .spectral import pauli_system
-from .tcl2 import SystemModel
+from .core import dag, unvec, vec
+from .spectral import _pauli
+from .tcl2 import SystemModel, _hadamard, _superop_eb
 
 __all__ = [
     "kernel_K2",
@@ -31,59 +31,38 @@ __all__ = [
 ]
 
 
+def _kernel_eb(m: SystemModel, s) -> np.ndarray:
+    """K2 in the energy basis, (d^2, d^2).  The columns e_ij of gap class q
+    (gap_index[i, j] = q) take the Laplace arguments s' + i u_g over the
+    distinct gaps u_g, with s' = s + i u_q; s may also be given per class."""
+    d, u, q = m.dim, m.unique_gaps, m.gap_index
+    sp = s + 1j * u
+    try:
+        lap = m.bath.laplace((sp[:, None] + 1j * u).reshape(-1))
+        lap_c = np.conj(m.bath.laplace((np.conj(sp)[:, None] + 1j * u).reshape(-1)))
+    except ValueError as exc:
+        raise ValueError(
+            f"kernel evaluation hit a correlation-function pole at s = {s!r}: {exc}"
+        ) from exc
+    shape = (u.size, u.size) + lap.shape[1:]
+    b = _hadamard(m, lap.reshape(shape), q)
+    bd = _hadamard(m, lap_c.reshape(shape), q.T)
+    k = _superop_eb(m.couplings_eb, b, bd, q)
+    k[np.diag_indices(d * d)] -= 1j * m.basis.gaps.reshape(-1)
+    return k
+
+
 def _kernel_column_eb(m: SystemModel, s: complex, i: int, j: int) -> np.ndarray:
     """K2(s){e_ij} in the energy basis, as a d x d matrix."""
-    d = m.dim
-    gaps = m.basis.gaps
-    sp = s + 1j * gaps[i, j]
-    nch = len(m.couplings)
-    leb = m.couplings_eb
-
-    # frequency-resolved coefficient matrices at the shifted Laplace argument
-    acoef = {}
-    acoef_c = {}
-    for g in m.unique_gaps:
-        try:
-            acoef[float(g)] = m.bath.laplace(sp + 1j * float(g))
-            acoef_c[float(g)] = np.conj(m.bath.laplace(np.conj(sp) + 1j * float(g)))
-        except ValueError as exc:
-            raise ValueError(
-                f"kernel evaluation hit a correlation-function pole at "
-                f"s = {s!r} (column ({i},{j})): {exc}"
-            ) from exc
-
-    b = np.zeros((nch, d, d), dtype=complex)
-    bdag = np.zeros((nch, d, d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            a = acoef[m.gap_key(gaps[k, l])]
-            ac = acoef_c[m.gap_key(gaps[l, k])]
-            b[:, k, l] = a @ leb[:, k, l]
-            bdag[:, k, l] = ac @ leb[:, k, l]
-
-    e = np.zeros((d, d), dtype=complex)
-    e[i, j] = 1.0
-    col = -1j * gaps[i, j] * e
-    for n in range(nch):
-        ln = leb[n]
-        col += ln @ e @ bdag[n]
-        col += b[n] @ e @ ln
-        col -= ln @ b[n] @ e
-        col -= e @ bdag[n] @ ln
-    return col
+    return unvec(_kernel_eb(m, s)[:, i * m.dim + j], m.dim)
 
 
 def kernel_K2(m: SystemModel, s: complex, basis: str = "input") -> np.ndarray:
     """Full second-order memory kernel K2(s) as a superoperator matrix."""
-    d = m.dim
-    k = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            k[:, i * d + j] = vec(_kernel_column_eb(m, s, i, j))
+    k = _kernel_eb(m, s)
     if basis == "energy":
         return k
-    u = m.basis.vectors
-    return superop_sandwich(u, dag(u)) @ k @ superop_sandwich(dag(u), u)
+    return m.to_input @ k @ m.to_energy
 
 
 def resolvent(m: SystemModel, s: complex, basis: str = "input") -> np.ndarray:
@@ -99,13 +78,9 @@ def nonlocal_poles(m: SystemModel) -> dict:
     delta f_ij of the stationary TCL2 generator.
     """
     d = m.dim
-    gaps = m.basis.gaps
-    out = {}
-    for i in range(d):
-        for j in range(d):
-            col = _kernel_column_eb(m, -1j * gaps[i, j], i, j)
-            out[(i, j)] = complex(col[i, j])
-    return out
+    # column class q is evaluated at s = -i u_q, i.e. at s' = 0
+    k = _kernel_eb(m, -1j * m.unique_gaps)
+    return {(i, j): complex(k[i * d + j, i * d + j]) for i in range(d) for j in range(d)}
 
 
 def asymptotic_state(m: SystemModel, rho0: np.ndarray, tol: float = 1e-6) -> np.ndarray:
@@ -115,7 +90,7 @@ def asymptotic_state(m: SystemModel, rho0: np.ndarray, tol: float = 1e-6) -> np.
     rate) with Richardson extrapolation in s; raises if the stationary state is
     not unique or the extrapolants do not agree.
     """
-    ps = pauli_system(m)
+    ps = _pauli(m)
     if ps.multiple_stationary:
         raise ValueError(
             "no unique asymptotic state: the Pauli sector has a degenerate "
@@ -145,42 +120,36 @@ def asymptotic_state(m: SystemModel, rho0: np.ndarray, tol: float = 1e-6) -> np.
 def nonlocal_pauli(m: SystemModel, s: complex) -> np.ndarray:
     """Population-sector kernel V(s)_ij = <i| K2(s){e_jj} |i> (energy basis)."""
     d = m.dim
-    v = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        col = _kernel_column_eb(m, s, j, j)
-        v[:, j] = np.diag(col)
-    return v
+    k = _kernel_eb(m, s).reshape(d, d, d, d)
+    return np.einsum("iijj->ij", k)
 
 
-def talbot_invert(fhat, t: float, nodes: int = 64) -> np.ndarray:
+def talbot_invert(fhat, t: float, nodes: int = 48) -> np.ndarray:
     """Fixed-Talbot numerical Laplace inversion at time t.
 
     fhat(s) may return a scalar or an ndarray.  The full (unfolded) contour is
     used so complex-valued time signals are handled correctly.
     """
+    # The truncation error falls with the node count while round-off grows
+    # with it (|e^{st}| on the contour reaches e^{2 nodes/5}).  Measured for
+    # 1/s at t = 2: error 2.8e-7 at 32 nodes, 4.5e-8 at 48, 5.3e-6 at 64.
     if t <= 0:
         raise ValueError("talbot_invert requires t > 0")
     r = 2.0 * nodes / (5.0 * t)
     dtheta = 2.0 * np.pi / nodes
-    total = None
-    for k in range(nodes):
-        theta = -np.pi + (k + 0.5) * dtheta
-        cot = np.cos(theta) / np.sin(theta)
-        s = r * theta * (cot + 1j)
-        dsdtheta = r * (1j + cot - theta / np.sin(theta) ** 2)
-        term = np.exp(s * t) * np.asarray(fhat(s)) * dsdtheta
-        total = term if total is None else total + term
+    theta = -np.pi + (np.arange(nodes) + 0.5) * dtheta
+    cot = np.cos(theta) / np.sin(theta)
+    s = r * theta * (cot + 1j)
+    dsdtheta = r * (1j + cot - theta / np.sin(theta) ** 2)
+    total = sum(np.exp(sk * t) * np.asarray(fhat(sk)) * dk for sk, dk in zip(s, dsdtheta))
     return total * dtheta / (2j * np.pi)
 
 
-def laplace_trajectory(m: SystemModel, rho0: np.ndarray, grid, nodes: int = 64):
+def laplace_trajectory(m: SystemModel, rho0: np.ndarray, grid, nodes: int = 48):
     """States via Talbot inversion of the resolvent applied to rho0."""
     y0 = vec(np.asarray(rho0, dtype=complex))
-    states = []
-    for t in grid:
-        if t == 0:
-            states.append(unvec(y0.copy(), m.dim))
-            continue
-        y = talbot_invert(lambda s: resolvent(m, s) @ y0, float(t), nodes=nodes)
-        states.append(unvec(y, m.dim))
-    return np.array(states)
+    return np.array([
+        unvec(y0 if t == 0 else talbot_invert(lambda s: resolvent(m, s) @ y0, float(t), nodes),
+              m.dim)
+        for t in grid
+    ])

@@ -40,19 +40,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AlgebraicGenerator:
+    """Phi2(t) and its Lindblad coefficient matrix Delta, with the quadrature
+    outcome: the Gauss-Legendre node count used, the last level-to-level max
+    change relative to max(1, max|Phi2|), and whether that met the tolerance."""
+
     t: float
     phi2: np.ndarray
     delta: np.ndarray
+    nodes: int = 0
+    change: float = 0.0
+    converged: bool = True
 
 
 def _gl_integrate_superop(fun, t: float, nodes: int) -> np.ndarray:
     x, w = np.polynomial.legendre.leggauss(nodes)
     taus = 0.5 * t * (x + 1.0)
-    acc = None
-    for tau, wk in zip(taus, w):
-        term = wk * fun(tau)
-        acc = term if acc is None else acc + term
-    return 0.5 * t * acc
+    return 0.5 * t * sum(wk * fun(tau) for tau, wk in zip(taus, w))
 
 
 def magnus_phi2(m: SystemModel, t: float, tol: float = 1e-9) -> AlgebraicGenerator:
@@ -68,13 +71,13 @@ def magnus_phi2(m: SystemModel, t: float, tol: float = 1e-9) -> AlgebraicGenerat
     while nodes < 256:
         nodes *= 2
         cur = _gl_integrate_superop(lambda tau: interaction_L2(m, tau), t, nodes)
-        scale = max(1.0, float(np.max(np.abs(cur))))
-        if np.max(np.abs(cur - prev)) < tol * scale:
-            prev = cur
-            break
+        change = float(np.max(np.abs(cur - prev))) / max(1.0, float(np.max(np.abs(cur))))
         prev = cur
+        if change < tol:
+            break
     delta = herm_part(canonical_coefficient_matrix(prev))
-    return AlgebraicGenerator(t=float(t), phi2=prev, delta=delta)
+    return AlgebraicGenerator(t=float(t), phi2=prev, delta=delta, nodes=nodes,
+                              change=change, converged=change < tol)
 
 
 def algebraic_propagator(m: SystemModel, gen: AlgebraicGenerator) -> np.ndarray:
@@ -130,24 +133,20 @@ def delta_double_time(m: SystemModel, t: float, nodes: int = 48) -> np.ndarray:
 def weak_cp_test(d_samples, grid) -> float:
     """Min eigenvalue of the trapezoid-integrated dissipator over all endpoints."""
     grid = np.asarray(grid, dtype=float)
-    samples = [np.asarray(s) for s in d_samples]
+    samples = np.asarray(d_samples)
     for k, s in enumerate(samples):
         if np.max(np.abs(s - np.conj(s).T)) > 1e-8 * max(1.0, np.max(np.abs(s))):
             raise ValueError(f"dissipator sample {k} is not Hermitian")
-    best = np.inf
-    acc = np.zeros_like(samples[0])
-    for k in range(1, len(grid)):
-        acc = acc + 0.5 * (grid[k] - grid[k - 1]) * (samples[k] + samples[k - 1])
-        best = min(best, float(np.linalg.eigvalsh(herm_part(acc))[0]))
-    return best
+    steps = 0.5 * np.diff(grid)[:, None, None] * (samples[1:len(grid)] + samples[:len(grid) - 1])
+    acc = np.cumsum(steps, axis=0)
+    return float(np.min(np.linalg.eigvalsh(herm_part(acc))[:, 0], initial=np.inf))
 
 
 def interaction_dissipator_samples(m: SystemModel, tgrid):
-    """Interaction-picture dissipator coefficient matrices D(tau) on a grid."""
-    return [
-        herm_part(canonical_coefficient_matrix(interaction_L2(m, float(tau))))
-        for tau in tgrid
-    ]
+    """Interaction-picture dissipator coefficient matrices D(tau) on a grid,
+    stacked (k, d^2, d^2)."""
+    s = np.array([interaction_L2(m, float(tau)) for tau in tgrid])
+    return herm_part(canonical_coefficient_matrix(s))
 
 
 def intermediate_map_check(m: SystemModel, t1: float, t2: float) -> float:

@@ -81,40 +81,31 @@ def pauli_system(m: SystemModel) -> PauliSystem:
     """Characteristic matrix W_ij = sum_nm L_m[i,j] 2He[A_nm(w_ij)] conj(L_n[i,j])
     for i != j, diagonals minus the column sums; stationary vector from the
     SVD null space."""
-    d = m.dim
-    gaps = m.basis.gaps
-    leb = m.couplings_eb
-    w = np.zeros((d, d), dtype=float)
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            a = m.bath.coefficient_stationary(float(gaps[i, j]))
-            he = (a + np.conj(a).T) / 2  # matrix in channel space: He[A](w_ij)
-            x = leb[:, i, j]
-            w[i, j] = float(np.real(np.conj(x) @ (2 * he) @ x))
+    a = m.bath.coefficient_stationary(m.unique_gaps)
+    he2 = (a + np.conj(a).transpose(0, 2, 1))[m.gap_index]  # 2 He[A](w_ij), (d, d, n, n)
+    x = m.couplings_eb
+    w = np.real(np.einsum("nij,ijnm,mij->ij", np.conj(x), he2, x))
     np.fill_diagonal(w, 0.0)
     np.fill_diagonal(w, -w.sum(axis=0))
     _, svals, vt = np.linalg.svd(w)
     wnorm = float(svals[0]) if svals.size else 0.0
     null_mask = svals <= 1e-10 * max(wnorm, 1e-300)
-    nulls = vt[null_mask].conj()
-    if nulls.shape[0] == 0:
-        nulls = vt[-1:].conj()
-    probs = []
-    for vvec in nulls:
-        p = np.real(vvec)
-        if p.sum() < 0:
-            p = -p
-        probs.append(p / p.sum())
-    stationary = probs[0]
-    return PauliSystem(
+    nulls = vt[null_mask] if null_mask.any() else vt[-1:]
+    probs = [p / p.sum() for p in np.real(nulls)]
+    ps = PauliSystem(
         W=w,
-        stationary=stationary,
+        stationary=probs[0],
         eigenvalues=np.linalg.eigvals(w),
         null_vectors=np.array(probs),
         multiple_stationary=len(probs) > 1,
     )
+    m._pauli_system = ps
+    return ps
+
+
+def _pauli(m: SystemModel) -> PauliSystem:
+    """pauli_system(m), computed only if the model keeps no result."""
+    return m._pauli_system if m._pauli_system is not None else pauli_system(m)
 
 
 def perturbative_spectrum(m: SystemModel) -> SpectrumResult:
@@ -172,7 +163,7 @@ def perturbative_spectrum(m: SystemModel) -> SpectrumResult:
         f=f,
         dsigma=dsig,
         dsigma_star=dsig_star,
-        pauli=pauli_system(m),
+        pauli=_pauli(m),
         degenerate_groups=degenerate,
         groups=group_data,
         basis=m.basis,
@@ -197,7 +188,7 @@ def detailed_balance_residual(m: SystemModel) -> float:
     """Max over level pairs of the net flux |p_j S(w_ij) - p_i S(w_ji)|, with p
     the stationary Pauli vector and S the channel-summed spectrum, relative to
     the largest one-way flux p_j S(w_ij)."""
-    p = pauli_system(m).stationary
+    p = _pauli(m).stationary
     gaps = m.basis.gaps
     spec = np.array([
         [float(np.real(np.trace(m.bath.alpha_spectrum(float(w))))) for w in row]

@@ -2,8 +2,11 @@
 
 The generator is L{rho} = -i[H, rho] + sum_n ( L_n rho B_n^dag - rho B_n^dag L_n
 - L_n B_n rho + B_n rho L_n ) with the second-order operators
-B_n(t) = sum_m (A_nm <> L_m)(t), built element-wise in the energy basis by the
-Hadamard rule (A <> L)[i,i'] = A(t; w_ii') L[i,i'].
+B_n(t) = sum_m (A_nm <> L_m)(t), built in the energy basis by the Hadamard rule
+(A <> L)[i,i'] = A(t; w_ii') L[i,i'].  One bath call returns the coefficient
+stack A(t; g) over the distinct gaps g; `gap_index` spreads it over the
+matrix elements, and every second-order object is a few array contractions
+over it.
 
 Also provides: the pseudo-Lindblad split -i[H+V, .] + dissipator(D), the
 rotating-wave (Lindblad) projection, the effective Hamiltonian with the
@@ -23,7 +26,6 @@ from . import bath as bath_mod
 from .core import (
     SpectralBasis,
     anticommutator_superop,
-    apply_superop,
     choi_rearrange,
     commutator_superop,
     dag,
@@ -45,7 +47,6 @@ __all__ = [
     "interaction_L2",
     "pseudo_lindblad",
     "microscopic_pseudo_lindblad",
-    "lindblad_form",
     "dissipator_from_coefficients",
     "canonical_coefficient_matrix",
     "rwa_projection",
@@ -65,6 +66,9 @@ class SystemModel:
     h: np.ndarray
     couplings: list
     bath: bath_mod.BathModel
+    # the last spectral.pauli_system of this model, reused by the routes that
+    # need it again (detailed balance, the asymptotic state)
+    _pauli_system: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.h = require_hermitian(np.asarray(self.h, dtype=complex), name="Hamiltonian")
@@ -101,35 +105,42 @@ class SystemModel:
                 keep.append(g)
         return np.array(keep)
 
-    def gap_key(self, g: float) -> float:
-        """Representative of the gap's merge class."""
+    @cached_property
+    def gap_index(self) -> np.ndarray:
+        """(d, d) index of each gap w_ij into unique_gaps: the nearest one."""
         u = self.unique_gaps
-        return float(u[np.argmin(np.abs(u - g))])
+        return np.argmin(np.abs(u[:, None, None] - self.basis.gaps[None]), axis=0)
+
+    @cached_property
+    def to_input(self) -> np.ndarray:
+        """Superoperator basis change energy -> input basis, kron(u, conj(u))."""
+        u = self.basis.vectors
+        return superop_sandwich(u, dag(u))
+
+    @cached_property
+    def to_energy(self) -> np.ndarray:
+        """Superoperator basis change input -> energy basis, kron(u^dag, u^T)."""
+        u = self.basis.vectors
+        return superop_sandwich(dag(u), u)
+
+    @cached_property
+    def free_superop(self) -> np.ndarray:
+        """-i[H, .] in the input basis."""
+        return commutator_superop(self.h)
 
 
-def _coefficient_matrices(m: SystemModel, t) -> dict:
-    """A_{nm} matrices per distinct gap; t=None means the stationary limit."""
-    out = {}
-    for g in m.unique_gaps:
-        if t is None:
-            out[float(g)] = m.bath.coefficient_stationary(float(g))
-        else:
-            out[float(g)] = m.bath.coefficient_full(float(t), float(g))
-    return out
+def _hadamard(m: SystemModel, stack: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """B_n[i,j] = sum_m stack[index[i,j]]_nm L_m[i,j] for a coefficient stack
+    (..., n_gaps, n, n); returns (..., n, d, d)."""
+    return np.einsum("...ijnm,mij->...nij", stack[..., index, :, :], m.couplings_eb)
 
 
 def _second_order_ops_eb(m: SystemModel, t) -> np.ndarray:
-    """B_n = sum_m (A_nm <> L_m) in the energy basis, stacked (n, d, d)."""
-    amats = _coefficient_matrices(m, t)
-    d = m.dim
-    nch = len(m.couplings)
-    gaps = m.basis.gaps
-    b = np.zeros((nch, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            a = amats[m.gap_key(gaps[i, j])]
-            b[:, i, j] = a @ m.couplings_eb[:, i, j]
-    return b
+    """B_n = sum_m (A_nm <> L_m) in the energy basis, stacked (n, d, d), from
+    one bath call for the coefficients over the distinct gaps."""
+    u = m.unique_gaps
+    a = m.bath.coefficient_stationary(u) if t is None else m.bath.coefficient_full(float(t), u)
+    return _hadamard(m, a, m.gap_index)
 
 
 def second_order_operator(m: SystemModel, t, n: int) -> np.ndarray:
@@ -140,18 +151,31 @@ def second_order_operator(m: SystemModel, t, n: int) -> np.ndarray:
     return m.basis.from_energy_basis(b)
 
 
+def _superop_eb(l: np.ndarray, b: np.ndarray, bd: np.ndarray, cols=None) -> np.ndarray:
+    """The superoperator whose column (i, j) is
+    sum_n L_n e_ij Bd_n + B_n e_ij L_n - L_n B_n e_ij - e_ij Bd_n L_n,
+    e_ij = |i><j|, energy basis.  b and bd are (k, n, d, d) stacks; column
+    (i, j) takes entry cols[i, j] of them (cols=None: k = 1, every column)."""
+    k, d = b.shape[0], l.shape[1]
+    ls = np.repeat(l[None], k, axis=0)
+    eye = np.repeat(np.eye(d)[None, None], k, axis=0)
+    # each term is X[x, i] Z[j, y] for a pair (X, Z) of d x d matrices
+    x = np.concatenate([ls, b, -(l @ b).sum(1, keepdims=True), eye], axis=1)
+    z = np.concatenate([bd, ls, eye, -(bd @ l).sum(1, keepdims=True)], axis=1)
+    r = x.shape[1]
+    s = (x.reshape(k, r, d * d).swapaxes(1, 2) @ z.reshape(k, r, d * d)).reshape(k, d, d, d, d)
+    if cols is None:
+        s = s[0].transpose(0, 3, 1, 2)
+    else:
+        i, j = np.indices((d, d))
+        s = s[cols, :, i, j, :].transpose(2, 3, 0, 1)
+    return s.reshape(d * d, d * d)
+
+
 def _dissipative_superop_eb(m: SystemModel, t) -> np.ndarray:
     """The second-order part of the generator in the energy basis."""
-    d = m.dim
-    eye = np.eye(d)
-    bops = _second_order_ops_eb(m, t)
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for ln, bn in zip(m.couplings_eb, bops):
-        s += superop_sandwich(ln, dag(bn))
-        s += superop_sandwich(bn, ln)
-        s -= superop_sandwich(ln @ bn, eye)
-        s -= superop_sandwich(eye, dag(bn) @ ln)
-    return s
+    b = _second_order_ops_eb(m, t)[None]
+    return _superop_eb(m.couplings_eb, b, np.conj(b).swapaxes(-1, -2))
 
 
 def build_L2(m: SystemModel, t=None) -> np.ndarray:
@@ -161,20 +185,15 @@ def build_L2(m: SystemModel, t=None) -> np.ndarray:
     """
     if t is not None and t < 0:
         raise ValueError("build_L2 requires t >= 0")
-    u = m.basis.vectors
-    s_eb = _dissipative_superop_eb(m, t)
-    s = superop_sandwich(u, dag(u)) @ s_eb @ superop_sandwich(dag(u), u)
-    return commutator_superop(m.h) + s
+    return m.free_superop + m.to_input @ _dissipative_superop_eb(m, t) @ m.to_energy
 
 
 def interaction_L2(m: SystemModel, tau: float) -> np.ndarray:
     """Interaction-picture second-order generator G0(-tau) L2(tau) G0(tau)."""
     s_eb = _dissipative_superop_eb(m, tau)
-    gaps = m.basis.gaps.reshape(-1)
-    phase = np.exp(1j * gaps * tau)
+    phase = np.exp(1j * m.basis.gaps.reshape(-1) * tau)
     s_int = (phase[:, None] * s_eb) * np.conj(phase)[None, :]
-    u = m.basis.vectors
-    return superop_sandwich(u, dag(u)) @ s_int @ superop_sandwich(dag(u), u)
+    return m.to_input @ s_int @ m.to_energy
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +225,10 @@ def canonical_coefficient_matrix(s: np.ndarray) -> np.ndarray:
     """Coefficient matrix of the dissipative part in the traceless gauge.
 
     Components of the Choi matrix along vec(1) generate commutators and the
-    zero map; projecting them out fixes the pseudo-Lindblad gauge.
+    zero map; projecting them out fixes the pseudo-Lindblad gauge.  A
+    (k, d^2, d^2) stack is projected matrix by matrix.
     """
-    d = int(round(np.sqrt(s.shape[0])))
+    d = int(round(np.sqrt(s.shape[-1])))
     c = choi_rearrange(s)
     v = vec(np.eye(d)) / np.sqrt(d)
     p = np.eye(d * d) - np.outer(v, v)
@@ -236,8 +256,11 @@ def pseudo_lindblad(s: np.ndarray, h: np.ndarray, tol: float = 1e-10) -> PseudoL
     return PseudoLindblad(h=h, V=v, D=dmat)
 
 
-def lindblad_form(h: np.ndarray, v: np.ndarray, dmat: np.ndarray) -> np.ndarray:
-    return commutator_superop(h + v) + dissipator_from_coefficients(dmat)
+def _microscopic_d(l: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_n outer(vec L_n, conj vec B_n) + outer(vec B_n, conj vec L_n)."""
+    lv = l.reshape(l.shape[0], -1)
+    bv = b.reshape(b.shape[0], -1)
+    return lv.T @ np.conj(bv) + bv.T @ np.conj(lv)
 
 
 def microscopic_pseudo_lindblad(m: SystemModel, t=None) -> PseudoLindblad:
@@ -246,43 +269,18 @@ def microscopic_pseudo_lindblad(m: SystemModel, t=None) -> PseudoLindblad:
     V = (1/2i) sum_n (L_n B_n - B_n^dag L_n),
     D = sum_n [ outer(vec L_n, conj vec B_n) + outer(vec B_n, conj vec L_n) ].
     """
-    bops = _second_order_ops_eb(m, t)
-    d = m.dim
-    v = np.zeros((d, d), dtype=complex)
-    dmat = np.zeros((d * d, d * d), dtype=complex)
-    for ln, bn in zip(m.couplings_eb, bops):
-        v += (ln @ bn - dag(bn) @ ln) / 2j
-        dmat += np.outer(vec(ln), np.conj(vec(bn)))
-        dmat += np.outer(vec(bn), np.conj(vec(ln)))
+    l = m.couplings_eb
+    b = _second_order_ops_eb(m, t)
+    v = np.einsum("nij,njk->ik", l, b) - np.einsum("nji,njk->ik", np.conj(b), l)
     h_eb = np.diag(m.basis.energies).astype(complex)
-    return PseudoLindblad(h=h_eb, V=herm_part(v), D=herm_part(dmat))
+    return PseudoLindblad(h=h_eb, V=herm_part(v / 2j), D=herm_part(_microscopic_d(l, b)))
 
 
 def plindblad_kernel_matrix(m: SystemModel) -> np.ndarray:
     """Stationary microscopic D from the coefficient kernel
-    A_nm(w_ii') + conj(A_mn(w_jj')) sandwiched by coupling matrix elements."""
-    d = m.dim
-    gaps = m.basis.gaps
-    amats = _coefficient_matrices(m, None)
-    nch = len(m.couplings)
-    dmat = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for ip in range(d):
-            for j in range(d):
-                for jp in range(d):
-                    a1 = amats[m.gap_key(gaps[i, ip])]
-                    a2 = amats[m.gap_key(gaps[j, jp])]
-                    val = 0.0
-                    for n in range(nch):
-                        for mm in range(nch):
-                            kern = a1[n, mm] + np.conj(a2[mm, n])
-                            val += (
-                                kern
-                                * m.couplings_eb[mm, i, ip]
-                                * np.conj(m.couplings_eb[n, j, jp])
-                            )
-                    dmat[i * d + ip, j * d + jp] = val
-    return dmat
+    A_nm(w_ii') + conj(A_mn(w_jj')) sandwiched by coupling matrix elements:
+    the B_n parts sum to outer(vec B_n, conj vec L_n) and their conjugates."""
+    return _microscopic_d(m.couplings_eb, _second_order_ops_eb(m, None))
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +295,7 @@ def _rwa_mask(m: SystemModel, tol: float = _GAP_TOL) -> np.ndarray:
 def rwa_projection(m: SystemModel) -> np.ndarray:
     """Keep only interaction-picture-stationary entries of the dissipative part."""
     s_eb = _dissipative_superop_eb(m, None) * _rwa_mask(m)
-    u = m.basis.vectors
-    s = superop_sandwich(u, dag(u)) @ s_eb @ superop_sandwich(dag(u), u)
-    return commutator_superop(m.h) + s
+    return m.free_superop + m.to_input @ s_eb @ m.to_energy
 
 
 def rwa_dissipator(m: SystemModel) -> np.ndarray:

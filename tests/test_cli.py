@@ -147,6 +147,34 @@ class TestReports:
         assert report["checks"]["delta_psd"] == "pass"
         assert report["checks"]["weak_test"] == "pass"
 
+    def test_cp_audit_reports_magnus_quadrature(self, tmp_path, capsys):
+        shipped = os.path.join(REPO, "examples_models", "qubit_relaxation.json")
+        with open(shipped) as fh:
+            doc = json.load(fh)
+        doc["run"].update(t_max=1.0, n_points=2, weak_points=11)
+        assert cli.main(["cp-audit", "--model", write_model(tmp_path, doc)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["magnus_nodes_per_time"] == [256]
+        assert report["magnus_change_per_time"][0] > 1e-9
+        assert report["magnus_converged"] is False
+        assert set(report["checks"]) == {"magnus_cp", "delta_psd", "weak_test"}
+        ou = qubit_doc(t_max=1.0, n_points=2, weak_points=11)
+        ou["bath"] = {"variant": "ou", "c": [[0.08]], "lam": 1.1}
+        assert cli.main(["cp-audit", "--model", write_model(tmp_path, ou, "ou.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["magnus_converged"] is True
+
+    @pytest.mark.parametrize("command", ["pauli", "nonlocal"])
+    def test_pauli_system_computed_once(self, tmp_path, capsys, monkeypatch, command):
+        from oqsolve import spectral
+
+        calls = []
+        orig = spectral.pauli_system
+        monkeypatch.setattr(spectral, "pauli_system", lambda m: calls.append(m) or orig(m))
+        assert cli.main([command, "--model", write_model(tmp_path, qubit_doc())]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "detailed_balance_residual" in report or "asymptotic_state" in report
+        assert len(calls) == 1
+
     def test_cp_audit_external_samples(self, tmp_path, capsys):
         from oqsolve import positivity, tcl2
 

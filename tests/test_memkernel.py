@@ -125,6 +125,12 @@ class TestTalbot:
         with pytest.raises(ValueError):
             memkernel.talbot_invert(lambda s: 1.0 / s, 0.0)
 
+    def test_default_nodes_near_round_off_optimum(self):
+        for t in (0.5, 2.0, 10.0):
+            assert abs(memkernel.talbot_invert(lambda s: 1.0 / s, t) - 1.0) < 1e-6
+            got = memkernel.talbot_invert(lambda s: 1.0 / (s + 0.7), t)
+            assert abs(got - np.exp(-0.7 * t)) < 1e-6
+
     def test_trajectory_matches_direct_integration(self):
         # the resummed orders differ, so agreement is at the coupling scale
         m = qubit_model(gamma0=0.02)

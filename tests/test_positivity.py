@@ -32,6 +32,16 @@ class TestMagnusGenerator:
         gen = positivity.magnus_phi2(qubit_model(), 0.0)
         assert np.max(np.abs(gen.phi2)) == 0.0
 
+    def test_reports_quadrature_outcome(self):
+        # the thermal correlation's t log t onset stops the refinement at the
+        # node cap; the smooth OU one converges early
+        gen = positivity.magnus_phi2(qubit_model(), 1.0)
+        assert gen.nodes == 256 and not gen.converged
+        assert 1e-9 < gen.change < 1e-8
+        ou = tcl2.SystemModel(h=0.5 * SZ, couplings=[SX], bath=bath.ExponentialOU(c=[[0.08]], lam=1.1))
+        gen = positivity.magnus_phi2(ou, 1.0)
+        assert gen.converged and gen.nodes < 256 and gen.change < 1e-9
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             positivity.magnus_phi2(qubit_model(), -1.0)
