@@ -11,7 +11,8 @@ A bath model supplies the multivariate correlation function alpha_{nm}(t)
 Variants: WhiteNoise (delta correlation), ExponentialOU (c e^{-lam|t|}),
 ThermalLorentz (thermal state with Lorentzian damping kernel
 gamma~(w) = gamma0 / (1 + (w/Lam)^2), evaluated by Matsubara summation with
-digamma closed forms), and Tabulated (sampled data on a uniform grid).
+digamma closed forms at T > 0 and by log/E1/Ei closed forms at T = 0), and
+Tabulated (sampled data on a uniform grid).
 
 The evaluators laplace(s), coefficient_stationary(w) and coefficient_full(t, w)
 take a scalar and return an (n, n) matrix, or take a 1-D array of k points and
@@ -40,18 +41,11 @@ __all__ = [
     "ThermalLorentz",
     "Tabulated",
     "KernelTriple",
-    "alpha_time",
-    "alpha_spectrum",
-    "laplace_alpha",
-    "coefficient_stationary",
-    "coefficient_full",
     "kernels",
     "kms_residual",
     "fdi_check",
     "fdr_kernel",
     "sampled_positivity",
-    "tanh_series",
-    "gamma_from_nu_tanh",
 ]
 
 _MATSUBARA_TERMS = 120_000
@@ -203,15 +197,38 @@ def _as_channel_array(x, n: int, name: str) -> np.ndarray:
     return arr
 
 
-class _ThermalChannelT0:
-    """Zero-temperature channel: spectrum 2|w| gamma~(w) on w < 0."""
+class _LorentzChannel:
+    """What both temperature regimes share: the Lorentzian damping kernel."""
+
+    def gamma_tilde(self, w: float) -> float:
+        return self.gamma0 / (1.0 + (w / self.cutoff) ** 2)
+
+    def coefficient_stationary(self, w):
+        return self.laplace(1j * w)
+
+
+def _scaled_exp_integrals(x: float):
+    """(e^x E1(x), e^{-x} Ei(x)) for real x > 0.  Past x = 40 (e^x overflows at
+    709) both come from the asymptotic series (1/x) sum_k (-+1)^k k!/x^k, cut
+    after 40 terms: the first dropped term is at most 40!/40^40 < 1e-16."""
+    if x <= 40.0:
+        return np.exp(x) * special.exp1(x), np.exp(-x) * special.expi(x)
+    terms = np.cumprod(np.r_[1.0, np.arange(1, 40) / x]) / x
+    return float(terms[::2].sum() - terms[1::2].sum()), float(terms.sum())
+
+
+class _ThermalChannelT0(_LorentzChannel):
+    """Zero-temperature channel: spectrum 2|w| gamma~(w) on w < 0.
+
+    alpha(t) = K int_0^inf 2u/(u^2 + Lam^2) e^{-iut} du with K = gamma0 Lam^2 / 2 pi;
+    the partial fractions 2u/(u^2 + Lam^2) = sum_b 1/(u - b), b = +-i Lam, give
+    alpha(t), alpha^(s) and A(t; w) in closed form (log, E1, Ei).
+    """
 
     def __init__(self, gamma0: float, cutoff: float):
         self.gamma0 = gamma0
         self.cutoff = cutoff
-
-    def gamma_tilde(self, w: float) -> float:
-        return self.gamma0 / (1.0 + (w / self.cutoff) ** 2)
+        self._k = gamma0 * cutoff**2 / (2 * np.pi)
 
     def spectrum(self, w: float) -> complex:
         if w >= 0:
@@ -219,86 +236,65 @@ class _ThermalChannelT0:
         return 2.0 * abs(w) * self.gamma_tilde(w)
 
     def alpha_time(self, t: float) -> complex:
-        # (gamma0 Lam^2 / 2 pi) [e^{Lt} E1(Lt) - e^{-Lt} Ei(Lt)] - i (gamma0 Lam^2/2) e^{-Lt}
-        g0, lam = self.gamma0, self.cutoff
+        # K [e^x E1(x) - e^{-x} Ei(x)] - i pi K e^{-x},  x = Lam |t|
         if t == 0.0:
             raise ValueError("zero-temperature correlation diverges at t = 0")
-        x = lam * abs(t)
-        re = (g0 * lam**2 / (2 * np.pi)) * (
-            np.exp(x) * special.exp1(x) - np.exp(-x) * special.expi(x)
-        )
-        im = -(g0 * lam**2 / 2) * np.exp(-x)
-        val = re + 1j * im
-        return val if t > 0 else np.conj(val)
+        x = self.cutoff * abs(t)
+        e1, ei = _scaled_exp_integrals(x)
+        val = complex(self._k * (e1 - ei), -np.pi * self._k * np.exp(-x))
+        return val if t > 0 else val.conjugate()
 
-    @_stacked
-    def laplace(self, s: complex) -> complex:
-        # alpha^(s) = (1/2pi) int_0^inf 2 u gamma~(u) / (s + i u) du
+    def laplace(self, s):
+        """alpha^(s) = (2K/i) [c log(c/Lam) + pi Lam/2] / (c^2 + Lam^2), c = -is,
+        with the principal log; a 1-D array of s gives the array of values.
+
+        On the cut c < 0 (s = iw, w < 0) the boundary value from Re s > 0 takes
+        log(c - i0) = ln|c| - i pi, set explicitly rather than left to the sign
+        of a zero imaginary part.  At c = 0, c log c = 0.  Both roots b = +-i Lam of c^2 + Lam^2 are zeros of
+        the numerator too; within Lam/4 of one the quotient is
+        [log(c/Lam) + log1p(z)/z] / (c + b), z = c/b - 1.
+        """
         lam = self.cutoff
-        upper = 1000.0 * max(lam, abs(s), 1.0)
+        sa = np.atleast_1d(np.asarray(s, dtype=complex))
+        c = sa.imag - 1j * sa.real
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_c = np.log(c / lam)
+            log_c = np.where((c.imag == 0) & (c.real < 0), log_c.real - 1j * np.pi, log_c)
+            f = (np.where(c == 0, 0, c * log_c) + np.pi * lam / 2) / (c * c + lam * lam)
+            b = np.where(c.imag > 0, 1j * lam, -1j * lam)
+            near = np.abs(c - b) < lam / 4
+            if near.any():
+                z = c[near] / b[near] - 1
+                ratio = np.where(z == 0, 1, special.log1p(z) / z)
+                f[near] = (log_c[near] + ratio) / (c[near] + b[near])
+        out = -2j * self._k * f
+        return out if type(s) is np.ndarray else complex(out[0])
 
-        def integrand(u, part):
-            v = 2 * u * self.gamma_tilde(-u) / (s + 1j * u) / (2 * np.pi)
-            return v.real if part == "re" else v.imag
+    def coefficient_full(self, t: float, w):
+        """A(t; w) = alpha^(iw + 0+) - int_t^inf alpha(tau) e^{-iw tau} dtau; a 1-D
+        array of w gives the array of values.
 
-        pts = [lam, 10 * lam]
-        re, _ = integrate.quad(integrand, 0, upper, args=("re",), limit=400, points=pts)
-        im, _ = integrate.quad(integrand, 0, upper, args=("im",), limit=400, points=pts)
-        # analytic 1/u^2 tail beyond the finite interval
-        tail = -1j * (self.gamma0 * lam**2 / np.pi) * (
-            1.0 / upper + 1j * s / (2 * upper**2)
-        )
-        return re + 1j * im + tail
-
-    @_stacked
-    def coefficient_stationary(self, w: float) -> complex:
-        # He part = alpha~(w)/2 exactly; An part is the principal-value integral
-        he = 0.5 * self.spectrum(w).real
-
-        def pv_integrand(u):
-            # alpha~(-u)/( -u - w ), u > 0
-            return self.spectrum(-u).real / (-u - w) / (2 * np.pi)
-
-        if w < 0:
-            a = -w  # pole at u = -w inside the domain
-            inner, _ = integrate.quad(
-                lambda u: self.spectrum(-u).real / (2 * np.pi),
-                max(a / 2, a - 1.0), min(2 * a, a + 1.0),
-                weight="cauchy", wvar=a,
-            )
-            inner = -inner  # 1/(-u - w) = -1/(u - a)
-            lo, _ = integrate.quad(pv_integrand, 0, max(a / 2, a - 1.0), limit=400)
-            hi, _ = integrate.quad(pv_integrand, min(2 * a, a + 1.0), np.inf, limit=400)
-            pv = lo + inner + hi
-        else:
-            pv, _ = integrate.quad(pv_integrand, 0, np.inf, limit=400)
-        return he + 1j * pv
-
-    @_stacked
-    def coefficient_full(self, t: float, w: float) -> complex:
-        # A(t;w) = (1/2pi) int_0^inf 2 u gamma~(u) (1 - e^{-i(w+u)t}) / (i(w+u)) du
+        With 1/((u + w)(u - b)) = [1/(u - b) - 1/(u + w)] / (b + w) the tail is
+        K [2iw/(Lam^2 + w^2) E1(iwt) + e^{-iwt} sum_b e^{-ibt} E1(-ibt) / (i(b + w))],
+        where e^{-ibt} E1(-ibt) is e^x E1(x) at b = i Lam and -e^{-x} (Ei(x) + i pi)
+        at b = -i Lam, x = Lam t; w E1(iwt) -> 0 as w -> 0.
+        """
+        if t < 0:
+            raise ValueError("coefficient_full requires t >= 0")
+        wa = np.asarray(w, dtype=float)
         if t == 0.0:
-            return 0.0 + 0.0j
-
-        lam = self.cutoff
-        upper = 2000.0 * max(lam, abs(w), 1.0)
-
-        def integrand(u, part):
-            p = 1j * (w + u)
-            if abs(p) < 1e-12:
-                v = 2 * u * self.gamma_tilde(-u) * t / (2 * np.pi)
-            else:
-                v = 2 * u * self.gamma_tilde(-u) * (1 - np.exp(-p * t)) / p / (2 * np.pi)
-            return v.real if part == "re" else v.imag
-
-        pts = [lam, 10 * lam]
-        re, _ = integrate.quad(integrand, 0, upper, args=("re",), limit=800, points=pts)
-        im, _ = integrate.quad(integrand, 0, upper, args=("im",), limit=800, points=pts)
-        tail = -1j * (self.gamma0 * lam**2 / np.pi) / upper
-        return re + 1j * im + tail
+            return np.zeros(wa.shape, dtype=complex) if type(w) is np.ndarray else 0j
+        lam, x = self.cutoff, self.cutoff * t
+        e1, ei = _scaled_exp_integrals(x)
+        pole_terms = e1 / (1j * wa - lam) - (ei + 1j * np.pi * np.exp(-x)) / (1j * wa + lam)
+        with np.errstate(invalid="ignore"):
+            w_e1 = np.where(wa == 0, 0, wa * special.exp1(1j * wa * t))
+        tail = self._k * (2j * w_e1 / (lam**2 + wa**2) + np.exp(-1j * wa * t) * pole_terms)
+        out = self.laplace(1j * wa) - tail
+        return out if type(w) is np.ndarray else complex(out)
 
 
-class _ThermalChannel:
+class _ThermalChannel(_LorentzChannel):
     """Finite-temperature channel via Matsubara exponential sums.
 
     alpha(t) = c0 e^{-Lam t} + sum_k ck e^{-nu_k t},  nu_k = 2 pi T k, with
@@ -320,9 +316,6 @@ class _ThermalChannel:
         )
         self._psi = (special.digamma(1 - cutoff / a), special.digamma(1 + cutoff / a))
         self._terms = None
-
-    def gamma_tilde(self, w: float) -> float:
-        return self.gamma0 / (1.0 + (w / self.cutoff) ** 2)
 
     def spectrum(self, w: float) -> complex:
         g0, T = self.gamma0, self.temperature
@@ -406,9 +399,6 @@ class _ThermalChannel:
         psi_minus, psi_plus = self._psi
         ssum = (A / a) * psi_minus - (B / a) * psi_plus - (C / a) * special.digamma(1 + s / a)
         return self._c0 / (lam + s) - 2 * g0 * T * lam**2 * ssum
-
-    def coefficient_stationary(self, w):
-        return self.laplace(1j * w)
 
     def coefficient_full(self, t: float, w):
         """A(t; w); a 1-D array of w gives the array of values."""
@@ -574,6 +564,11 @@ class Tabulated(BathModel):
 
     @_stacked
     def laplace(self, s: complex) -> np.ndarray:
+        if not self.tail_ok:
+            raise ValueError(
+                "tabulated correlation: the exponential fit of the last samples "
+                "failed (they do not decay), so the Laplace tail beyond the grid is unknown"
+            )
         tf, af = self._fine_grid()
         w = np.exp(-s * tf)[:, None, None]
         val = integrate.simpson(af * w, x=tf, axis=0)
@@ -652,32 +647,8 @@ class Tabulated(BathModel):
 
 
 # ---------------------------------------------------------------------------
-# module-level operations
+# kernel diagnostics
 # ---------------------------------------------------------------------------
-
-def alpha_time(b: BathModel, t: float) -> np.ndarray:
-    return b.alpha_time(t)
-
-
-def alpha_spectrum(b: BathModel, w: float) -> np.ndarray:
-    return b.alpha_spectrum(w)
-
-
-def laplace_alpha(b: BathModel, s: complex) -> np.ndarray:
-    if np.real(s) < -1e-12:
-        raise ValueError("laplace_alpha requires Re s >= 0")
-    return b.laplace(s)
-
-
-def coefficient_stationary(b: BathModel, w: float) -> np.ndarray:
-    return b.coefficient_stationary(w)
-
-
-def coefficient_full(b: BathModel, t: float, w: float) -> np.ndarray:
-    if t < 0:
-        raise ValueError("coefficient_full requires t >= 0")
-    return b.coefficient_full(t, w)
-
 
 @dataclass(frozen=True)
 class KernelTriple:
@@ -779,29 +750,3 @@ def sampled_positivity(b: BathModel, tgrid) -> float:
             )
     big = (big + np.conj(big).T) / 2
     return float(np.linalg.eigvalsh(big)[0])
-
-
-def tanh_series(x: float, kmax: int = 20000) -> float:
-    """Rational expansion tanh(x) = sum_k 2x/(x^2 + (k-1/2)^2 pi^2), with an
-    integral correction for the truncated tail."""
-    if x == 0:
-        return 0.0
-    if x < 0:
-        return -tanh_series(-x, kmax)
-    k = np.arange(1, kmax + 1)
-    s = np.sum(2 * x / (x * x + (k - 0.5) ** 2 * np.pi**2))
-    tail = (2 / np.pi) * (np.pi / 2 - np.arctan(np.pi * kmax / x))
-    return float(s + tail)
-
-
-def gamma_from_nu_tanh(b: BathModel, w: float) -> np.ndarray:
-    """Damping kernel reconstructed from the noise kernel through the thermal
-    FDR, with tanh evaluated by its rational expansion."""
-    if not b.is_thermal():
-        raise ValueError("tanh reconstruction requires a thermal model")
-    trip = kernels(b, [w])
-    nu = trip.nu[0]
-    T = float(b.temperature[0])
-    if w == 0:
-        return nu / (2 * T)
-    return nu * tanh_series(w / (2 * T)) / w

@@ -349,33 +349,30 @@ def cmd_cp_audit(model, run, args):
 
 def cmd_nonlocal(model, run, args):
     tol = args.tol if args.tol is not None else 1e-8
+    spec = spectral.perturbative_spectrum(model)
+    poles = memkernel.nonlocal_poles(model)
+    residual = max(
+        (abs(poles[p] - spec.f[p]) for p in spec.pairs), default=0.0
+    )
+    report = {
+        "command": "nonlocal",
+        "tolerance": tol,
+        "poles": {f"{i},{j}": _c(v) for (i, j), v in sorted(poles.items())},
+        "pole_match_max_residual": float(residual),
+        "checks": {"pole_match": "pass" if residual < tol else "fail"},
+    }
+    rho0 = _parse_state(run.get("rho0"), model.dim)
     try:
-        spec = spectral.perturbative_spectrum(model)
-        poles = memkernel.nonlocal_poles(model)
-        residual = max(
-            (abs(poles[p] - spec.f[p]) for p in spec.pairs), default=0.0
-        )
-        report = {
-            "command": "nonlocal",
-            "tolerance": tol,
-            "poles": {f"{i},{j}": _c(v) for (i, j), v in sorted(poles.items())},
-            "pole_match_max_residual": float(residual),
-            "checks": {"pole_match": "pass" if residual < tol else "fail"},
-        }
-        rho0 = _parse_state(run.get("rho0"), model.dim)
-        try:
-            rho_inf = memkernel.asymptotic_state(model, rho0)
-            report["asymptotic_state"] = _cmat(rho_inf)
-        except ValueError as exc:
-            report["asymptotic_state_error"] = str(exc)
-        if run.get("invert"):
-            grid = _grid(run, default_tmax=10.0, default_n=6)
-            states = memkernel.laplace_trajectory(model, rho0, grid)
-            report["talbot_trajectory"] = {
-                repr(float(t)): _cmat(s) for t, s in zip(grid, states)
-            }
+        rho_inf = memkernel.asymptotic_state(model, rho0)
+        report["asymptotic_state"] = _cmat(rho_inf)
     except ValueError as exc:
-        raise NumericalError(str(exc))
+        report["asymptotic_state_error"] = str(exc)
+    if run.get("invert"):
+        grid = _grid(run, default_tmax=10.0, default_n=6)
+        states = memkernel.laplace_trajectory(model, rho0, grid)
+        report["talbot_trajectory"] = {
+            repr(float(t)): _cmat(s) for t, s in zip(grid, states)
+        }
     _emit_json(args.out, report)
 
 
@@ -471,7 +468,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NumericalError as exc:
+    except (NumericalError, ValueError) as exc:
+        # input errors are ValidationError by now: a ValueError that escapes a
+        # subcommand comes from the numerics (a pole, a tabulated grid or tail)
         print(json.dumps({"error": "numerical-failure", "detail": str(exc)}), file=sys.stderr)
         return EXIT_NUMERICAL
     return 0

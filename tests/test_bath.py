@@ -1,6 +1,7 @@
 import os
 import tempfile
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -203,6 +204,91 @@ class TestThermalZeroTemperature:
         assert abs(a + np.conj(a)) / 2 < 1e-8
 
 
+class TestZeroTemperatureClosedForm:
+    """The T = 0 log/E1/Ei closed forms against mpmath quadrature of the
+    defining integrals: A(t; w) = int_0^t alpha(tau) e^{-iw tau} dtau with the
+    E1/Ei form of alpha(tau), and alpha^(s) = (1/2pi) int_0^inf 2u gamma~(u) /
+    (s + iu) du."""
+
+    G0, LAM = 0.1, 5.0
+
+    @staticmethod
+    def alpha_ref(tau, g0, lam):
+        x = lam * tau
+        k = g0 * lam**2 / (2 * mpmath.pi)
+        return k * (mpmath.exp(x) * mpmath.e1(x) - mpmath.exp(-x) * mpmath.ei(x)) \
+            - 1j * mpmath.pi * k * mpmath.exp(-x)
+
+    @staticmethod
+    def laplace_ref(s, g0, lam):
+        s = mpmath.mpc(s)
+        pts = [0, lam, 10 * lam]
+        if s.imag < 0:  # the pole u = is lies near the path: split there
+            pts += [-s.imag / 2, -s.imag, -2 * s.imag]
+        f = lambda u: u * g0 / (1 + (u / lam) ** 2) / (s + 1j * u) / mpmath.pi
+        with mpmath.workdps(20):
+            return complex(mpmath.quad(f, sorted(set(pts)) + [mpmath.inf]))
+
+    @pytest.mark.parametrize("t", [1e-4, 0.5, 2.0, 8.0, 20.0, 200.0])
+    def test_coefficient_full_against_mpmath(self, t):
+        b = bath.ThermalLorentz(gamma0=self.G0, cutoff=self.LAM, temperature=0.0)
+        w = np.array([-3.0, -1.0, -1e-4, 0.0, 1e-4, 1.0, 2.3])
+        got = b.coefficient_full(t, w)[:, 0, 0]
+        with mpmath.workdps(15):
+            tm = mpmath.mpf(t)
+            for wj, g in zip(w, got):
+                # log-spaced points for the t = 0 singularity, one per period
+                pts = [tm * mpmath.mpf(10) ** -k for k in range(5)]
+                pts += list(mpmath.linspace(0, tm, int(t * abs(wj) / (2 * np.pi)) + 2))
+                ref = complex(mpmath.quad(
+                    lambda tau: self.alpha_ref(tau, self.G0, self.LAM) * mpmath.exp(-1j * wj * tau),
+                    sorted(set(pts)),
+                ))
+                assert abs(g - ref) <= 1e-10 * abs(ref), (t, wj)
+                # scalar path: same value to an ulp of A(inf; w) (at t = 1e-4 both
+                # are A(inf; w) minus a tail of about the same size)
+                scale = abs(b.coefficient_stationary(float(wj))[0, 0])
+                assert abs(b.coefficient_full(t, float(wj))[0, 0] - g) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("s", [
+        0.3, 1 + 2j, 2 - 3j,                      # Re s > 0
+        -0.5 + 1j, -0.5 - 1j, -3 + 0.2j,          # Re s < 0, off the cut
+        1e-6 - 1j, 1e-6 + 1j, 1e-6, 1e-6 - 7j,    # iw + 1e-6, both signs of w
+        5.0, 5.005, 5 + 0.5j, -4.9 + 0.3j,        # at and near the roots s = +-Lam
+    ])
+    def test_laplace_against_mpmath(self, s):
+        b = bath.ThermalLorentz(gamma0=self.G0, cutoff=self.LAM, temperature=0.0)
+        ref = self.laplace_ref(s, self.G0, self.LAM)
+        assert abs(b.laplace(s)[0, 0] - ref) <= 1e-12 * abs(ref)
+
+    def test_stationary_coefficient_is_boundary_value(self):
+        b = bath.ThermalLorentz(gamma0=self.G0, cutoff=self.LAM, temperature=0.0)
+        w = np.array([-7.0, -3.0, -1.0, 0.0, 1.0, 3.0])
+        got = b.coefficient_stationary(w)[:, 0, 0]
+        for wj, g in zip(w, got):
+            ref = self.laplace_ref(1j * wj + 1e-12, self.G0, self.LAM)
+            assert abs(g - ref) <= 1e-10 * abs(ref), wj
+        # He A(w) = alpha~(w)/2: |w| gamma~(w) on w < 0, zero on w >= 0
+        want = np.where(w < 0, np.abs(w) * self.G0 * 25.0 / (25.0 + w * w), 0.0)
+        assert np.allclose(got.real, want, rtol=1e-14, atol=1e-17)
+
+    def test_stationary_coefficient_at_huge_cutoff(self):
+        b = bath.ThermalLorentz(gamma0=0.1, cutoff=1e6, temperature=0.0)
+        ref = self.laplace_ref(1j, 0.1, 1e6)
+        assert abs(ref + 49999.56j) < 0.01
+        assert abs(b.coefficient_stationary(1.0)[0, 0] - ref) <= 1e-10 * abs(ref)
+
+    def test_alpha_time_past_exponent_overflow(self):
+        # Lam t = 1000: e^{Lam t} alone overflows
+        b = bath.ThermalLorentz(gamma0=self.G0, cutoff=self.LAM, temperature=0.0)
+        for t in (8.0, 8.2, 200.0):
+            got = b.alpha_time(t)[0, 0]
+            with mpmath.workdps(30):
+                ref = complex(self.alpha_ref(mpmath.mpf(t), self.G0, self.LAM))
+            assert np.isfinite(got) and abs(got - ref) <= 1e-13 * abs(ref), t
+        assert b.alpha_time(-200.0)[0, 0] == np.conj(b.alpha_time(200.0)[0, 0])
+
+
 class TestExponentialOU:
     def test_alpha_and_spectrum(self):
         b = bath.ExponentialOU(c=[[0.3]], lam=1.2)
@@ -284,6 +370,17 @@ class TestTabulated:
         with pytest.raises(ValueError, match="outside"):
             b.alpha_time(26.0)
 
+    def test_failed_tail_fit_raises(self):
+        tgrid = np.linspace(0.0, 10.0, 201)
+        b = bath.Tabulated(tgrid, 0.1 * np.cos(1.3 * tgrid))
+        assert not b.tail_ok
+        for call in (lambda: b.laplace(0.5), lambda: b.laplace(np.array([0.5, 1j])),
+                     lambda: b.coefficient_stationary(1.0), lambda: b.alpha_spectrum(1.0)):
+            with pytest.raises(ValueError, match="tail"):
+                call()
+        # the finite-time coefficients need no tail
+        assert np.isfinite(b.coefficient_full(3.0, 0.8)[0, 0])
+
 
 class TestKernels:
     def test_thermal_kernel_relations(self):
@@ -340,23 +437,21 @@ class TestKernels:
 
 
 class TestTanhSeries:
-    @pytest.mark.parametrize("x", [0.0, 0.3, 1.0, 5.0, -2.2])
-    def test_matches_tanh(self, x):
-        assert bath.tanh_series(x) == pytest.approx(np.tanh(x), abs=1e-9)
+    """Damping kernel rebuilt from the noise kernel through the thermal FDR
+    gamma~(w) = nu~(w) tanh(w/2T) / w."""
 
     def test_gamma_reconstruction(self):
         b = thermal()
-        for w in (0.0, 0.8, -1.6):
-            got = bath.gamma_from_nu_tanh(b, w)[0, 0]
-            want = 0.1 * 25.0 / (25.0 + w * w)
-            assert got.real == pytest.approx(want, rel=1e-8)
+        w = np.array([0.0, 0.8, -1.6])
+        nu = bath.kernels(b, w).nu[:, 0, 0]
+        with np.errstate(invalid="ignore"):
+            got = np.where(w == 0, nu / (2 * 0.25), nu * np.tanh(w / (2 * 0.25)) / w)
+        want = 0.1 * 25.0 / (25.0 + w * w)
+        assert np.allclose(got.real, want, rtol=1e-8, atol=0)
 
 
 class TestModuleOps:
-    def test_laplace_domain_guard(self):
-        with pytest.raises(ValueError, match="Re s"):
-            bath.laplace_alpha(thermal(), -0.5)
-
     def test_negative_time_coefficient_rejected(self):
-        with pytest.raises(ValueError):
-            bath.coefficient_full(thermal(), -1.0, 0.0)
+        for b in (thermal(), thermal_t0()):
+            with pytest.raises(ValueError, match="t >= 0"):
+                b.coefficient_full(-1.0, 0.0)

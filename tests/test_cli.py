@@ -201,6 +201,22 @@ class TestReports:
         assert report["checks"]["pole_match"] == "pass"
         assert "asymptotic_state" in report
 
+    def test_nonlocal_zero_temperature_three_level(self, tmp_path, capsys):
+        # zero-temperature Laplace transform on the imaginary axis at negative
+        # gaps: its real part (half the spectrum) sets the pole positions
+        doc = qubit_doc()
+        doc["system"] = {
+            "hamiltonian": _pairs(np.diag([0.0, 1.0, 2.3])),
+            "couplings": [_pairs(np.ones((3, 3)) - np.eye(3))],
+        }
+        doc["bath"].update(gamma0=0.05, cutoff=5.0, temperature=0.0)
+        model = write_model(tmp_path, doc)
+        assert cli.main(["nonlocal", "--model", model]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"]["pole_match"] == "pass"
+        assert "asymptotic_state_error" not in report
+        assert "asymptotic_state" in report
+
     def test_qrt(self, tmp_path, capsys):
         sx = _pairs(np.array([[0.0, 1.0], [1.0, 0.0]]))
         model = write_model(
@@ -280,6 +296,20 @@ class TestNumericalFailure:
         doc["bath"] = {"variant": "tabulated", "path": "alpha.csv"}
         model = write_model(tmp_path, doc)
         assert cli.main(["coefficients", "--model", model]) == cli.EXIT_NUMERICAL
+
+
+    @pytest.mark.parametrize("command", ["nonlocal", "pauli", "spectrum", "coefficients"])
+    def test_tabulated_failed_tail_fit_exits_numerical(self, tmp_path, capsys, command):
+        # undamped samples: no exponential tail, so no Laplace transform
+        tgrid = np.linspace(0.0, 10.0, 201)
+        tab = bath.Tabulated(tgrid, 0.1 * np.cos(1.3 * tgrid))
+        assert not tab.tail_ok
+        tab.to_csv(str(tmp_path / "alpha.csv"))
+        doc = qubit_doc()
+        doc["bath"] = {"variant": "tabulated", "path": "alpha.csv"}
+        model = write_model(tmp_path, doc)
+        assert cli.main([command, "--model", model]) == cli.EXIT_NUMERICAL
+        assert "tail" in capsys.readouterr().err
 
 
 class TestTabulatedModel:
