@@ -18,7 +18,11 @@ The evaluators laplace(s), coefficient_stationary(w) and coefficient_full(t, w)
 take a scalar and return an (n, n) matrix, or take a 1-D array of k points and
 return the (k, n, n) stack, so that one call serves every distinct gap.  The
 array case is told apart by the exact type numpy.ndarray, the cheapest test
-on the scalar path.
+on the scalar path.  coefficient_integral(t, w) takes the 1-D array of gaps and
+returns the gap-pair table int_0^t A(tau; w_a) e^{i(w_a + w_b) tau} dtau,
+(k, k, n, n), with an error bound and the number of integrand evaluations:
+closed forms for ExponentialOU and the T > 0 thermal channel, adaptive
+quadrature of coefficient_full for the others.
 
 Real decomposition alpha = nu + i mu with damping kernel mu~ = i w gamma~;
 diagnostics: KMS symmetry, fluctuation-dissipation inequality, FDR kernel.
@@ -49,6 +53,32 @@ __all__ = [
 ]
 
 _MATSUBARA_TERMS = 120_000
+# adaptive quadrature of the gap-pair table: absolute and relative targets in
+# the max norm over its entries
+_TABLE_EPSABS = 1e-13
+_TABLE_EPSREL = 1e-11
+
+
+def _exp_integral(z, t: float):
+    """E(z) = int_0^t e^{z tau} dtau = (e^{zt} - 1)/z, with E(0) = t."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(z == 0, t, np.expm1(z * t) / z)
+
+
+def _integrate_table(coefficient_full, t: float, w: np.ndarray):
+    """Gap-pair table I[a, b] = int_0^t A(tau; w_a) e^{i(w_a + w_b) tau} dtau by
+    adaptive quadrature of coefficient_full(tau, w) (a (k, ...) stack); returns
+    (table, abserr in the max norm, integrand evaluations)."""
+    nu = w[:, None] + w[None, :]
+
+    def integrand(tau):
+        a = coefficient_full(tau, w)
+        phase = np.exp(1j * tau * nu)
+        return a[:, None] * phase.reshape(phase.shape + (1,) * (a.ndim - 1))
+
+    table, err, info = integrate.quad_vec(integrand, 0.0, t, epsabs=_TABLE_EPSABS,
+                                          epsrel=_TABLE_EPSREL, norm="max", full_output=True)
+    return table, float(err), int(info.neval)
 
 
 def _stacked(method):
@@ -83,6 +113,15 @@ class BathModel:
     # -- generic --------------------------------------------------------------
     def coefficient_stationary(self, w: float) -> np.ndarray:
         return self.laplace(1j * w)
+
+    def coefficient_integral(self, t: float, w: np.ndarray):
+        """Gap-pair table I[a, b] = int_0^t A(tau; w_a) e^{i(w_a + w_b) tau} dtau
+        over a 1-D array w, shaped (k, k, n, n), with an absolute error bound in
+        the max norm and the number of integrand evaluations (0 for a closed
+        form).  Default: adaptive quadrature of coefficient_full."""
+        if t < 0:
+            raise ValueError("coefficient_integral requires t >= 0")
+        return _integrate_table(self.coefficient_full, t, w)
 
     def gamma_spectrum(self, w: float) -> np.ndarray:
         """Damping kernel gamma~(w) = mu~(w)/(iw); w=0 taken as a limit."""
@@ -182,6 +221,15 @@ class ExponentialOU(BathModel):
     def coefficient_full(self, t: float, w: float) -> np.ndarray:
         p = self.lam + 1j * (w[:, None, None] if type(w) is np.ndarray else w)
         return self.c * (1.0 - np.exp(-p * t)) / p
+
+    def coefficient_integral(self, t: float, w: np.ndarray):
+        """(c/p)[E(i nu) - E(i nu - p)], p = lam + i w_a, nu = w_a + w_b."""
+        if t < 0:
+            raise ValueError("coefficient_integral requires t >= 0")
+        p = (self.lam + 1j * w)[:, None]
+        i_nu = 1j * (w[:, None] + w[None, :])
+        f = (_exp_integral(i_nu, t) - _exp_integral(i_nu - p, t)) / p
+        return f[..., None, None] * self.c, 0.0, 0
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +340,10 @@ class _ThermalChannelT0(_LorentzChannel):
         tail = self._k * (2j * w_e1 / (lam**2 + wa**2) + np.exp(-1j * wa * t) * pole_terms)
         out = self.laplace(1j * wa) - tail
         return out if type(w) is np.ndarray else complex(out)
+
+    def coefficient_integral(self, t: float, w: np.ndarray):
+        """The gap-pair table by adaptive quadrature of coefficient_full."""
+        return _integrate_table(self.coefficient_full, t, w)
 
 
 class _ThermalChannel(_LorentzChannel):
@@ -421,6 +473,55 @@ class _ThermalChannel(_LorentzChannel):
         tail = pack([(cz / (z + 1j * wj)).sum() for wj in ws])
         return self.laplace(1j * w) - np.exp(-1j * w * t) * tail
 
+    def coefficient_integral(self, t: float, w: np.ndarray):
+        """Gap-pair table in closed form.  With A(tau; g) = alpha^(ig) -
+        sum_k (c_k/p_k) e^{-p_k tau}, p_k = z_k + ig, and nu = g + h,
+
+        I = alpha^(ig) E(i nu) + sum_k X_k (e^{(ih - z_k) t} - 1),
+        X_k = c_k / ((z_k + ig)(z_k - ih)).
+
+        The first K terms are summed as they stand.  Past K, e^{-z_k t} is
+        dropped (the error bound) and sum_{k>K} X_k comes from its expansion in
+        1/k: with a = 2 pi T and x = 1/k,
+        X_k = (2 gamma0 T Lam^2 / a^3) x^3 / ((1 - (Lam/a)^2 x^2)(1 + i(g/a) x)(1 - i(h/a) x)),
+        so the sum is a short series in Hurwitz zetas zeta(3 + j, K + 1).  K is
+        at least 64 max(Lam, |w|) / a, where 12 terms of the series reach
+        round-off, and at least the K(t) of _n_terms.  No step divides by nu
+        or cancels at small t.
+        """
+        if t < 0:
+            raise ValueError("coefficient_integral requires t >= 0")
+        if t == 0:
+            return np.zeros((w.size, w.size), dtype=complex), 0.0, 0
+        lam, a = self.cutoff, 2 * np.pi * self.temperature
+        c, z = self.terms()
+        r = max(lam, float(np.max(np.abs(w)))) / a
+        # c[:k] holds c0 and Matsubara terms 1 .. k-1 (K = k - 1); the tail starts at k
+        k = min(_MATSUBARA_TERMS, max(self._n_terms(t), int(np.ceil(64 * r)))) + 1
+        c, z = c[:k], z[:k]
+        iw = 1j * w[:, None]
+        head = (c / (z + iw)) @ (np.expm1((iw - z) * t) / (z - iw)).T
+        # 1/((1 + i(g/a) x)(1 - i(h/a) x)) = sum_j x^j sum_{p+q=j} (-ig/a)^p (ih/a)^q
+        n = 12
+        gp = (-iw / a) ** np.arange(n)
+        hq = (iw / a) ** np.arange(n)
+        d = np.zeros((w.size, w.size, n), dtype=complex)
+        for p in range(n):
+            d[:, :, p:] += gp[:, None, p, None] * hq[None, :, :n - p]
+        for j in range(2, n):  # times 1/(1 - (Lam/a)^2 x^2): f_j = e_j + (Lam/a)^2 f_{j-2}
+            d[:, :, j] += (lam / a) ** 2 * d[:, :, j - 2]
+        tail_c = 2 * self.gamma0 * self.temperature * lam**2 / a**3
+        tail = tail_c * (d @ special.zeta(3 + np.arange(n), k))
+        i_nu = 1j * (w[:, None] + w[None, :])
+        table = self.laplace(1j * w)[:, None] * _exp_integral(i_nu, t) + head - tail
+        # dropped X_k e^{(ih - z_k) t}, k >= k: |X_k| <= (tail_c / k^3) / (1 - (Lam / nu_k)^2),
+        # nu_k > Lam; and the series past x^n: |d_j| <= (j + 1)^2 r^j
+        rho = r / k
+        err = tail_c * special.zeta(3, k) * (
+            np.exp(-a * k * t) / (1 - (lam / (a * k)) ** 2)
+            + (np.inf if rho >= 0.5 else (n + 1) ** 2 * rho**n / (1 - rho) ** 3))
+        return table, float(err), 0
+
 
 @dataclass(frozen=True)
 class ThermalLorentz(BathModel):
@@ -483,6 +584,14 @@ class ThermalLorentz(BathModel):
 
     def coefficient_full(self, t: float, w: float) -> np.ndarray:
         return self._diag([ch.coefficient_full(t, w) for ch in self._impl])
+
+    def coefficient_integral(self, t: float, w: np.ndarray):
+        """Per channel: closed form at T > 0, quadrature at T = 0."""
+        tables, errs, nevals = zip(*(ch.coefficient_integral(t, w) for ch in self._impl))
+        out = np.zeros(tables[0].shape + (self.n_channels,) * 2, dtype=complex)
+        for i, table in enumerate(tables):
+            out[..., i, i] = table
+        return out, max(errs), sum(nevals)
 
     def gamma_spectrum(self, w: float) -> np.ndarray:
         return self._diag([ch.gamma_tilde(w) for ch in self._impl])

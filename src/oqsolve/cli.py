@@ -340,6 +340,7 @@ def cmd_cp_audit(model, run, args):
         "weak_test_min_eigenvalue": weak,
         "checks": {
             "magnus_cp": "pass" if min(choi_mins) >= -1e-10 else "fail",
+            "magnus_quadrature": "pass" if all(g.converged for g in gens) else "fail",
             "delta_psd": "pass" if min(delta_mins) >= -1e-10 else "fail",
             "weak_test": "pass" if weak >= -1e-8 else "fail",
         },

@@ -22,7 +22,7 @@ from .core import (
     unitary_superop,
     vec,
 )
-from .tcl2 import SystemModel, canonical_coefficient_matrix, interaction_L2
+from .tcl2 import SystemModel, _pair_dissipator, _pair_superop, _phase_table
 
 __all__ = [
     "AlgebraicGenerator",
@@ -40,9 +40,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AlgebraicGenerator:
-    """Phi2(t) and its Lindblad coefficient matrix Delta, with the quadrature
-    outcome: the Gauss-Legendre node count used, the last level-to-level max
-    change relative to max(1, max|Phi2|), and whether that met the tolerance."""
+    """Phi2(t) and its Lindblad coefficient matrix Delta, with how the time
+    integral was obtained: the integrand evaluations (0 for a closed form),
+    the error bound relative to max(1, max|Phi2|), and whether that met the
+    tolerance."""
 
     t: float
     phi2: np.ndarray
@@ -52,32 +53,21 @@ class AlgebraicGenerator:
     converged: bool = True
 
 
-def _gl_integrate_superop(fun, t: float, nodes: int) -> np.ndarray:
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    taus = 0.5 * t * (x + 1.0)
-    return 0.5 * t * sum(wk * fun(tau) for tau, wk in zip(taus, w))
-
-
 def magnus_phi2(m: SystemModel, t: float, tol: float = 1e-9) -> AlgebraicGenerator:
-    """Interaction-picture Magnus generator with Gauss-Legendre refinement."""
+    """Interaction-picture Magnus generator Phi2(t) = int_0^t L2_int(tau) dtau:
+    the gap-pair contraction of the integrated table I[a, b](t) =
+    int_0^t A(tau; u_a) e^{i(u_a + u_b) tau} dtau from the bath."""
     if t < 0:
         raise ValueError("magnus_phi2 requires t >= 0")
     d = m.dim
     if t == 0:
         z = np.zeros((d * d, d * d), dtype=complex)
         return AlgebraicGenerator(t=0.0, phi2=z, delta=z.copy())
-    nodes = 16
-    prev = _gl_integrate_superop(lambda tau: interaction_L2(m, tau), t, nodes)
-    while nodes < 256:
-        nodes *= 2
-        cur = _gl_integrate_superop(lambda tau: interaction_L2(m, tau), t, nodes)
-        change = float(np.max(np.abs(cur - prev))) / max(1.0, float(np.max(np.abs(cur))))
-        prev = cur
-        if change < tol:
-            break
-    delta = herm_part(canonical_coefficient_matrix(prev))
-    return AlgebraicGenerator(t=float(t), phi2=prev, delta=delta, nodes=nodes,
-                              change=change, converged=change < tol)
+    table, err, nodes = m.bath.coefficient_integral(float(t), m.unique_gaps)
+    phi2 = _pair_superop(m, table)
+    change = m.pair_error_gain * err / max(1.0, float(np.max(np.abs(phi2))))
+    return AlgebraicGenerator(t=float(t), phi2=phi2, delta=_pair_dissipator(m, table),
+                              nodes=nodes, change=change, converged=change <= tol)
 
 
 def algebraic_propagator(m: SystemModel, gen: AlgebraicGenerator) -> np.ndarray:
@@ -100,6 +90,9 @@ def delta_double_time(m: SystemModel, t: float, nodes: int = 48) -> np.ndarray:
 
     on a nested Gauss-Legendre grid (outer over tau, inner over [0, tau], so the
     correlation function is only evaluated at smooth positive arguments).
+    Both rules are graded as r^3, r Gauss-Legendre on [0, 1], towards tau = 0
+    and tau' = tau: a thermal correlation has a log singularity at zero lag,
+    which limits the plain rule to O(nodes^-2).
     Positive semidefinite because the block kernel [alpha_nm] is; agrees with
     magnus_phi2's Delta for traceless couplings and second-order operators
     (else they differ by the commutator gauge).
@@ -107,6 +100,8 @@ def delta_double_time(m: SystemModel, t: float, nodes: int = 48) -> np.ndarray:
     d = m.dim
     nch = len(m.couplings)
     x, w = np.polynomial.legendre.leggauss(nodes)
+    r = 0.5 * (x + 1.0)
+    x, w = r**3, 1.5 * r**2 * w  # graded nodes and weights on [0, 1]
     gaps = m.basis.gaps
 
     def lvec_int(tau):
@@ -116,13 +111,10 @@ def delta_double_time(m: SystemModel, t: float, nodes: int = 48) -> np.ndarray:
             [vec(m.basis.from_energy_basis(phase * leb)) for leb in m.couplings_eb]
         )
 
-    taus = 0.5 * t * (x + 1.0)
-    ws = 0.5 * t * w
     mmat = np.zeros((d * d, d * d), dtype=complex)
-    for tau, wa in zip(taus, ws):
+    for tau, wa in zip(t * x, t * w):
         outer_l = lvec_int(tau)
-        tps = 0.5 * tau * (x + 1.0)
-        wps = 0.5 * tau * w
+        tps, wps = tau * (1.0 - x), tau * w
         inner = np.zeros((nch, d * d), dtype=complex)  # sum_m alpha_nm L_m term
         for tp, wb in zip(tps, wps):
             inner += wb * (m.bath.alpha_time(float(tau - tp)) @ lvec_int(tp))
@@ -134,9 +126,10 @@ def weak_cp_test(d_samples, grid) -> float:
     """Min eigenvalue of the trapezoid-integrated dissipator over all endpoints."""
     grid = np.asarray(grid, dtype=float)
     samples = np.asarray(d_samples)
-    for k, s in enumerate(samples):
-        if np.max(np.abs(s - np.conj(s).T)) > 1e-8 * max(1.0, np.max(np.abs(s))):
-            raise ValueError(f"dissipator sample {k} is not Hermitian")
+    defect = np.max(np.abs(samples - np.conj(samples).swapaxes(-1, -2)), axis=(-2, -1))
+    bad = np.flatnonzero(defect > 1e-8 * np.maximum(1.0, np.max(np.abs(samples), axis=(-2, -1))))
+    if bad.size:
+        raise ValueError(f"dissipator sample {bad[0]} is not Hermitian")
     steps = 0.5 * np.diff(grid)[:, None, None] * (samples[1:len(grid)] + samples[:len(grid) - 1])
     acc = np.cumsum(steps, axis=0)
     return float(np.min(np.linalg.eigvalsh(herm_part(acc))[:, 0], initial=np.inf))
@@ -144,9 +137,10 @@ def weak_cp_test(d_samples, grid) -> float:
 
 def interaction_dissipator_samples(m: SystemModel, tgrid):
     """Interaction-picture dissipator coefficient matrices D(tau) on a grid,
-    stacked (k, d^2, d^2)."""
-    s = np.array([interaction_L2(m, float(tau)) for tau in tgrid])
-    return herm_part(canonical_coefficient_matrix(s))
+    stacked (k, d^2, d^2): one bath call per tau, then one stacked contraction."""
+    tgrid = np.asarray(tgrid, dtype=float)
+    a = np.array([m.bath.coefficient_full(float(tau), m.unique_gaps) for tau in tgrid])
+    return _pair_dissipator(m, _phase_table(m, a, tgrid))
 
 
 def intermediate_map_check(m: SystemModel, t1: float, t2: float) -> float:

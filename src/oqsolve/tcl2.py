@@ -128,6 +128,38 @@ class SystemModel:
         """-i[H, .] in the input basis."""
         return commutator_superop(self.h)
 
+    @cached_property
+    def pair_tensor(self) -> np.ndarray:
+        """The fixed map from a gap-pair table X[a, b] (n_gaps, n_gaps, n, n) to
+        the interaction-picture superoperator, as (n_gaps^2 n^2, d^4) in the
+        input basis; see _pair_superop."""
+        d, ng = self.dim, self.unique_gaps.size
+        # f[a, m, x, i] = L_m[x, i] where gap (x, i) is unique_gaps[a], else 0
+        f = (self.gap_index == np.arange(ng)[:, None, None])[:, None] * self.couplings_eb
+        # B_n e_ij L_n, entry (x, y): X[g(x,i), g(j,y)]_nm L_m[x,i] L_n[j,y]
+        c = np.einsum("amxi,bnjy->abnmxyij", f, f)
+        # -L_n B_n e_ij, entry (x, j): -sum_k L_n[x,k] X[g(k,i), g(x,k)]_nm L_m[k,i]
+        c -= np.einsum("amki,bnxk->abnmxi", f, f)[..., None, :, None] * np.eye(d)[:, None, :]
+        c = self.to_input @ c.reshape(-1, d * d, d * d) @ self.to_energy
+        return c.reshape(-1, d**4)
+
+    @cached_property
+    def pair_error_gain(self) -> float:
+        """Bound on the entries of _pair_superop's error per unit error in
+        every table entry: the largest absolute column sum of pair_tensor plus
+        that of its conjugate partner."""
+        d = self.dim
+        col = np.abs(self.pair_tensor).sum(0).reshape(d, d, d, d)
+        return float(np.max(col + col.transpose(1, 0, 3, 2)))
+
+    @cached_property
+    def pair_dissipator_tensor(self) -> np.ndarray:
+        """pair_tensor carried through canonical_coefficient_matrix; see
+        _pair_dissipator."""
+        d = self.dim
+        c = canonical_coefficient_matrix(self.pair_tensor.reshape(-1, d * d, d * d))
+        return c.reshape(-1, d**4)
+
 
 def _hadamard(m: SystemModel, stack: np.ndarray, index: np.ndarray) -> np.ndarray:
     """B_n[i,j] = sum_m stack[index[i,j]]_nm L_m[i,j] for a coefficient stack
@@ -188,12 +220,45 @@ def build_L2(m: SystemModel, t=None) -> np.ndarray:
     return m.free_superop + m.to_input @ _dissipative_superop_eb(m, t) @ m.to_energy
 
 
+def _phase_table(m: SystemModel, a: np.ndarray, tau) -> np.ndarray:
+    """Gap-pair table T[a, b] = A(tau; u_a) e^{i(u_a + u_b) tau} from coefficient
+    stacks a (..., n_gaps, n, n) at times tau (...); (..., n_gaps, n_gaps, n, n)."""
+    phase = np.exp(1j * np.multiply.outer(np.asarray(tau), m.unique_gaps))
+    return a[..., :, None, :, :] * (phase[..., :, None] * phase[..., None, :])[..., None, None]
+
+
+def _pair_superop(m: SystemModel, table: np.ndarray) -> np.ndarray:
+    """Interaction-picture superoperator(s) in the input basis, (..., d^2, d^2),
+    from gap-pair table(s) (..., n_gaps, n_gaps, n, n).
+
+    The terms B_n e_ij L_n - L_n B_n e_ij of the second-order generator,
+    carried to the interaction picture, read the table at (g(x,i), g(j,y)) and
+    (g(k,i), g(x,k)): that is m.pair_tensor.  Their partners L_n e_ij Bd_n -
+    e_ij Bd_n L_n are the Hermiticity-preserving conjugate
+    S'[(x,y),(i,j)] = conj S[(y,x),(j,i)], which a basis change kron(u, conj u)
+    keeps."""
+    d = m.dim
+    lead = table.shape[:-4]
+    s = (table.reshape(lead + (-1,)) @ m.pair_tensor).reshape(lead + (d, d, d, d))
+    s = s + np.conj(s.transpose(tuple(range(len(lead))) + (-3, -4, -1, -2)))
+    return s.reshape(lead + (d * d, d * d))
+
+
+def _pair_dissipator(m: SystemModel, table: np.ndarray) -> np.ndarray:
+    """Coefficient matrices herm_part(canonical_coefficient_matrix(S)) of the
+    superoperators S = _pair_superop(m, table), (..., d^2, d^2).  The Choi
+    matrix of the conjugate partner is the adjoint of the first half's, so
+    they are Y + Y^dag with Y the first half's canonical matrix."""
+    d = m.dim
+    lead = table.shape[:-4]
+    y = (table.reshape(lead + (-1,)) @ m.pair_dissipator_tensor).reshape(lead + (d * d, d * d))
+    return y + np.conj(y).swapaxes(-1, -2)
+
+
 def interaction_L2(m: SystemModel, tau: float) -> np.ndarray:
     """Interaction-picture second-order generator G0(-tau) L2(tau) G0(tau)."""
-    s_eb = _dissipative_superop_eb(m, tau)
-    phase = np.exp(1j * m.basis.gaps.reshape(-1) * tau)
-    s_int = (phase[:, None] * s_eb) * np.conj(phase)[None, :]
-    return m.to_input @ s_int @ m.to_energy
+    a = m.bath.coefficient_full(float(tau), m.unique_gaps)
+    return _pair_superop(m, _phase_table(m, a, tau))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ array form of the bath evaluators against stacked scalar calls."""
 import numpy as np
 import pytest
 
-from oqsolve import bath, core, memkernel, tcl2
+from oqsolve import bath, core, memkernel, positivity, tcl2
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.diag([1.0, -1.0])
@@ -146,6 +146,16 @@ class TestStackedAssembly:
         m = MODELS[name]()
         for s in (0.3 + 0.2j, 1e-3, 2.0 - 1.5j):
             assert_close(memkernel.kernel_K2(m, s), ref_kernel_K2(m, s))
+
+    def test_interaction_dissipator_samples(self, name):
+        # the stacked grid path against one reference generator per tau
+        m = MODELS[name]()
+        grid = np.linspace(0.0, 3.0, 7)
+        got = positivity.interaction_dissipator_samples(m, grid)
+        assert got.shape == (7, m.dim**2, m.dim**2)
+        for tau, s in zip(grid, got):
+            want = core.herm_part(tcl2.canonical_coefficient_matrix(ref_interaction_L2(m, tau)))
+            assert_close(s, want)
 
     def test_plindblad_kernel_matrix(self, name):
         m = MODELS[name]()

@@ -289,6 +289,63 @@ class TestZeroTemperatureClosedForm:
         assert b.alpha_time(-200.0)[0, 0] == np.conj(b.alpha_time(200.0)[0, 0])
 
 
+def thermal_table_entry_ref(g0, lam, temp, t, g, h):
+    """I = int_0^t A(tau; g) e^{i(g + h) tau} dtau for one T > 0 channel, summed
+    term by term over its exponentials c_k e^{-z_k tau} (each integrated
+    exactly) with mpmath's Euler-Maclaurin summation."""
+    with mpmath.workdps(20):
+        g0, lam, temp, t = (mpmath.mpf(x) for x in (g0, lam, temp, t))
+        a = 2 * mpmath.pi * temp
+        nu = g + h
+
+        def e(z):
+            return t if z == 0 else mpmath.expm1(z * t) / z
+
+        def term(c, z):
+            p = z + 1j * g
+            return c / p * (e(1j * nu) - e(1j * nu - p))
+
+        def matsubara(k):
+            nk = a * k
+            return term(2 * g0 * temp * lam**2 * nk / (nk**2 - lam**2), nk)
+
+        c0 = g0 * lam**2 / 2 * (mpmath.cot(lam / (2 * temp)) - 1j)
+        return complex(term(c0, lam) + mpmath.nsum(matsubara, [1, mpmath.inf], method="e"))
+
+
+class TestCoefficientIntegral:
+    """The gap-pair table I[a, b] = int_0^t A(tau; w_a) e^{i(w_a + w_b) tau} dtau."""
+
+    W = np.array([-1.0, 0.0, 1.0])
+    # (a, b) into W: nu = 0 at g = 1 and at g = 0 (real p_k), and nu = -1
+    ENTRIES = [(2, 0), (1, 1), (0, 1)]
+
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 1.0, 8.0, 20.0])
+    def test_thermal_closed_form_against_mpmath(self, t):
+        one = bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=0.25)
+        two = bath.ThermalLorentz(gamma0=[0.1, 0.2], cutoff=[5.0, 2.0],
+                                  temperature=[0.25, 1.0], n_channels=2)
+        tab, err, nodes = one.coefficient_integral(t, self.W)
+        assert tab.shape == (3, 3, 1, 1) and nodes == 0
+        assert err <= 1e-15 * np.min(np.abs(tab))
+        for a, b in self.ENTRIES:
+            ref = thermal_table_entry_ref(0.1, 5.0, 0.25, t, self.W[a], self.W[b])
+            assert abs(tab[a, b, 0, 0] - ref) <= 1e-12 * abs(ref), (a, b)
+        tab2, _, nodes = two.coefficient_integral(t, self.W)
+        assert tab2.shape == (3, 3, 2, 2) and nodes == 0
+        assert np.array_equal(tab2[..., 0, 0], tab[..., 0, 0])
+        assert not np.any(tab2[..., 0, 1]) and not np.any(tab2[..., 1, 0])
+        for a, b in self.ENTRIES[:2]:
+            ref = thermal_table_entry_ref(0.2, 2.0, 1.0, t, self.W[a], self.W[b])
+            assert abs(tab2[a, b, 1, 1] - ref) <= 1e-12 * abs(ref), (a, b)
+
+    def test_zero_time_and_negative_time(self):
+        for b in (thermal(), bath.ExponentialOU(c=[[0.3]], lam=1.2)):
+            assert not np.any(b.coefficient_integral(0.0, self.W)[0])
+            with pytest.raises(ValueError, match="t >= 0"):
+                b.coefficient_integral(-1.0, self.W)
+
+
 class TestExponentialOU:
     def test_alpha_and_spectrum(self):
         b = bath.ExponentialOU(c=[[0.3]], lam=1.2)

@@ -154,14 +154,24 @@ class TestReports:
         doc["run"].update(t_max=1.0, n_points=2, weak_points=11)
         assert cli.main(["cp-audit", "--model", write_model(tmp_path, doc)]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["magnus_nodes_per_time"] == [256]
-        assert report["magnus_change_per_time"][0] > 1e-9
-        assert report["magnus_converged"] is False
-        assert set(report["checks"]) == {"magnus_cp", "delta_psd", "weak_test"}
+        # the thermal T > 0 table is a closed form: no integrand evaluations
+        assert report["magnus_nodes_per_time"] == [0]
+        assert report["magnus_change_per_time"][0] <= 1e-9
+        assert report["magnus_converged"] is True
+        assert set(report["checks"]) == {"magnus_cp", "magnus_quadrature", "delta_psd", "weak_test"}
+        assert report["checks"]["magnus_quadrature"] == "pass"
         ou = qubit_doc(t_max=1.0, n_points=2, weak_points=11)
         ou["bath"] = {"variant": "ou", "c": [[0.08]], "lam": 1.1}
         assert cli.main(["cp-audit", "--model", write_model(tmp_path, ou, "ou.json")]) == 0
-        assert json.loads(capsys.readouterr().out)["magnus_converged"] is True
+        report = json.loads(capsys.readouterr().out)
+        assert report["magnus_converged"] is True and report["magnus_nodes_per_time"] == [0]
+        # T = 0 goes through adaptive quadrature
+        cold = qubit_doc(t_max=1.0, n_points=2, weak_points=11)
+        cold["bath"]["temperature"] = 0.0
+        assert cli.main(["cp-audit", "--model", write_model(tmp_path, cold, "cold.json")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["magnus_nodes_per_time"][0] > 0
+        assert report["checks"]["magnus_quadrature"] == "pass"
 
     @pytest.mark.parametrize("command", ["pauli", "nonlocal"])
     def test_pauli_system_computed_once(self, tmp_path, capsys, monkeypatch, command):

@@ -1,3 +1,6 @@
+import functools
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -10,6 +13,19 @@ SZ = np.diag([1.0, -1.0])
 
 def qubit_model(gamma0=0.1):
     b = bath.ThermalLorentz(gamma0=gamma0, cutoff=5.0, temperature=0.25)
+    return tcl2.SystemModel(h=0.5 * SZ, couplings=[SX], bath=b)
+
+
+def t0_model():
+    b = bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=0.0)
+    return tcl2.SystemModel(h=0.5 * SZ, couplings=[SX], bath=b)
+
+
+def tabulated_model():
+    # fine samples: coefficient_full integrates the spline by the trapezoid
+    # rule on a 4x finer grid, an O(dt^2) error
+    tg = np.linspace(0.0, 2.0, 2001)
+    b = bath.Tabulated(tg, 0.1 * np.exp(-(0.8 + 0.3j) * tg))
     return tcl2.SystemModel(h=0.5 * SZ, couplings=[SX], bath=b)
 
 
@@ -33,14 +49,15 @@ class TestMagnusGenerator:
         assert np.max(np.abs(gen.phi2)) == 0.0
 
     def test_reports_quadrature_outcome(self):
-        # the thermal correlation's t log t onset stops the refinement at the
-        # node cap; the smooth OU one converges early
+        # T > 0 thermal and OU tables are closed forms (no integrand
+        # evaluations); T = 0 goes through adaptive quadrature and converges
         gen = positivity.magnus_phi2(qubit_model(), 1.0)
-        assert gen.nodes == 256 and not gen.converged
-        assert 1e-9 < gen.change < 1e-8
+        assert gen.nodes == 0 and gen.converged and gen.change < 1e-15
         ou = tcl2.SystemModel(h=0.5 * SZ, couplings=[SX], bath=bath.ExponentialOU(c=[[0.08]], lam=1.1))
         gen = positivity.magnus_phi2(ou, 1.0)
-        assert gen.converged and gen.nodes < 256 and gen.change < 1e-9
+        assert gen.converged and gen.nodes == 0 and gen.change == 0.0
+        gen = positivity.magnus_phi2(t0_model(), 1.0)
+        assert gen.converged and gen.nodes > 0 and gen.change < 1e-9
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -59,6 +76,63 @@ class TestMagnusGenerator:
         # midpoint rule is only approximate: the thermal correlation varies
         # rapidly near zero, so allow a few-percent relative deviation
         assert np.max(np.abs(gen.phi2 - t * mid)) < 0.1 * np.max(np.abs(gen.phi2))
+
+
+def ou_integral_ref(b, g, nu, t):
+    """int_0^t dtau e^{i nu tau} int_0^tau ds c e^{-(lam + ig) s}, integrated
+    analytically with the order swapped (ds outside), at 30 digits."""
+    with mpmath.workdps(30):
+        p = mpmath.mpf(b.lam) + 1j * mpmath.mpf(g)
+        t = mpmath.mpf(t)
+        if nu == 0:
+            v = t * (1 - mpmath.exp(-p * t)) / p - (1 - (1 + p * t) * mpmath.exp(-p * t)) / p**2
+        else:
+            inu = 1j * mpmath.mpf(nu)
+            v = (mpmath.exp(inu * t) * (1 - mpmath.exp(-p * t)) / p
+                 - (1 - mpmath.exp((inu - p) * t)) / (p - inu)) / inu
+        return complex(v) * b.c
+
+
+def ref_phi2(m, integral):
+    """Phi2 element by element from the four terms of the interaction-picture
+    generator, with integral(g, nu) = int_0^t A(tau; g) e^{i nu tau} dtau at
+    the exact gaps."""
+    d, l, w = m.dim, m.couplings_eb, m.basis.gaps
+    nch = len(m.couplings)
+    table = functools.lru_cache(maxsize=None)(integral)
+    phi = np.zeros((d, d, d, d), dtype=complex)
+    for x, y, i, j in np.ndindex(d, d, d, d):
+        v = 0j
+        for n, k2 in np.ndindex(nch, nch):
+            v += table(w[x, i], w[x, i] + w[j, y])[n, k2] * l[k2, x, i] * l[n, j, y]
+            v += l[n, x, i] * np.conj(table(w[y, j], w[y, j] + w[i, x])[n, k2] * l[k2, y, j])
+            for k in range(d):
+                if j == y:
+                    v -= l[n, x, k] * table(w[k, i], w[k, i] + w[x, k])[n, k2] * l[k2, k, i]
+                if x == i:
+                    v -= np.conj(table(w[k, j], w[k, j] + w[y, k])[n, k2]
+                                 * l[k2, k, j]) * l[n, k, y]
+        phi[x, y, i, j] = v
+    u = m.basis.vectors
+    return (core.superop_sandwich(u, core.dag(u)) @ phi.reshape(d * d, d * d)
+            @ core.superop_sandwich(core.dag(u), u))
+
+
+class TestMagnusClosedForm:
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_ou_against_analytic_double_integral(self, channels):
+        if channels == 1:
+            m = ou_model()
+        else:
+            rng = np.random.default_rng(5)
+            herm = lambda: core.herm_part(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+            c = 0.05 * np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 0.8]])
+            m = tcl2.SystemModel(h=herm(), couplings=[herm(), herm()],
+                                 bath=bath.ExponentialOU(c=c, lam=1.3))
+        for t in (0.3, 2.5, 9.0):
+            gen = positivity.magnus_phi2(m, t)
+            want = ref_phi2(m, lambda g, nu: ou_integral_ref(m.bath, g, nu, t))
+            assert np.max(np.abs(gen.phi2 - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 class TestMagnusPropagator:
@@ -99,6 +173,15 @@ class TestDoubleTimeRoute:
             scale = max(1.0, np.max(np.abs(gen.delta)))
             assert np.max(np.abs(d2 - gen.delta)) < 1e-8 * scale
 
+    @pytest.mark.parametrize("model", [t0_model, tabulated_model])
+    def test_quadrature_tables_match(self, model):
+        m = model()
+        for t in (0.8, 1.5):
+            gen = positivity.magnus_phi2(m, t)
+            assert gen.converged and gen.nodes > 0
+            d2 = positivity.delta_double_time(m, t, nodes=48)
+            assert np.max(np.abs(d2 - gen.delta)) < 1e-8 * max(1.0, np.max(np.abs(gen.delta)))
+
     def test_positive_semidefinite_by_construction(self):
         m = ou_model(seed=3)
         d2 = positivity.delta_double_time(m, 1.7, nodes=48)
@@ -118,6 +201,22 @@ class TestWeakCP:
         bad[0, 1] = 1.0
         with pytest.raises(ValueError, match="Hermitian"):
             positivity.weak_cp_test([bad, bad], grid)
+
+    def test_names_first_non_hermitian_sample(self):
+        grid = np.array([0.0, 1.0, 2.0])
+        good = np.eye(4)
+        bad = np.eye(4)
+        bad[0, 1] = 1e-6
+        with pytest.raises(ValueError, match="dissipator sample 1 is not Hermitian"):
+            positivity.weak_cp_test([good, bad, bad], grid)
+        # the bound is 1e-8 max(1, max|s_k|) per sample: the same defect passes
+        # on a sample 1e4 times larger
+        big = 1e4 * np.eye(4)
+        big[0, 1] = 1e-5
+        assert np.isfinite(positivity.weak_cp_test([good, big, good], grid))
+        bad[0, 1] = 1e-5
+        with pytest.raises(ValueError, match="sample 1 "):
+            positivity.weak_cp_test([good, bad, good], grid)
 
     def test_instantaneous_dissipator_can_go_negative(self):
         # non-Markovian: D(tau) itself has transient negative eigenvalues even
