@@ -30,13 +30,14 @@ diagnostics: KMS symmetry, fluctuation-dissipation inequality, FDR kernel.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate, linalg, special
 from scipy.interpolate import CubicSpline
+
+from .core import read_matrix_csv, require_hermitian, write_matrix_csv
 
 __all__ = [
     "BathModel",
@@ -148,8 +149,7 @@ class WhiteNoise(BathModel):
 
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.c, dtype=float))
-        if np.max(np.abs(c - c.T)) > 1e-12 * max(1.0, np.max(np.abs(c))):
-            raise ValueError("white-noise correlation matrix must be symmetric")
+        require_hermitian(c, name="white-noise correlation matrix")
         object.__setattr__(self, "c", c)
 
     @property
@@ -189,9 +189,7 @@ class ExponentialOU(BathModel):
     lam: float
 
     def __post_init__(self):
-        c = np.atleast_2d(np.asarray(self.c, dtype=complex))
-        if np.max(np.abs(c - np.conj(c).T)) > 1e-12 * max(1.0, np.max(np.abs(c))):
-            raise ValueError("OU correlation matrix must be Hermitian")
+        c = require_hermitian(np.atleast_2d(self.c), name="OU correlation matrix")
         if self.lam <= 0:
             raise ValueError("OU decay rate must be positive")
         object.__setattr__(self, "c", c)
@@ -250,9 +248,6 @@ class _LorentzChannel:
 
     def gamma_tilde(self, w: float) -> float:
         return self.gamma0 / (1.0 + (w / self.cutoff) ** 2)
-
-    def coefficient_stationary(self, w):
-        return self.laplace(1j * w)
 
 
 def _scaled_exp_integrals(x: float):
@@ -579,9 +574,6 @@ class ThermalLorentz(BathModel):
     def laplace(self, s: complex) -> np.ndarray:
         return self._diag([ch.laplace(s) for ch in self._impl])
 
-    def coefficient_stationary(self, w: float) -> np.ndarray:
-        return self._diag([ch.coefficient_stationary(w) for ch in self._impl])
-
     def coefficient_full(self, t: float, w: float) -> np.ndarray:
         return self._diag([ch.coefficient_full(t, w) for ch in self._impl])
 
@@ -714,45 +706,12 @@ class Tabulated(BathModel):
     # -- CSV round-trip ------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        header = ["t"]
-        for i in range(self.n):
-            for j in range(self.n):
-                header += [f"re_alpha_{i}_{j}", f"im_alpha_{i}_{j}"]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k, t in enumerate(self.times):
-                row = [repr(float(t))]
-                for i in range(self.n):
-                    for j in range(self.n):
-                        row += [
-                            repr(float(self.samples[k, i, j].real)),
-                            repr(float(self.samples[k, i, j].imag)),
-                        ]
-                writer.writerow(row)
+            write_matrix_csv(fh, self.times, self.samples, "alpha")
 
     @classmethod
     def from_csv(cls, path) -> "Tabulated":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [[float(x) for x in row] for row in reader if row]
-        if not header or header[0].strip() != "t":
-            raise ValueError("tabulated CSV must start with a 't' column")
-        pairs = []
-        for k in range(1, len(header), 2):
-            name = header[k].strip()
-            if not name.startswith("re_alpha_"):
-                raise ValueError(f"unexpected column name {name!r}")
-            _, _, i, j = name.split("_")
-            pairs.append((int(i), int(j)))
-        n = max(max(p) for p in pairs) + 1
-        data = np.asarray(rows)
-        times = data[:, 0]
-        samples = np.zeros((times.size, n, n), dtype=complex)
-        for idx, (i, j) in enumerate(pairs):
-            samples[:, i, j] = data[:, 1 + 2 * idx] + 1j * data[:, 2 + 2 * idx]
-        return cls(times, samples)
+        return cls(*read_matrix_csv(path, "alpha"))
 
 
 # ---------------------------------------------------------------------------

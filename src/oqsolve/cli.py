@@ -8,7 +8,7 @@ pipelines.  Exit codes: 0 success, 2 validation failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import io
 import json
 import os
@@ -19,7 +19,8 @@ import numpy as np
 
 from . import bath as bath_mod
 from . import memkernel, multitime, oracle, positivity, spectral, tcl2
-from .core import herm_defect, herm_part, min_choi_eigenvalue, choi_rearrange
+from .core import (choi_rearrange, herm_part, min_choi_eigenvalue, require_hermitian,
+                   require_state, write_matrix_csv)
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -49,14 +50,6 @@ def _parse_complex_matrix(node, name):
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _require_hermitian(x, name):
-    defect = herm_defect(x)
-    scale = max(float(np.max(np.abs(x))), 1.0)
-    if defect > 1e-10 * scale:
-        raise ValidationError(f"{name}: not Hermitian, max|X - X^dag| = {defect:.6e}")
-    return x
-
-
 def _build_bath(node, model_dir, n_channels):
     if not isinstance(node, dict) or "variant" not in node:
         raise ValidationError("bath: expected an object with a 'variant' tag")
@@ -74,12 +67,7 @@ def _build_bath(node, model_dir, n_channels):
         if variant == "white":
             return bath_mod.WhiteNoise(c=node["c"])
         if variant == "tabulated":
-            path = node["path"]
-            if not os.path.isabs(path):
-                path = os.path.join(model_dir, path)
-            return bath_mod.Tabulated.from_csv(path)
-    except ValidationError:
-        raise
+            return bath_mod.Tabulated.from_csv(os.path.join(model_dir, node["path"]))
     except KeyError as exc:
         raise ValidationError(f"bath: missing parameter {exc} for variant {variant!r}")
     except (ValueError, OSError) as exc:
@@ -105,35 +93,39 @@ def load_model(path):
     if "system" not in doc or "bath" not in doc:
         raise ValidationError("model file must contain 'system' and 'bath' sections")
     sysnode = doc["system"]
-    h = _require_hermitian(
-        _parse_complex_matrix(sysnode.get("hamiltonian"), "system.hamiltonian"),
-        "system.hamiltonian",
-    )
-    couplings = []
-    for k, lnode in enumerate(sysnode.get("couplings", [])):
-        name = f"system.couplings[{k}]"
-        l = _require_hermitian(_parse_complex_matrix(lnode, name), name)
-        if l.shape != h.shape:
-            raise ValidationError(f"{name}: shape {l.shape} does not match Hamiltonian")
-        couplings.append(l)
-    bath = _build_bath(
-        doc["bath"], os.path.dirname(os.path.abspath(path)), len(couplings)
-    )
+    model_dir = os.path.dirname(os.path.abspath(path))
+    run = doc.get("run", {})
+    if "superop_csv" in run:
+        # resolved like bath.path; read by cp-audit
+        run["superop_csv"] = os.path.join(model_dir, str(run["superop_csv"]))
     try:
-        model = tcl2.SystemModel(h=h, couplings=couplings, bath=bath)
+        h = require_hermitian(
+            _parse_complex_matrix(sysnode.get("hamiltonian"), "system.hamiltonian"),
+            name="system.hamiltonian",
+        )
+        couplings = []
+        for k, lnode in enumerate(sysnode.get("couplings", [])):
+            name = f"system.couplings[{k}]"
+            l = require_hermitian(_parse_complex_matrix(lnode, name), name=name)
+            if l.shape != h.shape:
+                raise ValidationError(f"{name}: shape {l.shape} does not match Hamiltonian")
+            couplings.append(l)
+        bath = _build_bath(doc["bath"], model_dir, len(couplings))
+        return tcl2.SystemModel(h=h, couplings=couplings, bath=bath), run
     except ValueError as exc:
         raise ValidationError(str(exc))
-    return model, doc.get("run", {})
 
 
 def _parse_state(node, dim, name="run.rho0"):
     if node is None:
         return np.eye(dim, dtype=complex) / dim
     rho = _parse_complex_matrix(node, name)
-    _require_hermitian(rho, name)
-    if abs(np.trace(rho) - 1.0) > 1e-8:
-        raise ValidationError(f"{name}: trace = {np.trace(rho).real!r}, expected 1")
-    return rho
+    if rho.shape != (dim, dim):
+        raise ValidationError(f"{name}: shape {rho.shape}, expected {(dim, dim)}")
+    try:
+        return require_state(rho, name)
+    except ValueError as exc:
+        raise ValidationError(str(exc))
 
 
 def _grid(run, default_tmax=10.0, default_n=101):
@@ -190,30 +182,17 @@ def cmd_simulate(model, run, args):
         traj = tcl2.propagate(model, rho0, grid, mode=mode)
     except ValueError as exc:
         raise ValidationError(str(exc))
-    d = model.dim
+    states = traj.states
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    header = ["t"]
-    for i in range(d):
-        for j in range(d):
-            header += [f"re_rho_{i}_{j}", f"im_rho_{i}_{j}"]
-    header += ["trace", "min_eig"]
-    writer.writerow(header)
-    for t, rho in zip(traj.times, traj.states):
-        row = [repr(float(t))]
-        for i in range(d):
-            for j in range(d):
-                row += [repr(float(rho[i, j].real)), repr(float(rho[i, j].imag))]
-        row += [
-            repr(float(np.trace(rho).real)),
-            repr(float(np.linalg.eigvalsh(herm_part(rho))[0])),
-        ]
-        writer.writerow(row)
+    write_matrix_csv(buf, traj.times, states, "rho", extra={
+        "trace": np.trace(states, axis1=1, axis2=2).real,
+        "min_eig": np.linalg.eigvalsh(herm_part(states))[:, 0],
+    })
     _emit(args.out, buf.getvalue())
 
 
 def cmd_spectrum(model, run, args):
-    tol = args.tol if args.tol is not None else 1e-8
+    tol = args.tol
     spec = spectral.perturbative_spectrum(model)
     ortho = spectral.damping_basis_orthogonality(spec)
     report = {
@@ -231,7 +210,7 @@ def cmd_spectrum(model, run, args):
 
 
 def cmd_pauli(model, run, args):
-    tol = args.tol if args.tol is not None else 1e-8
+    tol = args.tol
     ps = spectral.pauli_system(model)
     colsum = float(np.max(np.abs(ps.W.sum(axis=0))))
     checks = {"column_sums": "pass" if colsum < 1e-12 * max(1.0, np.max(np.abs(ps.W))) else "fail"}
@@ -261,7 +240,7 @@ def cmd_pauli(model, run, args):
 
 
 def cmd_coefficients(model, run, args):
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = args.tol
     b = model.bath
     tgrid = _grid(run, default_tmax=float(run.get("t_max", 10.0)), default_n=21)
     wgrid = np.asarray(
@@ -303,9 +282,12 @@ def cmd_coefficients(model, run, args):
 
 
 def cmd_cp_audit(model, run, args):
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = args.tol
     if "superop_csv" in run:
-        tgrid, samples = positivity.load_superop_samples(run["superop_csv"])
+        try:
+            tgrid, samples = positivity.load_superop_samples(run["superop_csv"])
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"run.superop_csv: {exc}")
         weak = positivity.weak_cp_test(samples, tgrid)
         report = {
             "command": "cp-audit",
@@ -339,9 +321,9 @@ def cmd_cp_audit(model, run, args):
         "magnus_converged": all(g.converged for g in gens),
         "weak_test_min_eigenvalue": weak,
         "checks": {
-            "magnus_cp": "pass" if min(choi_mins) >= -1e-10 else "fail",
+            "magnus_cp": "pass" if min(choi_mins) >= -tol else "fail",
             "magnus_quadrature": "pass" if all(g.converged for g in gens) else "fail",
-            "delta_psd": "pass" if min(delta_mins) >= -1e-10 else "fail",
+            "delta_psd": "pass" if min(delta_mins) >= -tol else "fail",
             "weak_test": "pass" if weak >= -1e-8 else "fail",
         },
     }
@@ -349,7 +331,7 @@ def cmd_cp_audit(model, run, args):
 
 
 def cmd_nonlocal(model, run, args):
-    tol = args.tol if args.tol is not None else 1e-8
+    tol = args.tol
     spec = spectral.perturbative_spectrum(model)
     poles = memkernel.nonlocal_poles(model)
     residual = max(
@@ -391,17 +373,10 @@ def cmd_qrt(model, run, args):
     mode = qrun.get("mode", "stationary")
     try:
         bare = multitime.qrt_correlation(model, req, mode=mode, include_correction=False)
-        corrected = multitime.qrt_correlation(model, req, mode=mode, include_correction=True)
-        product = (
-            multitime.nm_correction(model, req)
-            if req.t1 >= req.t2
-            else np.conj(multitime.nm_correction(
-                model,
-                multitime.TwoTimeRequest(x1=x2, x2=x1, t1=req.t2, t2=req.t1, rho0=rho0),
-            ))
-        )
+        correction, product = multitime.qrt_corrections(model, req)
     except ValueError as exc:
         raise ValidationError(str(exc))
+    corrected = bare + correction
     report = {
         "command": "qrt",
         "t1": req.t1,
@@ -449,7 +424,13 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+# the subcommands that read --tol, with its default
+_TOL_DEFAULTS = {"spectrum": 1e-8, "pauli": 1e-8, "coefficients": 1e-9, "cp-audit": 1e-10,
+                 "nonlocal": 1e-8}
+
+
+@functools.cache
+def _parser():
     parser = argparse.ArgumentParser(
         prog="oqsolve",
         description="Second-order non-Markovian master equations: batch solver and audits.",
@@ -459,9 +440,17 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--model", required=True, help="JSON model file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--tol", type=float, default=None, help="check tolerance override")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-    args = parser.parse_args(argv)
+        if name in _TOL_DEFAULTS:
+            p.add_argument("--tol", type=float, default=_TOL_DEFAULTS[name],
+                           help="check tolerance (default: %(default)s)")
+        if name == "oracle-compare":
+            p.add_argument("--seed", type=int, default=None,
+                           help="composite seed (default: run.oracle.seed, else 0)")
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         model, run = load_model(args.model)

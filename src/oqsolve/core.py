@@ -11,6 +11,8 @@ Conventions (fixed globally):
 
 from __future__ import annotations
 
+import csv
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +22,8 @@ __all__ = [
     "unvec",
     "dag",
     "herm_part",
-    "herm_defect",
     "require_hermitian",
+    "require_state",
     "superop_sandwich",
     "commutator_superop",
     "anticommutator_superop",
@@ -37,6 +39,8 @@ __all__ = [
     "min_choi_eigenvalue",
     "SpectralBasis",
     "eig_hermitian",
+    "write_matrix_csv",
+    "read_matrix_csv",
 ]
 
 
@@ -62,22 +66,35 @@ def herm_part(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + np.conj(x).swapaxes(-1, -2))
 
 
-def herm_defect(x: np.ndarray) -> float:
-    """max |X - X^dag| entrywise."""
-    return float(np.max(np.abs(x - dag(x)))) if x.size else 0.0
-
-
 def require_hermitian(x: np.ndarray, tol: float = 1e-12, name: str = "operator") -> np.ndarray:
-    """Validate Hermiticity relative to the largest entry; return the input."""
+    """Validate Hermiticity relative to the largest entry, matrix by matrix for
+    a (k, n, n) stack, whose first failing matrix is named by its index;
+    return the input as a complex array."""
     x = np.asarray(x, dtype=complex)
-    scale = max(float(np.max(np.abs(x))), 1.0)
-    defect = herm_defect(x)
-    if defect > tol * scale:
+    defect = np.max(np.abs(x - np.conj(x).swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+    scale = np.maximum(np.max(np.abs(x), axis=(-2, -1), initial=0.0), 1.0)
+    bad = np.flatnonzero(defect > tol * scale)
+    if bad.size:
+        k = bad[0]
+        label = name if x.ndim == 2 else f"{name} {k}"
         raise ValueError(
-            f"{name} is not Hermitian: max|X - X^dag| = {defect:.3e} "
-            f"(tolerance {tol:.1e} relative to max|X| = {scale:.3e})"
+            f"{label} is not Hermitian: max|X - X^dag| = {defect.flat[k]:.3e} "
+            f"(tolerance {tol:.1e} relative to max|X| = {scale.flat[k]:.3e})"
         )
     return x
+
+
+def require_state(rho: np.ndarray, name: str = "state") -> np.ndarray:
+    """Validate a density matrix: Hermitian (1e-10 relative), |tr rho - 1| <= 1e-10
+    and smallest eigenvalue >= -1e-10; return it as a complex array."""
+    rho = require_hermitian(rho, tol=1e-10, name=name)
+    trace = np.trace(rho)
+    if abs(trace - 1.0) > 1e-10:
+        raise ValueError(f"{name}: trace = {trace!r}, expected 1")
+    lowest = float(np.linalg.eigvalsh(herm_part(rho))[0])
+    if lowest < -1e-10:
+        raise ValueError(f"{name} is not positive semidefinite: min eigenvalue {lowest:.3e}")
+    return rho
 
 
 def superop_sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -224,3 +241,68 @@ def eig_hermitian(h: np.ndarray, tol: float = 1e-12) -> SpectralBasis:
     h = require_hermitian(h, tol=tol, name="Hamiltonian")
     w, u = np.linalg.eigh(herm_part(h))
     return SpectralBasis(energies=w, vectors=_fix_phases(u))
+
+
+# ---------------------------------------------------------------------------
+# time-indexed matrix series as CSV
+# ---------------------------------------------------------------------------
+
+def write_matrix_csv(fh, times, mats, name: str, extra=None) -> None:
+    """Write a (k, n, n) series to the text stream fh (opened with newline=""):
+    columns t, then re_<name>_i_j, im_<name>_i_j in row-major vec order (re_i_j,
+    im_i_j for an empty name), then one per key of the mapping extra, whose
+    values hold k numbers each.  Every value is written as repr(float)."""
+    mats = np.asarray(mats, dtype=complex)
+    k, n = len(times), mats.shape[-1]
+    prefix = f"{name}_" if name else ""
+    extra = extra or {}
+    parts = np.stack([mats.real, mats.imag], axis=-1).reshape(k, 2 * n * n)
+    body = np.column_stack([times, parts, *extra.values()])
+    writer = csv.writer(fh)
+    writer.writerow(["t"] + [f"{part}_{prefix}{i}_{j}" for i in range(n) for j in range(n)
+                             for part in ("re", "im")] + list(extra))
+    writer.writerows([repr(x) for x in row] for row in body.tolist())
+
+
+def read_matrix_csv(path, name: str):
+    """Read what write_matrix_csv wrote: (times (k,), matrices (k, n, n)).
+
+    Columns are matched by name, so their order is free.  n is one more than
+    the largest entry index and entries without columns stay zero; columns
+    other than t, re_* and im_* (the writer's extra ones) are ignored.  No or
+    a repeated t, a re_/im_ column that is unpaired, repeated or not an entry
+    of this name, a short row or a non-numeric cell raises ValueError."""
+    entry = re.compile(rf"(re|im)_{re.escape(f'{name}_' if name else '')}(\d+)_(\d+)")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [c.strip() for c in next(reader, [])]
+        rows = [(reader.line_num, row) for row in reader if row]
+    if header.count("t") != 1:
+        raise ValueError(f"{path}: expected one 't' column, found {header.count('t')}")
+    cols = {}
+    for col, label in enumerate(header):
+        match = entry.fullmatch(label)
+        key = match and (match[1], int(match[2]), int(match[3]))
+        if label.startswith(("re_", "im_")) and (not match or key in cols):
+            raise ValueError(f"{path}: column {label!r} is repeated or not an entry of {name!r}")
+        if match:
+            cols[key] = col
+    if not cols:
+        raise ValueError(f"{path}: no re_/im_ columns for {name!r}")
+    for part, i, j in cols:
+        if ("im" if part == "re" else "re", i, j) not in cols:
+            raise ValueError(f"{path}: {part}_ column of entry {i},{j} has no partner")
+    data = np.empty((len(rows), len(header)))
+    for r, (line, row) in enumerate(rows):
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} cells, expected {len(header)}")
+            data[r] = [float(x) for x in row]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from None
+    n = 1 + max(max(i, j) for _, i, j in cols)
+    mats = np.zeros((len(rows), n, n), dtype=complex)
+    for (part, i, j), col in cols.items():
+        if part == "re":
+            mats[:, i, j] = data[:, col] + 1j * data[:, cols["im", i, j]]
+    return data[:, header.index("t")], mats

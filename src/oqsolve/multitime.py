@@ -24,6 +24,7 @@ __all__ = [
     "TwoTimeRequest",
     "two_time_operator",
     "qrt_correlation",
+    "qrt_corrections",
     "nm_correction",
     "nm_correction_integrated",
 ]
@@ -130,6 +131,17 @@ def nm_correction_integrated(m: SystemModel, req: TwoTimeRequest, nodes: int = 3
     return complex(total)
 
 
+def _ordered(req: TwoTimeRequest):
+    """(request with t1 >= t2, whether to conjugate): t1 < t2 is handled by
+    conjugate exchange, <X1(t1) X2(t2)> = conj <X2(t2) X1(t1)>, which needs
+    Hermitian observables."""
+    if req.t1 >= req.t2:
+        return req, False
+    for name, x in (("X1", req.x1), ("X2", req.x2)):
+        require_hermitian(np.asarray(x), tol=1e-10, name=name)
+    return TwoTimeRequest(x1=req.x2, x2=req.x1, t1=req.t2, t2=req.t1, rho0=req.rho0), True
+
+
 def qrt_correlation(
     m: SystemModel,
     req: TwoTimeRequest,
@@ -139,15 +151,8 @@ def qrt_correlation(
     """Regression estimate of <X1(t1) X2(t2)>, optionally with the second-order
     non-Markovian correction.  t1 < t2 is handled by conjugate exchange (the
     observables must then be Hermitian)."""
+    req, swap = _ordered(req)
     rho0 = np.asarray(req.rho0, dtype=complex)
-    if req.t1 < req.t2:
-        for name, x in (("X1", req.x1), ("X2", req.x2)):
-            require_hermitian(np.asarray(x), tol=1e-10, name=name)
-        swapped = TwoTimeRequest(
-            x1=req.x2, x2=req.x1, t1=req.t2, t2=req.t1, rho0=rho0
-        )
-        return np.conj(qrt_correlation(m, swapped, mode=mode, include_correction=include_correction))
-
     if mode == "stationary":
         rho_t2 = apply_superop(expm(build_L2(m, None) * req.t2), rho0)
     else:
@@ -157,4 +162,12 @@ def qrt_correlation(
     val = complex(np.trace(np.asarray(req.x1) @ apply_superop(g12, np.asarray(req.x2) @ rho_t2)))
     if include_correction:
         val += nm_correction_integrated(m, req)
-    return val
+    return np.conj(val) if swap else val
+
+
+def qrt_corrections(m: SystemModel, req: TwoTimeRequest) -> tuple[complex, complex]:
+    """(nm_correction_integrated, nm_correction) of <X1(t1) X2(t2)>, with t1 < t2
+    handled by conjugate exchange as in qrt_correlation."""
+    req, swap = _ordered(req)
+    vals = nm_correction_integrated(m, req), nm_correction(m, req)
+    return tuple(np.conj(v) for v in vals) if swap else vals

@@ -59,18 +59,12 @@ class CompositeModel:
     temperature: float = np.inf
 
     def __post_init__(self):
-        self.h = require_hermitian(np.asarray(self.h, dtype=complex), name="system Hamiltonian")
-        self.env_h = require_hermitian(
-            np.asarray(self.env_h, dtype=complex), name="environment Hamiltonian"
-        )
-        self.couplings = [
-            require_hermitian(np.asarray(l, dtype=complex), name=f"system coupling {n}")
-            for n, l in enumerate(self.couplings)
-        ]
-        self.env_couplings = [
-            require_hermitian(np.asarray(l, dtype=complex), name=f"environment coupling {n}")
-            for n, l in enumerate(self.env_couplings)
-        ]
+        self.h = require_hermitian(self.h, name="system Hamiltonian")
+        self.env_h = require_hermitian(self.env_h, name="environment Hamiltonian")
+        self.couplings = [require_hermitian(l, name=f"system coupling {n}")
+                          for n, l in enumerate(self.couplings)]
+        self.env_couplings = [require_hermitian(l, name=f"environment coupling {n}")
+                              for n, l in enumerate(self.env_couplings)]
         if len(self.couplings) != len(self.env_couplings):
             raise ValueError("system and environment coupling lists must match")
         if self.dim * self.env_dim > _MAX_DIM:

@@ -9,7 +9,6 @@ checks positivity of the running-averaged interaction-picture dissipator.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +18,11 @@ from .core import (
     choi_rearrange,
     herm_part,
     min_choi_eigenvalue,
+    read_matrix_csv,
+    require_hermitian,
     unitary_superop,
     vec,
+    write_matrix_csv,
 )
 from .tcl2 import SystemModel, _pair_dissipator, _pair_superop, _phase_table
 
@@ -125,11 +127,7 @@ def delta_double_time(m: SystemModel, t: float, nodes: int = 48) -> np.ndarray:
 def weak_cp_test(d_samples, grid) -> float:
     """Min eigenvalue of the trapezoid-integrated dissipator over all endpoints."""
     grid = np.asarray(grid, dtype=float)
-    samples = np.asarray(d_samples)
-    defect = np.max(np.abs(samples - np.conj(samples).swapaxes(-1, -2)), axis=(-2, -1))
-    bad = np.flatnonzero(defect > 1e-8 * np.maximum(1.0, np.max(np.abs(samples), axis=(-2, -1))))
-    if bad.size:
-        raise ValueError(f"dissipator sample {bad[0]} is not Hermitian")
+    samples = require_hermitian(d_samples, tol=1e-8, name="dissipator sample")
     steps = 0.5 * np.diff(grid)[:, None, None] * (samples[1:len(grid)] + samples[:len(grid) - 1])
     acc = np.cumsum(steps, axis=0)
     return float(np.min(np.linalg.eigvalsh(herm_part(acc))[:, 0], initial=np.inf))
@@ -162,37 +160,17 @@ def intermediate_map_check(m: SystemModel, t1: float, t2: float) -> float:
 # ---------------------------------------------------------------------------
 
 def save_superop_samples(path, tgrid, superops) -> None:
-    """CSV with columns t then flattened Re/Im superoperator entries."""
-    superops = [np.asarray(s) for s in superops]
-    dim2 = superops[0].shape[0]
-    header = ["t"]
-    for i in range(dim2):
-        for j in range(dim2):
-            header += [f"re_{i}_{j}", f"im_{i}_{j}"]
+    """CSV with columns t then the Re/Im superoperator entries re_I_J, im_I_J
+    (core.write_matrix_csv with an empty name)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, s in zip(tgrid, superops):
-            row = [repr(float(t))]
-            for i in range(dim2):
-                for j in range(dim2):
-                    row += [repr(float(s[i, j].real)), repr(float(s[i, j].imag))]
-            writer.writerow(row)
+        write_matrix_csv(fh, tgrid, superops, "")
 
 
 def load_superop_samples(path):
-    """Inverse of save_superop_samples; returns (tgrid, list of superoperators)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(x) for x in row] for row in reader if row]
-    n_entries = (len(header) - 1) // 2
-    dim2 = int(round(np.sqrt(n_entries)))
-    if dim2 * dim2 != n_entries:
-        raise ValueError("superoperator CSV does not contain a square matrix")
-    tgrid = np.array([r[0] for r in rows])
-    mats = []
-    for r in rows:
-        flat = np.array(r[1:])
-        mats.append((flat[0::2] + 1j * flat[1::2]).reshape(dim2, dim2))
+    """Inverse of save_superop_samples; returns (tgrid, (k, d^2, d^2) stack).
+    Columns are matched by name; the dimension must be a perfect square."""
+    tgrid, mats = read_matrix_csv(path, "")
+    dim2 = mats.shape[-1]
+    if int(round(np.sqrt(dim2))) ** 2 != dim2:
+        raise ValueError(f"superoperator CSV: dimension {dim2} is not a perfect square")
     return tgrid, mats

@@ -33,6 +33,7 @@ from .core import (
     herm_part,
     hermiticity_preservation_defect,
     require_hermitian,
+    require_state,
     superop_sandwich,
     unvec,
     vec,
@@ -71,11 +72,9 @@ class SystemModel:
     _pauli_system: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.h = require_hermitian(np.asarray(self.h, dtype=complex), name="Hamiltonian")
-        self.couplings = [
-            require_hermitian(np.asarray(l, dtype=complex), name=f"coupling {n}")
-            for n, l in enumerate(self.couplings)
-        ]
+        self.h = require_hermitian(self.h, name="Hamiltonian")
+        self.couplings = [require_hermitian(l, name=f"coupling {n}")
+                          for n, l in enumerate(self.couplings)]
         if self.bath.channels != len(self.couplings):
             raise ValueError(
                 f"bath has {self.bath.channels} channels but the model has "
@@ -321,13 +320,6 @@ def pseudo_lindblad(s: np.ndarray, h: np.ndarray, tol: float = 1e-10) -> PseudoL
     return PseudoLindblad(h=h, V=v, D=dmat)
 
 
-def _microscopic_d(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_n outer(vec L_n, conj vec B_n) + outer(vec B_n, conj vec L_n)."""
-    lv = l.reshape(l.shape[0], -1)
-    bv = b.reshape(b.shape[0], -1)
-    return lv.T @ np.conj(bv) + bv.T @ np.conj(lv)
-
-
 def microscopic_pseudo_lindblad(m: SystemModel, t=None) -> PseudoLindblad:
     """Paper-route split from the microscopic operators, in the energy basis:
 
@@ -337,15 +329,11 @@ def microscopic_pseudo_lindblad(m: SystemModel, t=None) -> PseudoLindblad:
     l = m.couplings_eb
     b = _second_order_ops_eb(m, t)
     v = np.einsum("nij,njk->ik", l, b) - np.einsum("nji,njk->ik", np.conj(b), l)
+    lv = l.reshape(l.shape[0], -1)
+    bv = b.reshape(b.shape[0], -1)
+    d = lv.T @ np.conj(bv) + bv.T @ np.conj(lv)
     h_eb = np.diag(m.basis.energies).astype(complex)
-    return PseudoLindblad(h=h_eb, V=herm_part(v / 2j), D=herm_part(_microscopic_d(l, b)))
-
-
-def plindblad_kernel_matrix(m: SystemModel) -> np.ndarray:
-    """Stationary microscopic D from the coefficient kernel
-    A_nm(w_ii') + conj(A_mn(w_jj')) sandwiched by coupling matrix elements:
-    the B_n parts sum to outer(vec B_n, conj vec L_n) and their conjugates."""
-    return _microscopic_d(m.couplings_eb, _second_order_ops_eb(m, None))
+    return PseudoLindblad(h=h_eb, V=herm_part(v / 2j), D=herm_part(d))
 
 
 # ---------------------------------------------------------------------------
@@ -458,24 +446,18 @@ def propagate(
     atol: float = 1e-12,
 ) -> Trajectory:
     """Integrate the vectorized TCL2 master equation with adaptive RK45."""
-    rho0 = np.asarray(rho0, dtype=complex)
-    require_hermitian(rho0, tol=1e-10, name="initial state")
-    if abs(np.trace(rho0) - 1.0) > 1e-10:
-        raise ValueError(f"initial state trace = {np.trace(rho0)!r}, expected 1")
-    if float(np.linalg.eigvalsh(herm_part(rho0))[0]) < -1e-10:
-        raise ValueError("initial state is not positive semidefinite")
+    rho0 = require_state(rho0, name="initial state")
     grid = np.asarray(grid, dtype=float)
     if mode not in ("stationary", "full-time", "full"):
         raise ValueError(f"unknown mode {mode!r}")
 
+    cache = {}
     if mode == "stationary":
         s = build_L2(m, None)
 
         def rhs(t, y):
             return s @ y
     else:
-        cache = {}
-
         def rhs(t, y):
             key = float(t)
             if key not in cache:
@@ -493,6 +475,8 @@ def propagate(
         rtol=rtol,
         atol=atol,
     )
+    # the solver holds rhs in a reference cycle that only a full collection frees
+    cache.clear()
     if not sol.success:
         raise RuntimeError(f"integrator failed: {sol.message}")
     states = np.array([unvec(y, m.dim) for y in sol.y.T])

@@ -159,7 +159,7 @@ class TestStackedAssembly:
 
     def test_plindblad_kernel_matrix(self, name):
         m = MODELS[name]()
-        assert_close(tcl2.plindblad_kernel_matrix(m), ref_plindblad_kernel_matrix(m))
+        assert_close(tcl2.microscopic_pseudo_lindblad(m, None).D, ref_plindblad_kernel_matrix(m))
 
 
 def test_equally_spaced_gaps_merge():

@@ -418,6 +418,17 @@ class TestTabulated:
         assert np.array_equal(b2.times, b.times)
         assert np.array_equal(b2.samples, b.samples)
 
+    def test_csv_pinned_format(self, tmp_path):
+        ou = bath.ExponentialOU(c=[[0.1, 0.02 + 0.01j], [0.02 - 0.01j, 0.05]], lam=1.0)
+        tgrid = np.linspace(0.0, 5.0, 41)
+        path = tmp_path / "alpha.csv"
+        bath.Tabulated(tgrid, np.array([ou.alpha_time(t) for t in tgrid])).to_csv(path)
+        with open(path, newline="") as fh:
+            lines = fh.read().split("\r\n")
+        assert lines[0] == ("t,re_alpha_0_0,im_alpha_0_0,re_alpha_0_1,im_alpha_0_1,"
+                            "re_alpha_1_0,im_alpha_1_0,re_alpha_1_1,im_alpha_1_1")
+        assert lines[1] == "0.0,0.1,0.0,0.02,0.01,0.02,-0.01,0.05,0.0"
+
     def test_nonuniform_grid_rejected(self):
         with pytest.raises(ValueError, match="uniform"):
             bath.Tabulated(np.array([0.0, 0.1, 0.3, 0.4]), np.zeros((4, 1, 1)))

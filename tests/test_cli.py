@@ -65,6 +65,26 @@ class TestSimulate:
         leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".oqsolve-")]
         assert leftovers == []
 
+    def test_pinned_format(self, tmp_path):
+        rho0 = _pairs([[0.5, 0.25 - 0.25j], [0.25 + 0.25j, 0.5]])
+        model = write_model(tmp_path, qubit_doc(t_max=4.0, n_points=9, rho0=rho0))
+        out = tmp_path / "traj.csv"
+        assert cli.main(["simulate", "--model", model, "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            lines = fh.read().split("\r\n")
+        assert lines[0] == ("t,re_rho_0_0,im_rho_0_0,re_rho_0_1,im_rho_0_1,"
+                            "re_rho_1_0,im_rho_1_0,re_rho_1_1,im_rho_1_1,trace,min_eig")
+        assert lines[1] == "0.0,0.5,0.0,0.25,-0.25,0.25,0.25,0.5,0.0,1.0,0.1464466094067261"
+
+    def test_unread_option_rejected(self, tmp_path):
+        model = write_model(tmp_path, qubit_doc(t_max=2.0, n_points=3))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--model", model, "--tol", "1"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pauli", "--model", model, "--seed", "1"])
+        assert exc.value.code == 2
+
     def test_bad_initial_state_exits_validation(self, tmp_path):
         doc = qubit_doc(rho0=_pairs(np.diag([2.0, 0.0])))
         model = write_model(tmp_path, doc)
@@ -204,6 +224,65 @@ class TestReports:
         assert report["source"] == "external-samples"
         assert report["checks"]["weak_test"] == "pass"
 
+    def test_cp_audit_shuffled_external_samples(self, tmp_path, capsys):
+        from oqsolve import positivity, tcl2
+
+        m = tcl2.SystemModel(
+            h=np.diag([0.5, -0.5]),
+            couplings=[np.array([[0.0, 1.0], [1.0, 0.0]])],
+            bath=bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=0.25),
+        )
+        grid = np.linspace(0.0, 4.0, 201)
+        positivity.save_superop_samples(
+            tmp_path / "samples.csv", grid, positivity.interaction_dissipator_samples(m, grid)
+        )
+        rows = [line.split(",") for line in (tmp_path / "samples.csv").read_text().splitlines()]
+        order = np.random.default_rng(5).permutation(len(rows[0]))
+        (tmp_path / "shuffled.csv").write_text(
+            "\n".join(",".join(r[i] for i in order) for r in rows) + "\n")
+        weak = {}
+        for name in ("samples.csv", "shuffled.csv"):
+            model = write_model(tmp_path, qubit_doc(superop_csv=name), name + ".json")
+            assert cli.main(["cp-audit", "--model", model]) == 0
+            weak[name] = json.loads(capsys.readouterr().out)["weak_test_min_eigenvalue"]
+        assert weak["shuffled.csv"] == weak["samples.csv"]
+
+    def test_cp_audit_superop_csv_relative_to_model(self, tmp_path, capsys, monkeypatch):
+        from oqsolve import positivity
+
+        models = tmp_path / "models"
+        models.mkdir()
+        grid = np.linspace(0.0, 1.0, 3)
+        positivity.save_superop_samples(models / "samples.csv", grid, np.zeros((3, 4, 4)))
+        model = write_model(models, qubit_doc(superop_csv="samples.csv"))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert cli.main(["cp-audit", "--model", model]) == 0
+        assert json.loads(capsys.readouterr().out)["weak_test_min_eigenvalue"] == 0.0
+
+    def test_cp_audit_missing_superop_csv(self, tmp_path, capsys):
+        model = write_model(tmp_path, qubit_doc(superop_csv="nope.csv"))
+        assert cli.main(["cp-audit", "--model", model]) == cli.EXIT_VALIDATION
+        assert "run.superop_csv" in capsys.readouterr().err
+
+    def test_cp_audit_tol_sets_positivity_thresholds(self, tmp_path, capsys, monkeypatch):
+        # a Choi matrix and a Delta 1e-6 below zero: fail at the default 1e-10,
+        # pass at --tol 1e-5
+        from dataclasses import replace
+
+        from oqsolve import positivity
+
+        magnus = positivity.magnus_phi2
+        monkeypatch.setattr(positivity, "magnus_phi2", lambda m, t: replace(
+            magnus(m, t), delta=magnus(m, t).delta - 1e-6 * np.eye(4)))
+        monkeypatch.setattr(cli, "min_choi_eigenvalue", lambda c: -1e-6)
+        model = write_model(tmp_path, qubit_doc(t_max=1.0, n_points=2, weak_points=11))
+        for extra, verdict in (([], "fail"), (["--tol", "1e-5"], "pass")):
+            assert cli.main(["cp-audit", "--model", model, *extra]) == 0
+            checks = json.loads(capsys.readouterr().out)["checks"]
+            assert checks["magnus_cp"] == checks["delta_psd"] == verdict
+
     def test_nonlocal(self, tmp_path, capsys):
         model = write_model(tmp_path, qubit_doc())
         assert cli.main(["nonlocal", "--model", model]) == 0
@@ -241,6 +320,26 @@ class TestReports:
         assert abs(reg + cor - tot) < 1e-12
         assert "correction_single_time" in report
 
+    def test_qrt_regression_computed_once(self, tmp_path, capsys, monkeypatch):
+        from oqsolve import multitime
+
+        calls = []
+        orig = multitime.qrt_correlation
+        monkeypatch.setattr(multitime, "qrt_correlation",
+                            lambda *a, **k: calls.append(k) or orig(*a, **k))
+        sx = _pairs(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        sy = _pairs(np.array([[0.0, -1j], [1j, 0.0]]))
+        doc = qubit_doc(qrt={"x1": sx, "x2": sy, "t1": 0.5, "t2": 2.0})
+        assert cli.main(["qrt", "--model", write_model(tmp_path, doc)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        # t1 < t2 by conjugate exchange, for the value and both corrections
+        doc["run"]["qrt"] = {"x1": sy, "x2": sx, "t1": 2.0, "t2": 0.5}
+        assert cli.main(["qrt", "--model", write_model(tmp_path, doc, "swapped.json")]) == 0
+        swapped = json.loads(capsys.readouterr().out)
+        for key in ("regression", "correction", "correction_single_time", "corrected"):
+            assert report[key] == pytest.approx([swapped[key][0], -swapped[key][1]], abs=1e-15)
+
     def test_qrt_missing_parameters(self, tmp_path):
         model = write_model(tmp_path, qubit_doc(qrt={"t1": 1.0}))
         assert cli.main(["qrt", "--model", model]) == cli.EXIT_VALIDATION
@@ -274,6 +373,31 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "not Hermitian" in err
         assert "max|X - X^dag|" in err
+
+    def test_small_hamiltonian_defect_names_json_path(self, tmp_path, capsys):
+        doc = qubit_doc()
+        doc["system"]["hamiltonian"][0][1] = [5e-11, 0.0]
+        model = write_model(tmp_path, doc)
+        assert cli.main(["pauli", "--model", model]) == cli.EXIT_VALIDATION
+        assert "system.hamiltonian is not Hermitian" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "nonlocal", "qrt", "oracle-compare"])
+    @pytest.mark.parametrize("populations, defect", [
+        ([1.2, -0.2], "positive semidefinite"),
+        ([0.5, 0.5 + 5e-9], "trace"),
+    ])
+    def test_every_subcommand_applies_one_state_rule(self, tmp_path, capsys, command,
+                                                     populations, defect):
+        # the oracle composite's system is a qutrit
+        sx = _pairs(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        state = _pairs(np.diag(populations))
+        doc = qubit_doc(t_max=1.0, n_points=2, rho0=state,
+                        qrt={"x1": sx, "x2": sx, "t1": 1.0, "t2": 0.5, "rho0": state},
+                        oracle={"horizon": 1.0, "n_points": 3,
+                                "rho0": _pairs(np.diag(populations + [0.0]))})
+        assert cli.main([command, "--model", write_model(tmp_path, doc)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "rho0" in err and defect in err
 
     def test_compose_refused(self, tmp_path, capsys):
         doc = qubit_doc()

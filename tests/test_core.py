@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,3 +180,90 @@ class TestSpectralBasis:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             core.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestRequireState:
+    def test_accepts_a_state_and_returns_it_complex(self):
+        rho = core.require_state(np.diag([0.25, 0.75]))
+        assert rho.dtype == complex
+
+    @pytest.mark.parametrize("rho, match", [
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), "not Hermitian"),
+        (np.diag([0.5, 0.5 + 5e-9]), "trace"),
+        (np.diag([1.2, -0.2]), "positive semidefinite"),
+    ])
+    def test_rejects(self, rho, match):
+        with pytest.raises(ValueError, match=match):
+            core.require_state(rho, "rho0")
+
+    def test_stacked_hermiticity_names_first_bad_matrix(self):
+        stack = np.array([np.eye(2), [[1.0, 1e-6], [0.0, 1.0]]])
+        with pytest.raises(ValueError, match="sample 1 is not Hermitian"):
+            core.require_hermitian(stack, tol=1e-8, name="sample")
+
+
+class TestMatrixCSV:
+    def _series(self, k=3, n=2):
+        rng = np.random.default_rng(4)
+        return np.linspace(0.0, 1.0, k), rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+
+    def _write(self, path, text):
+        path.write_text(text)
+        return path
+
+    def test_round_trip_with_prefix_and_extra_columns(self, tmp_path):
+        times, mats = self._series()
+        for name in ("", "rho"):
+            path = tmp_path / f"series-{name}.csv"
+            with open(path, "w", newline="") as fh:
+                core.write_matrix_csv(fh, times, mats, name, extra={"trace": [1.0, 2.0, 3.0]})
+            header = path.read_text().splitlines()[0].split(",")
+            prefix = f"{name}_" if name else ""
+            assert header[:3] == ["t", f"re_{prefix}0_0", f"im_{prefix}0_0"]
+            assert header[-1] == "trace"
+            t, back = core.read_matrix_csv(path, name)
+            assert np.array_equal(t, times)
+            assert np.array_equal(back, mats)
+
+    def test_matches_element_loop_writer(self):
+        # the per-element writer the codec replaced, as the reference
+        rng = np.random.default_rng(9)
+        times = np.linspace(0.0, 3.0, 5)
+        mats = rng.normal(size=(5, 3, 3)) * 10.0 ** rng.integers(-300, 300, size=(5, 3, 3)) \
+            + 1j * rng.normal(size=(5, 3, 3))
+        mats[0, 0, 0] = -0.0
+        trace = rng.normal(size=5)
+        buf = io.StringIO()
+        core.write_matrix_csv(buf, times, mats, "rho", extra={"trace": trace})
+        ref = io.StringIO()
+        writer = csv.writer(ref)
+        writer.writerow(["t"] + [f"{p}_rho_{i}_{j}" for i in range(3) for j in range(3)
+                                 for p in ("re", "im")] + ["trace"])
+        for t, m, tr in zip(times, mats, trace):
+            row = [repr(float(t))]
+            for i in range(3):
+                for j in range(3):
+                    row += [repr(float(m[i, j].real)), repr(float(m[i, j].imag))]
+            writer.writerow(row + [repr(float(tr))])
+        assert buf.getvalue() == ref.getvalue()
+
+    def test_missing_entries_stay_zero(self, tmp_path):
+        path = self._write(tmp_path / "a.csv", "t,re_x_1_1,im_x_1_1\n0.0,2.0,-1.0\n")
+        t, back = core.read_matrix_csv(path, "x")
+        assert back.shape == (1, 2, 2)
+        assert np.array_equal(back[0], [[0, 0], [0, 2 - 1j]])
+
+    @pytest.mark.parametrize("text, match", [
+        ("t,re_x_0_0\n0.0,1.0\n", "re_ column of entry 0,0 has no partner"),
+        ("t,im_x_0_0\n0.0,1.0\n", "im_ column of entry 0,0 has no partner"),
+        ("t,re_x_0_0,im_x_0_0,re_x_00_0\n0.0,1.0,0.0,2.0\n", "'re_x_00_0' is repeated"),
+        ("t,re_x_0_0,im_x_0_0\n0.0,one,0.0\n", "line 2"),
+        ("t,re_x_0_0,im_x_0_0\n0.0,1.0\n", "line 2: 2 cells"),
+        ("re_x_0_0,im_x_0_0\n1.0,0.0\n", "'t' column"),
+        ("t,t,re_x_0_0,im_x_0_0\n0.0,0.0,1.0,0.0\n", "found 2"),
+        ("t,re_y_0_0,im_y_0_0\n0.0,1.0,0.0\n", "'re_y_0_0' is repeated or not an entry of 'x'"),
+        ("t,trace\n0.0,1.0\n", "no re_/im_ columns"),
+    ])
+    def test_malformed_rejected(self, tmp_path, text, match):
+        with pytest.raises(ValueError, match=match):
+            core.read_matrix_csv(self._write(tmp_path / "bad.csv", text), "x")

@@ -259,6 +259,32 @@ class TestSuperopCSV:
         for a, b in zip(mats, samples):
             assert np.array_equal(a, b)
 
+    def test_pinned_format(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        samples = np.arange(16).reshape(4, 4) * (1 - 0.5j)
+        positivity.save_superop_samples(path, [0.0, 0.5], [samples, 2 * samples])
+        with open(path, newline="") as fh:
+            lines = fh.read().split("\r\n")
+        assert lines[0] == "t," + ",".join(
+            f"{part}_{i}_{j}" for i in range(4) for j in range(4) for part in ("re", "im"))
+        assert lines[1] == ("0.0,0.0,0.0,1.0,-0.5,2.0,-1.0,3.0,-1.5,4.0,-2.0,5.0,-2.5,6.0,-3.0,"
+                            "7.0,-3.5,8.0,-4.0,9.0,-4.5,10.0,-5.0,11.0,-5.5,12.0,-6.0,13.0,-6.5,"
+                            "14.0,-7.0,15.0,-7.5")
+
+    def test_shuffled_columns_read_back_equal(self, tmp_path):
+        m = qubit_model()
+        grid = np.linspace(0.0, 2.0, 9)
+        samples = positivity.interaction_dissipator_samples(m, grid)
+        path = tmp_path / "samples.csv"
+        positivity.save_superop_samples(path, grid, samples)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        order = np.random.default_rng(3).permutation(len(rows[0]))
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("\n".join(",".join(r[i] for i in order) for r in rows) + "\n")
+        tg, mats = positivity.load_superop_samples(shuffled)
+        assert np.array_equal(tg, grid)
+        assert np.array_equal(mats, samples)
+
     def test_non_square_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,re_0_0,im_0_0,re_0_1,im_0_1\n0.0,1.0,0.0,0.0,0.0\n")

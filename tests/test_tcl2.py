@@ -154,14 +154,6 @@ class TestPseudoLindblad:
         )
         assert np.allclose(pl_micro.D, d_canon, atol=1e-11)
 
-    def test_kernel_matrix_matches_microscopic_stationary(self):
-        m = random_model(seed=7)
-        assert np.allclose(
-            tcl2.plindblad_kernel_matrix(m),
-            tcl2.microscopic_pseudo_lindblad(m, None).D,
-            atol=1e-11,
-        )
-
 
 class TestRWA:
     def test_rwa_dissipator_psd_with_expected_spectrum(self):
