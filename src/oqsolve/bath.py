@@ -244,10 +244,25 @@ def _as_channel_array(x, n: int, name: str) -> np.ndarray:
 
 
 class _LorentzChannel:
-    """What both temperature regimes share: the Lorentzian damping kernel."""
+    """What both temperature regimes share: the Lorentzian damping kernel, and
+    alpha^(iw) kept for the last gap array that coefficient_full saw."""
+
+    _axis_key = None
+    _axis_value = None
 
     def gamma_tilde(self, w: float) -> float:
         return self.gamma0 / (1.0 + (w / self.cutoff) ** 2)
+
+    def _laplace_on_axis(self, w):
+        """laplace(1j * w).  It does not depend on t, and every generator build
+        of one model asks for it at the same gaps, so the value for the last
+        array w is kept, keyed by its dtype, shape and bytes."""
+        if type(w) is not np.ndarray:
+            return self.laplace(1j * w)
+        key = (w.dtype.str, w.shape, w.tobytes())
+        if key != self._axis_key:
+            self._axis_key, self._axis_value = key, self.laplace(1j * w)
+        return self._axis_value
 
 
 def _scaled_exp_integrals(x: float):
@@ -333,7 +348,7 @@ class _ThermalChannelT0(_LorentzChannel):
         with np.errstate(invalid="ignore"):
             w_e1 = np.where(wa == 0, 0, wa * special.exp1(1j * wa * t))
         tail = self._k * (2j * w_e1 / (lam**2 + wa**2) + np.exp(-1j * wa * t) * pole_terms)
-        out = self.laplace(1j * wa) - tail
+        out = self._laplace_on_axis(wa) - tail
         return out if type(w) is np.ndarray else complex(out)
 
     def coefficient_integral(self, t: float, w: np.ndarray):
@@ -358,10 +373,7 @@ class _ThermalChannel(_LorentzChannel):
         if k_near >= 1 and abs(cutoff - a * k_near) < 1e-10 * cutoff:
             cutoff = cutoff * (1 + 1e-8)
         self.cutoff = cutoff
-        self._c0 = (gamma0 * cutoff**2 / 2) * (
-            np.cos(cutoff / (2 * temperature)) / np.sin(cutoff / (2 * temperature)) - 1j
-        )
-        self._psi = (special.digamma(1 - cutoff / a), special.digamma(1 + cutoff / a))
+        self._psi = (special.digamma(cutoff / a), special.digamma(1 + cutoff / a))
         self._terms = None
 
     def spectrum(self, w: float) -> complex:
@@ -381,7 +393,7 @@ class _ThermalChannel(_LorentzChannel):
             nu = a * k
             c = np.empty(_MATSUBARA_TERMS + 1, dtype=complex)
             z = np.empty(_MATSUBARA_TERMS + 1)
-            c[0] = self._c0
+            c[0] = (g0 * lam**2 / 2) * (np.cos(lam / (2 * T)) / np.sin(lam / (2 * T)) - 1j)
             z[0] = lam
             c[1:] = -2 * g0 * T * lam**2 * nu / (lam**2 - nu**2)
             z[1:] = nu
@@ -430,7 +442,13 @@ class _ThermalChannel(_LorentzChannel):
 
     def laplace(self, s):
         """Closed form of the Matsubara sum via digamma functions; a 1-D array
-        of s gives the array of values."""
+        of s gives the array of values.
+
+        The sum over k >= 1 brings psi(1 - x), x = Lam/2piT, and the cutoff
+        term c0/(Lam + s) brings cot(Lam/2T) = cot(pi x); both diverge as Lam
+        nears a Matsubara frequency.  By reflection, psi(1 - x) = psi(x) +
+        pi cot(pi x), and that cot term cancels the real part of c0 exactly,
+        so the form below keeps psi(x) and only the imaginary part of c0."""
         g0, lam, T = self.gamma0, self.cutoff, self.temperature
         a = 2 * np.pi * T
         if type(s) is np.ndarray:
@@ -443,9 +461,9 @@ class _ThermalChannel(_LorentzChannel):
         A = 1.0 / (2 * (lam + s))
         B = 1.0 / (2 * (lam - s))
         C = -s / (lam**2 - s**2)
-        psi_minus, psi_plus = self._psi
-        ssum = (A / a) * psi_minus - (B / a) * psi_plus - (C / a) * special.digamma(1 + s / a)
-        return self._c0 / (lam + s) - 2 * g0 * T * lam**2 * ssum
+        psi_x, psi_plus = self._psi
+        ssum = (A / a) * psi_x - (B / a) * psi_plus - (C / a) * special.digamma(1 + s / a)
+        return -0.5j * g0 * lam**2 / (lam + s) - 2 * g0 * T * lam**2 * ssum
 
     def coefficient_full(self, t: float, w):
         """A(t; w); a 1-D array of w gives the array of values."""
@@ -466,7 +484,7 @@ class _ThermalChannel(_LorentzChannel):
         k = self._n_terms(t) + 1
         cz, z = c[:k] * np.exp(-z[:k] * t), z[:k]
         tail = pack([(cz / (z + 1j * wj)).sum() for wj in ws])
-        return self.laplace(1j * w) - np.exp(-1j * w * t) * tail
+        return self._laplace_on_axis(w) - np.exp(-1j * w * t) * tail
 
     def coefficient_integral(self, t: float, w: np.ndarray):
         """Gap-pair table in closed form.  With A(tau; g) = alpha^(ig) -

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import dag, unvec, vec
 from .spectral import _pauli
-from .tcl2 import SystemModel, _hadamard, _superop_eb
+from .tcl2 import SystemModel
 
 __all__ = [
     "kernel_K2",
@@ -34,20 +34,27 @@ __all__ = [
 def _kernel_eb(m: SystemModel, s) -> np.ndarray:
     """K2 in the energy basis, (d^2, d^2).  The columns e_ij of gap class q
     (gap_index[i, j] = q) take the Laplace arguments s' + i u_g over the
-    distinct gaps u_g, with s' = s + i u_q; s may also be given per class."""
+    distinct gaps u_g, with s' = s + i u_q; s may also be given per class.
+
+    Per class, the stack at s' + i u_g through m.generator_tensor gives the
+    terms B_n e_ij L_n - L_n B_n e_ij, and the stack at conj(s') + i u_g gives
+    their partners as the Hermiticity-preserving conjugate
+    conj S[(y,x),(j,i)]; column (i, j) reads its class's pair."""
     d, u, q = m.dim, m.unique_gaps, m.gap_index
     sp = s + 1j * u
     try:
         lap = m.bath.laplace((sp[:, None] + 1j * u).reshape(-1))
-        lap_c = np.conj(m.bath.laplace((np.conj(sp)[:, None] + 1j * u).reshape(-1)))
+        lap_c = m.bath.laplace((np.conj(sp)[:, None] + 1j * u).reshape(-1))
     except ValueError as exc:
         raise ValueError(
             f"kernel evaluation hit a correlation-function pole at s = {s!r}: {exc}"
         ) from exc
-    shape = (u.size, u.size) + lap.shape[1:]
-    b = _hadamard(m, lap.reshape(shape), q)
-    bd = _hadamard(m, lap_c.reshape(shape), q.T)
-    k = _superop_eb(m.couplings_eb, b, bd, q)
+    s1, s2 = ((x.reshape(u.size, -1) @ m.generator_tensor).reshape(-1, d, d, d, d)
+              for x in (lap, lap_c))
+    i, j = np.indices((d, d))
+    # [i, j, x, y]: S1 of class q(i,j) at (x, y, i, j) plus conj S2 at (y, x, j, i)
+    k = s1[q, :, :, i, j] + np.conj(s2[q, :, :, j, i]).swapaxes(-1, -2)
+    k = k.transpose(2, 3, 0, 1).reshape(d * d, d * d)
     k[np.diag_indices(d * d)] -= 1j * m.basis.gaps.reshape(-1)
     return k
 

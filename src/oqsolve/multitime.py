@@ -58,17 +58,24 @@ def _superop_propagator(m: SystemModel, t_from: float, t_to: float, mode: str) -
     if t_to == t_from:
         return np.eye(dim2, dtype=complex)
 
-    def rhs(t, y):
-        return (build_L2(m, max(t, 0.0)) @ y.reshape(dim2, dim2)).reshape(-1)
+    # the solver holds rhs in a reference cycle that only a full collection
+    # frees, so rhs reaches the model through a list emptied once it returns
+    held = [m]
 
-    sol = solve_ivp(
-        rhs,
-        (t_from, t_to),
-        np.eye(dim2, dtype=complex).reshape(-1),
-        method="RK45",
-        rtol=1e-10,
-        atol=1e-12,
-    )
+    def rhs(t, y):
+        return (build_L2(held[0], max(t, 0.0)) @ y.reshape(dim2, dim2)).reshape(-1)
+
+    try:
+        sol = solve_ivp(
+            rhs,
+            (t_from, t_to),
+            np.eye(dim2, dtype=complex).reshape(-1),
+            method="RK45",
+            rtol=1e-10,
+            atol=1e-12,
+        )
+    finally:
+        held.clear()
     if not sol.success:
         raise RuntimeError(f"propagator integration failed: {sol.message}")
     return sol.y[:, -1].reshape(dim2, dim2)

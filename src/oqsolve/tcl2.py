@@ -5,12 +5,16 @@ The generator is L{rho} = -i[H, rho] + sum_n ( L_n rho B_n^dag - rho B_n^dag L_n
 B_n(t) = sum_m (A_nm <> L_m)(t), built in the energy basis by the Hadamard rule
 (A <> L)[i,i'] = A(t; w_ii') L[i,i'].  One bath call returns the coefficient
 stack A(t; g) over the distinct gaps g; `gap_index` spreads it over the
-matrix elements, and every second-order object is a few array contractions
-over it.
+matrix elements.  The generator is linear in that stack, so each build is one
+contraction with the fixed `SystemModel.generator_tensor` (the memory kernel
+K2(s) uses the same tensor per gap class), and the interaction-picture
+objects are one contraction of a gap-pair table with `pair_tensor`.
 
 Also provides: the pseudo-Lindblad split -i[H+V, .] + dissipator(D), the
 rotating-wave (Lindblad) projection, the effective Hamiltonian with the
-damping-kernel split, the adjoint generator, and a direct RK integrator.
+damping-kernel split, the adjoint generator, and propagation: exact
+matrix-exponential steps for the stationary generator, adaptive RK45 for the
+full-time one.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from functools import cached_property
 import numpy as np
 from scipy import integrate
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from . import bath as bath_mod
 from .core import (
@@ -128,13 +133,30 @@ class SystemModel:
         return commutator_superop(self.h)
 
     @cached_property
+    def _gap_couplings(self) -> np.ndarray:
+        """f[a, m, x, i] = L_m[x, i] where gap (x, i) is unique_gaps[a], else 0;
+        (n_gaps, n, d, d), energy basis."""
+        ng = self.unique_gaps.size
+        return (self.gap_index == np.arange(ng)[:, None, None])[:, None] * self.couplings_eb
+
+    @cached_property
+    def generator_tensor(self) -> np.ndarray:
+        """The fixed map from a coefficient stack a (n_gaps, n, n) to the terms
+        B_n e_ij L_n - L_n B_n e_ij of the second-order generator, as
+        (n_gaps n^2, d^4) in the energy basis; see _dissipative_superop_eb."""
+        d, f, l = self.dim, self._gap_couplings, self.couplings_eb
+        # B_n e_ij L_n, entry (x, y): a[g(x,i)]_nm L_m[x,i] L_n[j,y]; axes (g, n, m, x, y, i, j)
+        c = f[:, None, :, :, None, :, None] * l.swapaxes(1, 2)[None, :, None, None, :, None, :]
+        # -L_n B_n e_ij, entry (x, j): -sum_k L_n[x,k] a[g(k,i)]_nm L_m[k,i]
+        c -= (l[None, :, None] @ f[:, None])[..., None, :, None] * np.eye(d)[:, None, :]
+        return c.reshape(-1, d**4)
+
+    @cached_property
     def pair_tensor(self) -> np.ndarray:
         """The fixed map from a gap-pair table X[a, b] (n_gaps, n_gaps, n, n) to
         the interaction-picture superoperator, as (n_gaps^2 n^2, d^4) in the
         input basis; see _pair_superop."""
-        d, ng = self.dim, self.unique_gaps.size
-        # f[a, m, x, i] = L_m[x, i] where gap (x, i) is unique_gaps[a], else 0
-        f = (self.gap_index == np.arange(ng)[:, None, None])[:, None] * self.couplings_eb
+        d, f = self.dim, self._gap_couplings
         # B_n e_ij L_n, entry (x, y): X[g(x,i), g(j,y)]_nm L_m[x,i] L_n[j,y]
         c = np.einsum("amxi,bnjy->abnmxyij", f, f)
         # -L_n B_n e_ij, entry (x, j): -sum_k L_n[x,k] X[g(k,i), g(x,k)]_nm L_m[k,i]
@@ -160,18 +182,16 @@ class SystemModel:
         return c.reshape(-1, d**4)
 
 
-def _hadamard(m: SystemModel, stack: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """B_n[i,j] = sum_m stack[index[i,j]]_nm L_m[i,j] for a coefficient stack
-    (..., n_gaps, n, n); returns (..., n, d, d)."""
-    return np.einsum("...ijnm,mij->...nij", stack[..., index, :, :], m.couplings_eb)
+def _coefficients(m: SystemModel, t) -> np.ndarray:
+    """The coefficient stack (n_gaps, n, n) over the distinct gaps, from one
+    bath call; t=None: stationary."""
+    u = m.unique_gaps
+    return m.bath.coefficient_stationary(u) if t is None else m.bath.coefficient_full(float(t), u)
 
 
 def _second_order_ops_eb(m: SystemModel, t) -> np.ndarray:
-    """B_n = sum_m (A_nm <> L_m) in the energy basis, stacked (n, d, d), from
-    one bath call for the coefficients over the distinct gaps."""
-    u = m.unique_gaps
-    a = m.bath.coefficient_stationary(u) if t is None else m.bath.coefficient_full(float(t), u)
-    return _hadamard(m, a, m.gap_index)
+    """B_n[i,j] = sum_m A(t; w_ij)_nm L_m[i,j] in the energy basis, stacked (n, d, d)."""
+    return np.einsum("ijnm,mij->nij", _coefficients(m, t)[m.gap_index], m.couplings_eb)
 
 
 def second_order_operator(m: SystemModel, t, n: int) -> np.ndarray:
@@ -182,31 +202,14 @@ def second_order_operator(m: SystemModel, t, n: int) -> np.ndarray:
     return m.basis.from_energy_basis(b)
 
 
-def _superop_eb(l: np.ndarray, b: np.ndarray, bd: np.ndarray, cols=None) -> np.ndarray:
-    """The superoperator whose column (i, j) is
-    sum_n L_n e_ij Bd_n + B_n e_ij L_n - L_n B_n e_ij - e_ij Bd_n L_n,
-    e_ij = |i><j|, energy basis.  b and bd are (k, n, d, d) stacks; column
-    (i, j) takes entry cols[i, j] of them (cols=None: k = 1, every column)."""
-    k, d = b.shape[0], l.shape[1]
-    ls = np.repeat(l[None], k, axis=0)
-    eye = np.repeat(np.eye(d)[None, None], k, axis=0)
-    # each term is X[x, i] Z[j, y] for a pair (X, Z) of d x d matrices
-    x = np.concatenate([ls, b, -(l @ b).sum(1, keepdims=True), eye], axis=1)
-    z = np.concatenate([bd, ls, eye, -(bd @ l).sum(1, keepdims=True)], axis=1)
-    r = x.shape[1]
-    s = (x.reshape(k, r, d * d).swapaxes(1, 2) @ z.reshape(k, r, d * d)).reshape(k, d, d, d, d)
-    if cols is None:
-        s = s[0].transpose(0, 3, 1, 2)
-    else:
-        i, j = np.indices((d, d))
-        s = s[cols, :, i, j, :].transpose(2, 3, 0, 1)
-    return s.reshape(d * d, d * d)
-
-
 def _dissipative_superop_eb(m: SystemModel, t) -> np.ndarray:
-    """The second-order part of the generator in the energy basis."""
-    b = _second_order_ops_eb(m, t)[None]
-    return _superop_eb(m.couplings_eb, b, np.conj(b).swapaxes(-1, -2))
+    """The second-order part of the generator in the energy basis: the terms
+    B_n e_ij L_n - L_n B_n e_ij from m.generator_tensor, plus their
+    Hermiticity-preserving partners L_n e_ij Bd_n - e_ij Bd_n L_n,
+    S'[(x,y),(i,j)] = conj S[(y,x),(j,i)]."""
+    d = m.dim
+    s = (_coefficients(m, t).reshape(-1) @ m.generator_tensor).reshape(d, d, d, d)
+    return (s + np.conj(s.transpose(1, 0, 3, 2))).reshape(d * d, d * d)
 
 
 def build_L2(m: SystemModel, t=None) -> np.ndarray:
@@ -437,6 +440,17 @@ class Trajectory:
     metadata: dict = field(default_factory=dict)
 
 
+def _grid_steps(grid: np.ndarray) -> np.ndarray:
+    """np.diff(grid) of a 1-D, finite grid of at least two points that strictly
+    increases or strictly decreases (what solve_ivp accepts); else ValueError."""
+    if grid.ndim == 1 and grid.size >= 2 and np.all(np.isfinite(grid)):
+        steps = np.diff(grid)
+        if np.all(steps > 0) or np.all(steps < 0):
+            return steps
+    raise ValueError("time grid must be 1-D and finite, with at least two points, "
+                     "strictly increasing or strictly decreasing")
+
+
 def propagate(
     m: SystemModel,
     rho0: np.ndarray,
@@ -445,43 +459,63 @@ def propagate(
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> Trajectory:
-    """Integrate the vectorized TCL2 master equation with adaptive RK45."""
+    """Propagate the vectorized TCL2 master equation over grid (see
+    _grid_steps for what it may be).
+
+    Stationary mode: the generator L is constant, so each step is exact,
+    vec rho(t_k+1) = expm(L h) vec rho(t_k) with h = t_k+1 - t_k, one matrix
+    exponential (scaling and squaring, accurate to round-off) per distinct h.
+    rtol and atol are not used.  Full-time mode: adaptive RK45 at rtol and
+    atol, one generator build per stage time.
+    """
     rho0 = require_state(rho0, name="initial state")
     grid = np.asarray(grid, dtype=float)
     if mode not in ("stationary", "full-time", "full"):
         raise ValueError(f"unknown mode {mode!r}")
+    steps = _grid_steps(grid)
+    d = m.dim
 
-    cache = {}
     if mode == "stationary":
         s = build_L2(m, None)
+        step_maps = {}
+        ys = [vec(rho0)]
+        for h in steps.tolist():
+            if h not in step_maps:
+                step_maps[h] = expm(s * h)
+            ys.append(step_maps[h] @ ys[-1])
+        return Trajectory(times=grid, states=np.array(ys).reshape(-1, d, d),
+                          metadata={"integrator": "expm", "mode": mode})
 
-        def rhs(t, y):
-            return s @ y
-    else:
-        def rhs(t, y):
-            key = float(t)
-            if key not in cache:
-                if len(cache) > 4096:
-                    cache.clear()
-                cache[key] = build_L2(m, max(t, 0.0))
-            return cache[key] @ y
+    # the solver holds rhs in a reference cycle that only a full collection
+    # frees, so rhs reaches the model and its generators only through
+    # containers that are emptied once it returns
+    held, cache = [m], {}
 
-    sol = solve_ivp(
-        rhs,
-        (grid[0], grid[-1]),
-        vec(rho0),
-        t_eval=grid,
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-    )
-    # the solver holds rhs in a reference cycle that only a full collection frees
-    cache.clear()
+    def rhs(t, y):
+        key = float(t)
+        if key not in cache:
+            if len(cache) > 4096:
+                cache.clear()
+            cache[key] = build_L2(held[0], max(t, 0.0))
+        return cache[key] @ y
+
+    try:
+        sol = solve_ivp(
+            rhs,
+            (grid[0], grid[-1]),
+            vec(rho0),
+            t_eval=grid,
+            method="RK45",
+            rtol=rtol,
+            atol=atol,
+        )
+    finally:
+        held.clear()
+        cache.clear()
     if not sol.success:
         raise RuntimeError(f"integrator failed: {sol.message}")
-    states = np.array([unvec(y, m.dim) for y in sol.y.T])
     return Trajectory(
         times=grid,
-        states=states,
+        states=sol.y.T.reshape(-1, d, d),
         metadata={"integrator": "RK45", "rtol": rtol, "atol": atol, "mode": mode},
     )

@@ -137,6 +137,21 @@ class TestStackedAssembly:
         assert_close(tcl2.build_L2(m, 0.7), ref_build_L2(m, 0.7))
         assert_close(tcl2.build_L2(m, 1e-6), ref_build_L2(m, 1e-6))
 
+    def test_dissipative_superop_eb(self, name):
+        # one contraction of the cached generator tensor per build
+        m = MODELS[name]()
+        for t in (None, 1e-6, 0.7):
+            assert_close(tcl2._dissipative_superop_eb(m, t), ref_dissipator_eb(m, t))
+
+    def test_generator_tensor_is_pair_tensor_at_zero_phase(self, name):
+        # at tau = 0 the table T[a, b] is A(0; u_a) for every b, so summing the
+        # pair tensor over b and undoing its basis change gives the generator tensor
+        m = MODELS[name]()
+        d, ng, nch = m.dim, m.unique_gaps.size, len(m.couplings)
+        pair = m.pair_tensor.reshape(ng, ng, nch * nch, d * d, d * d).sum(1)
+        want = (m.to_energy @ pair @ m.to_input).reshape(-1, d**4)
+        assert_close(m.generator_tensor, want)
+
     def test_interaction_L2(self, name):
         m = MODELS[name]()
         for tau in (0.05, 0.9, 3.0):

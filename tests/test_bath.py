@@ -52,6 +52,26 @@ class TestThermalLorentz:
         for s, ref in self.LAPLACE_REF.items():
             assert abs(b.laplace(s)[0, 0] - ref) < 1e-12
 
+    @pytest.mark.parametrize("x", [2.9877, 2 * (1 + 1e-7), 4 * (1 - 3e-5), 0.955])
+    def test_laplace_near_matsubara_cutoff_against_mpmath(self, x):
+        # Lam = 2 pi T x: near an integer x the cutoff term c0 and the k = x
+        # Matsubara term both diverge and cancel in the sum; the reference adds
+        # the partial fractions c_k / (nu_k + s) at 30 digits, the terms up to
+        # k = x + 1 one by one and the rest by nsum
+        mpmath.mp.dps = 30
+        g0, temp = 0.1, 0.27
+        b = bath.ThermalLorentz(gamma0=g0, cutoff=2 * np.pi * temp * x, temperature=temp)
+        lam, mg0, mtemp = mpmath.mpf(b.cutoff[0]), mpmath.mpf(g0), mpmath.mpf(temp)
+        a = 2 * mpmath.pi * mtemp
+        c0 = mg0 * lam**2 / 2 * (mpmath.cot(lam / (2 * mtemp)) - 1j)
+        head = int(round(x)) + 1
+        for s in (0.0, 0.3 + 0.2j, 1j, -2.5j, 2.0 - 1.0j):
+            def term(k):
+                return -2 * mg0 * mtemp * lam**2 * a * k / ((lam**2 - (a * k) ** 2) * (a * k + s))
+            total = c0 / (lam + s) + mpmath.fsum(term(k) for k in range(1, head + 1))
+            ref = complex(total + mpmath.nsum(term, [head + 1, mpmath.inf]))
+            assert abs(b.laplace(s)[0, 0] - ref) <= 1e-13 * abs(ref)
+
     def test_stationary_coefficient_against_oracle(self):
         # frozen: infinite Matsubara sum at s = 1e-12 + i
         b = thermal()
@@ -105,6 +125,18 @@ class TestThermalLorentz:
         assert a[0, 1] == 0 and a[1, 0] == 0
         single = bath.ThermalLorentz(gamma0=0.3, cutoff=2.0, temperature=0.25)
         assert a[1, 1] == pytest.approx(single.alpha_time(0.4)[0, 0], rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [thermal, thermal_t0], ids=["T>0", "T=0"])
+def test_coefficient_full_gap_memo_never_stale(make):
+    # each channel keeps alpha^(iw) for the last gap array; a call with other
+    # gaps, or the same bytes in another shape, must not read it
+    w1, w2 = np.array([-1.3, 0.0, 0.4, 2.0]), np.array([-0.5, 0.7, 3.1])
+    b = make()
+    for t, w in ((0.7, w1), (0.7, w2), (2.5, w1), (0.7, w1[3:]), (0.7, 2.0), (9.0, w2)):
+        got, want = b.coefficient_full(t, w), make().coefficient_full(t, w)
+        assert type(got) is type(want) and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class TestMatsubaraTruncation:

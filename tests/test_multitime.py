@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -125,3 +128,17 @@ class TestQrtCorrelation:
                               rtol=1e-11, atol=1e-13)
         want = np.trace(SX @ SY @ traj.states[-1])
         assert val == pytest.approx(complex(want), abs=1e-8)
+
+
+def test_full_time_propagator_releases_model():
+    # the RK45 solver keeps its right-hand side in a reference cycle; with the
+    # collector off, the model must still go when its last name does
+    m = ou_model()
+    ref = weakref.ref(m)
+    gc.disable()
+    try:
+        multitime._superop_propagator(m, 0.0, 0.5, "full-time")
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()

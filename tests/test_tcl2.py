@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -266,3 +269,41 @@ class TestPropagate:
         assert np.allclose(
             tcl2.build_L2(m, 300.0), tcl2.build_L2(m, None), atol=1e-10
         )
+
+    @pytest.mark.parametrize("make", [relaxation_model, lambda: random_model(seed=3, d=4, nch=2)],
+                             ids=["qubit-thermal", "d4-correlated-ou"])
+    def test_stationary_steps_are_exact(self, make):
+        m = make()
+        d = m.dim
+        rho0 = np.full((d, d), 0.1, dtype=complex) + np.diag(np.r_[1.0 - 0.1 * d, np.zeros(d - 1)])
+        grid = np.array([0.3, 0.35, 0.5, 0.9, 1.0, 1.7, 3.2, 3.25, 6.0])
+        traj = tcl2.propagate(m, rho0, grid, mode="stationary")
+        assert traj.metadata == {"integrator": "expm", "mode": "stationary"}
+        s = tcl2.build_L2(m, None)
+        for t, rho in zip(grid, traj.states):
+            want = core.unvec(expm(s * (t - grid[0])) @ core.vec(rho0), d)
+            assert np.max(np.abs(rho - want)) <= 1e-13
+
+    @pytest.mark.parametrize("mode", ["stationary", "full-time"])
+    def test_grid_solve_ivp_rejects_raises(self, mode):
+        m = relaxation_model()
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+        for grid in ([0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [1.0], [], [[0.0, 1.0]], [0.0, np.nan]):
+            with pytest.raises(ValueError, match="grid"):
+                tcl2.propagate(m, rho0, grid, mode=mode)
+        # a decreasing grid integrates backwards, as solve_ivp allows
+        back = tcl2.propagate(m, rho0, [1.0, 0.5, 0.0], mode=mode)
+        assert back.states.shape == (3, 2, 2)
+
+    def test_full_time_releases_model(self):
+        # the RK45 solver keeps its right-hand side in a reference cycle; with
+        # the collector off, the model must still go when its last name does
+        m = relaxation_model()
+        ref = weakref.ref(m)
+        gc.disable()
+        try:
+            tcl2.propagate(m, np.diag([1.0, 0.0]).astype(complex), [0.0, 0.5], mode="full-time")
+            del m
+            assert ref() is None
+        finally:
+            gc.enable()
