@@ -25,7 +25,7 @@ closed forms for ExponentialOU and the T > 0 thermal channel, adaptive
 quadrature of coefficient_full for the others.
 
 Real decomposition alpha = nu + i mu with damping kernel mu~ = i w gamma~;
-diagnostics: KMS symmetry, fluctuation-dissipation inequality, FDR kernel.
+diagnostics: KMS symmetry, fluctuation-dissipation inequality.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, linalg, special
+from scipy import integrate, special
 from scipy.interpolate import CubicSpline
 
 from .core import read_matrix_csv, require_hermitian, write_matrix_csv
@@ -49,7 +49,6 @@ __all__ = [
     "kernels",
     "kms_residual",
     "fdi_check",
-    "fdr_kernel",
     "sampled_positivity",
 ]
 
@@ -806,21 +805,6 @@ def fdi_check(b: BathModel, wgrid) -> float:
         for sign in (+1.0, -1.0):
             best = min(best, float(np.linalg.eigvalsh(nuh - sign * w * gh)[0]))
     return best
-
-
-def fdr_kernel(b: BathModel, w: float) -> np.ndarray:
-    """FDR kernel kappa~ with nu~ = (gamma~ kappa~ + kappa~ gamma~)/2 symmetrized."""
-    trip = kernels(b, [w])
-    nu, gam = trip.nu[0], trip.gamma[0]
-    if b.channels == 1:
-        g = complex(gam[0, 0])
-        if abs(g) < 1e-300:
-            raise ValueError("singular damping kernel: gamma~(w) = 0")
-        return nu / g
-    gh = (gam + np.conj(gam).T) / 2
-    if np.min(np.abs(np.linalg.eigvalsh(gh))) < 1e-12 * np.max(np.abs(gh)):
-        raise ValueError("singular damping kernel matrix")
-    return linalg.solve_continuous_lyapunov(gh, 2 * np.asarray(nu))
 
 
 def sampled_positivity(b: BathModel, tgrid) -> float:

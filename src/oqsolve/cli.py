@@ -106,10 +106,7 @@ def load_model(path):
         couplings = []
         for k, lnode in enumerate(sysnode.get("couplings", [])):
             name = f"system.couplings[{k}]"
-            l = require_hermitian(_parse_complex_matrix(lnode, name), name=name)
-            if l.shape != h.shape:
-                raise ValidationError(f"{name}: shape {l.shape} does not match Hamiltonian")
-            couplings.append(l)
+            couplings.append(require_hermitian(_parse_complex_matrix(lnode, name), name=name))
         bath = _build_bath(doc["bath"], model_dir, len(couplings))
         return tcl2.SystemModel(h=h, couplings=couplings, bath=bath), run
     except ValueError as exc:

@@ -29,10 +29,7 @@ __all__ = [
     "anticommutator_superop",
     "dissipator_superop",
     "unitary_superop",
-    "basis_change_superop",
     "apply_superop",
-    "is_trace_preserving",
-    "is_hermiticity_preserving",
     "trace_preservation_defect",
     "hermiticity_preservation_defect",
     "choi_rearrange",
@@ -137,16 +134,6 @@ def unitary_superop(u: np.ndarray) -> np.ndarray:
     return superop_sandwich(u, dag(u))
 
 
-def basis_change_superop(s: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Express S in the basis whose columns are u: rho' = U^dag rho U.
-
-    Returns S' with S'{rho'} = U^dag S{U rho' U^dag} U.
-    """
-    fwd = superop_sandwich(dag(u), u)     # rho -> U^dag rho U
-    back = superop_sandwich(u, dag(u))    # rho -> U rho U^dag
-    return fwd @ s @ back
-
-
 def apply_superop(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     d = x.shape[0]
     return unvec(s @ vec(x), d)
@@ -164,19 +151,11 @@ def trace_preservation_defect(s: np.ndarray, generator: bool = False) -> float:
     return float(np.max(np.abs(traced - target)))
 
 
-def is_trace_preserving(s: np.ndarray, tol: float = 1e-10, generator: bool = False) -> bool:
-    return trace_preservation_defect(s, generator=generator) <= tol
-
-
 def hermiticity_preservation_defect(s: np.ndarray) -> float:
     """max |S[(i,j),(i',j')] - conj(S[(j,i),(j',i')])|."""
     d = int(round(np.sqrt(s.shape[0])))
     t = s.reshape(d, d, d, d)
     return float(np.max(np.abs(t - np.conj(t.transpose(1, 0, 3, 2)))))
-
-
-def is_hermiticity_preserving(s: np.ndarray, tol: float = 1e-10) -> bool:
-    return hermiticity_preservation_defect(s) <= tol
 
 
 def choi_rearrange(s: np.ndarray) -> np.ndarray:

@@ -25,7 +25,6 @@ __all__ = [
     "resolvent",
     "nonlocal_poles",
     "asymptotic_state",
-    "nonlocal_pauli",
     "talbot_invert",
     "laplace_trajectory",
 ]
@@ -59,22 +58,16 @@ def _kernel_eb(m: SystemModel, s) -> np.ndarray:
     return k
 
 
-def _kernel_column_eb(m: SystemModel, s: complex, i: int, j: int) -> np.ndarray:
-    """K2(s){e_ij} in the energy basis, as a d x d matrix."""
-    return unvec(_kernel_eb(m, s)[:, i * m.dim + j], m.dim)
+def kernel_K2(m: SystemModel, s: complex) -> np.ndarray:
+    """Full second-order memory kernel K2(s) as a superoperator matrix in the
+    input basis."""
+    return m.to_input @ _kernel_eb(m, s) @ m.to_energy
 
 
-def kernel_K2(m: SystemModel, s: complex, basis: str = "input") -> np.ndarray:
-    """Full second-order memory kernel K2(s) as a superoperator matrix."""
-    k = _kernel_eb(m, s)
-    if basis == "energy":
-        return k
-    return m.to_input @ k @ m.to_energy
-
-
-def resolvent(m: SystemModel, s: complex, basis: str = "input") -> np.ndarray:
-    """[s - K2(s)]^{-1}; the Laplace transform of the evolution map."""
-    k = kernel_K2(m, s, basis=basis)
+def resolvent(m: SystemModel, s: complex) -> np.ndarray:
+    """[s - K2(s)]^{-1} in the input basis; the Laplace transform of the
+    evolution map."""
+    k = kernel_K2(m, s)
     return np.linalg.inv(s * np.eye(k.shape[0]) - k)
 
 
@@ -122,13 +115,6 @@ def asymptotic_state(m: SystemModel, rho0: np.ndarray, tol: float = 1e-6) -> np.
         )
     rho = unvec(extr12, m.dim)
     return 0.5 * (rho + dag(rho))
-
-
-def nonlocal_pauli(m: SystemModel, s: complex) -> np.ndarray:
-    """Population-sector kernel V(s)_ij = <i| K2(s){e_jj} |i> (energy basis)."""
-    d = m.dim
-    k = _kernel_eb(m, s).reshape(d, d, d, d)
-    return np.einsum("iijj->ij", k)
 
 
 def talbot_invert(fhat, t: float, nodes: int = 48) -> np.ndarray:

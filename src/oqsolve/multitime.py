@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .core import apply_superop, dag, require_hermitian, vec
+from .core import apply_superop, dag, require_hermitian
 from .tcl2 import SystemModel, build_L2, propagate, second_order_operator
 
 __all__ = [
@@ -86,20 +86,26 @@ def _free_heisenberg(m: SystemModel, x: np.ndarray, t: float) -> np.ndarray:
     return u @ x @ dag(u)
 
 
-def _correction_rate(m: SystemModel, req: TwoTimeRequest, tau: float) -> complex:
+def _observables(m: SystemModel, req: TwoTimeRequest):
+    """(X1(t1), X2(t2)) under free Heisenberg evolution."""
+    return _free_heisenberg(m, req.x1, req.t1), _free_heisenberg(m, req.x2, req.t2)
+
+
+def _correction_rate(m: SystemModel, req: TwoTimeRequest, obs, tau: float) -> complex:
     """-sum_n < [L_n(tau), X1(t1)] [B_n(tau, t2), X2(t2)] >_{rho0}
 
-    with free Heisenberg evolution throughout and B_n the partially-integrated
-    second-order operator.  This is the driving term of the corrected adjoint
-    equation of motion; at tau = t1 it is the single-time product form of the
-    regression correction."""
-    x1h = _free_heisenberg(m, req.x1, req.t1)
-    x2h = _free_heisenberg(m, req.x2, req.t2)
+    with free Heisenberg evolution throughout (obs = _observables(m, req)) and
+    B_n the partially-integrated second-order operator.  This is the driving
+    term of the corrected adjoint equation of motion; at tau = t1 it is the
+    single-time product form of the regression correction."""
+    x1h, x2h = obs
+    u = expm(1j * m.h * tau)
+    ud = dag(u)
     rho0 = np.asarray(req.rho0, dtype=complex)
     total = 0.0 + 0.0j
     for n in range(len(m.couplings)):
-        lnh = _free_heisenberg(m, m.couplings[n], tau)
-        bh = _free_heisenberg(m, two_time_operator(m, n, tau, req.t2), tau)
+        lnh = u @ m.couplings[n] @ ud
+        bh = u @ two_time_operator(m, n, tau, req.t2) @ ud
         c1 = lnh @ x1h - x1h @ lnh
         c2 = bh @ x2h - x2h @ bh
         total += np.trace(c1 @ c2 @ rho0)
@@ -115,7 +121,7 @@ def nm_correction(m: SystemModel, req: TwoTimeRequest) -> complex:
     O(g^2); vanishes once the bath memory has decayed across (t1 - t2)."""
     if not (req.t1 >= req.t2 >= 0):
         raise ValueError("nm_correction requires t1 >= t2 >= 0")
-    return _correction_rate(m, req, req.t1)
+    return _correction_rate(m, req, _observables(m, req), req.t1)
 
 
 def nm_correction_integrated(m: SystemModel, req: TwoTimeRequest, nodes: int = 32) -> complex:
@@ -131,10 +137,11 @@ def nm_correction_integrated(m: SystemModel, req: TwoTimeRequest, nodes: int = 3
         return 0.0 + 0.0j
     x, w = np.polynomial.legendre.leggauss(nodes)
     half = 0.5 * (req.t1 - req.t2)
+    obs = _observables(m, req)
     total = 0.0 + 0.0j
     for xi, wk in zip(x, w):
         tau = req.t2 + half * (xi + 1.0)
-        total += half * wk * _correction_rate(m, req, tau)
+        total += half * wk * _correction_rate(m, req, obs, tau)
     return complex(total)
 
 

@@ -10,7 +10,7 @@ perturbative machinery runs against precisely the same microscopic physics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np

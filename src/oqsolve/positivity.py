@@ -15,9 +15,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .core import (
-    choi_rearrange,
     herm_part,
-    min_choi_eigenvalue,
     read_matrix_csv,
     require_hermitian,
     unitary_superop,
@@ -34,7 +32,6 @@ __all__ = [
     "delta_double_time",
     "weak_cp_test",
     "interaction_dissipator_samples",
-    "intermediate_map_check",
     "load_superop_samples",
     "save_superop_samples",
 ]
@@ -139,20 +136,6 @@ def interaction_dissipator_samples(m: SystemModel, tgrid):
     tgrid = np.asarray(tgrid, dtype=float)
     a = np.array([m.bath.coefficient_full(float(tau), m.unique_gaps) for tau in tgrid])
     return _pair_dissipator(m, _phase_table(m, a, tgrid))
-
-
-def intermediate_map_check(m: SystemModel, t1: float, t2: float) -> float:
-    """Min Choi eigenvalue of G(t2) G(t1)^{-1}; negative values are legitimate
-    non-Markovian physics and are reported, not failed."""
-    if not (t2 > t1 >= 0):
-        raise ValueError("requires t2 > t1 >= 0")
-    g2 = magnus_propagator(m, t2)
-    g1 = magnus_propagator(m, t1) if t1 > 0 else np.eye(g2.shape[0])
-    cond = np.linalg.cond(g1)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise ValueError(f"singular early-time propagator (cond = {cond:.2e})")
-    inter = g2 @ np.linalg.inv(g1)
-    return min_choi_eigenvalue(choi_rearrange(inter))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Unperturbed right eigen-operators are the energy-basis units e_ij with
 eigenvalues -i w_ij; the second-order part shifts the eigenvalue by its
 diagonal matrix element and tilts the eigen-operators by the standard
 non-degenerate corrections.  Resonant pairs (equal gaps within tolerance)
-are grouped and diagonalized numerically inside the block; the zero-gap
-(population) group carries the Pauli characteristic matrix W.
+are grouped and only listed; the zero-gap (population) group carries the
+Pauli characteristic matrix W.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import dag, superop_sandwich, unvec, vec
+from .core import unvec, vec
 from .tcl2 import SystemModel, _dissipative_superop_eb
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "SpectrumResult",
     "perturbative_spectrum",
     "pauli_system",
-    "spectral_propagator",
     "detailed_balance_residual",
     "damping_basis_orthogonality",
 ]
@@ -43,16 +42,15 @@ class PauliSystem:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Perturbed eigen-system of the stationary Liouvillian (energy basis)."""
+    """First-order spectrum of the stationary Liouvillian (energy basis)."""
 
     pairs: list                      # non-degenerate ordered pairs (i, j), i != j
     f: dict                          # (i,j) -> eigenvalue -i w_ij + delta f_ij
     dsigma: dict                     # (i,j) -> right correction operator
     dsigma_star: dict                # (i,j) -> left (dual) correction operator
     pauli: PauliSystem
-    degenerate_groups: list          # groups of pairs handled as blocks
-    groups: list = field(repr=False)  # [(members, eigvals, right, left)] complete
-    basis: object = field(repr=False, default=None)
+    degenerate_groups: list          # resonant groups of pairs, listed only
+    basis: object = field(repr=False)
 
 
 def _pair_groups(m: SystemModel):
@@ -109,53 +107,35 @@ def _pauli(m: SystemModel) -> PauliSystem:
 
 
 def perturbative_spectrum(m: SystemModel) -> SpectrumResult:
+    """First-order canonical perturbation theory per non-degenerate pair k =
+    (i, j): eigenvalue f_k = -i w_k + S[k, k] and corrections
+    S[out, k] / (l_k - l_out) (right) and S[k, out] / (l_k - l_out) (left),
+    with l = -i w the unperturbed eigenvalues and S the dissipative part.
+    Resonant groups are listed; the population group is the Pauli system."""
     d = m.dim
     s2 = _dissipative_superop_eb(m, None)
     groups, gaps = _pair_groups(m)
     lam0 = (-1j * gaps).reshape(-1)  # zeroth-order eigenvalue per flat pair
 
-    group_data = []
-    for members in groups:
-        idx = [i * d + j for (i, j) in members]
-        gap0 = float(np.mean([gaps[i, j] for (i, j) in members]))
-        block = -1j * np.diag(np.array([gaps[i, j] for (i, j) in members])) \
-            + s2[np.ix_(idx, idx)]
-        evals, rvecs = np.linalg.eig(block)
-        lvecs = np.linalg.inv(rvecs)  # rows: duals with unconjugated pairing
-        # embed into the full space with first-order out-of-group corrections
-        rights = np.zeros((d * d, len(members)), dtype=complex)
-        lefts = np.zeros((len(members), d * d), dtype=complex)
-        out = [k for k in range(d * d) if k not in idx]
-        denom = (-1j * gap0) - lam0[out]
-        for a in range(len(members)):
-            r = np.zeros(d * d, dtype=complex)
-            r[idx] = rvecs[:, a]
-            r[out] = (s2[np.ix_(out, idx)] @ rvecs[:, a]) / denom
-            rights[:, a] = r
-            l = np.zeros(d * d, dtype=complex)
-            l[idx] = lvecs[a, :]
-            l[out] = (lvecs[a, :] @ s2[np.ix_(idx, out)]) / denom
-            lefts[a, :] = l
-        group_data.append((members, evals, rights, lefts))
-
     pairs, f, dsig, dsig_star = [], {}, {}, {}
     degenerate = []
-    zero_group = None
-    for members, evals, rights, lefts in group_data:
+    for members in groups:
         if any(i == j for (i, j) in members):
-            zero_group = members
             continue
         if len(members) > 1:
             degenerate.append(members)
             continue
         (i, j) = members[0]
+        k = i * d + j
+        out = np.arange(d * d) != k
+        denom = lam0[k] - lam0[out]
         pairs.append((i, j))
-        f[(i, j)] = complex(evals[0])
-        r = rights[:, 0].copy()
-        r[i * d + j] -= 1.0
+        f[(i, j)] = complex(lam0[k] + s2[k, k])
+        r = np.zeros(d * d, dtype=complex)
+        r[out] = s2[out, k] / denom
         dsig[(i, j)] = unvec(r, d)
-        l = lefts[0, :].copy()
-        l[i * d + j] -= 1.0
+        l = np.zeros(d * d, dtype=complex)
+        l[out] = s2[k, out] / denom
         dsig_star[(i, j)] = unvec(l, d)
 
     return SpectrumResult(
@@ -165,23 +145,8 @@ def perturbative_spectrum(m: SystemModel) -> SpectrumResult:
         dsigma_star=dsig_star,
         pauli=_pauli(m),
         degenerate_groups=degenerate,
-        groups=group_data,
         basis=m.basis,
     )
-
-
-def spectral_propagator(spec: SpectrumResult, t: float) -> np.ndarray:
-    """e^{tL} = sum e^{f t} |sigma><sigma*| over the complete eigen-system,
-    rotated to the input basis."""
-    if spec.groups is None or spec.basis is None:
-        raise ValueError("incomplete eigen-system: spectrum lacks group data")
-    d = spec.basis.dim
-    g = np.zeros((d * d, d * d), dtype=complex)
-    for members, evals, rights, lefts in spec.groups:
-        for a in range(len(members)):
-            g += np.exp(evals[a] * t) * np.outer(rights[:, a], lefts[a, :])
-    u = spec.basis.vectors
-    return superop_sandwich(u, dag(u)) @ g @ superop_sandwich(dag(u), u)
 
 
 def detailed_balance_residual(m: SystemModel) -> float:

@@ -11,8 +11,7 @@ K2(s) uses the same tensor per gap class), and the interaction-picture
 objects are one contraction of a gap-pair table with `pair_tensor`.
 
 Also provides: the pseudo-Lindblad split -i[H+V, .] + dissipator(D), the
-rotating-wave (Lindblad) projection, the effective Hamiltonian with the
-damping-kernel split, the adjoint generator, and propagation: exact
+rotating-wave (Lindblad) projection, and propagation: exact
 matrix-exponential steps for the stationary generator, adaptive RK45 for the
 full-time one.
 """
@@ -23,7 +22,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -57,8 +55,6 @@ __all__ = [
     "canonical_coefficient_matrix",
     "rwa_projection",
     "rwa_dissipator",
-    "effective_hamiltonian",
-    "adjoint_L2",
     "propagate",
 ]
 
@@ -80,6 +76,10 @@ class SystemModel:
         self.h = require_hermitian(self.h, name="Hamiltonian")
         self.couplings = [require_hermitian(l, name=f"coupling {n}")
                           for n, l in enumerate(self.couplings)]
+        for n, l in enumerate(self.couplings):
+            if l.shape != self.h.shape:
+                raise ValueError(f"coupling {n} has shape {l.shape}, "
+                                 f"but the Hamiltonian has shape {self.h.shape}")
         if self.bath.channels != len(self.couplings):
             raise ValueError(
                 f"bath has {self.bath.channels} channels but the model has "
@@ -362,76 +362,8 @@ def rwa_dissipator(m: SystemModel) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# effective Hamiltonian and the damping split
+# propagation
 # ---------------------------------------------------------------------------
-
-def _gamma_time(b: bath_mod.BathModel, t: float) -> np.ndarray:
-    """Damping kernel gamma(t) in the time domain, per variant."""
-    if isinstance(b, bath_mod.WhiteNoise):
-        return np.zeros((b.channels, b.channels), dtype=complex)
-    if isinstance(b, bath_mod.ExponentialOU):
-        return -np.imag(b.c) * np.exp(-b.lam * abs(t)) / b.lam + 0j
-    if isinstance(b, bath_mod.ThermalLorentz):
-        out = np.zeros((b.channels, b.channels), dtype=complex)
-        np.fill_diagonal(out, b.gamma0 * b.cutoff / 2 * np.exp(-b.cutoff * abs(t)))
-        return out
-    if isinstance(b, bath_mod.Tabulated):
-        # gamma(t) = -int_t^inf mu(tau) dtau from the sampled imaginary part
-        tf, af = b._fine_grid()
-        mu = af.imag
-        idx = np.searchsorted(tf, abs(t))
-        out = -integrate.simpson(mu[idx:], x=tf[idx:], axis=0)
-        return out.astype(complex)
-    raise ValueError(
-        "damping kernel gamma(0) unavailable: model lacks a frequency cutoff"
-    )
-
-
-def effective_hamiltonian(m: SystemModel, t: float = 0.0):
-    """H_eff = H - sum_nm L_n gamma_nm(0) L_m, plus the damping split.
-
-    The dissipation-kernel coefficient int_0^t mu(tau) e^{-iw tau} dtau is
-    returned split (per distinct gap w) into damping, renormalizable, and slip
-    parts from integration by parts against gamma = the antiderivative of mu.
-    """
-    g0 = _gamma_time(m.bath, 0.0)
-    h_eff = m.h.astype(complex).copy()
-    for n, ln in enumerate(m.couplings):
-        for mm, lm in enumerate(m.couplings):
-            h_eff -= g0[n, mm] * (ln @ lm)
-    split = {}
-    for g in m.unique_gaps:
-        w = float(g)
-        gt = _gamma_time(m.bath, t)
-
-        def integrand(tau, i, j, part):
-            val = _gamma_time(m.bath, tau)[i, j] * np.exp(-1j * w * tau)
-            return val.real if part == "re" else val.imag
-
-        n = m.bath.channels
-        big_gamma = np.zeros((n, n), dtype=complex)
-        if t > 0:
-            for i in range(n):
-                for j in range(n):
-                    re, _ = integrate.quad(integrand, 0, t, args=(i, j, "re"), limit=200)
-                    im, _ = integrate.quad(integrand, 0, t, args=(i, j, "im"), limit=200)
-                    big_gamma[i, j] = re + 1j * im
-        split[w] = {
-            "damping": 1j * w * big_gamma,
-            "renormalizable": -g0,
-            "slip": gt * np.exp(-1j * w * t),
-        }
-    return herm_part(h_eff), split
-
-
-# ---------------------------------------------------------------------------
-# adjoint and propagation
-# ---------------------------------------------------------------------------
-
-def adjoint_L2(m: SystemModel, t=None) -> np.ndarray:
-    """Super-adjoint generator: Tr[X L{rho}] = Tr[L^adj{X} rho]."""
-    return dag(build_L2(m, t))
-
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -513,23 +513,6 @@ class TestKernels:
         for b in (thermal(), thermal_t0(), bath.ExponentialOU(c=[[0.3]], lam=1.2)):
             assert bath.fdi_check(b, np.linspace(-6, 6, 25)) > -1e-12
 
-    def test_fdr_kernel_univariate(self):
-        b = thermal()
-        w = 0.9
-        kappa = bath.fdr_kernel(b, w)[0, 0]
-        assert kappa.real == pytest.approx(w / np.tanh(w / 0.5), rel=1e-9)
-
-    def test_fdr_kernel_multivariate_lyapunov(self):
-        b = bath.ThermalLorentz(
-            gamma0=[0.1, 0.2], cutoff=[5.0, 3.0], temperature=[0.5, 0.5],
-            n_channels=2,
-        )
-        w = 1.1
-        kappa = bath.fdr_kernel(b, w)
-        trip = bath.kernels(b, [w])
-        nu, gam = trip.nu[0], (trip.gamma[0] + np.conj(trip.gamma[0]).T) / 2
-        assert np.allclose(gam @ kappa + kappa @ gam, 2 * nu, atol=1e-10)
-
     def test_sampled_positivity(self):
         b = bath.ExponentialOU(c=[[0.3]], lam=1.2)
         tgrid = np.linspace(0.0, 6.0, 25)

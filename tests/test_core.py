@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from oqsolve import core
+from oqsolve import bath, core, tcl2
 
 
 def _rand_op(rng, d):
@@ -72,8 +72,8 @@ class TestSandwich:
         rng = np.random.default_rng(6)
         u = expm(1j * _rand_herm(rng, 3))
         s = core.unitary_superop(u)
-        assert core.is_trace_preserving(s)
-        assert core.is_hermiticity_preserving(s)
+        assert core.trace_preservation_defect(s) < 1e-10
+        assert core.hermiticity_preservation_defect(s) < 1e-10
 
 
 class TestDissipator:
@@ -145,12 +145,19 @@ class TestPreservationChecks:
 class TestBasisChange:
     def test_round_trip_and_action(self):
         rng = np.random.default_rng(29)
+        m = tcl2.SystemModel(h=_rand_herm(rng, 3), couplings=[_rand_herm(rng, 3)],
+                             bath=bath.WhiteNoise(c=[0.1]))
+        u = m.basis.vectors
+        assert np.allclose(m.to_input @ m.to_energy, np.eye(9), atol=1e-12)
+        assert np.allclose(m.to_energy @ m.to_input, np.eye(9), atol=1e-12)
         s = _rand_op(rng, 9)
-        u = expm(1j * _rand_herm(rng, 3))
-        sp = core.basis_change_superop(s, u)
         rho = _rand_state(rng, 3)
+        assert np.allclose(core.apply_superop(m.to_energy, rho), core.dag(u) @ rho @ u,
+                           atol=1e-12)
+        # S carried to the energy basis acts as rho -> U^dag S{U rho U^dag} U
         direct = core.dag(u) @ core.apply_superop(s, u @ rho @ core.dag(u)) @ u
-        assert np.allclose(core.apply_superop(sp, rho), direct, atol=1e-12)
+        assert np.allclose(core.apply_superop(m.to_energy @ s @ m.to_input, rho), direct,
+                           atol=1e-12)
 
 
 class TestSpectralBasis:

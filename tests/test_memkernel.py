@@ -47,14 +47,15 @@ class TestKernelStructure:
         for i in range(d):
             for j in range(d):
                 s = -1j * m.basis.gaps[i, j]
-                col = memkernel._kernel_column_eb(m, s, i, j)
-                assert np.max(np.abs(core.vec(col) - k_loc_eb[:, i * d + j])) < 1e-12
+                col = memkernel._kernel_eb(m, s)[:, i * d + j]
+                assert np.max(np.abs(col - k_loc_eb[:, i * d + j])) < 1e-12
 
     def test_basis_argument_consistency(self):
         m = three_level_model()
         s = 0.7 + 0.4j
-        k_eb = memkernel.kernel_K2(m, s, basis="energy")
-        k_in = memkernel.kernel_K2(m, s, basis="input")
+        k_eb = memkernel._kernel_eb(m, s)
+        k_in = memkernel.kernel_K2(m, s)
+        assert np.array_equal(k_in, m.to_input @ k_eb @ m.to_energy)
         u = m.basis.vectors
         sand = core.superop_sandwich(u, core.dag(u))
         assert np.allclose(k_in, sand @ k_eb @ np.conj(sand).T, atol=1e-12)
@@ -78,7 +79,9 @@ class TestPolesAndSpectrum:
     def test_nonlocal_pauli_matches_w_at_zero_frequency_gap(self):
         m = three_level_model()
         ps = spectral.pauli_system(m)
-        v = memkernel.nonlocal_pauli(m, 1e-9)
+        # population block V(s)_ij = <i| K2(s){e_jj} |i> in the energy basis
+        d = m.dim
+        v = np.einsum("iijj->ij", memkernel._kernel_eb(m, 1e-9).reshape(d, d, d, d))
         assert np.max(np.abs(v.real - ps.W)) < 1e-6
 
 

@@ -3,7 +3,6 @@ import functools
 import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from oqsolve import bath, core, positivity, tcl2
 
@@ -226,25 +225,6 @@ class TestWeakCP:
         samples = positivity.interaction_dissipator_samples(m, grid)
         inst_min = min(float(np.linalg.eigvalsh(s)[0]) for s in samples)
         assert inst_min < -1e-6
-
-
-class TestIntermediateMap:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            positivity.intermediate_map_check(qubit_model(), 2.0, 1.0)
-
-    def test_from_zero_equals_full_map(self):
-        m = qubit_model()
-        val = positivity.intermediate_map_check(m, 0.0, 2.0)
-        g = positivity.magnus_propagator(m, 2.0)
-        assert val == pytest.approx(
-            core.min_choi_eigenvalue(core.choi_rearrange(g)), abs=1e-12
-        )
-
-    def test_reports_finite_value_between_times(self):
-        val = positivity.intermediate_map_check(qubit_model(), 1.0, 2.0)
-        assert np.isfinite(val)
-        assert val > -0.1  # weak coupling: at most a small transient violation
 
 
 class TestSuperopCSV:

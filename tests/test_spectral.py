@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from oqsolve import bath, core, spectral, tcl2
 
@@ -115,25 +114,47 @@ class TestPerturbativeSpectrum:
         assert sorted(spec.pairs) == [(0, 1), (1, 0)]
 
 
+def _eigenvalue_error(m, spec):
+    """Max over the reported pairs of the distance from f to the nearest
+    eigenvalue of the exact stationary Liouvillian."""
+    exact = np.linalg.eigvals(tcl2.build_L2(m, None))
+    return max(np.min(np.abs(exact - f)) for f in spec.f.values())
+
+
 class TestSpectralPropagator:
-    def test_trace_preserving_and_matches_exponential(self):
+    """The eigenvalues f that set the propagator e^{tL} against the exact
+    stationary Liouvillian: first order in the dissipative part, so the
+    error is O(g^4)."""
+
+    def test_qubit_eigenvalues_match_exact(self):
         m = qubit_model()
         spec = spectral.perturbative_spectrum(m)
-        s = tcl2.build_L2(m, None)
-        for t in (0.5, 3.0, 12.0):
-            g = spectral.spectral_propagator(spec, t)
-            assert core.trace_preservation_defect(g) < 1e-8
-            # agreement is limited by the neglected higher-order mixing
-            assert np.max(np.abs(g - expm(s * t))) < 0.05
+        # limited by the neglected mixing of the (0, 1) and (1, 0) coherences
+        assert _eigenvalue_error(m, spec) < 0.02
 
     def test_error_shrinks_with_coupling(self):
         def err(scale):
             m = three_level_model(scale=scale)
-            spec = spectral.perturbative_spectrum(m)
-            s = tcl2.build_L2(m, None)
-            return np.max(np.abs(spectral.spectral_propagator(spec, 2.0) - expm(2.0 * s)))
+            return _eigenvalue_error(m, spectral.perturbative_spectrum(m))
 
         assert err(0.5) / err(0.25) > 8.0
+
+
+class TestResonantGroups:
+    def test_equally_spaced_levels(self):
+        # H = diag(0, 1, 2): the coherences (0,1) and (1,2) share the gap -1,
+        # and (1,0), (2,1) the gap +1
+        m = three_level_model(scale=0.25)
+        m = tcl2.SystemModel(h=np.diag([0.0, 1.0, 2.0]), couplings=m.couplings, bath=m.bath)
+        spec = spectral.perturbative_spectrum(m)
+        assert spec.degenerate_groups == [[(0, 1), (1, 2)], [(1, 0), (2, 1)]]
+        assert sorted(spec.pairs) == [(0, 2), (2, 0)]
+        assert sorted(spec.f) == sorted(spec.dsigma) == sorted(spec.pairs)
+        exact = np.linalg.eigvals(tcl2.build_L2(m, None))
+        for (i, j) in spec.pairs:
+            shift = abs(spec.f[(i, j)] + 1j * m.basis.gaps[i, j])
+            # the first-order shift accounts for all but O(g^2) of the exact one
+            assert np.min(np.abs(exact - spec.f[(i, j)])) < 0.1 * shift
 
 
 class TestDetailedBalance:
