@@ -8,11 +8,12 @@ A bath model supplies the multivariate correlation function alpha_{nm}(t)
 * the stationary master-equation coefficients  A(w) = alpha^(iw + 0+),
 * the finite-time coefficients  A(t; w) = int_0^t alpha(tau) e^{-iw tau} dtau.
 
-Variants: WhiteNoise (delta correlation), ExponentialOU (c e^{-lam|t|}),
-ThermalLorentz (thermal state with Lorentzian damping kernel
-gamma~(w) = gamma0 / (1 + (w/Lam)^2), evaluated by Matsubara summation with
-digamma closed forms at T > 0 and by log/E1/Ei closed forms at T = 0), and
-Tabulated (sampled data on a uniform grid).
+Variants: WhiteNoise (delta correlation), ExponentialOU (a sum
+sum_k c_k e^{-lam_k |t|}), ThermalLorentz (thermal state with Lorentzian damping
+kernel gamma~(w) = gamma0 / (1 + (w/Lam)^2): a Matsubara exponential sum with
+digamma closed forms at T > 0, log/E1/Ei closed forms at T = 0), and Tabulated
+(user samples on a uniform grid).  The exponential sums share one set of
+closed forms over a table of weights and rates.
 
 The evaluators laplace(s), coefficient_stationary(w) and coefficient_full(t, w)
 take a scalar and return an (n, n) matrix, or take a 1-D array of k points and
@@ -21,8 +22,8 @@ array case is told apart by the exact type numpy.ndarray, the cheapest test
 on the scalar path.  coefficient_integral(t, w) takes the 1-D array of gaps and
 returns the gap-pair table int_0^t A(tau; w_a) e^{i(w_a + w_b) tau} dtau,
 (k, k, n, n), with an error bound and the number of integrand evaluations:
-closed forms for ExponentialOU and the T > 0 thermal channel, adaptive
-quadrature of coefficient_full for the others.
+closed forms for damped exponential sums, adaptive quadrature of
+coefficient_full for the others.
 
 Real decomposition alpha = nu + i mu with damping kernel mu~ = i w gamma~;
 diagnostics: KMS symmetry, fluctuation-dissipation inequality.
@@ -31,6 +32,7 @@ diagnostics: KMS symmetry, fluctuation-dissipation inequality.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +55,7 @@ __all__ = [
 ]
 
 _MATSUBARA_TERMS = 120_000
+_LOG_1_EPS = math.log(1 / np.finfo(float).eps)
 # adaptive quadrature of the gap-pair table: absolute and relative targets in
 # the max norm over its entries
 _TABLE_EPSABS = 1e-13
@@ -60,9 +63,58 @@ _TABLE_EPSREL = 1e-11
 
 
 def _exp_integral(z, t: float):
-    """E(z) = int_0^t e^{z tau} dtau = (e^{zt} - 1)/z, with E(0) = t."""
+    """E(z, t) = int_0^t e^{z tau} dtau = (e^{zt} - 1)/z, with E(0, t) = t."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(z == 0, t, np.expm1(z * t) / z)
+
+
+def _finite(x, name: str, dtype=float) -> np.ndarray:
+    """x as an array of dtype; ValueError when it is not numeric or not finite."""
+    try:
+        arr = np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be numeric, got {x!r}") from None
+    if np.isfinite(arr).all():
+        return arr
+    raise ValueError(f"{name} must be finite, got {x!r}")
+
+
+# exponential sums alpha(t) = sum_k c_k e^{-z_k t}, t >= 0, over a term table:
+# rates z (K,) and weights c, (K,) for one channel or (K, m) for the m = n * n
+# entries of an (n, n) matrix (the caller reshapes results' trailing axis)
+
+def _weigh(f, c):
+    """sum_k f[..., k] c_k; scalar weights are summed pairwise, since a
+    Matsubara table runs to 120 000 terms."""
+    return (f * c).sum(-1) if c.ndim == 1 else f @ c
+
+
+def _exp_sum_alpha(c, z, t: float):
+    """alpha(t) = sum_k c_k e^{-z_k t}."""
+    return _weigh(np.exp(-z * t), c)
+
+
+def _exp_sum_laplace(c, z, s):
+    """alpha^(s) = sum_k c_k / (z_k + s) at a scalar s or a 1-D array of s."""
+    return _weigh(1 / (z + (s[:, None] if type(s) is np.ndarray else s)), c)
+
+
+def _exp_sum_coefficient(c, z, t: float, w, undamped: bool = False):
+    """A(t; w) = sum_k c_k E(-(z_k + iw), t) at a scalar w or a 1-D array of w;
+    only undamped terms can meet z_k + iw = 0, so only they take the guard."""
+    x = -1j * (w[:, None] if type(w) is np.ndarray else w) - z
+    return _weigh(_exp_integral(x, t) if undamped else np.expm1(x * t) / x, c)
+
+
+def _exp_sum_table(c, z, t: float, w: np.ndarray, laplace_iw: np.ndarray):
+    """Gap-pair table I[a, b] = int_0^t A(tau; w_a) e^{i(w_a + w_b) tau} dtau of damped terms
+    given alpha^(i w_a): c_k E(-p_k, tau), p_k = z_k + i w_a, integrates to (c_k/p_k)[E(i nu, t)
+    - E(i w_b - z_k, t)], nu = w_a + w_b; the head is a BLAS product (rounds less than a sum)."""
+    iw = 1j * w[:, None]
+    head = (np.atleast_2d(c.T)[:, None, :] / (z + iw)) @ (np.expm1((iw - z) * t) / (iw - z)).T
+    e_nu = _exp_integral(iw + iw.T, t)
+    return (laplace_iw.T[..., None] * e_nu - head).transpose(1, 2, 0).reshape(
+        e_nu.shape + c.shape[1:])
 
 
 def _integrate_table(coefficient_full, t: float, w: np.ndarray):
@@ -93,24 +145,12 @@ def _stacked(method):
 
 
 class BathModel:
-    """Common interface; concrete variants implement the per-pair evaluators."""
+    """Common interface: every variant implements alpha_time(t),
+    alpha_spectrum(w), laplace(s) and coefficient_full(t, w); the rest is
+    generic."""
 
     channels: int
 
-    # -- required per variant -------------------------------------------------
-    def alpha_time(self, t: float) -> np.ndarray:
-        raise NotImplementedError
-
-    def alpha_spectrum(self, w: float) -> np.ndarray:
-        raise NotImplementedError
-
-    def laplace(self, s: complex) -> np.ndarray:
-        raise NotImplementedError
-
-    def coefficient_full(self, t: float, w: float) -> np.ndarray:
-        raise NotImplementedError
-
-    # -- generic --------------------------------------------------------------
     def coefficient_stationary(self, w: float) -> np.ndarray:
         return self.laplace(1j * w)
 
@@ -147,7 +187,7 @@ class WhiteNoise(BathModel):
     c: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_2d(np.asarray(self.c, dtype=float))
+        c = np.atleast_2d(_finite(self.c, "white-noise correlation matrix"))
         require_hermitian(c, name="white-noise correlation matrix")
         object.__setattr__(self, "c", c)
 
@@ -177,56 +217,77 @@ class WhiteNoise(BathModel):
 
 
 # ---------------------------------------------------------------------------
-# exponential (Ornstein-Uhlenbeck) correlation
+# exponential-sum (Ornstein-Uhlenbeck) correlation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ExponentialOU(BathModel):
-    """alpha(t) = c e^{-lam |t|} for t >= 0 with c Hermitian positive."""
+    """alpha(t) = sum_k c_k e^{-lam_k t} for t >= 0, alpha(-t) = alpha(t)^dag.
+
+    One (n, n) Hermitian c with a scalar rate lam is the Ornstein-Uhlenbeck
+    correlation c e^{-lam |t|}; a (K, n, n) stack of Hermitian weights takes K
+    finite rates with Re lam_k >= 0.  Undamped terms (Re lam_k = 0) have no t -> inf
+    limit: laplace, coefficient_stationary and alpha_spectrum raise for them.
+    """
 
     c: np.ndarray
-    lam: float
+    lam: np.ndarray
 
     def __post_init__(self):
-        c = require_hermitian(np.atleast_2d(self.c), name="OU correlation matrix")
-        if self.lam <= 0:
-            raise ValueError("OU decay rate must be positive")
-        object.__setattr__(self, "c", c)
+        name = "exponential-sum weights c"
+        c = require_hermitian(np.atleast_2d(_finite(self.c, name, complex)), name=name)
+        z = _finite(self.lam, "exponential-sum rates lam", complex)
+        z = z if z.imag.any() else z.real
+        if c.ndim > 3 or z.shape != c.shape[:-2] or np.any(z.real < 0):
+            raise ValueError(f"exponential-sum rates lam: one rate with Re lam >= 0 per "
+                             f"weight matrix, got {self.lam!r} for weights of shape {c.shape}")
+        for attr, value in (("c", c), ("lam", z[()]), ("_c", c.reshape(-1, c.shape[-1] ** 2)),
+                            ("_z", np.atleast_1d(z)), ("_undamped", bool(np.any(z.real == 0)))):
+            object.__setattr__(self, attr, value)
 
     @property
     def channels(self) -> int:
-        return self.c.shape[0]
+        return self.c.shape[-1]
 
     def _freq_scale(self) -> float:
-        return self.lam
+        return float(np.max(np.abs(self._z)))
+
+    def _matrices(self, flat):
+        return flat.reshape(flat.shape[:-1] + self.c.shape[-2:])
+
+    def _require_damped(self):
+        if self._undamped:
+            raise ValueError("undamped terms (Re lam = 0): the correlation has no t -> inf limit")
 
     def alpha_time(self, t: float) -> np.ndarray:
         if t >= 0:
-            return self.c * np.exp(-self.lam * t)
+            return self._matrices(_exp_sum_alpha(self._c, self._z, t))
         return np.conj(self.alpha_time(-t)).T
 
     def alpha_spectrum(self, w: float) -> np.ndarray:
-        return self.c * 2 * self.lam / (self.lam**2 + w**2)
+        """sum_k 2 Re(lam_k) c_k / |lam_k + iw|^2."""
+        self._require_damped()
+        zr = self._z.real
+        return self._matrices(_weigh(2 * zr / (zr**2 + (self._z.imag + w) ** 2), self._c))
 
     def laplace(self, s: complex) -> np.ndarray:
-        stacked = type(s) is np.ndarray
-        p = self.lam + (s[:, None, None] if stacked else s)
-        if np.any(np.abs(p) < 1e-12 * self.lam) if stacked else abs(p) < 1e-12 * self.lam:
-            raise ValueError(f"Laplace transform pole at s = {-self.lam}")
-        return self.c / p
+        self._require_damped()
+        p = self._z + (s[:, None] if type(s) is np.ndarray else s)
+        near = np.abs(p / self._z)
+        if near.min() < 1e-12:
+            pole = -self._z[near.argmin() % self._z.size]
+            raise ValueError(f"Laplace transform pole at s = {pole}")
+        return self._matrices(_weigh(1 / p, self._c))
 
     def coefficient_full(self, t: float, w: float) -> np.ndarray:
-        p = self.lam + 1j * (w[:, None, None] if type(w) is np.ndarray else w)
-        return self.c * (1.0 - np.exp(-p * t)) / p
+        return self._matrices(_exp_sum_coefficient(self._c, self._z, t, w, self._undamped))
 
     def coefficient_integral(self, t: float, w: np.ndarray):
-        """(c/p)[E(i nu) - E(i nu - p)], p = lam + i w_a, nu = w_a + w_b."""
-        if t < 0:
-            raise ValueError("coefficient_integral requires t >= 0")
-        p = (self.lam + 1j * w)[:, None]
-        i_nu = 1j * (w[:, None] + w[None, :])
-        f = (_exp_integral(i_nu, t) - _exp_integral(i_nu - p, t)) / p
-        return f[..., None, None] * self.c, 0.0, 0
+        """The gap-pair table in closed form, or by quadrature with undamped terms."""
+        if t < 0 or self._undamped:
+            return super().coefficient_integral(t, w)
+        table = _exp_sum_table(self._c, self._z, t, w, _exp_sum_laplace(self._c, self._z, 1j * w))
+        return self._matrices(table), 0.0, 0
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +295,7 @@ class ExponentialOU(BathModel):
 # ---------------------------------------------------------------------------
 
 def _as_channel_array(x, n: int, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.atleast_1d(_finite(x, name))
     if arr.size == 1:
         arr = np.full(n, arr[0])
     if arr.size != n:
@@ -356,23 +417,30 @@ class _ThermalChannelT0(_LorentzChannel):
 
 
 class _ThermalChannel(_LorentzChannel):
-    """Finite-temperature channel via Matsubara exponential sums.
-
-    alpha(t) = c0 e^{-Lam t} + sum_k ck e^{-nu_k t},  nu_k = 2 pi T k, with
-    c0 = (gamma0 Lam^2 / 2)(cot(Lam/2T) - i) and
+    """Finite-temperature channel: alpha(t) = c0 e^{-Lam t} + sum_k ck e^{-nu_k t},
+    nu_k = 2 pi T k, c0 = (gamma0 Lam^2 / 2)(cot(Lam/2T) - i) and
     ck = -2 gamma0 T Lam^2 nu_k / (Lam^2 - nu_k^2).
+
+    c0 and ck*, k* = max(1, round(x)), x = Lam / 2piT, diverge as Lam nears
+    nu_k*, so they enter merged, exact at Lam = nu_k* too: (c0 + ck*) e^{-Lam t}
+    + d e^{-Lam t} E(delta, t), delta = Lam - nu_k*, d = ck* delta.  By
+    pi cot(pi y) = psi(1 - y) - psi(1 + y) + 1/y, y = x - k*, K = gamma0 Lam^2 / 2pi,
+    Re(c0 + ck*) = K [psi(1 - y) - psi(1 + y) + 1/(x + k*)] and d = -K 2k* 2piT / (x + k*).
+    The table holds c0 + ck* at Lam and 0 at nu_k*; the pair term is closed form.
     """
 
     def __init__(self, gamma0: float, cutoff: float, temperature: float):
-        self.gamma0 = gamma0
-        self.temperature = temperature
-        # nudge the cutoff off any Matsubara frequency (spurious double pole)
+        self.gamma0, self.cutoff, self.temperature = gamma0, cutoff, temperature
         a = 2 * np.pi * temperature
-        k_near = round(cutoff / a)
-        if k_near >= 1 and abs(cutoff - a * k_near) < 1e-10 * cutoff:
-            cutoff = cutoff * (1 + 1e-8)
-        self.cutoff = cutoff
-        self._psi = (special.digamma(cutoff / a), special.digamma(1 + cutoff / a))
+        x = cutoff / a
+        if x >= _MATSUBARA_TERMS:
+            raise ValueError(f"cutoff / (2 pi temperature) = {x:.3g} is past the Matsubara table")
+        k = max(1, round(x))
+        y, pre = x - k, gamma0 * cutoff**2 / (2 * np.pi)
+        self._c0 = complex(pre * (special.digamma(1 - y) - special.digamma(1 + y) + 1 / (x + k)),
+                           -np.pi * pre)
+        self._k_pair, self._d, self._delta = k, -pre * 2 * k / (x + k) * a, a * y
+        self._psi = (special.digamma(x), special.digamma(1 + x))
         self._terms = None
 
     def spectrum(self, w: float) -> complex:
@@ -387,41 +455,38 @@ class _ThermalChannel(_LorentzChannel):
     def terms(self):
         if self._terms is None:
             g0, lam, T = self.gamma0, self.cutoff, self.temperature
-            a = 2 * np.pi * T
-            k = np.arange(1, _MATSUBARA_TERMS + 1)
-            nu = a * k
-            c = np.empty(_MATSUBARA_TERMS + 1, dtype=complex)
-            z = np.empty(_MATSUBARA_TERMS + 1)
-            c[0] = (g0 * lam**2 / 2) * (np.cos(lam / (2 * T)) / np.sin(lam / (2 * T)) - 1j)
-            z[0] = lam
-            c[1:] = -2 * g0 * T * lam**2 * nu / (lam**2 - nu**2)
-            z[1:] = nu
-            self._terms = (c, z)
+            nu = 2 * np.pi * T * np.arange(1, _MATSUBARA_TERMS + 1)
+            with np.errstate(divide="ignore"):
+                c = np.concatenate([[self._c0], -2 * g0 * T * lam**2 * nu / (lam**2 - nu**2)])
+            c[self._k_pair] = 0
+            self._terms = (c, np.concatenate([[lam], nu]))
         return self._terms
+
+    def _e_delta(self, t: float) -> float:
+        return math.expm1(self._delta * t) / self._delta if self._delta else t
+
+    def _pair_integral(self, p, t: float):
+        """d int_0^t e^{-p tau} E(delta, tau) dtau
+        = d [E(-p, t) - e^{-pt} E(delta, t)] / (p - delta)."""
+        e_p = -np.expm1(-p * t) / p
+        return self._d * (e_p - np.exp(-p * t) * self._e_delta(t)) / (p - self._delta)
 
     def _n_terms(self, t: float) -> int:
         """Matsubara terms kept at time t > 0, besides the cutoff term c0."""
-        # Tail bound: past K = ln(1/eps) / (2 pi T t) every term has
-        # e^{-nu_k t} <= eps e^{-2 pi T t (k - K)}, so the dropped tail of
-        # sum_k c_k e^{-nu_k t} / p_k (|p_k| >= nu_k) is at most
-        # eps max_{k>K} |c_k / nu_k| / (e^{2 pi T t} - 1), with
-        # |c_k / nu_k| = 2 gamma0 T Lam^2 / (nu_k^2 - Lam^2) ~ 2 gamma0 T Lam^2 (t / ln(1/eps))^2:
-        # a few eps relative to A(inf; w), and likewise to alpha(t) (p_k = 1).
-        # K also covers the Matsubara frequency nearest Lam, whose term nearly
-        # cancels c0 e^{-Lam t} when Lam sits close to it.
+        # Past K = ln(1/eps) / (2 pi T t), e^{-nu_k t} <= eps e^{-2 pi T t (k - K)}, so the dropped
+        # tail of sum_k c_k e^{-nu_k t} / p_k (|p_k| >= nu_k) is at most eps max_{k>K} |c_k / nu_k|
+        # / (e^{2 pi T t} - 1), |c_k / nu_k| ~ 2 gamma0 T Lam^2 (t / ln(1/eps))^2: a few eps of
+        # A(inf; w) and alpha(t).  K >= ceil(x) >= k* keeps the pair's zero slot out of any tail.
         a = 2 * np.pi * self.temperature
-        k_eps = np.ceil(np.log(1 / np.finfo(float).eps) / (a * t))
-        k = max(k_eps, np.ceil(self.cutoff / a))
-        return int(min(_MATSUBARA_TERMS, k))
+        return min(_MATSUBARA_TERMS, math.ceil(max(_LOG_1_EPS / (a * t), self.cutoff / a)))
 
     def alpha_time(self, t: float) -> complex:
         if t == 0.0:
-            raise ValueError(
-                "thermal correlation is logarithmically divergent at t = 0"
-            )
+            raise ValueError("thermal correlation is logarithmically divergent at t = 0")
         c, z = self.terms()
-        k = self._n_terms(abs(t)) + 1
-        val = np.sum(c[:k] * np.exp(-z[:k] * abs(t)))
+        k, tau = self._n_terms(abs(t)) + 1, abs(t)
+        pair = self._d * np.exp(-self.cutoff * tau) * self._e_delta(tau)
+        val = _exp_sum_alpha(c[:k], z[:k], tau) + pair
         return val if t > 0 else np.conj(val)
 
     def _regular_point(self, s: complex) -> complex:
@@ -468,38 +533,34 @@ class _ThermalChannel(_LorentzChannel):
         """A(t; w); a 1-D array of w gives the array of values."""
         if t < 0:
             raise ValueError("coefficient_full requires t >= 0")
-        stacked = type(w) is np.ndarray
-        ws = w if stacked else (w,)
-        pack = np.array if stacked else (lambda vals: complex(vals[0]))
         if t == 0.0:
-            return pack([0j] * len(ws))
+            return np.zeros(len(w), dtype=complex) if type(w) is np.ndarray else 0j
         c, z = self.terms()
+        iw = 1j * w
+        p = self.cutoff + iw
         if 2 * np.pi * self.temperature * _MATSUBARA_TERMS * t < 5.0:
-            # near t=0 the direct form has truncation error O(t log t) -> 0
+            # near t=0 the direct form (error O(t log t) -> 0), per w and with real exp only
             cz = c * np.exp(-z * t)
-            return pack([((c - cz * np.exp(-1j * wj * t)) / (z + 1j * wj)).sum() for wj in ws])
-        # alpha^(iw) - e^{-iwt} sum_k c_k e^{-z_k t} / (z_k + iw): the terms
-        # c_k e^{-z_k t} once, then one short sum per frequency
+            direct = [((c - cz * np.exp(-1j * v * t)) / (z + 1j * v)).sum() for v in np.ravel(w)]
+            return np.reshape(direct, np.shape(w)) + self._pair_integral(p, t)
+        # alpha^(iw) - e^{-iwt} sum_k c_k e^{-z_k t} / (z_k + iw), in blocks of 8192 terms
+        # (K(t) reaches 120 001); the pair term adds d e^{-pt} (1/p + E(delta, t)) / (p - delta)
         k = self._n_terms(t) + 1
         cz, z = c[:k] * np.exp(-z[:k] * t), z[:k]
-        tail = pack([(cz / (z + 1j * wj)).sum() for wj in ws])
-        return self._laplace_on_axis(w) - np.exp(-1j * w * t) * tail
+        tail = sum(_exp_sum_laplace(cz[j:j + 8192], z[j:j + 8192], iw) for j in range(0, k, 8192))
+        d = self._d * math.exp(-self.cutoff * t)
+        tail += d * (1 / p + self._e_delta(t)) / (p - self._delta)
+        return self._laplace_on_axis(w) - np.exp(-t * iw) * tail
 
     def coefficient_integral(self, t: float, w: np.ndarray):
-        """Gap-pair table in closed form.  With A(tau; g) = alpha^(ig) -
-        sum_k (c_k/p_k) e^{-p_k tau}, p_k = z_k + ig, and nu = g + h,
-
-        I = alpha^(ig) E(i nu) + sum_k X_k (e^{(ih - z_k) t} - 1),
-        X_k = c_k / ((z_k + ig)(z_k - ih)).
-
-        The first K terms are summed as they stand.  Past K, e^{-z_k t} is
-        dropped (the error bound) and sum_{k>K} X_k comes from its expansion in
-        1/k: with a = 2 pi T and x = 1/k,
-        X_k = (2 gamma0 T Lam^2 / a^3) x^3 / ((1 - (Lam/a)^2 x^2)(1 + i(g/a) x)(1 - i(h/a) x)),
-        so the sum is a short series in Hurwitz zetas zeta(3 + j, K + 1).  K is
-        at least 64 max(Lam, |w|) / a, where 12 terms of the series reach
-        round-off, and at least the K(t) of _n_terms.  No step divides by nu
-        or cancels at small t.
+        """Gap-pair table in closed form: the first K table terms and the merged
+        pair, -d [E(-q, t)/p + int_0^t e^{-q tau} E(delta, tau) dtau] / (p - delta)
+        with p = Lam + ig, q = Lam - ih, exactly.  Past K, e^{-z_k t} is dropped
+        (the error bound) and X_k = c_k / ((z_k + ig)(z_k - ih)) is summed by its
+        expansion in x = 1/k, a = 2 pi T, in Hurwitz zetas zeta(3 + j, K + 1):
+        X_k = (2 gamma0 T Lam^2 / a^3) x^3 / ((1 - (Lam/a)^2 x^2)(1 + i(g/a) x)(1 - i(h/a) x)).
+        K is at least 64 max(Lam, |w|) / a, where 12 terms of the series reach
+        round-off, and the K(t) of _n_terms.  No step divides by nu.
         """
         if t < 0:
             raise ValueError("coefficient_integral requires t >= 0")
@@ -510,9 +571,10 @@ class _ThermalChannel(_LorentzChannel):
         r = max(lam, float(np.max(np.abs(w)))) / a
         # c[:k] holds c0 and Matsubara terms 1 .. k-1 (K = k - 1); the tail starts at k
         k = min(_MATSUBARA_TERMS, max(self._n_terms(t), int(np.ceil(64 * r)))) + 1
-        c, z = c[:k], z[:k]
         iw = 1j * w[:, None]
-        head = (c / (z + iw)) @ (np.expm1((iw - z) * t) / (z - iw)).T
+        pg, qh = lam + iw, lam - iw.T
+        pair = self._pair_integral(qh, t) - self._d * np.expm1(-qh * t) / (qh * pg)
+        table = _exp_sum_table(c[:k], z[:k], t, w, self.laplace(1j * w)) - pair / (pg - self._delta)
         # 1/((1 + i(g/a) x)(1 - i(h/a) x)) = sum_j x^j sum_{p+q=j} (-ig/a)^p (ih/a)^q
         n = 12
         gp = (-iw / a) ** np.arange(n)
@@ -523,9 +585,7 @@ class _ThermalChannel(_LorentzChannel):
         for j in range(2, n):  # times 1/(1 - (Lam/a)^2 x^2): f_j = e_j + (Lam/a)^2 f_{j-2}
             d[:, :, j] += (lam / a) ** 2 * d[:, :, j - 2]
         tail_c = 2 * self.gamma0 * self.temperature * lam**2 / a**3
-        tail = tail_c * (d @ special.zeta(3 + np.arange(n), k))
-        i_nu = 1j * (w[:, None] + w[None, :])
-        table = self.laplace(1j * w)[:, None] * _exp_integral(i_nu, t) + head - tail
+        table -= tail_c * (d @ special.zeta(3 + np.arange(n), k))
         # dropped X_k e^{(ih - z_k) t}, k >= k: |X_k| <= (tail_c / k^3) / (1 - (Lam / nu_k)^2),
         # nu_k > Lam; and the series past x^n: |d_j| <= (j + 1)^2 r^j
         rho = r / k
@@ -559,10 +619,8 @@ class ThermalLorentz(BathModel):
             else _ThermalChannelT0(g0[i], lam[i])
             for i in range(n)
         ]
-        object.__setattr__(self, "gamma0", g0)
-        object.__setattr__(self, "cutoff", lam)
-        object.__setattr__(self, "temperature", T)
-        object.__setattr__(self, "_impl", impl)
+        for attr, value in (("gamma0", g0), ("cutoff", lam), ("temperature", T), ("_impl", impl)):
+            object.__setattr__(self, attr, value)
 
     @property
     def channels(self) -> int:
@@ -630,7 +688,9 @@ class Tabulated(BathModel):
         self.n = samples.shape[1]
         self._spline = CubicSpline(times, samples, axis=0)
         self._coeff_cache: dict[float, CubicSpline] = {}
-        self._fine = None
+        # 4x refined grid for the Laplace and coefficient quadratures
+        self._tf = np.linspace(0.0, times[-1], (times.size - 1) * 4 + 1)
+        self._af = self._spline(self._tf)
         self.tail_ok, self._tail_a, self._tail_z = self._fit_tail()
 
     @property
@@ -667,18 +727,8 @@ class Tabulated(BathModel):
         if t < 0:
             return np.conj(self.alpha_time(-t)).T
         if t > self.times[-1] * (1 + 1e-12):
-            raise ValueError(
-                f"query t = {t} outside tabulated grid [0, {self.times[-1]}]"
-            )
+            raise ValueError(f"query t = {t} outside tabulated grid [0, {self.times[-1]}]")
         return self._spline(min(t, self.times[-1]))
-
-    def _fine_grid(self):
-        if self._fine is None:
-            refine = 4
-            nt = (self.times.size - 1) * refine + 1
-            tf = np.linspace(0.0, self.times[-1], nt)
-            self._fine = (tf, self._spline(tf))
-        return self._fine
 
     @_stacked
     def laplace(self, s: complex) -> np.ndarray:
@@ -687,7 +737,7 @@ class Tabulated(BathModel):
                 "tabulated correlation: the exponential fit of the last samples "
                 "failed (they do not decay), so the Laplace tail beyond the grid is unknown"
             )
-        tf, af = self._fine_grid()
+        tf, af = self._tf, self._af
         w = np.exp(-s * tf)[:, None, None]
         val = integrate.simpson(af * w, x=tf, axis=0)
         # exponential tail beyond the grid
@@ -710,14 +760,11 @@ class Tabulated(BathModel):
             raise ValueError("coefficient_full requires t >= 0")
         key = round(float(w), 12)
         if key not in self._coeff_cache:
-            tf, af = self._fine_grid()
-            integrand = af * np.exp(-1j * w * tf)[:, None, None]
-            cum = integrate.cumulative_trapezoid(integrand, x=tf, axis=0, initial=0.0)
-            self._coeff_cache[key] = CubicSpline(tf, cum, axis=0)
+            integrand = self._af * np.exp(-1j * w * self._tf)[:, None, None]
+            cum = integrate.cumulative_trapezoid(integrand, x=self._tf, axis=0, initial=0.0)
+            self._coeff_cache[key] = CubicSpline(self._tf, cum, axis=0)
         if t > self.times[-1] * (1 + 1e-12):
-            raise ValueError(
-                f"query t = {t} outside tabulated grid [0, {self.times[-1]}]"
-            )
+            raise ValueError(f"query t = {t} outside tabulated grid [0, {self.times[-1]}]")
         return self._coeff_cache[key](min(t, self.times[-1]))
 
     # -- CSV round-trip ------------------------------------------------------
@@ -752,14 +799,10 @@ def kernels(b: BathModel, wgrid) -> KernelTriple:
     mu~(w) = (alpha~(w) - conj(alpha~(-w)))/2i,  gamma~(w) = mu~(w)/(iw).
     """
     wgrid = np.atleast_1d(np.asarray(wgrid, dtype=float))
-    nu, mu, gam = [], [], []
-    for w in wgrid:
-        ap = b.alpha_spectrum(w)
-        am = np.conj(b.alpha_spectrum(-w))
-        nu.append((ap + am) / 2)
-        mu.append((ap - am) / 2j)
-        gam.append(b.gamma_spectrum(w))
-    return KernelTriple(wgrid, np.array(nu), np.array(mu), np.array(gam))
+    ap = np.array([b.alpha_spectrum(w) for w in wgrid])
+    am = np.conj([b.alpha_spectrum(-w) for w in wgrid])
+    return KernelTriple(wgrid, (ap + am) / 2, (ap - am) / 2j,
+                        np.array([b.gamma_spectrum(w) for w in wgrid]))
 
 
 def kms_residual(b: BathModel, wgrid) -> float:
@@ -779,12 +822,8 @@ def kms_residual(b: BathModel, wgrid) -> float:
                 res = max(res, abs(sp[i, i] - want))
         scale = max(abs(b.alpha_spectrum(w)).max() for w in wgrid)
         return res / max(scale, 1e-300)
-    if b.is_thermal():
-        T = float(b.temperature[0])
-    else:
-        T = 1.0  # informative only
-    res = 0.0
-    scale = 0.0
+    T = float(b.temperature[0]) if b.is_thermal() else 1.0  # informative only otherwise
+    res = scale = 0.0
     for w in wgrid:
         ap = b.alpha_spectrum(w)
         am = np.conj(b.alpha_spectrum(-w))
@@ -810,13 +849,6 @@ def fdi_check(b: BathModel, wgrid) -> float:
 def sampled_positivity(b: BathModel, tgrid) -> float:
     """Min eigenvalue of the block matrix [alpha(t_i - t_j)] over the grid."""
     tgrid = np.asarray(tgrid, dtype=float)
-    n = b.channels
-    m = tgrid.size
-    big = np.zeros((m * n, m * n), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            big[i * n:(i + 1) * n, j * n:(j + 1) * n] = b.alpha_time(
-                tgrid[i] - tgrid[j]
-            )
+    big = np.block([[b.alpha_time(ti - tj) for tj in tgrid] for ti in tgrid]).astype(complex)
     big = (big + np.conj(big).T) / 2
     return float(np.linalg.eigvalsh(big)[0])

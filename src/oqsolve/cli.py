@@ -56,14 +56,14 @@ def _build_bath(node, model_dir, n_channels):
     variant = node["variant"]
     try:
         if variant == "thermal_lorentz":
-            return bath_mod.ThermalLorentz(
-                gamma0=node["gamma0"],
-                cutoff=node["cutoff"],
-                temperature=node["temperature"],
-                n_channels=n_channels,
-            )
+            return bath_mod.ThermalLorentz(gamma0=node["gamma0"], cutoff=node["cutoff"],
+                                           temperature=node["temperature"], n_channels=n_channels)
         if variant == "ou":
-            return bath_mod.ExponentialOU(c=node["c"], lam=node["lam"])
+            b = bath_mod.ExponentialOU(c=node["c"], lam=node["lam"])
+            if b.c.ndim != 2 or np.ndim(b.lam) or not (np.isrealobj(b.lam) and b.lam > 0):
+                raise ValidationError(f"bath: variant 'ou' takes one (n, n) matrix c and one rate "
+                                      f"lam > 0, got c of shape {b.c.shape}, lam {node['lam']!r}")
+            return b
         if variant == "white":
             return bath_mod.WhiteNoise(c=node["c"])
         if variant == "tabulated":

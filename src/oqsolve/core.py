@@ -68,6 +68,8 @@ def require_hermitian(x: np.ndarray, tol: float = 1e-12, name: str = "operator")
     a (k, n, n) stack, whose first failing matrix is named by its index;
     return the input as a complex array."""
     x = np.asarray(x, dtype=complex)
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
+        raise ValueError(f"{name} must be a square matrix or a stack of them, got shape {x.shape}")
     defect = np.max(np.abs(x - np.conj(x).swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
     scale = np.maximum(np.max(np.abs(x), axis=(-2, -1), initial=0.0), 1.0)
     bad = np.flatnonzero(defect > tol * scale)

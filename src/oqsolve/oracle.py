@@ -3,19 +3,21 @@
 The environment is a register of a few qubits; the composite Hamiltonian
 H = H_S x 1 + 1 x H_E + g sum_n L_n x l_n is diagonalized once, and exact
 reduced trajectories, correlation functions and two-time averages follow from
-phase evolution in the eigenbasis.  The measured environment correlation
-alpha_nm(t) = <l_n(t) l_m> can be exported as a tabulated bath model so the
-perturbative machinery runs against precisely the same microscopic physics.
+phase evolution in the eigenbasis.  The environment correlation
+alpha_nm(t) = <l_n(t) l_m> is a finite sum of undamped exponentials, one per
+distinct transition frequency of H_E; reduced_model hands exactly that sum to
+the perturbative machinery as an ExponentialOU bath, so both sides run the
+same microscopic physics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .bath import Tabulated
+from .bath import ExponentialOU
 from .core import dag, herm_part, require_hermitian
 from .tcl2 import SystemModel, propagate
 
@@ -26,7 +28,6 @@ __all__ = [
     "exact_reduced_trajectory",
     "exact_alpha",
     "exact_two_time",
-    "tabulated_bath",
     "reduced_model",
     "convergence_errors",
 ]
@@ -108,22 +109,11 @@ class CompositeModel:
         return np.linalg.eigh(self.env_h)
 
     def with_coupling(self, g: float) -> "CompositeModel":
-        return CompositeModel(
-            h=self.h,
-            couplings=self.couplings,
-            env_h=self.env_h,
-            env_couplings=self.env_couplings,
-            g=g,
-            temperature=self.temperature,
-        )
+        return replace(self, g=g)
 
 
-def spin_chain_environment(
-    n_qubits: int,
-    splittings,
-    chain_coupling: float = 0.0,
-    site_weights=None,
-):
+def spin_chain_environment(n_qubits: int, splittings, chain_coupling: float = 0.0,
+                           site_weights=None):
     """Qubit-register environment: H_E = sum eps_k sz_k/2 + J sum sx_k sx_{k+1},
     coupled through l = sum c_k sx_k.  Returns (env_h, env_coupling)."""
     splittings = np.asarray(splittings, dtype=float)
@@ -135,22 +125,15 @@ def spin_chain_environment(
     for k in range(n_qubits):
         env_h += 0.5 * splittings[k] * _site_op(_SZ, k, n_qubits)
     for k in range(n_qubits - 1):
-        env_h += chain_coupling * (
-            _site_op(_SX, k, n_qubits) @ _site_op(_SX, k + 1, n_qubits)
-        )
+        env_h += chain_coupling * (_site_op(_SX, k, n_qubits) @ _site_op(_SX, k + 1, n_qubits))
     l = np.zeros_like(env_h)
     for k in range(n_qubits):
         l += site_weights[k] * _site_op(_SX, k, n_qubits)
     return env_h, l
 
 
-def random_composite(
-    seed: int,
-    dim: int = 3,
-    n_qubits: int = 4,
-    g: float = 0.1,
-    temperature: float = 2.0,
-) -> CompositeModel:
+def random_composite(seed: int, dim: int = 3, n_qubits: int = 4, g: float = 0.1,
+                     temperature: float = 2.0) -> CompositeModel:
     """Seeded random system (GUE Hamiltonian, traceless Hermitian coupling)
     attached to a detuned spin-chain register."""
     rng = np.random.default_rng(seed)
@@ -164,10 +147,8 @@ def random_composite(
     env_h, env_l = spin_chain_environment(
         n_qubits, splittings, chain_coupling=0.1 * rng.uniform(0.5, 1.5), site_weights=weights
     )
-    return CompositeModel(
-        h=h, couplings=[l], env_h=env_h, env_couplings=[env_l],
-        g=g, temperature=temperature,
-    )
+    return CompositeModel(h=h, couplings=[l], env_h=env_h, env_couplings=[env_l], g=g,
+                          temperature=temperature)
 
 
 def _partial_trace_env(rho: np.ndarray, ds: int, de: int) -> np.ndarray:
@@ -187,34 +168,34 @@ def exact_reduced_trajectory(c: CompositeModel, rho0: np.ndarray, grid) -> np.nd
     return np.array(states)
 
 
+def _environment_bath(c: CompositeModel) -> ExponentialOU:
+    """alpha_nm(t) = Tr_E[l_n(t) l_m rho_E] as its exact exponential sum.
+
+    In the eigenbasis E_a of H_E the thermal state is diagonal, rho_a, so
+    alpha_nm(t) = sum_ab rho_a (l_n)_ab (l_m)_ba e^{i(E_a - E_b) t}: Hermitian
+    weights at the undamped rates -i(E_a - E_b), one term per distinct
+    frequency."""
+    e, u = c.env_eig
+    rho = np.diag(dag(u) @ c.env_state @ u).real
+    ls = np.array([dag(u) @ l @ u for l in c.env_couplings])
+    n = len(ls)
+    weights = np.einsum("a,nab,mba->abnm", rho, ls, ls).reshape(-1, n, n)
+    freqs, term = np.unique(np.subtract.outer(e, e), return_inverse=True)
+    table = np.zeros((freqs.size, n, n), dtype=complex)
+    np.add.at(table, term.ravel(), weights)
+    return ExponentialOU(c=table, lam=-1j * freqs)
+
+
 def exact_alpha(c: CompositeModel, tgrid) -> np.ndarray:
-    """alpha_nm(t) = Tr_E[l_n(t) l_m rho_E] with free environment evolution.
-
-    Stationary because the thermal state commutes with H_E; sampled on tgrid
-    with shape (nt, n, n).
-    """
-    w, u = c.env_eig
-    rho = dag(u) @ c.env_state @ u
-    ls = [dag(u) @ l @ u for l in c.env_couplings]
-    nch = len(ls)
-    out = np.empty((len(tgrid), nch, nch), dtype=complex)
-    for k, t in enumerate(tgrid):
-        phase = np.exp(1j * w * t)
-        for n, lnm in enumerate(ls):
-            lnt = (phase[:, None] * lnm) * np.conj(phase)[None, :]
-            for m, lmm in enumerate(ls):
-                out[k, n, m] = np.trace(lnt @ lmm @ rho)
-    return out
+    """alpha_nm(t) = Tr_E[l_n(t) l_m rho_E] with free environment evolution,
+    sampled on tgrid with shape (nt, n, n); stationary because the thermal
+    state commutes with H_E."""
+    b = _environment_bath(c)
+    return np.array([b.alpha_time(float(t)) for t in tgrid])
 
 
-def exact_two_time(
-    c: CompositeModel,
-    x1: np.ndarray,
-    t1: float,
-    x2: np.ndarray,
-    t2: float,
-    rho0: np.ndarray,
-) -> complex:
+def exact_two_time(c: CompositeModel, x1: np.ndarray, t1: float, x2: np.ndarray, t2: float,
+                   rho0: np.ndarray) -> complex:
     """<X1(t1) X2(t2)> in the Heisenberg picture of the composite."""
     w, u = c.eig
     de = c.env_dim
@@ -228,29 +209,13 @@ def exact_two_time(
     return complex(np.trace(heis(x1, t1) @ heis(x2, t2) @ rho_tot))
 
 
-def tabulated_bath(c: CompositeModel, tmax: float, nt: int = 801) -> Tabulated:
-    """Exact environment correlation exported as a tabulated bath model."""
-    tgrid = np.linspace(0.0, tmax, nt)
-    return Tabulated(tgrid, exact_alpha(c, tgrid))
-
-
-def reduced_model(c: CompositeModel, tmax: float, nt: int = 801) -> SystemModel:
+def reduced_model(c: CompositeModel) -> SystemModel:
     """Perturbative system model with couplings g L_n and the exact correlation."""
-    return SystemModel(
-        h=c.h,
-        couplings=[c.g * l for l in c.couplings],
-        bath=tabulated_bath(c, tmax, nt),
-    )
+    return SystemModel(h=c.h, couplings=[c.g * l for l in c.couplings], bath=_environment_bath(c))
 
 
-def convergence_errors(
-    c: CompositeModel,
-    rho0: np.ndarray,
-    horizon: float,
-    npoints: int = 21,
-    couplings=(1.0, 0.5),
-    mode: str = "full-time",
-):
+def convergence_errors(c: CompositeModel, rho0: np.ndarray, horizon: float, npoints: int = 21,
+                       couplings=(1.0, 0.5), mode: str = "full-time"):
     """Max trajectory error of the perturbative theory vs. exact dynamics, at
     the model's coupling scaled by each factor in `couplings`."""
     grid = np.linspace(0.0, horizon, npoints)
@@ -258,7 +223,7 @@ def convergence_errors(
     for fac in couplings:
         cf = c.with_coupling(c.g * fac)
         exact = exact_reduced_trajectory(cf, rho0, grid)
-        m = reduced_model(cf, tmax=1.5 * horizon)
+        m = reduced_model(cf)
         approx = propagate(m, rho0, grid, mode=mode).states
         errs.append(float(np.max(np.abs(approx - exact))))
     return errs

@@ -201,7 +201,7 @@ def test_criterion_10_regression_correction():
 
     def errors(g):
         cf = c.with_coupling(g)
-        m = oracle.reduced_model(cf, tmax=8.0)
+        m = oracle.reduced_model(cf)
         exact = oracle.exact_two_time(cf, SX, t1, SX, t2, rho0)
         req = multitime.TwoTimeRequest(x1=SX, x2=SX, t1=t1, t2=t2, rho0=rho0)
         bare = multitime.qrt_correlation(m, req, mode="full-time",

@@ -105,12 +105,6 @@ class TestThermalLorentz:
             want = gt * w * (1.0 / np.tanh(w / 0.5) - 1.0)
             assert b.alpha_spectrum(w)[0, 0] == pytest.approx(want, rel=1e-10)
 
-    def test_cutoff_on_matsubara_frequency_is_nudged(self):
-        # Lambda = 2 pi T k hits the k-th Matsubara pole; must still evaluate
-        b = bath.ThermalLorentz(gamma0=0.1, cutoff=2 * np.pi * 0.25 * 3, temperature=0.25)
-        val = b.alpha_time(0.5)[0, 0]
-        assert np.isfinite(val)
-
     def test_alpha_time_zero_is_log_divergent(self):
         with pytest.raises(ValueError, match="divergent"):
             thermal().alpha_time(0.0)
@@ -150,8 +144,16 @@ class TestMatsubaraTruncation:
     def full_terms(ch):
         g0, lam, temp = ch.gamma0, ch.cutoff, ch.temperature
         nu = 2 * np.pi * temp * np.arange(1, bath._MATSUBARA_TERMS + 1)
-        c0 = (g0 * lam**2 / 2) * (1 / np.tan(lam / (2 * temp)) - 1j)
-        c = np.concatenate([[c0], -2 * g0 * temp * lam**2 * nu / (lam**2 - nu**2)])
+        c = np.concatenate([[0j], -2 * g0 * temp * lam**2 * nu / (lam**2 - nu**2)])
+        # c0 and the Matsubara term nearest Lam are ill-conditioned in the rounded
+        # Lam / 2T and nu_k (at Lam = 5, T = 0.05 double rounding moves A(t; w) by
+        # 2e-14 of |A(inf; w)|), so both are taken from 30-digit values
+        k = max(1, round(lam / (2 * np.pi * temp)))
+        with mpmath.workdps(30):
+            mlam, mtemp = mpmath.mpf(lam), mpmath.mpf(temp)
+            nk = 2 * mpmath.pi * mtemp * k
+            c[0] = complex(g0 * mlam**2 / 2 * (mpmath.cot(mlam / (2 * mtemp)) - 1j))
+            c[k] = float(-2 * g0 * mtemp * mlam**2 * nk / (mlam**2 - nk**2))
         return c, np.concatenate([[lam], nu])
 
     @pytest.mark.parametrize("temp", [0.05, 0.25, 2.0])
@@ -193,6 +195,76 @@ class TestMatsubaraTruncation:
         for t in np.linspace(36.1 / lam, 40.0 / lam, 8):
             want = ch.laplace(0j) - np.sum(c * np.exp(-z * t) / z)
             assert abs(b.coefficient_full(t, 0.0)[0, 0] - want) <= 1e-14 * scale, t
+
+
+def matsubara_ref(g0, lam, temp, times, w):
+    """alpha(t), A(t; w) and the gap-pair table I(t)[a, b] of one T > 0 channel
+    at each t in times, from the unmerged Matsubara sum at 60 digits (c0 and
+    c_k reach 1e18 and cancel, and cot loses as many digits again).  Terms with
+    e^{-z_k t} are summed one by one until they drop below e^{-40};
+    sum_k c_k / (z_k + s) comes in closed
+    form from the partial fractions of the Matsubara term in k,
+    k / ((k^2 - x^2)(k + s/a)) = sum_j A_j / (k - r_j) with sum_j A_j = 0, so
+    that sum_{k>=1} = -sum_j A_j psi(1 - r_j); the table's sum_k c_k / p_k^2 at
+    h = -g is minus the derivative of that transform."""
+    with mpmath.workdps(60):
+        g0, lam, temp = (mpmath.mpf(v) for v in (g0, lam, temp))
+        a = 2 * mpmath.pi * temp
+        x = lam / a
+        c0 = g0 * lam**2 / 2 * (mpmath.cot(lam / (2 * temp)) - 1j)
+
+        def laplace(s):
+            sig = s / a
+            psi = (mpmath.digamma(1 - x) / (2 * (x + sig)) + mpmath.digamma(1 + x) / (2 * (sig - x))
+                   - sig * mpmath.digamma(1 + sig) / (sig**2 - x**2))
+            return c0 / (lam + s) - 2 * g0 * temp * lam**2 / a**2 * psi
+
+        iw = [1j * mpmath.mpf(float(v)) for v in w]
+        lap = {g: laplace(g) for g in iw + [-h for h in iw]}
+        out = []
+        for t in times:
+            t = mpmath.mpf(t)
+            decay = [(c0 * mpmath.exp(-lam * t), lam)]
+            for k in range(1, int(40 / (a * t) + x) + 2):
+                ck = -2 * g0 * temp * lam**2 * a * k / (lam**2 - (a * k) ** 2)
+                decay.append((ck * mpmath.exp(-a * k * t), a * k))
+            coeff = [lap[g] - mpmath.exp(-g * t) * mpmath.fsum(c / (z + g) for c, z in decay)
+                     for g in iw]
+            table = []
+            for g in iw:
+                for h in iw:
+                    # I = alpha^(ig) E(i nu) - sum_k c_k [1 - e^{-q_k t}] / (p_k q_k),
+                    # p_k = z_k + ig, q_k = z_k - ih
+                    inu = g + h
+                    rational = (lap[-h] - lap[g]) / inu if inu else -mpmath.diff(laplace, g)
+                    geo = mpmath.exp(h * t) * mpmath.fsum(c / ((z + g) * (z - h)) for c, z in decay)
+                    e_nu = mpmath.expm1(inu * t) / inu if inu else t
+                    table.append(lap[g] * e_nu - rational + geo)
+            out.append((complex(mpmath.fsum(c for c, _ in decay)),
+                        np.array([complex(v) for v in coeff]),
+                        np.array([complex(v) for v in table]).reshape(len(w), len(w))))
+        return out
+
+
+@pytest.mark.parametrize("k, rel", [(k, 0.0) for k in (1, 2, 3)] + [
+    (k, sign * 10.0**-j) for k in (1, 2, 3) for j in range(3, 13) for sign in (1, -1)])
+def test_cutoff_at_and_near_matsubara_frequency_against_mpmath(k, rel):
+    # Lam = 2 pi T k (1 + rel): c0 and the k-th Matsubara term diverge like
+    # 1/rel and cancel; the channel merges them, so alpha, A(t; w) (array and
+    # scalar w) and the gap-pair table stay exact, at rel = 0 too
+    g0, temp, times = 0.1, 0.27, (0.3, 2.0)
+    lam = 2 * np.pi * temp * k * (1 + rel)
+    b = bath.ThermalLorentz(gamma0=g0, cutoff=lam, temperature=temp)
+    w = np.array([-1.2, 0.0, 0.5])
+    scale = np.abs(b.coefficient_stationary(w)[:, 0, 0])
+    for t, (alpha, coeff, table) in zip(times, matsubara_ref(g0, lam, temp, times, w)):
+        assert abs(b.alpha_time(t)[0, 0] - alpha) <= 1e-12 * abs(alpha), t
+        assert np.all(np.abs(b.coefficient_full(t, w)[:, 0, 0] - coeff) <= 1e-12 * scale), t
+        for wj, want, sc in zip(w, coeff, scale):
+            assert abs(b.coefficient_full(t, float(wj))[0, 0] - want) <= 1e-12 * sc, (t, wj)
+        got = b.coefficient_integral(t, w)[0][:, :, 0, 0]
+        assert np.max(np.abs(got - table)) <= 1e-12 * np.max(np.abs(table)), t
+
 
 class TestThermalZeroTemperature:
     # frozen from QAWF quadrature of the one-sided zero-temperature spectrum
@@ -402,6 +474,73 @@ class TestExponentialOU:
         assert b.coefficient_full(t, w)[0, 0] == pytest.approx(
             0.4 * (1 - np.exp(-p * t)) / p, rel=1e-14
         )
+
+
+class TestExponentialSum:
+    """A K = 3 damped sum with Hermitian 2x2 weights and complex rates."""
+
+    LAM = np.array([0.7, 1.3 + 2.0j, 2.9 - 0.5j])
+
+    @classmethod
+    def make(cls):
+        rng = np.random.default_rng(21)
+        a = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        c = (a + np.conj(a).swapaxes(1, 2)) / 2
+        return bath.ExponentialOU(c=c, lam=cls.LAM), c
+
+    def test_coefficient_full_against_quad(self):
+        from scipy import integrate
+
+        b, c = self.make()
+        w = np.array([-1.1, 0.0, 0.8])
+
+        def quad(f, t):
+            return integrate.quad(f, 0.0, t, epsabs=1e-14, epsrel=1e-13)[0]
+
+        for t in (0.4, 3.0):
+            got = b.coefficient_full(t, w)
+            assert got.shape == (3, 2, 2)
+            for wk, a in zip(w, got):
+                def entry(tau):
+                    return np.einsum("k,kij->ij", np.exp(-(self.LAM + 1j * wk) * tau), c)
+                want = np.array([[quad(lambda tau: entry(tau)[i, j].real, t)
+                                  + 1j * quad(lambda tau: entry(tau)[i, j].imag, t)
+                                  for j in range(2)] for i in range(2)])
+                assert np.max(np.abs(a - want)) <= 1e-12 * np.max(np.abs(want)), (t, wk)
+                assert np.max(np.abs(b.coefficient_full(t, float(wk)) - a)) <= 1e-15
+
+    def test_coefficient_integral_against_quadrature(self):
+        b, _ = self.make()
+        w = np.array([-1.1, 0.0, 0.8])
+        for t in (0.4, 3.0):
+            got, err, nodes = b.coefficient_integral(t, w)
+            want, _, quad_nodes = bath.BathModel.coefficient_integral(b, t, w)
+            assert got.shape == (3, 3, 2, 2) and err == 0.0 and nodes == 0 < quad_nodes
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want)), t
+
+    def test_alpha_and_spectrum(self):
+        b, c = self.make()
+        for t in (0.0, 0.6, 2.5):
+            want = np.einsum("k,kij->ij", np.exp(-self.LAM * t), c)
+            assert np.max(np.abs(b.alpha_time(t) - want)) <= 1e-15 * np.max(np.abs(want))
+            assert np.array_equal(b.alpha_time(-t), np.conj(b.alpha_time(t)).T)
+        for w in (-2.0, 0.0, 1.7):
+            p = self.LAM + 1j * w
+            want = np.einsum("k,kij->ij", 2 * self.LAM.real / np.abs(p) ** 2, c)
+            assert np.max(np.abs(b.alpha_spectrum(w) - want)) <= 1e-14 * np.max(np.abs(want))
+        s = np.array([0.3, 1j, 2.0 - 1.0j])
+        want = np.einsum("sk,kij->sij", 1 / (self.LAM + s[:, None]), c)
+        assert np.max(np.abs(b.laplace(s) - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("lam, match", [
+        ([0.7, 1.3], "one rate with Re lam >= 0 per weight matrix"),
+        ([0.7, -0.1, 1.0], "one rate with Re lam >= 0 per weight matrix"),
+        ([0.7, np.inf, 1.0], "finite"),
+    ])
+    def test_rates_validated(self, lam, match):
+        _, c = self.make()
+        with pytest.raises(ValueError, match=match):
+            bath.ExponentialOU(c=c, lam=lam)
 
 
 class TestWhiteNoise:

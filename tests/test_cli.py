@@ -412,6 +412,28 @@ class TestValidation:
         model = write_model(tmp_path, doc)
         assert cli.main(["simulate", "--model", model]) == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("node, message", [
+        ({"variant": "ou", "c": [[0.1]], "lam": "abc"}, "lam must be numeric"),
+        ({"variant": "ou", "c": [[0.1]], "lam": None}, "lam must be finite"),
+        ({"variant": "ou", "c": [[0.1]], "lam": float("nan")}, "lam must be finite"),
+        ({"variant": "ou", "c": [[float("inf")]], "lam": 1.0}, "c must be finite"),
+        ({"variant": "ou", "c": [[0.1]], "lam": 0.0}, "one rate lam > 0"),
+        ({"variant": "ou", "c": [[[0.1]], [[0.2]]], "lam": [1.0, 2.0]}, "one (n, n) matrix c"),
+        ({"variant": "thermal_lorentz", "gamma0": 0.1, "cutoff": 5.0,
+          "temperature": float("nan")}, "temperature must be finite"),
+        ({"variant": "thermal_lorentz", "gamma0": 0.1, "cutoff": float("inf"),
+          "temperature": 0.25}, "cutoff must be finite"),
+        ({"variant": "thermal_lorentz", "gamma0": "x", "cutoff": 5.0,
+          "temperature": 0.25}, "gamma0 must be numeric"),
+        ({"variant": "white", "c": [[float("nan")]]}, "matrix must be finite"),
+    ])
+    def test_bad_bath_parameter_exits_validation(self, tmp_path, capsys, node, message):
+        doc = qubit_doc()
+        doc["bath"] = node
+        model = write_model(tmp_path, doc)
+        assert cli.main(["pauli", "--model", model]) == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
     def test_coupling_shape_mismatch(self, tmp_path):
         doc = qubit_doc()
         doc["system"]["couplings"] = [_pairs(np.eye(3))]

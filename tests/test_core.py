@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,13 @@ class TestRequireState:
         stack = np.array([np.eye(2), [[1.0, 1e-6], [0.0, 1.0]]])
         with pytest.raises(ValueError, match="sample 1 is not Hermitian"):
             core.require_hermitian(stack, tol=1e-8, name="sample")
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 1), (2, 2, 3), (3,), ()])
+    def test_non_square_rejected_with_its_shape(self, shape):
+        # (1, 3) minus its (3, 1) transpose broadcasts, so only a shape check catches it
+        match = rf"H must be a square .* shape {re.escape(str(shape))}"
+        with pytest.raises(ValueError, match=match):
+            core.require_hermitian(np.ones(shape), name="H")
 
 
 class TestMatrixCSV:

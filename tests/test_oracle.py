@@ -106,19 +106,44 @@ class TestExactAlpha:
         lt = (phase[:, None] * l) * np.conj(phase)[None, :]
         assert a == pytest.approx(complex(np.trace(lt @ l @ rho)), abs=1e-12)
 
-    def test_tabulated_bath_reproduces_samples(self):
-        c = small_composite()
-        b = oracle.tabulated_bath(c, tmax=6.0, nt=121)
-        a_direct = oracle.exact_alpha(c, [3.0])[0]
-        assert np.max(np.abs(b.alpha_time(3.0) - a_direct)) < 1e-9
+    def test_reduced_bath_matches_environment_trace_formula(self):
+        # two channels: alpha_nm(t) = Tr_E[e^{iH_E t} l_n e^{-iH_E t} l_m rho_E],
+        # propagated by expm, against the exponential sum of the reduced bath
+        base = small_composite()
+        env_l2 = core.herm_part(np.random.default_rng(8).normal(size=base.env_h.shape))
+        c = oracle.CompositeModel(h=base.h, couplings=[base.couplings[0], base.h],
+                                  env_h=base.env_h, env_couplings=[base.env_couplings[0], env_l2],
+                                  g=0.1, temperature=2.0)
+        b = oracle.reduced_model(c).bath
+        assert isinstance(b, bath.ExponentialOU) and b.channels == 2
+        assert np.all(b.lam.real == 0) and len(np.unique(b.lam)) == len(b.lam)
+        for t in (0.0, 0.7, 3.0, 11.5, -2.2):
+            u = expm(1j * c.env_h * t)
+            want = np.array([[np.trace(u @ ln @ u.conj().T @ lm @ c.env_state)
+                              for lm in c.env_couplings] for ln in c.env_couplings])
+            assert np.max(np.abs(b.alpha_time(t) - want)) <= 1e-13 * np.max(np.abs(want)), t
+            assert np.array_equal(oracle.exact_alpha(c, [t])[0], b.alpha_time(t))
+
+    def test_reduced_bath_has_no_stationary_limit(self):
+        b = oracle.reduced_model(small_composite()).bath
+        for call in (lambda: b.laplace(0.5), lambda: b.laplace(np.array([0.5, 1j])),
+                     lambda: b.coefficient_stationary(1.0), lambda: b.alpha_spectrum(1.0)):
+            with pytest.raises(ValueError, match="no t -> inf limit"):
+                call()
+        # A(t; w) at an environment frequency grows like t: E(0, t) = t, not 0/0;
+        # the gap-pair table, whose closed form divides by z_k + iw, is integrated
+        w = np.array([0.0, -float(b.lam[1].imag)])
+        assert np.all(np.isfinite(b.coefficient_full(2.0, w)))
+        table, err, nevals = b.coefficient_integral(1.0, w)
+        assert np.all(np.isfinite(table)) and err < 1e-10 and nevals > 0
 
 
 class TestConvergence:
     def test_reduced_model_shape(self):
         c = small_composite()
-        m = oracle.reduced_model(c, tmax=5.0, nt=101)
+        m = oracle.reduced_model(c)
         assert isinstance(m, tcl2.SystemModel)
-        assert isinstance(m.bath, bath.Tabulated)
+        assert isinstance(m.bath, bath.ExponentialOU)
         assert np.allclose(m.couplings[0], c.g * c.couplings[0])
 
     def test_error_ratio_shows_fourth_order_convergence(self):
