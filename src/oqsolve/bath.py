@@ -806,31 +806,33 @@ def kernels(b: BathModel, wgrid) -> KernelTriple:
 
 
 def kms_residual(b: BathModel, wgrid) -> float:
-    """Max residual of alpha~(+w) = e^{-w/T} conj(alpha~(-w)) over the grid.
+    """Max residual of alpha~(+w) = e^{-w/T} conj(alpha~(-w)) over the grid,
+    relative to the largest |alpha~(w)|.
 
-    Thermal models pass within roundoff; other variants get an informative
-    (generally nonzero) number.  At T = 0 the detailed-balance factor
+    A thermal bath is channel-diagonal, and each diagonal entry is checked at
+    its own channel's temperature; at T = 0 the detailed-balance factor
     degenerates and the zero-temperature spectrum rule is checked instead.
+    Thermal models pass within roundoff; other variants get an informative
+    (generally nonzero) number from the whole matrix at T = 1.
     """
     wgrid = np.atleast_1d(np.asarray(wgrid, dtype=float))
-    if b.is_thermal() and np.any(b.temperature == 0):
-        res = 0.0
-        for w in wgrid:
-            sp = b.alpha_spectrum(w)
-            for i, ch in enumerate(b._impl):
-                want = 0.0 if w >= 0 else 2 * abs(w) * ch.gamma_tilde(w)
-                res = max(res, abs(sp[i, i] - want))
-        scale = max(abs(b.alpha_spectrum(w)).max() for w in wgrid)
-        return res / max(scale, 1e-300)
-    T = float(b.temperature[0]) if b.is_thermal() else 1.0  # informative only otherwise
+    if b.is_thermal():
+        entries = [((i, i), T, ch) for i, (T, ch) in enumerate(zip(b.temperature, b._impl))]
+    else:
+        entries = [(np.s_[...], 1.0, None)]
     res = scale = 0.0
     for w in wgrid:
         ap = b.alpha_spectrum(w)
         am = np.conj(b.alpha_spectrum(-w))
         scale = max(scale, float(np.max(np.abs(ap))))
-        if w / T > 700:
-            continue  # underflowing Boltzmann factor
-        res = max(res, float(np.max(np.abs(ap - am * np.exp(-w / T)))))
+        for idx, T, ch in entries:
+            if T == 0:
+                want = 0.0 if w >= 0 else 2 * abs(w) * ch.gamma_tilde(w)
+            elif w / T > 700:
+                continue  # underflowing Boltzmann factor
+            else:
+                want = am[idx] * np.exp(-w / T)
+            res = max(res, float(np.max(np.abs(ap[idx] - want))))
     return res / max(scale, 1e-300)
 
 

@@ -125,11 +125,34 @@ def _parse_state(node, dim, name="run.rho0"):
         raise ValidationError(str(exc))
 
 
+def _run_value(node, key, name, default=None, *, integer=False, above=-np.inf, ndim=0):
+    """node[key], or default when it is absent (None: the key is required), as
+    a finite float, an int (integer=True) or, with ndim=1, a non-empty 1-D
+    float array; every value must be > above.  ValidationError naming the key
+    otherwise."""
+    if key not in node and default is None:
+        raise ValidationError(f"{name} is required")
+    value = node.get(key, default)
+    try:
+        arr = np.asarray(value)
+        ok = (arr.dtype.kind in "iuf" and arr.ndim == ndim and arr.size > 0
+              and bool(np.isfinite(arr).all()) and bool((arr > above).all())
+              and not (integer and (arr % 1).any()))
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        what = ("a non-empty list of finite numbers" if ndim else
+                "an integer" if integer else "a finite number")
+        bound = f" > {above:g}" if above > -np.inf else ""
+        raise ValidationError(f"{name} must be {what}{bound}, got {value!r}")
+    if ndim:
+        return arr.astype(float)
+    return int(arr) if integer else float(arr)
+
+
 def _grid(run, default_tmax=10.0, default_n=101):
-    tmax = float(run.get("t_max", default_tmax))
-    n = int(run.get("n_points", default_n))
-    if tmax <= 0 or n < 2:
-        raise ValidationError("run: need t_max > 0 and n_points >= 2")
+    tmax = _run_value(run, "t_max", "run.t_max", default_tmax, above=0)
+    n = _run_value(run, "n_points", "run.n_points", default_n, integer=True, above=1)
     return np.linspace(0.0, tmax, n)
 
 
@@ -239,10 +262,8 @@ def cmd_pauli(model, run, args):
 def cmd_coefficients(model, run, args):
     tol = args.tol
     b = model.bath
-    tgrid = _grid(run, default_tmax=float(run.get("t_max", 10.0)), default_n=21)
-    wgrid = np.asarray(
-        run.get("frequencies", [float(g) for g in model.unique_gaps]), dtype=float
-    )
+    tgrid = _grid(run, default_n=21)
+    wgrid = _run_value(run, "frequencies", "run.frequencies", model.unique_gaps, ndim=1)
     table = {}
     for w in wgrid:
         entry = {"stationary": _cmat(b.coefficient_stationary(float(w)))}
@@ -254,7 +275,8 @@ def cmd_coefficients(model, run, args):
         except ValueError as exc:
             raise NumericalError(f"coefficient evaluation failed at w={w}: {exc}")
         table[repr(float(w))] = entry
-    kgrid = np.asarray(run.get("kernel_frequencies", np.linspace(-5, 5, 21)), dtype=float)
+    kgrid = _run_value(run, "kernel_frequencies", "run.kernel_frequencies",
+                       np.linspace(-5, 5, 21), ndim=1)
     kern = bath_mod.kernels(b, kgrid)
     checks = {}
     if b.is_thermal():
@@ -296,13 +318,14 @@ def cmd_cp_audit(model, run, args):
         _emit_json(args.out, report)
         return
     tgrid = _grid(run, default_tmax=8.0, default_n=9)[1:]
+    weak_points = _run_value(run, "weak_points", "run.weak_points", 2001, integer=True, above=1)
     gens = [positivity.magnus_phi2(model, float(t)) for t in tgrid]
     delta_mins = [float(np.linalg.eigvalsh(g.delta)[0]) for g in gens]
     choi_mins = [
         min_choi_eigenvalue(choi_rearrange(positivity.algebraic_propagator(model, g)))
         for g in gens
     ]
-    dense = np.linspace(0.0, float(tgrid[-1]), int(run.get("weak_points", 2001)))
+    dense = np.linspace(0.0, float(tgrid[-1]), weak_points)
     weak = positivity.weak_cp_test(
         positivity.interaction_dissipator_samples(model, dense), dense
     )
@@ -358,15 +381,14 @@ def cmd_nonlocal(model, run, args):
 
 def cmd_qrt(model, run, args):
     qrun = run.get("qrt", {})
-    for key in ("x1", "x2", "t1", "t2"):
+    for key in ("x1", "x2"):
         if key not in qrun:
             raise ValidationError(f"run.qrt.{key} is required")
     x1 = _parse_complex_matrix(qrun["x1"], "run.qrt.x1")
     x2 = _parse_complex_matrix(qrun["x2"], "run.qrt.x2")
+    t1, t2 = (_run_value(qrun, key, f"run.qrt.{key}") for key in ("t1", "t2"))
     rho0 = _parse_state(qrun.get("rho0"), model.dim, "run.qrt.rho0")
-    req = multitime.TwoTimeRequest(
-        x1=x1, x2=x2, t1=float(qrun["t1"]), t2=float(qrun["t2"]), rho0=rho0
-    )
+    req = multitime.TwoTimeRequest(x1=x1, x2=x2, t1=t1, t2=t2, rho0=rho0)
     mode = qrun.get("mode", "stationary")
     try:
         bare = multitime.qrt_correlation(model, req, mode=mode, include_correction=False)
@@ -389,12 +411,14 @@ def cmd_qrt(model, run, args):
 
 def cmd_oracle_compare(model, run, args):
     orun = run.get("oracle", {})
-    seed = args.seed if args.seed is not None else int(orun.get("seed", 0))
-    g = float(orun.get("g", 0.1))
-    horizon = float(orun.get("horizon", 6.0))
+    seed = args.seed if args.seed is not None else _run_value(
+        orun, "seed", "run.oracle.seed", 0, integer=True, above=-1)
+    g = _run_value(orun, "g", "run.oracle.g", 0.1, above=0)
+    horizon = _run_value(orun, "horizon", "run.oracle.horizon", 6.0, above=0)
+    npoints = _run_value(orun, "n_points", "run.oracle.n_points", 13, integer=True, above=1)
     comp = oracle.random_composite(seed=seed, g=g)
     rho0 = _parse_state(orun.get("rho0"), comp.dim, "run.oracle.rho0")
-    errs = oracle.convergence_errors(comp, rho0, horizon, npoints=int(orun.get("n_points", 13)))
+    errs = oracle.convergence_errors(comp, rho0, horizon, npoints=npoints)
     ratio = errs[0] / errs[1] if errs[1] > 0 else float("inf")
     report = {
         "command": "oracle-compare",

@@ -383,40 +383,32 @@ def _grid_steps(grid: np.ndarray) -> np.ndarray:
                      "strictly increasing or strictly decreasing")
 
 
-def propagate(
-    m: SystemModel,
-    rho0: np.ndarray,
-    grid,
-    mode: str = "stationary",
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> Trajectory:
-    """Propagate the vectorized TCL2 master equation over grid (see
-    _grid_steps for what it may be).
-
-    Stationary mode: the generator L is constant, so each step is exact,
-    vec rho(t_k+1) = expm(L h) vec rho(t_k) with h = t_k+1 - t_k, one matrix
-    exponential (scaling and squaring, accurate to round-off) per distinct h.
-    rtol and atol are not used.  Full-time mode: adaptive RK45 at rtol and
-    atol, one generator build per stage time.
-    """
-    rho0 = require_state(rho0, name="initial state")
-    grid = np.asarray(grid, dtype=float)
+def _require_mode(mode: str) -> None:
     if mode not in ("stationary", "full-time", "full"):
         raise ValueError(f"unknown mode {mode!r}")
-    steps = _grid_steps(grid)
-    d = m.dim
 
+
+def _evolve(m: SystemModel, y0: np.ndarray, grid: np.ndarray, mode: str,
+            rtol: float = 1e-10, atol: float = 1e-12) -> np.ndarray:
+    """The vectors y(t) on grid, (len(grid), d^2), from y(grid[0]) = y0 under
+    dy/dt = L y, L the TCL2 generator (see _grid_steps for what grid may be).
+
+    Stationary mode: L is constant, so each step is exact, y(t_k+1) =
+    expm(L h) y(t_k) with h = t_k+1 - t_k, one matrix exponential (scaling
+    and squaring, accurate to round-off) per distinct h; rtol and atol are not
+    used.  Full-time mode: adaptive RK45 at rtol and atol, one generator build
+    per stage time."""
+    _require_mode(mode)
+    steps = _grid_steps(grid)
     if mode == "stationary":
         s = build_L2(m, None)
         step_maps = {}
-        ys = [vec(rho0)]
+        ys = [y0]
         for h in steps.tolist():
             if h not in step_maps:
                 step_maps[h] = expm(s * h)
             ys.append(step_maps[h] @ ys[-1])
-        return Trajectory(times=grid, states=np.array(ys).reshape(-1, d, d),
-                          metadata={"integrator": "expm", "mode": mode})
+        return np.array(ys)
 
     # the solver holds rhs in a reference cycle that only a full collection
     # frees, so rhs reaches the model and its generators only through
@@ -432,22 +424,24 @@ def propagate(
         return cache[key] @ y
 
     try:
-        sol = solve_ivp(
-            rhs,
-            (grid[0], grid[-1]),
-            vec(rho0),
-            t_eval=grid,
-            method="RK45",
-            rtol=rtol,
-            atol=atol,
-        )
+        sol = solve_ivp(rhs, (grid[0], grid[-1]), y0, t_eval=grid, method="RK45",
+                        rtol=rtol, atol=atol)
     finally:
         held.clear()
         cache.clear()
     if not sol.success:
         raise RuntimeError(f"integrator failed: {sol.message}")
-    return Trajectory(
-        times=grid,
-        states=sol.y.T.reshape(-1, d, d),
-        metadata={"integrator": "RK45", "rtol": rtol, "atol": atol, "mode": mode},
-    )
+    return sol.y.T
+
+
+def propagate(m: SystemModel, rho0: np.ndarray, grid, mode: str = "stationary",
+              rtol: float = 1e-10, atol: float = 1e-12) -> Trajectory:
+    """Propagate the vectorized TCL2 master equation from rho0 over grid:
+    exact matrix-exponential steps in stationary mode, adaptive RK45 at rtol
+    and atol in full-time mode (see _evolve)."""
+    rho0 = require_state(rho0, name="initial state")
+    grid = np.asarray(grid, dtype=float)
+    states = _evolve(m, vec(rho0), grid, mode, rtol, atol).reshape(-1, m.dim, m.dim)
+    metadata = ({"integrator": "expm", "mode": mode} if mode == "stationary" else
+                {"integrator": "RK45", "rtol": rtol, "atol": atol, "mode": mode})
+    return Trajectory(times=grid, states=states, metadata=metadata)

@@ -644,6 +644,12 @@ class TestKernels:
     def test_kms_residual_thermal(self):
         assert bath.kms_residual(thermal(), np.linspace(-10, 10, 41)) < 1e-12
 
+    @pytest.mark.parametrize("temperature", [[0.25, 1.0], [0.0, 0.25]])
+    def test_kms_residual_per_channel(self, temperature):
+        # each channel is held to its own temperature and its own rule
+        b = bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=temperature, n_channels=2)
+        assert bath.kms_residual(b, np.linspace(-5, 5, 21)) <= 1e-12
+
     def test_kms_residual_detects_violation(self):
         b = bath.ExponentialOU(c=[[0.3]], lam=1.2)  # classical: symmetric spectrum
         assert bath.kms_residual(b, np.linspace(-3, 3, 13)) > 1e-3

@@ -159,6 +159,14 @@ class TestReports:
         assert report["checks"]["kms"] == "pass"
         assert report["checks"]["fdi"] == "pass"
 
+    @pytest.mark.parametrize("temperature", [[0.25, 1.0], [0.0, 0.25]])
+    def test_coefficients_kms_per_channel(self, tmp_path, capsys, temperature):
+        doc = qubit_doc(t_max=1.0, n_points=2)
+        doc["system"]["couplings"].append(_pairs(np.diag([1.0, -1.0])))
+        doc["bath"]["temperature"] = temperature
+        assert cli.main(["coefficients", "--model", write_model(tmp_path, doc)]) == 0
+        assert json.loads(capsys.readouterr().out)["checks"]["kms"] == "pass"
+
     def test_cp_audit(self, tmp_path, capsys):
         model = write_model(tmp_path, qubit_doc(t_max=4.0, n_points=5, weak_points=1201))
         assert cli.main(["cp-audit", "--model", model]) == 0
@@ -398,6 +406,28 @@ class TestValidation:
         assert cli.main([command, "--model", write_model(tmp_path, doc)]) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "rho0" in err and defect in err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("qrt", "qrt.t1", "abc"),
+        ("simulate", "n_points", "abc"),
+        ("cp-audit", "weak_points", "abc"),
+        ("cp-audit", "weak_points", 1),
+        ("coefficients", "frequencies", "abc"),
+        ("oracle-compare", "oracle.n_points", 1),
+        ("oracle-compare", "oracle.horizon", -1),
+    ])
+    def test_malformed_run_value_exits_validation(self, tmp_path, capsys, command, key, value):
+        sx = _pairs(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        doc = qubit_doc(t_max=1.0, n_points=2, weak_points=11,
+                        qrt={"x1": sx, "x2": sx, "t1": 1.0, "t2": 0.5},
+                        oracle={"horizon": 1.0, "n_points": 3})
+        *parents, last = key.split(".")
+        node = doc["run"]
+        for name in parents:
+            node = node[name]
+        node[last] = value
+        assert cli.main([command, "--model", write_model(tmp_path, doc)]) == cli.EXIT_VALIDATION
+        assert f"run.{key} must be" in capsys.readouterr().err
 
     def test_compose_refused(self, tmp_path, capsys):
         doc = qubit_doc()

@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from oqsolve import bath, multitime, tcl2
 
@@ -86,6 +87,57 @@ class TestCorrections:
         assert v_far == pytest.approx(v_mid, rel=1e-3)
 
 
+def three_level_model():
+    rng = np.random.default_rng(7)
+
+    def herm(scale):
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        return scale * (a + a.conj().T) / 2
+
+    b = bath.ThermalLorentz(gamma0=[0.1, 0.05], cutoff=[5.0, 3.0], temperature=[0.25, 1.0],
+                            n_channels=2)
+    m = tcl2.SystemModel(h=np.diag([0.0, 0.7, 1.9]) + herm(0.1),
+                         couplings=[herm(0.3), herm(0.2)], bath=b)
+    a = herm(1.0)
+    rho0 = a @ a / np.trace(a @ a)
+    return m, multitime.TwoTimeRequest(x1=herm(1.0), x2=herm(1.0) + 1j * herm(1.0),
+                                       t1=1.8, t2=0.6, rho0=rho0)
+
+
+def reference_rate(m, req, tau):
+    """The correction rate in the input basis: free Heisenberg evolution by
+    matrix exponentials, one coupling at a time."""
+    def heisenberg(x, t):
+        u = expm(1j * m.h * t)
+        return u @ x @ u.conj().T
+
+    x1h, x2h = heisenberg(req.x1, req.t1), heisenberg(req.x2, req.t2)
+    total = 0.0
+    for n, l in enumerate(m.couplings):
+        lnh = heisenberg(l, tau)
+        bh = heisenberg(tcl2.second_order_operator(m, tau, n)
+                        - tcl2.second_order_operator(m, tau - req.t2, n), tau)
+        total += np.trace((lnh @ x1h - x1h @ lnh) @ (bh @ x2h - x2h @ bh) @ req.rho0)
+    return -total
+
+
+class TestEnergyBasisCorrection:
+    def test_product_form_matches_input_basis_reference(self):
+        m, req = three_level_model()
+        want = reference_rate(m, req, req.t1)
+        assert multitime.nm_correction(m, req) == pytest.approx(want, rel=1e-13)
+
+    def test_integrated_form_matches_input_basis_reference(self):
+        m, req = three_level_model()
+        x, w = np.polynomial.legendre.leggauss(32)
+        half = 0.5 * (req.t1 - req.t2)
+        want = sum(half * wk * reference_rate(m, req, req.t2 + half * (xi + 1.0))
+                   for xi, wk in zip(x, w))
+        got = multitime.nm_correction_integrated(m, req)
+        assert abs(want) > 1e-4
+        assert got == pytest.approx(want, rel=1e-13)
+
+
 class TestQrtCorrelation:
     def test_identity_observables_give_unity(self):
         m = qubit_model()
@@ -130,14 +182,32 @@ class TestQrtCorrelation:
         assert val == pytest.approx(complex(want), abs=1e-8)
 
 
+    @pytest.mark.parametrize("t1, t2", [(1.0, -0.5), (-0.5, 1.0), (-1.0, -2.0)])
+    def test_negative_times_rejected(self, t1, t2):
+        m = ou_model()
+        req = multitime.TwoTimeRequest(x1=SX, x2=SX, t1=t1, t2=t2, rho0=GROUND)
+        for mode in ("stationary", "full-time"):
+            with pytest.raises(ValueError, match="t1, t2 >= 0"):
+                multitime.qrt_correlation(m, req, mode=mode, include_correction=False)
+        with pytest.raises(ValueError, match="t1, t2 >= 0"):
+            multitime.qrt_corrections(m, req)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_unknown_mode_rejected_at_equal_times(self, t):
+        req = multitime.TwoTimeRequest(x1=SX, x2=SX, t1=t, t2=t, rho0=GROUND)
+        with pytest.raises(ValueError, match="unknown mode"):
+            multitime.qrt_correlation(ou_model(), req, mode="bogus")
+
+
 def test_full_time_propagator_releases_model():
     # the RK45 solver keeps its right-hand side in a reference cycle; with the
     # collector off, the model must still go when its last name does
     m = ou_model()
     ref = weakref.ref(m)
+    req = multitime.TwoTimeRequest(x1=SX, x2=SX, t1=0.5, t2=0.2, rho0=GROUND)
     gc.disable()
     try:
-        multitime._superop_propagator(m, 0.0, 0.5, "full-time")
+        multitime.qrt_correlation(m, req, mode="full-time", include_correction=False)
         del m
         assert ref() is None
     finally:
