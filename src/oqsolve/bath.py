@@ -11,7 +11,8 @@ A bath model supplies the multivariate correlation function alpha_{nm}(t)
 Variants: WhiteNoise (delta correlation), ExponentialOU (a sum
 sum_k c_k e^{-lam_k |t|}), ThermalLorentz (thermal state with Lorentzian damping
 kernel gamma~(w) = gamma0 / (1 + (w/Lam)^2): a Matsubara exponential sum with
-digamma closed forms at T > 0, log/E1/Ei closed forms at T = 0), and Tabulated
+digamma closed forms and, at small t, an Euler-Maclaurin tail at T > 0,
+log/E1/Ei closed forms at T = 0), and Tabulated
 (user samples on a uniform grid).  The exponential sums share one set of
 closed forms over a table of weights and rates.
 
@@ -56,6 +57,17 @@ __all__ = [
 
 _MATSUBARA_TERMS = 120_000
 _LOG_1_EPS = math.log(1 / np.finfo(float).eps)
+# past n0 = ceil(Lam / 2 pi T) + _TAIL_MARGIN the Matsubara sums of a T > 0 channel take
+# their tail in closed form (_exp_tail), where the direct sum would need more than
+# _TAIL_SWITCH terms
+_TAIL_MARGIN = 32
+_TAIL_SWITCH = 3000
+# Euler-Maclaurin terms of _exp_tail: eps^m u^-i weighs B_n / (n m!), n = i + m <= 12,
+# m = 0 .. 11, i = 1 .. 12
+_EM_M, _EM_I = np.arange(12), np.arange(1, 13)[:, None]
+_EM_WEIGHTS = np.where((_EM_I + _EM_M >= 2) & (_EM_I + _EM_M <= 12),
+                       special.bernoulli(12)[np.minimum(_EM_I + _EM_M, 12)]
+                       / ((_EM_I + _EM_M) * special.factorial(_EM_M)), 0.0)
 # adaptive quadrature of the gap-pair table: absolute and relative targets in
 # the max norm over its entries
 _TABLE_EPSABS = 1e-13
@@ -115,6 +127,18 @@ def _exp_sum_table(c, z, t: float, w: np.ndarray, laplace_iw: np.ndarray):
     e_nu = _exp_integral(iw + iw.T, t)
     return (laplace_iw.T[..., None] * e_nu - head).transpose(1, 2, 0).reshape(
         e_nu.shape + c.shape[1:])
+
+
+def _exp_tail(eps: float, n0: int, b: np.ndarray) -> np.ndarray:
+    """sum_{k > n0} e^{-eps k} / (k + b) for eps > 0 and a 1-D array of poles b, each with
+    |n0 + b| >= 32 and Re(n0 + b) > 0, by Euler-Maclaurin with u = n0 + b, z = eps u:
+    e^{-eps n0} [e^z E1(z) - 1/2u + sum_{n=2..12} (B_n / n) sum_{m<n} eps^m u^{m-n} / m!],
+    the integral, the half endpoint and the Bernoulli terms to B_12; the remainder is at
+    most about (6 / (e pi |u|))^12 < 1e-20 of 1/|u|."""
+    u = n0 + b
+    z = eps * u
+    corr = (_EM_WEIGHTS @ eps**_EM_M) @ (1 / u) ** _EM_I
+    return math.exp(-eps * n0) * (np.exp(z) * special.exp1(z) - 0.5 / u + corr)
 
 
 def _integrate_table(coefficient_full, t: float, w: np.ndarray):
@@ -431,9 +455,10 @@ class _ThermalChannel(_LorentzChannel):
 
     def __init__(self, gamma0: float, cutoff: float, temperature: float):
         self.gamma0, self.cutoff, self.temperature = gamma0, cutoff, temperature
-        a = 2 * np.pi * temperature
-        x = cutoff / a
-        if x >= _MATSUBARA_TERMS:
+        a = self._a = 2 * np.pi * temperature
+        x = self._x = cutoff / a
+        self._n0 = math.ceil(x) + _TAIL_MARGIN
+        if self._n0 >= _MATSUBARA_TERMS:
             raise ValueError(f"cutoff / (2 pi temperature) = {x:.3g} is past the Matsubara table")
         k = max(1, round(x))
         y, pre = x - k, gamma0 * cutoff**2 / (2 * np.pi)
@@ -476,17 +501,36 @@ class _ThermalChannel(_LorentzChannel):
         # Past K = ln(1/eps) / (2 pi T t), e^{-nu_k t} <= eps e^{-2 pi T t (k - K)}, so the dropped
         # tail of sum_k c_k e^{-nu_k t} / p_k (|p_k| >= nu_k) is at most eps max_{k>K} |c_k / nu_k|
         # / (e^{2 pi T t} - 1), |c_k / nu_k| ~ 2 gamma0 T Lam^2 (t / ln(1/eps))^2: a few eps of
-        # A(inf; w) and alpha(t).  K >= ceil(x) >= k* keeps the pair's zero slot out of any tail.
-        a = 2 * np.pi * self.temperature
-        return min(_MATSUBARA_TERMS, math.ceil(max(_LOG_1_EPS / (a * t), self.cutoff / a)))
+        # A(inf; w) and alpha(t).  The cap at _MATSUBARA_TERMS breaks that bound for
+        # t < ln(1/eps) / (2 pi T _MATSUBARA_TERMS); there coefficient_full and alpha_time add
+        # the tail in closed form (they do so from _TAIL_SWITCH terms on) and coefficient_integral
+        # counts it in its error bound.  K >= ceil(x) >= k* keeps the pair's zero slot out of any tail.
+        return min(_MATSUBARA_TERMS, math.ceil(max(_LOG_1_EPS / (self._a * t), self._x)))
+
+    def _split(self, t: float):
+        """(k, eps) at time t > 0: the first k table terms are summed directly and, unless
+        eps is None, the Matsubara terms past n0 = k - 1 come from _exp_tail(eps, n0, b).
+        The tail applies where K(t) would pass _TAIL_SWITCH, until e^{-nu_n0 t} < eps: from
+        there on K(t) <= n0, and e^{eps b} in _exp_tail could overflow at large eps x."""
+        k = self._n_terms(t) + 1
+        if k <= _TAIL_SWITCH + 1:
+            return k, None
+        eps = self._a * t
+        return self._n0 + 1, (eps if eps * self._n0 < _LOG_1_EPS else None)
 
     def alpha_time(self, t: float) -> complex:
+        """alpha(t).  Past n0 the Matsubara terms are (2 gamma0 T Lam^2 / a) k / (k^2 - x^2)
+        e^{-a k t}, a = 2 pi T, x = Lam / a, with k / (k^2 - x^2) = (1/2) sum_{b = +-x} 1/(k + b)."""
         if t == 0.0:
             raise ValueError("thermal correlation is logarithmically divergent at t = 0")
         c, z = self.terms()
-        k, tau = self._n_terms(abs(t)) + 1, abs(t)
+        tau = abs(t)
+        k, eps = self._split(tau)
         pair = self._d * np.exp(-self.cutoff * tau) * self._e_delta(tau)
         val = _exp_sum_alpha(c[:k], z[:k], tau) + pair
+        if eps is not None:
+            sums = _exp_tail(eps, self._n0, np.array([-self._x, self._x]))
+            val += self.gamma0 * self.temperature * self.cutoff**2 / self._a * sums.sum()
         return val if t > 0 else np.conj(val)
 
     def _regular_point(self, s: complex) -> complex:
@@ -530,7 +574,11 @@ class _ThermalChannel(_LorentzChannel):
         return -0.5j * g0 * lam**2 / (lam + s) - 2 * g0 * T * lam**2 * ssum
 
     def coefficient_full(self, t: float, w):
-        """A(t; w); a 1-D array of w gives the array of values."""
+        """A(t; w) = alpha^(iw) - e^{-iwt} sum_k c_k e^{-z_k t} / (z_k + iw); a 1-D array
+        of w gives the array of values.  The pair term adds d e^{-pt} (1/p + E(delta, t))
+        / (p - delta).  Past n0, c_k / (nu_k + iw) = (2 gamma0 T Lam^2 / a^2) k / ((k^2 - x^2)
+        (k + i beta)), a = 2 pi T, x = Lam / a, beta = w / a, is sum_b r_b / (k + b) over
+        b = -x, x, i beta with r = 1/2(x + i beta), -1/2(x - i beta), i beta / (x^2 + beta^2)."""
         if t < 0:
             raise ValueError("coefficient_full requires t >= 0")
         if t == 0.0:
@@ -538,16 +586,17 @@ class _ThermalChannel(_LorentzChannel):
         c, z = self.terms()
         iw = 1j * w
         p = self.cutoff + iw
-        if 2 * np.pi * self.temperature * _MATSUBARA_TERMS * t < 5.0:
-            # near t=0 the direct form (error O(t log t) -> 0), per w and with real exp only
-            cz = c * np.exp(-z * t)
-            direct = [((c - cz * np.exp(-1j * v * t)) / (z + 1j * v)).sum() for v in np.ravel(w)]
-            return np.reshape(direct, np.shape(w)) + self._pair_integral(p, t)
-        # alpha^(iw) - e^{-iwt} sum_k c_k e^{-z_k t} / (z_k + iw), in blocks of 8192 terms
-        # (K(t) reaches 120 001); the pair term adds d e^{-pt} (1/p + E(delta, t)) / (p - delta)
-        k = self._n_terms(t) + 1
-        cz, z = c[:k] * np.exp(-z[:k] * t), z[:k]
-        tail = sum(_exp_sum_laplace(cz[j:j + 8192], z[j:j + 8192], iw) for j in range(0, k, 8192))
+        k, eps = self._split(t)
+        tail = _exp_sum_laplace(c[:k] * np.exp(-z[:k] * t), z[:k], iw)
+        if eps is not None:
+            a, x = self._a, self._x
+            ib = iw / a
+            sums = _exp_tail(eps, self._n0, np.append(ib, (-x, x)))
+            s_ib = sums[:-2] if type(w) is np.ndarray else sums[0]
+            # sum_b r_b S_b over the common denominator (x + i beta)(x - i beta)
+            h_plus, h_minus = (sums[-2] + sums[-1]) / 2, (sums[-2] - sums[-1]) / 2
+            tail += (2 * self.gamma0 * self.temperature * self.cutoff**2 / a**2
+                     * (ib * (s_ib - h_plus) + x * h_minus) / (x * x - ib * ib))
         d = self._d * math.exp(-self.cutoff * t)
         tail += d * (1 / p + self._e_delta(t)) / (p - self._delta)
         return self._laplace_on_axis(w) - np.exp(-t * iw) * tail

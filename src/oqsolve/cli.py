@@ -411,8 +411,8 @@ def cmd_qrt(model, run, args):
 
 def cmd_oracle_compare(model, run, args):
     orun = run.get("oracle", {})
-    seed = args.seed if args.seed is not None else _run_value(
-        orun, "seed", "run.oracle.seed", 0, integer=True, above=-1)
+    node, name = (orun, "run.oracle.seed") if args.seed is None else ({"seed": args.seed}, "--seed")
+    seed = _run_value(node, "seed", name, 0, integer=True, above=-1)
     g = _run_value(orun, "g", "run.oracle.g", 0.1, above=0)
     horizon = _run_value(orun, "horizon", "run.oracle.horizon", 6.0, above=0)
     npoints = _run_value(orun, "n_points", "run.oracle.n_points", 13, integer=True, above=1)

@@ -12,8 +12,8 @@ objects are one contraction of a gap-pair table with `pair_tensor`.
 
 Also provides: the pseudo-Lindblad split -i[H+V, .] + dissipator(D), the
 rotating-wave (Lindblad) projection, and propagation: exact
-matrix-exponential steps for the stationary generator, adaptive RK45 for the
-full-time one.
+matrix-exponential steps for the stationary generator, adaptive DOP853 (an
+eighth-order Runge-Kutta method) for the full-time one.
 """
 
 from __future__ import annotations
@@ -396,8 +396,8 @@ def _evolve(m: SystemModel, y0: np.ndarray, grid: np.ndarray, mode: str,
     Stationary mode: L is constant, so each step is exact, y(t_k+1) =
     expm(L h) y(t_k) with h = t_k+1 - t_k, one matrix exponential (scaling
     and squaring, accurate to round-off) per distinct h; rtol and atol are not
-    used.  Full-time mode: adaptive RK45 at rtol and atol, one generator build
-    per stage time."""
+    used.  Full-time mode: adaptive DOP853 at rtol and atol, one generator
+    build per stage time."""
     _require_mode(mode)
     steps = _grid_steps(grid)
     if mode == "stationary":
@@ -424,7 +424,7 @@ def _evolve(m: SystemModel, y0: np.ndarray, grid: np.ndarray, mode: str,
         return cache[key] @ y
 
     try:
-        sol = solve_ivp(rhs, (grid[0], grid[-1]), y0, t_eval=grid, method="RK45",
+        sol = solve_ivp(rhs, (grid[0], grid[-1]), y0, t_eval=grid, method="DOP853",
                         rtol=rtol, atol=atol)
     finally:
         held.clear()
@@ -437,11 +437,11 @@ def _evolve(m: SystemModel, y0: np.ndarray, grid: np.ndarray, mode: str,
 def propagate(m: SystemModel, rho0: np.ndarray, grid, mode: str = "stationary",
               rtol: float = 1e-10, atol: float = 1e-12) -> Trajectory:
     """Propagate the vectorized TCL2 master equation from rho0 over grid:
-    exact matrix-exponential steps in stationary mode, adaptive RK45 at rtol
-    and atol in full-time mode (see _evolve)."""
+    exact matrix-exponential steps in stationary mode, adaptive DOP853 at
+    rtol and atol in full-time mode (see _evolve)."""
     rho0 = require_state(rho0, name="initial state")
     grid = np.asarray(grid, dtype=float)
     states = _evolve(m, vec(rho0), grid, mode, rtol, atol).reshape(-1, m.dim, m.dim)
     metadata = ({"integrator": "expm", "mode": mode} if mode == "stationary" else
-                {"integrator": "RK45", "rtol": rtol, "atol": atol, "mode": mode})
+                {"integrator": "DOP853", "rtol": rtol, "atol": atol, "mode": mode})
     return Trajectory(times=grid, states=states, metadata=metadata)

@@ -1,3 +1,4 @@
+import functools
 import os
 import tempfile
 
@@ -134,16 +135,18 @@ def test_coefficient_full_gap_memo_never_stale(make):
 
 
 class TestMatsubaraTruncation:
-    """The time-dependent Matsubara sums stop after K(t) terms; compare them
-    with the full N-term sums written out here."""
+    """The time-dependent Matsubara sums keep K(t) terms, or the first n0 and the
+    rest in closed form; compare them with the infinite sums: the first N terms
+    written out here, and the rest from mpmath's Lerch transcendent."""
 
-    TIMES = (1e-4, 1e-3, 0.01, 0.1, 1.0, 8.0, 20.0)
+    TIMES = (1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 1.0, 8.0, 20.0)
     FREQS = (-3.0, -1.0, 0.0, 0.4, 1.0, 3.0)
+    N = 120_000
 
-    @staticmethod
-    def full_terms(ch):
+    @classmethod
+    def full_terms(cls, ch):
         g0, lam, temp = ch.gamma0, ch.cutoff, ch.temperature
-        nu = 2 * np.pi * temp * np.arange(1, bath._MATSUBARA_TERMS + 1)
+        nu = 2 * np.pi * temp * np.arange(1, cls.N + 1)
         c = np.concatenate([[0j], -2 * g0 * temp * lam**2 * nu / (lam**2 - nu**2)])
         # c0 and the Matsubara term nearest Lam are ill-conditioned in the rounded
         # Lam / 2T and nu_k (at Lam = 5, T = 0.05 double rounding moves A(t; w) by
@@ -156,6 +159,33 @@ class TestMatsubaraTruncation:
             c[k] = float(-2 * g0 * mtemp * mlam**2 * nk / (mlam**2 - nk**2))
         return c, np.concatenate([[lam], nu])
 
+    @classmethod
+    @functools.cache
+    def rest(cls, eps, b):
+        """sum_{k > N} e^{-eps k} / (k + b) = e^{-eps (N + 1)} Phi(e^{-eps}, 1, N + 1 + b),
+        taken as 0 past e^{-eps N} = e^{-45}."""
+        if eps * cls.N > 45:
+            return 0j
+        with mpmath.workdps(25):  # lerchphi at 15 digits is off by 4e-11 here
+            return complex(mpmath.exp(-eps * (cls.N + 1))
+                           * mpmath.lerchphi(mpmath.exp(-eps), 1, cls.N + 1 + b))
+
+    @classmethod
+    def tail(cls, ch, t, w=None):
+        """The Matsubara terms past N: sum_{k>N} c_k e^{-nu_k t}, or with w that sum
+        weighted by 1/(nu_k + iw), from the partial fractions in k of
+        c_k = (2 gamma0 T Lam^2 / a) k / (k^2 - x^2), a = 2 pi T, x = Lam / a, and
+        k / ((k^2 - x^2)(k + i beta)), beta = w / a, with poles k = x, -x, -i beta."""
+        a = 2 * np.pi * ch.temperature
+        x, eps = ch.cutoff / a, a * t
+        pre = 2 * ch.gamma0 * ch.temperature * ch.cutoff**2 / a
+        if w is None:
+            return pre * (cls.rest(eps, -x) + cls.rest(eps, x)) / 2
+        ib = 1j * w / a
+        at_ib = ib / (x * x - ib * ib) * cls.rest(eps, ib) if w else 0
+        return pre / a * (cls.rest(eps, -x) / (2 * (x + ib)) - cls.rest(eps, x) / (2 * (x - ib))
+                          + at_ib)
+
     @pytest.mark.parametrize("temp", [0.05, 0.25, 2.0])
     @pytest.mark.parametrize("cutoff", [1.0, 5.0])
     def test_coefficient_full_matches_full_sum(self, temp, cutoff):
@@ -166,10 +196,8 @@ class TestMatsubaraTruncation:
             p = z + 1j * w
             scale = abs(b.coefficient_stationary(w)[0, 0])
             for t in self.TIMES:
-                if 2 * np.pi * temp * bath._MATSUBARA_TERMS * t < 5.0:
-                    want = np.sum(c * (1.0 - np.exp(-p * t)) / p)
-                else:
-                    want = ch.laplace(1j * w) - np.sum(c * np.exp(-p * t) / p)
+                rest = np.sum(c * np.exp(-z * t) / p) + self.tail(ch, t, w)
+                want = ch.laplace(1j * w) - np.exp(-1j * w * t) * rest
                 got = b.coefficient_full(t, w)[0, 0]
                 assert abs(got - want) <= 1e-14 * scale, (w, t)
 
@@ -179,7 +207,7 @@ class TestMatsubaraTruncation:
         b = bath.ThermalLorentz(gamma0=0.1, cutoff=cutoff, temperature=temp)
         c, z = self.full_terms(b._impl[0])
         for t in self.TIMES:
-            want = np.sum(c * np.exp(-z * t))
+            want = np.sum(c * np.exp(-z * t)) + self.tail(b._impl[0], t)
             assert abs(b.alpha_time(t)[0, 0] - want) <= 1e-12 * abs(want), t
             assert b.alpha_time(-t)[0, 0] == np.conj(b.alpha_time(t)[0, 0])
 

@@ -429,6 +429,13 @@ class TestValidation:
         assert cli.main([command, "--model", write_model(tmp_path, doc)]) == cli.EXIT_VALIDATION
         assert f"run.{key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, where", [(["--seed", "-1"], "--seed"), ([], "run.oracle.seed")])
+    def test_negative_seed_exits_validation(self, tmp_path, capsys, option, where):
+        doc = qubit_doc(oracle={"horizon": 1.0, "n_points": 3, "seed": -1})
+        model = write_model(tmp_path, doc)
+        assert cli.main(["oracle-compare", "--model", model, *option]) == cli.EXIT_VALIDATION
+        assert f"{where} must be an integer > -1, got -1" in capsys.readouterr().err
+
     def test_compose_refused(self, tmp_path, capsys):
         doc = qubit_doc()
         doc["compose"] = ["a.json", "b.json"]

@@ -200,7 +200,7 @@ class TestQrtCorrelation:
 
 
 def test_full_time_propagator_releases_model():
-    # the RK45 solver keeps its right-hand side in a reference cycle; with the
+    # the DOP853 solver keeps its right-hand side in a reference cycle; with the
     # collector off, the model must still go when its last name does
     m = ou_model()
     ref = weakref.ref(m)

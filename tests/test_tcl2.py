@@ -255,8 +255,23 @@ class TestPropagate:
         back = tcl2.propagate(m, rho0, [1.0, 0.5, 0.0], mode=mode)
         assert back.states.shape == (3, 2, 2)
 
+    def test_full_time_ou_dephasing_matches_closed_form(self):
+        # sigma_z coupling to c e^{-lam t}: A(t; 0) = c (1 - e^{-lam t}) / lam, so
+        # rho_01(t) = rho_01(0) e^{-it - 4G(t)}, G(t) = (c / lam) (t - (1 - e^{-lam t}) / lam)
+        c, lam = 0.075, 1.2
+        m = tcl2.SystemModel(h=0.5 * SZ, couplings=[SZ], bath=bath.ExponentialOU(c=c, lam=lam))
+        rho0 = np.array([[0.6, 0.3 - 0.2j], [0.3 + 0.2j, 0.4]])
+        grid = np.linspace(0.0, 10.0, 41)
+        traj = tcl2.propagate(m, rho0, grid, mode="full-time")
+        assert traj.metadata == {"integrator": "DOP853", "rtol": 1e-10, "atol": 1e-12,
+                                 "mode": "full-time"}
+        g = c / lam * (grid - (1 - np.exp(-lam * grid)) / lam)
+        coherence = rho0[0, 1] * np.exp(-1j * grid - 4 * g)
+        want = np.array([[[rho0[0, 0], z], [np.conj(z), rho0[1, 1]]] for z in coherence])
+        assert np.max(np.abs(traj.states - want)) <= 1e-9
+
     def test_full_time_releases_model(self):
-        # the RK45 solver keeps its right-hand side in a reference cycle; with
+        # the DOP853 solver keeps its right-hand side in a reference cycle; with
         # the collector off, the model must still go when its last name does
         m = relaxation_model()
         ref = weakref.ref(m)
