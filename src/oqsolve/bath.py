@@ -18,9 +18,12 @@ closed forms over a table of weights and rates.
 
 The evaluators laplace(s), coefficient_stationary(w) and coefficient_full(t, w)
 take a scalar and return an (n, n) matrix, or take a 1-D array of k points and
-return the (k, n, n) stack, so that one call serves every distinct gap.  The
-array case is told apart by the exact type numpy.ndarray, the cheapest test
-on the scalar path.  coefficient_integral(t, w) takes the 1-D array of gaps and
+return the (k, n, n) stack, so that one call serves every distinct gap.
+coefficient_full also takes a 1-D array of nt times, which leads the result:
+(nt, k, n, n), so that a caller that knows its times (a Runge-Kutta step's
+stages, a quadrature's nodes, a sample grid) makes one call for all of them.
+The array case is told apart by the exact type numpy.ndarray, the cheapest
+test on the scalar path.  coefficient_integral(t, w) takes the 1-D array of gaps and
 returns the gap-pair table int_0^t A(tau; w_a) e^{i(w_a + w_b) tau} dtau,
 (k, k, n, n), with an error bound and the number of integrand evaluations:
 closed forms for damped exponential sums, adaptive quadrature of
@@ -74,8 +77,9 @@ _TABLE_EPSABS = 1e-13
 _TABLE_EPSREL = 1e-11
 
 
-def _exp_integral(z, t: float):
-    """E(z, t) = int_0^t e^{z tau} dtau = (e^{zt} - 1)/z, with E(0, t) = t."""
+def _exp_integral(z, t):
+    """E(z, t) = int_0^t e^{z tau} dtau = (e^{zt} - 1)/z, with E(0, t) = t; t may be an
+    array that broadcasts against z."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(z == 0, t, np.expm1(z * t) / z)
 
@@ -111,10 +115,13 @@ def _exp_sum_laplace(c, z, s):
     return _weigh(1 / (z + (s[:, None] if type(s) is np.ndarray else s)), c)
 
 
-def _exp_sum_coefficient(c, z, t: float, w, undamped: bool = False):
-    """A(t; w) = sum_k c_k E(-(z_k + iw), t) at a scalar w or a 1-D array of w;
-    only undamped terms can meet z_k + iw = 0, so only they take the guard."""
+def _exp_sum_coefficient(c, z, t, w, undamped: bool = False):
+    """A(t; w) = sum_k c_k E(-(z_k + iw), t) at a scalar w or a 1-D array of w, and at a
+    scalar t or a 1-D array of t (the leading axis); only undamped terms can meet
+    z_k + iw = 0, so only they take the guard."""
     x = -1j * (w[:, None] if type(w) is np.ndarray else w) - z
+    if type(t) is np.ndarray:
+        t = t.reshape(t.shape + (1,) * x.ndim)
     return _weigh(_exp_integral(x, t) if undamped else np.expm1(x * t) / x, c)
 
 
@@ -129,16 +136,17 @@ def _exp_sum_table(c, z, t: float, w: np.ndarray, laplace_iw: np.ndarray):
         e_nu.shape + c.shape[1:])
 
 
-def _exp_tail(eps: float, n0: int, b: np.ndarray) -> np.ndarray:
+def _exp_tail(eps, n0: int, b: np.ndarray) -> np.ndarray:
     """sum_{k > n0} e^{-eps k} / (k + b) for eps > 0 and a 1-D array of poles b, each with
     |n0 + b| >= 32 and Re(n0 + b) > 0, by Euler-Maclaurin with u = n0 + b, z = eps u:
     e^{-eps n0} [e^z E1(z) - 1/2u + sum_{n=2..12} (B_n / n) sum_{m<n} eps^m u^{m-n} / m!],
     the integral, the half endpoint and the Bernoulli terms to B_12; the remainder is at
-    most about (6 / (e pi |u|))^12 < 1e-20 of 1/|u|."""
+    most about (6 / (e pi |u|))^12 < 1e-20 of 1/|u|.  A 1-D array of eps leads the result."""
+    eps = np.asarray(eps, dtype=float)[..., None]
     u = n0 + b
     z = eps * u
-    corr = (_EM_WEIGHTS @ eps**_EM_M) @ (1 / u) ** _EM_I
-    return math.exp(-eps * n0) * (np.exp(z) * special.exp1(z) - 0.5 / u + corr)
+    corr = (eps**_EM_M @ _EM_WEIGHTS.T) @ (1 / u) ** _EM_I
+    return np.exp(-eps * n0) * (np.exp(z) * special.exp1(z) - 0.5 / u + corr)
 
 
 def _integrate_table(coefficient_full, t: float, w: np.ndarray):
@@ -232,9 +240,9 @@ class WhiteNoise(BathModel):
         half = self.c.astype(complex) / 2.0
         return np.repeat(half[None], len(s), axis=0) if type(s) is np.ndarray else half
 
-    def coefficient_full(self, t: float, w: float) -> np.ndarray:
-        half = self.c.astype(complex) / 2.0 if t != 0.0 else np.zeros_like(self.c, dtype=complex)
-        return np.repeat(half[None], len(w), axis=0) if type(w) is np.ndarray else half
+    def coefficient_full(self, t, w) -> np.ndarray:
+        half = (self.c / 2.0 * (np.asarray(t) != 0.0)[..., None, None]).astype(complex)
+        return np.repeat(half[..., None, :, :], len(w), axis=-3) if type(w) is np.ndarray else half
 
     def gamma_spectrum(self, w: float) -> np.ndarray:
         return np.zeros_like(self.c, dtype=complex)
@@ -349,14 +357,21 @@ class _LorentzChannel:
         return self._axis_value
 
 
-def _scaled_exp_integrals(x: float):
-    """(e^x E1(x), e^{-x} Ei(x)) for real x > 0.  Past x = 40 (e^x overflows at
-    709) both come from the asymptotic series (1/x) sum_k (-+1)^k k!/x^k, cut
-    after 40 terms: the first dropped term is at most 40!/40^40 < 1e-16."""
-    if x <= 40.0:
-        return np.exp(x) * special.exp1(x), np.exp(-x) * special.expi(x)
-    terms = np.cumprod(np.r_[1.0, np.arange(1, 40) / x]) / x
-    return float(terms[::2].sum() - terms[1::2].sum()), float(terms.sum())
+def _scaled_exp_integrals(x):
+    """(e^x E1(x), e^{-x} Ei(x)) for real x > 0, elementwise over an array.  Past
+    x = 40 (e^x overflows at 709) both come from the asymptotic series
+    (1/x) sum_k (-+1)^k k!/x^k, cut after 40 terms: the first dropped term is at
+    most 40!/40^40 < 1e-16."""
+    shape, x = np.shape(x), np.array(x, dtype=float, ndmin=1)
+    near = np.minimum(x, 40.0)
+    e1, ei = np.exp(near) * special.exp1(near), np.exp(-near) * special.expi(near)
+    far = x > 40.0
+    if far.any():
+        xf = x[far][:, None]
+        terms = np.cumprod(np.concatenate([np.ones_like(xf), np.arange(1, 40) / xf], 1), 1) / xf
+        e1[far] = terms[:, ::2].sum(1) - terms[:, 1::2].sum(1)
+        ei[far] = terms.sum(1)
+    return e1.reshape(shape), ei.reshape(shape)
 
 
 class _ThermalChannelT0(_LorentzChannel):
@@ -412,28 +427,29 @@ class _ThermalChannelT0(_LorentzChannel):
         out = -2j * self._k * f
         return out if type(s) is np.ndarray else complex(out[0])
 
-    def coefficient_full(self, t: float, w):
+    def coefficient_full(self, t, w):
         """A(t; w) = alpha^(iw + 0+) - int_t^inf alpha(tau) e^{-iw tau} dtau; a 1-D
-        array of w gives the array of values.
+        array of w gives the array of values, and a 1-D array of t leads it.
 
         With 1/((u + w)(u - b)) = [1/(u - b) - 1/(u + w)] / (b + w) the tail is
         K [2iw/(Lam^2 + w^2) E1(iwt) + e^{-iwt} sum_b e^{-ibt} E1(-ibt) / (i(b + w))],
         where e^{-ibt} E1(-ibt) is e^x E1(x) at b = i Lam and -e^{-x} (Ei(x) + i pi)
-        at b = -i Lam, x = Lam t; w E1(iwt) -> 0 as w -> 0.
+        at b = -i Lam, x = Lam t; w E1(iwt) -> 0 as w -> 0.  A(0; w) = 0.
         """
-        if t < 0:
-            raise ValueError("coefficient_full requires t >= 0")
         wa = np.asarray(w, dtype=float)
-        if t == 0.0:
-            return np.zeros(wa.shape, dtype=complex) if type(w) is np.ndarray else 0j
-        lam, x = self.cutoff, self.cutoff * t
+        ta = np.asarray(t, dtype=float).reshape(np.shape(t) + (1,) * wa.ndim)
+        if np.any(ta < 0):
+            raise ValueError("coefficient_full requires t >= 0")
+        lam, pos = self.cutoff, ta > 0
+        ts = np.where(pos, ta, 1.0)  # A(0; w) = 0 is set below
+        x = lam * ts
         e1, ei = _scaled_exp_integrals(x)
         pole_terms = e1 / (1j * wa - lam) - (ei + 1j * np.pi * np.exp(-x)) / (1j * wa + lam)
         with np.errstate(invalid="ignore"):
-            w_e1 = np.where(wa == 0, 0, wa * special.exp1(1j * wa * t))
-        tail = self._k * (2j * w_e1 / (lam**2 + wa**2) + np.exp(-1j * wa * t) * pole_terms)
-        out = self._laplace_on_axis(wa) - tail
-        return out if type(w) is np.ndarray else complex(out)
+            w_e1 = np.where(wa == 0, 0, wa * special.exp1(1j * wa * ts))
+        tail = self._k * (2j * w_e1 / (lam**2 + wa**2) + np.exp(-1j * wa * ts) * pole_terms)
+        out = np.where(pos, self._laplace_on_axis(w) - tail, 0j)
+        return out if out.ndim else complex(out)
 
     def coefficient_integral(self, t: float, w: np.ndarray):
         """The gap-pair table by adaptive quadrature of coefficient_full."""
@@ -466,7 +482,7 @@ class _ThermalChannel(_LorentzChannel):
                            -np.pi * pre)
         self._k_pair, self._d, self._delta = k, -pre * 2 * k / (x + k) * a, a * y
         self._psi = (special.digamma(x), special.digamma(1 + x))
-        self._terms = None
+        self._c = self._z = np.zeros(0)
 
     def spectrum(self, w: float) -> complex:
         g0, T = self.gamma0, self.temperature
@@ -477,18 +493,23 @@ class _ThermalChannel(_LorentzChannel):
         # w (coth(w/2T) - 1) = 2w / (e^{w/T} - 1), stable for w >> T
         return gt * 2.0 * w / np.expm1(w / T)
 
-    def terms(self):
-        if self._terms is None:
+    def terms(self, k: int):
+        """The first k entries (c, z) of the term table: c0 + ck* at Lam, then the Matsubara
+        terms 1 .. k - 1 (ck* = 0).  The table is built on demand, to the length asked for
+        but at least twice its last length, up to _MATSUBARA_TERMS + 1 entries; an entry
+        does not depend on the length, so every length gives the same values."""
+        if self._z.size < k:
             g0, lam, T = self.gamma0, self.cutoff, self.temperature
-            nu = 2 * np.pi * T * np.arange(1, _MATSUBARA_TERMS + 1)
+            n = max(k, min(2 * self._z.size, _MATSUBARA_TERMS + 1), self._n0 + 1)
+            nu = 2 * np.pi * T * np.arange(1, n)
             with np.errstate(divide="ignore"):
                 c = np.concatenate([[self._c0], -2 * g0 * T * lam**2 * nu / (lam**2 - nu**2)])
             c[self._k_pair] = 0
-            self._terms = (c, np.concatenate([[lam], nu]))
-        return self._terms
+            self._c, self._z = c, np.concatenate([[lam], nu])
+        return self._c[:k], self._z[:k]
 
-    def _e_delta(self, t: float) -> float:
-        return math.expm1(self._delta * t) / self._delta if self._delta else t
+    def _e_delta(self, t):
+        return np.expm1(self._delta * t) / self._delta if self._delta else t
 
     def _pair_integral(self, p, t: float):
         """d int_0^t e^{-p tau} E(delta, tau) dtau
@@ -496,8 +517,9 @@ class _ThermalChannel(_LorentzChannel):
         e_p = -np.expm1(-p * t) / p
         return self._d * (e_p - np.exp(-p * t) * self._e_delta(t)) / (p - self._delta)
 
-    def _n_terms(self, t: float) -> int:
-        """Matsubara terms kept at time t > 0, besides the cutoff term c0."""
+    def _n_terms(self, t):
+        """Matsubara terms kept at time t > 0 (a scalar or an array), besides the cutoff
+        term c0."""
         # Past K = ln(1/eps) / (2 pi T t), e^{-nu_k t} <= eps e^{-2 pi T t (k - K)}, so the dropped
         # tail of sum_k c_k e^{-nu_k t} / p_k (|p_k| >= nu_k) is at most eps max_{k>K} |c_k / nu_k|
         # / (e^{2 pi T t} - 1), |c_k / nu_k| ~ 2 gamma0 T Lam^2 (t / ln(1/eps))^2: a few eps of
@@ -505,31 +527,31 @@ class _ThermalChannel(_LorentzChannel):
         # t < ln(1/eps) / (2 pi T _MATSUBARA_TERMS); there coefficient_full and alpha_time add
         # the tail in closed form (they do so from _TAIL_SWITCH terms on) and coefficient_integral
         # counts it in its error bound.  K >= ceil(x) >= k* keeps the pair's zero slot out of any tail.
-        return min(_MATSUBARA_TERMS, math.ceil(max(_LOG_1_EPS / (self._a * t), self._x)))
+        return np.minimum(_MATSUBARA_TERMS,
+                          np.ceil(np.maximum(_LOG_1_EPS / (self._a * t), self._x))).astype(int)
 
-    def _split(self, t: float):
-        """(k, eps) at time t > 0: the first k table terms are summed directly and, unless
-        eps is None, the Matsubara terms past n0 = k - 1 come from _exp_tail(eps, n0, b).
-        The tail applies where K(t) would pass _TAIL_SWITCH, until e^{-nu_n0 t} < eps: from
-        there on K(t) <= n0, and e^{eps b} in _exp_tail could overflow at large eps x."""
+    def _split(self, t):
+        """(k, tailed) at times t > 0 (a scalar or an array): the first k table terms are
+        summed directly and, where tailed, the Matsubara terms past n0 = k - 1 come from
+        _exp_tail(2 pi T t, n0, b).  The tail applies where K(t) would pass _TAIL_SWITCH,
+        until e^{-nu_n0 t} < eps: from there on K(t) <= n0, and e^{eps b} in _exp_tail could
+        overflow at large eps x."""
         k = self._n_terms(t) + 1
-        if k <= _TAIL_SWITCH + 1:
-            return k, None
-        eps = self._a * t
-        return self._n0 + 1, (eps if eps * self._n0 < _LOG_1_EPS else None)
+        far = k > _TAIL_SWITCH + 1
+        return np.where(far, self._n0 + 1, k), far & (self._a * t * self._n0 < _LOG_1_EPS)
 
     def alpha_time(self, t: float) -> complex:
         """alpha(t).  Past n0 the Matsubara terms are (2 gamma0 T Lam^2 / a) k / (k^2 - x^2)
         e^{-a k t}, a = 2 pi T, x = Lam / a, with k / (k^2 - x^2) = (1/2) sum_{b = +-x} 1/(k + b)."""
         if t == 0.0:
             raise ValueError("thermal correlation is logarithmically divergent at t = 0")
-        c, z = self.terms()
         tau = abs(t)
-        k, eps = self._split(tau)
+        k, tailed = self._split(tau)
+        c, z = self.terms(int(k))
         pair = self._d * np.exp(-self.cutoff * tau) * self._e_delta(tau)
-        val = _exp_sum_alpha(c[:k], z[:k], tau) + pair
-        if eps is not None:
-            sums = _exp_tail(eps, self._n0, np.array([-self._x, self._x]))
+        val = _exp_sum_alpha(c, z, tau) + pair
+        if tailed:
+            sums = _exp_tail(self._a * tau, self._n0, np.array([-self._x, self._x]))
             val += self.gamma0 * self.temperature * self.cutoff**2 / self._a * sums.sum()
         return val if t > 0 else np.conj(val)
 
@@ -573,33 +595,55 @@ class _ThermalChannel(_LorentzChannel):
         ssum = (A / a) * psi_x - (B / a) * psi_plus - (C / a) * special.digamma(1 + s / a)
         return -0.5j * g0 * lam**2 / (lam + s) - 2 * g0 * T * lam**2 * ssum
 
-    def coefficient_full(self, t: float, w):
+    def coefficient_full(self, t, w):
         """A(t; w) = alpha^(iw) - e^{-iwt} sum_k c_k e^{-z_k t} / (z_k + iw); a 1-D array
-        of w gives the array of values.  The pair term adds d e^{-pt} (1/p + E(delta, t))
-        / (p - delta).  Past n0, c_k / (nu_k + iw) = (2 gamma0 T Lam^2 / a^2) k / ((k^2 - x^2)
-        (k + i beta)), a = 2 pi T, x = Lam / a, beta = w / a, is sum_b r_b / (k + b) over
-        b = -x, x, i beta with r = 1/2(x + i beta), -1/2(x - i beta), i beta / (x^2 + beta^2)."""
-        if t < 0:
+        of w gives the array of values, and a 1-D array of t leads it.  The pair term adds
+        d e^{-pt} (1/p + E(delta, t)) / (p - delta).  Past n0, c_k / (nu_k + iw) =
+        (2 gamma0 T Lam^2 / a^2) k / ((k^2 - x^2)(k + i beta)), a = 2 pi T, x = Lam / a,
+        beta = w / a, is sum_b r_b / (k + b) over b = -x, x, i beta with
+        r = 1/2(x + i beta), -1/2(x - i beta), i beta / (x^2 + beta^2).
+
+        Each time needs the k of _split.  Times whose k share a power of two and whether
+        they take the tail are summed together over the group's largest k, so no time sums
+        more than twice its terms; those past its own k are below round-off (_n_terms)."""
+        ts = np.asarray(t, dtype=float).reshape(-1)
+        if np.any(ts < 0):
             raise ValueError("coefficient_full requires t >= 0")
-        if t == 0.0:
-            return np.zeros(len(w), dtype=complex) if type(w) is np.ndarray else 0j
-        c, z = self.terms()
-        iw = 1j * w
-        p = self.cutoff + iw
-        k, eps = self._split(t)
-        tail = _exp_sum_laplace(c[:k] * np.exp(-z[:k] * t), z[:k], iw)
-        if eps is not None:
+        iw = 1j * np.atleast_1d(w)
+        out = np.zeros((ts.size, iw.size), dtype=complex)
+        pos = np.flatnonzero(ts > 0)
+        if pos.size:
+            out[pos] = self._laplace_on_axis(w) - np.exp(-ts[pos, None] * iw) * self._tail(ts[pos], iw)
+        out = out.reshape(np.shape(t) + np.shape(w))
+        return out if out.ndim else complex(out)
+
+    def _tail(self, t: np.ndarray, iw: np.ndarray) -> np.ndarray:
+        """sum_k c_k e^{-z_k t} / (z_k + iw) with the pair term, (nt, nw), at times t > 0."""
+        out = np.empty((t.size, iw.size), dtype=complex)
+        k, tailed = self._split(t)
+        c, z = self.terms(int(k.max()))
+        # the table reversed, so that each sum runs from its smallest terms up (a sum of
+        # 3 000 terms rounds less so); the first n terms are the last n entries
+        z, weights = z[::-1].copy(), (c[:, None] / (z[:, None] + iw))[::-1]
+        w_re, w_im = weights.real.copy(), weights.imag.copy()
+        group = 2 * np.ceil(np.log2(k)) + tailed
+        for key in np.unique(group):
+            g = np.flatnonzero(group == key)
+            n = int(k[g].max())
+            e = np.exp(-np.multiply.outer(t[g], z[-n:]))
+            out[g] = e @ w_re[-n:] + 1j * (e @ w_im[-n:])
+        if tailed.any():
             a, x = self._a, self._x
             ib = iw / a
-            sums = _exp_tail(eps, self._n0, np.append(ib, (-x, x)))
-            s_ib = sums[:-2] if type(w) is np.ndarray else sums[0]
+            sums = _exp_tail(a * t[tailed], self._n0, np.append(ib, (-x, x)))
+            s_ib = sums[:, :-2]
             # sum_b r_b S_b over the common denominator (x + i beta)(x - i beta)
-            h_plus, h_minus = (sums[-2] + sums[-1]) / 2, (sums[-2] - sums[-1]) / 2
-            tail += (2 * self.gamma0 * self.temperature * self.cutoff**2 / a**2
-                     * (ib * (s_ib - h_plus) + x * h_minus) / (x * x - ib * ib))
-        d = self._d * math.exp(-self.cutoff * t)
-        tail += d * (1 / p + self._e_delta(t)) / (p - self._delta)
-        return self._laplace_on_axis(w) - np.exp(-t * iw) * tail
+            h_plus, h_minus = (sums[:, -2:-1] + sums[:, -1:]) / 2, (sums[:, -2:-1] - sums[:, -1:]) / 2
+            out[tailed] += (2 * self.gamma0 * self.temperature * self.cutoff**2 / a**2
+                            * (ib * (s_ib - h_plus) + x * h_minus) / (x * x - ib * ib))
+        p = self.cutoff + iw
+        d = self._d * np.exp(-self.cutoff * t)[:, None]
+        return out + d * (1 / p + self._e_delta(t)[:, None]) / (p - self._delta)
 
     def coefficient_integral(self, t: float, w: np.ndarray):
         """Gap-pair table in closed form: the first K table terms and the merged
@@ -616,14 +660,14 @@ class _ThermalChannel(_LorentzChannel):
         if t == 0:
             return np.zeros((w.size, w.size), dtype=complex), 0.0, 0
         lam, a = self.cutoff, 2 * np.pi * self.temperature
-        c, z = self.terms()
         r = max(lam, float(np.max(np.abs(w)))) / a
-        # c[:k] holds c0 and Matsubara terms 1 .. k-1 (K = k - 1); the tail starts at k
-        k = min(_MATSUBARA_TERMS, max(self._n_terms(t), int(np.ceil(64 * r)))) + 1
+        # c holds c0 and Matsubara terms 1 .. k-1 (K = k - 1); the tail starts at k
+        k = min(_MATSUBARA_TERMS, max(int(self._n_terms(t)), int(np.ceil(64 * r)))) + 1
+        c, z = self.terms(k)
         iw = 1j * w[:, None]
         pg, qh = lam + iw, lam - iw.T
         pair = self._pair_integral(qh, t) - self._d * np.expm1(-qh * t) / (qh * pg)
-        table = _exp_sum_table(c[:k], z[:k], t, w, self.laplace(1j * w)) - pair / (pg - self._delta)
+        table = _exp_sum_table(c, z, t, w, self.laplace(1j * w)) - pair / (pg - self._delta)
         # 1/((1 + i(g/a) x)(1 - i(h/a) x)) = sum_j x^j sum_{p+q=j} (-ig/a)^p (ih/a)^q
         n = 12
         gp = (-iw / a) ** np.arange(n)
@@ -682,11 +726,11 @@ class ThermalLorentz(BathModel):
         return float(np.max(self.cutoff))
 
     def _diag(self, values) -> np.ndarray:
-        """Channel-diagonal (n, n), or (k, n, n) from per-channel arrays of k values."""
+        """Channel-diagonal (..., n, n) from per-channel arrays of values of any shape."""
         vals = np.asarray(values)
         n = self.n_channels
         out = np.zeros(vals.shape[1:] + (n * n,), dtype=complex)
-        out[..., :: n + 1] = vals.T
+        out[..., :: n + 1] = vals.transpose(tuple(range(1, vals.ndim)) + (0,))
         return out.reshape(vals.shape[1:] + (n, n))
 
     def alpha_time(self, t: float) -> np.ndarray:
@@ -698,7 +742,7 @@ class ThermalLorentz(BathModel):
     def laplace(self, s: complex) -> np.ndarray:
         return self._diag([ch.laplace(s) for ch in self._impl])
 
-    def coefficient_full(self, t: float, w: float) -> np.ndarray:
+    def coefficient_full(self, t, w) -> np.ndarray:
         return self._diag([ch.coefficient_full(t, w) for ch in self._impl])
 
     def coefficient_integral(self, t: float, w: np.ndarray):
@@ -803,18 +847,21 @@ class Tabulated(BathModel):
         f = self.laplace(1j * w)
         return f + np.conj(f).T
 
-    @_stacked
-    def coefficient_full(self, t: float, w: float) -> np.ndarray:
-        if t < 0:
+    def coefficient_full(self, t, w) -> np.ndarray:
+        """A spline of the cumulative trapezoid rule per frequency, evaluated at a
+        scalar t or at once at a 1-D array of t (the leading axis)."""
+        if type(w) is np.ndarray:
+            return np.stack([self.coefficient_full(t, x) for x in w], axis=np.ndim(t))
+        if np.any(np.asarray(t) < 0):
             raise ValueError("coefficient_full requires t >= 0")
         key = round(float(w), 12)
         if key not in self._coeff_cache:
             integrand = self._af * np.exp(-1j * w * self._tf)[:, None, None]
             cum = integrate.cumulative_trapezoid(integrand, x=self._tf, axis=0, initial=0.0)
             self._coeff_cache[key] = CubicSpline(self._tf, cum, axis=0)
-        if t > self.times[-1] * (1 + 1e-12):
-            raise ValueError(f"query t = {t} outside tabulated grid [0, {self.times[-1]}]")
-        return self._coeff_cache[key](min(t, self.times[-1]))
+        if np.any(np.asarray(t) > self.times[-1] * (1 + 1e-12)):
+            raise ValueError(f"query t = {np.max(t)} outside tabulated grid [0, {self.times[-1]}]")
+        return self._coeff_cache[key](np.minimum(t, self.times[-1]))
 
     # -- CSV round-trip ------------------------------------------------------
 

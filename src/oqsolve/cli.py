@@ -264,17 +264,17 @@ def cmd_coefficients(model, run, args):
     b = model.bath
     tgrid = _grid(run, default_n=21)
     wgrid = _run_value(run, "frequencies", "run.frequencies", model.unique_gaps, ndim=1)
-    table = {}
-    for w in wgrid:
-        entry = {"stationary": _cmat(b.coefficient_stationary(float(w)))}
-        try:
-            entry["full_time"] = {
-                repr(float(t)): _cmat(b.coefficient_full(float(t), float(w)))
-                for t in tgrid
-            }
-        except ValueError as exc:
-            raise NumericalError(f"coefficient evaluation failed at w={w}: {exc}")
-        table[repr(float(w))] = entry
+    try:
+        full = b.coefficient_full(tgrid, wgrid)
+    except ValueError as exc:
+        raise NumericalError(f"coefficient evaluation failed: {exc}")
+    table = {
+        repr(float(w)): {
+            "stationary": _cmat(b.coefficient_stationary(float(w))),
+            "full_time": {repr(float(t)): _cmat(full[i, j]) for i, t in enumerate(tgrid)},
+        }
+        for j, w in enumerate(wgrid)
+    }
     kgrid = _run_value(run, "kernel_frequencies", "run.kernel_frequencies",
                        np.linspace(-5, 5, 21), ndim=1)
     kern = bath_mod.kernels(b, kgrid)

@@ -12,6 +12,7 @@ phase e^{i w_ij t} on each entry.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +49,10 @@ def two_time_operator(m: SystemModel, n: int, t1: float, t2: float) -> np.ndarra
     return second_order_operator(m, t1, n) - second_order_operator(m, t1 - t2, n)
 
 
-def _free_phase(m: SystemModel, t: float) -> np.ndarray:
+def _free_phase(m: SystemModel, t) -> np.ndarray:
     """e^{i w_ij t}: free Heisenberg evolution e^{iHt} X e^{-iHt} of an
-    energy-basis operator X, entry by entry."""
-    return np.exp(1j * m.basis.gaps * t)
+    energy-basis operator X, entry by entry; (nt, d, d) at a 1-D array of t."""
+    return np.exp(1j * m.basis.gaps * np.asarray(t)[..., None, None])
 
 
 def _observables(m: SystemModel, req: TwoTimeRequest):
@@ -63,21 +64,24 @@ def _observables(m: SystemModel, req: TwoTimeRequest):
             eb(np.asarray(req.x2)) * _free_phase(m, req.t2))
 
 
-def _correction_rate(m: SystemModel, obs, tau: float, t2: float) -> complex:
+def _correction_rate(m: SystemModel, obs, tau, t2: float):
     """-sum_n < [L_n(tau), X1(t1)] [B_n(tau, t2), X2(t2)] >_{rho0}
 
     with free Heisenberg evolution throughout (obs = _observables(m, req)) and
     B_n the partially-integrated second-order operator, all couplings at once
     in the energy basis.  This is the driving term of the corrected adjoint
     equation of motion; at tau = t1 it is the single-time product form of the
-    regression correction."""
+    regression correction.  At a 1-D array of tau it is the array of rates, from
+    one bath call for the times tau and tau - t2."""
     rho0, x1h, x2h = obs
-    phase = _free_phase(m, tau)
+    tau = np.asarray(tau, dtype=float)
+    phase = _free_phase(m, tau)[..., None, :, :]
     lnh = m.couplings_eb * phase
-    bh = (_second_order_ops_eb(m, tau) - _second_order_ops_eb(m, tau - t2)) * phase
+    b = _second_order_ops_eb(m, np.append(tau, tau - t2))
+    bh = (b[:tau.size] - b[tau.size:]).reshape(lnh.shape) * phase
     c1 = lnh @ x1h - x1h @ lnh
     c2 = bh @ x2h - x2h @ bh
-    return -complex(np.einsum("nij,ji->", c1 @ c2, rho0))
+    return -np.einsum("...nij,ji->...", c1 @ c2, rho0)
 
 
 def nm_correction(m: SystemModel, req: TwoTimeRequest) -> complex:
@@ -89,7 +93,16 @@ def nm_correction(m: SystemModel, req: TwoTimeRequest) -> complex:
     O(g^2); vanishes once the bath memory has decayed across (t1 - t2)."""
     if not (req.t1 >= req.t2 >= 0):
         raise ValueError("nm_correction requires t1 >= t2 >= 0")
-    return _correction_rate(m, _observables(m, req), req.t1, req.t2)
+    return complex(_correction_rate(m, _observables(m, req), req.t1, req.t2))
+
+
+@functools.cache
+def _gauss_legendre(nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per node count and
+    shared, so read-only."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def nm_correction_integrated(m: SystemModel, req: TwoTimeRequest, nodes: int = 32) -> complex:
@@ -98,16 +111,16 @@ def nm_correction_integrated(m: SystemModel, req: TwoTimeRequest, nodes: int = 3
 
     -int_{t2}^{t1} sum_n < [L_n(tau), X1(t1)] [B_n(tau, t2), X2(t2)] > dtau,
 
-    which restores the bath correlations straddling t2 through O(g^2)."""
+    which restores the bath correlations straddling t2 through O(g^2), by
+    Gauss-Legendre quadrature on `nodes` nodes, all evaluated in one stacked pass."""
     if not (req.t1 >= req.t2 >= 0):
         raise ValueError("nm_correction_integrated requires t1 >= t2 >= 0")
     if req.t1 == req.t2:
         return 0.0 + 0.0j
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _gauss_legendre(nodes)
     half = 0.5 * (req.t1 - req.t2)
-    obs = _observables(m, req)
-    return complex(sum(half * wk * _correction_rate(m, obs, req.t2 + half * (xi + 1.0), req.t2)
-                       for xi, wk in zip(x, w)))
+    rates = _correction_rate(m, _observables(m, req), req.t2 + half * (x + 1.0), req.t2)
+    return complex(half * (w @ rates))
 
 
 def _ordered(req: TwoTimeRequest):

@@ -132,10 +132,10 @@ def weak_cp_test(d_samples, grid) -> float:
 
 def interaction_dissipator_samples(m: SystemModel, tgrid):
     """Interaction-picture dissipator coefficient matrices D(tau) on a grid,
-    stacked (k, d^2, d^2): one bath call per tau, then one stacked contraction."""
+    stacked (k, d^2, d^2): one bath call for the whole grid, then one stacked
+    contraction."""
     tgrid = np.asarray(tgrid, dtype=float)
-    a = np.array([m.bath.coefficient_full(float(tau), m.unique_gaps) for tau in tgrid])
-    return _pair_dissipator(m, _phase_table(m, a, tgrid))
+    return _pair_dissipator(m, _phase_table(m, m.bath.coefficient_full(tgrid, m.unique_gaps), tgrid))
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,20 @@ objects are one contraction of a gap-pair table with `pair_tensor`.
 Also provides: the pseudo-Lindblad split -i[H+V, .] + dissipator(D), the
 rotating-wave (Lindblad) projection, and propagation: exact
 matrix-exponential steps for the stationary generator, adaptive DOP853 (an
-eighth-order Runge-Kutta method) for the full-time one.
+eighth-order Runge-Kutta method) for the full-time one.  L(t) does not
+depend on the state, so all stage times of a DOP853 step are known once its
+size is: each step builds its stage generators from one bath call over those
+times and one contraction, and the state stays in the energy basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 from scipy.linalg import expm
 
 from . import bath as bath_mod
@@ -152,6 +156,16 @@ class SystemModel:
         return c.reshape(-1, d**4)
 
     @cached_property
+    def generator_support(self):
+        """generator_tensor cut to its nonzero rows and columns: (rows, cols,
+        partners, core), with partners the columns where the Hermiticity-preserving
+        partners of cols land, (x,y,i,j) -> (y,x,j,i); see _dissipative_superop_eb."""
+        d, g = self.dim, self.generator_tensor
+        rows, cols = np.flatnonzero(np.any(g, axis=1)), np.flatnonzero(np.any(g, axis=0))
+        partners = np.arange(d**4).reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(-1)[cols]
+        return rows, cols, partners, g[np.ix_(rows, cols)]
+
+    @cached_property
     def pair_tensor(self) -> np.ndarray:
         """The fixed map from a gap-pair table X[a, b] (n_gaps, n_gaps, n, n) to
         the interaction-picture superoperator, as (n_gaps^2 n^2, d^4) in the
@@ -184,14 +198,18 @@ class SystemModel:
 
 def _coefficients(m: SystemModel, t) -> np.ndarray:
     """The coefficient stack (n_gaps, n, n) over the distinct gaps, from one
-    bath call; t=None: stationary."""
+    bath call; t=None: stationary; a 1-D array of times: (nt, n_gaps, n, n)."""
     u = m.unique_gaps
-    return m.bath.coefficient_stationary(u) if t is None else m.bath.coefficient_full(float(t), u)
+    if t is None:
+        return m.bath.coefficient_stationary(u)
+    return m.bath.coefficient_full(t if type(t) is np.ndarray else float(t), u)
 
 
 def _second_order_ops_eb(m: SystemModel, t) -> np.ndarray:
-    """B_n[i,j] = sum_m A(t; w_ij)_nm L_m[i,j] in the energy basis, stacked (n, d, d)."""
-    return np.einsum("ijnm,mij->nij", _coefficients(m, t)[m.gap_index], m.couplings_eb)
+    """B_n[i,j] = sum_m A(t; w_ij)_nm L_m[i,j] in the energy basis, stacked (n, d, d);
+    (nt, n, d, d) at a 1-D array of times."""
+    a = _coefficients(m, t)[..., m.gap_index, :, :]
+    return np.einsum("...ijnm,mij->...nij", a, m.couplings_eb)
 
 
 def second_order_operator(m: SystemModel, t, n: int) -> np.ndarray:
@@ -206,10 +224,17 @@ def _dissipative_superop_eb(m: SystemModel, t) -> np.ndarray:
     """The second-order part of the generator in the energy basis: the terms
     B_n e_ij L_n - L_n B_n e_ij from m.generator_tensor, plus their
     Hermiticity-preserving partners L_n e_ij Bd_n - e_ij Bd_n L_n,
-    S'[(x,y),(i,j)] = conj S[(y,x),(j,i)]."""
+    S'[(x,y),(i,j)] = conj S[(y,x),(j,i)].  At a 1-D array of times the
+    coefficient stacks lead, and so do the generators: (nt, d^2, d^2)."""
     d = m.dim
-    s = (_coefficients(m, t).reshape(-1) @ m.generator_tensor).reshape(d, d, d, d)
-    return (s + np.conj(s.transpose(1, 0, 3, 2))).reshape(d * d, d * d)
+    a = _coefficients(m, t)
+    lead = a.shape[:-3]
+    rows, cols, partners, core = m.generator_support
+    part = a.reshape(lead + (-1,))[..., rows] @ core
+    s = np.zeros(lead + (d**4,), dtype=complex)
+    s[..., cols] = part
+    s[..., partners] += np.conj(part)
+    return s.reshape(lead + (d * d, d * d))
 
 
 def build_L2(m: SystemModel, t=None) -> np.ndarray:
@@ -374,7 +399,7 @@ class Trajectory:
 
 def _grid_steps(grid: np.ndarray) -> np.ndarray:
     """np.diff(grid) of a 1-D, finite grid of at least two points that strictly
-    increases or strictly decreases (what solve_ivp accepts); else ValueError."""
+    increases or strictly decreases; else ValueError."""
     if grid.ndim == 1 and grid.size >= 2 and np.all(np.isfinite(grid)):
         steps = np.diff(grid)
         if np.all(steps > 0) or np.all(steps < 0):
@@ -388,6 +413,84 @@ def _require_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
+# DOP853 as scipy.integrate.DOP853 has it: the tableau, the error estimate and the step
+# control.  C[11] = 1, so the last stage generator is also the one at the step's end.
+_A, _B, _C, _E3, _E5 = DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+
+
+class _Solution(NamedTuple):
+    y: np.ndarray  # the states at the grid points, (len(grid), n)
+    nfev: int      # right-hand-side evaluations L(t) y: 2 for the first step, 12 per attempted step
+
+
+def _rms(x) -> float:
+    return float(np.linalg.norm(x)) / x.size**0.5
+
+
+def solve_ivp(generators, grid: np.ndarray, y0: np.ndarray, rtol: float, atol: float) -> _Solution:
+    """DOP853 for the linear system dy/dt = L(t) y over a grid (see _grid_steps),
+    from y(grid[0]) = y0, where generators(times) returns L at a 1-D array of times,
+    stacked (len(times), n, n).
+
+    Each step asks for the generators at all its stage times t + C[1:] h at once.
+    The tableau, the error norm, the step control and the first step are those of
+    scipy's solve_ivp(method="DOP853") at the same rtol and atol.  Steps are
+    shortened to land on the grid points, so there is no dense output; the step
+    after a shortened one starts from the size proposed before it was shortened
+    if that is larger."""
+    direction = 1.0 if grid[-1] > grid[0] else -1.0
+    t, y = float(grid[0]), y0
+    f = generators(np.array([t]))[0] @ y
+    # the first step as scipy.integrate._ivp.common.select_initial_step picks it
+    span = abs(float(grid[-1]) - t)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    f1 = generators(np.array([t + h0 * direction]))[0] @ (y + h0 * direction * f)
+    d2 = _rms((f1 - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+    h_abs, nfev = min(100 * h0, h1, span), 2
+    k = np.empty((_B.size + 1, y.size), dtype=complex)
+    ys = [y]
+    for t_end in grid[1:].tolist():
+        while t != t_end:
+            min_step = 10 * abs(np.nextafter(t, direction * np.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise RuntimeError(f"integrator failed: the step size at t = {t:.6g} fell "
+                                       "below the spacing of the floats there")
+                shortened = direction * (t + h_abs * direction - t_end) > 0
+                t_new = t_end if shortened else t + h_abs * direction
+                proposed, h = h_abs, t_new - t
+                h_abs = abs(h)
+                stages = generators(t + _C[1:] * h)
+                k[0] = f
+                for s in range(1, _B.size):
+                    k[s] = stages[s - 1] @ (y + h * (_A[s, :s] @ k[:s]))
+                y_new = y + h * (_B @ k[:-1])
+                k[-1] = f_new = stages[-1] @ y_new
+                nfev += _B.size
+                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                err5, err3 = _E5 @ k / scale, _E3 @ k / scale
+                e5, e3 = np.vdot(err5, err5).real, np.vdot(err3, err3).real
+                norm = 0.0 if e5 == 0 and e3 == 0 else h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * y.size)
+                if norm < 1:
+                    factor = _MAX_FACTOR if norm == 0 else min(_MAX_FACTOR, _SAFETY * norm**_ERROR_EXPONENT)
+                    h_abs *= min(1.0, factor) if rejected else factor
+                    if shortened:
+                        h_abs = max(h_abs, proposed)
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * norm**_ERROR_EXPONENT)
+                rejected = True
+            t, y, f = t_new, y_new, f_new
+        ys.append(y)
+    return _Solution(y=np.array(ys), nfev=nfev)
+
+
 def _evolve(m: SystemModel, y0: np.ndarray, grid: np.ndarray, mode: str,
             rtol: float = 1e-10, atol: float = 1e-12) -> np.ndarray:
     """The vectors y(t) on grid, (len(grid), d^2), from y(grid[0]) = y0 under
@@ -396,8 +499,10 @@ def _evolve(m: SystemModel, y0: np.ndarray, grid: np.ndarray, mode: str,
     Stationary mode: L is constant, so each step is exact, y(t_k+1) =
     expm(L h) y(t_k) with h = t_k+1 - t_k, one matrix exponential (scaling
     and squaring, accurate to round-off) per distinct h; rtol and atol are not
-    used.  Full-time mode: adaptive DOP853 at rtol and atol, one generator
-    build per stage time."""
+    used.  Full-time mode: adaptive DOP853 at rtol and atol (solve_ivp) in the
+    energy basis, where -i[H, .] is diagonal; each step builds its stage
+    generators from one bath call, and the states go back to the input basis at
+    the grid points only."""
     _require_mode(mode)
     steps = _grid_steps(grid)
     if mode == "stationary":
@@ -410,28 +515,15 @@ def _evolve(m: SystemModel, y0: np.ndarray, grid: np.ndarray, mode: str,
             ys.append(step_maps[h] @ ys[-1])
         return np.array(ys)
 
-    # the solver holds rhs in a reference cycle that only a full collection
-    # frees, so rhs reaches the model and its generators only through
-    # containers that are emptied once it returns
-    held, cache = [m], {}
+    free = -1j * m.basis.gaps.reshape(-1)
 
-    def rhs(t, y):
-        key = float(t)
-        if key not in cache:
-            if len(cache) > 4096:
-                cache.clear()
-            cache[key] = build_L2(held[0], max(t, 0.0))
-        return cache[key] @ y
+    def generators(times):
+        s = _dissipative_superop_eb(m, np.maximum(times, 0.0))
+        s.reshape(len(times), -1)[:, :: free.size + 1] += free
+        return s
 
-    try:
-        sol = solve_ivp(rhs, (grid[0], grid[-1]), y0, t_eval=grid, method="DOP853",
-                        rtol=rtol, atol=atol)
-    finally:
-        held.clear()
-        cache.clear()
-    if not sol.success:
-        raise RuntimeError(f"integrator failed: {sol.message}")
-    return sol.y.T
+    sol = solve_ivp(generators, grid, m.to_energy @ y0, rtol, atol)
+    return sol.y @ m.to_input.T
 
 
 def propagate(m: SystemModel, rho0: np.ndarray, grid, mode: str = "stationary",

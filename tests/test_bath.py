@@ -134,6 +134,87 @@ def test_coefficient_full_gap_memo_never_stale(make):
         assert np.array_equal(got, want)
 
 
+def _channel_times(ch):
+    """Times on both sides of the T > 0 channel's tail switch (K(t) = 3 000 terms),
+    inside the tail, and where K(t) stops falling; shuffled, with t = 0."""
+    switch = bath._LOG_1_EPS / (ch._a * bath._TAIL_SWITCH)
+    t = np.array([0.0, 1e-7, 1e-5, 0.3 * switch, switch * (1 - 1e-3), switch * (1 + 1e-3),
+                  2.2 * switch, 0.05, 0.5, 3.0, 20.0])
+    return np.random.default_rng(5).permutation(t)
+
+
+class TestTimeArrays:
+    """coefficient_full at a 1-D array of times against one call per time, to
+    1e-15 of |A(inf; w)| (or of the largest |A| where there is no t -> inf limit)."""
+
+    W = np.array([-3.0, -1.0, 0.0, 0.4, 1.0, 3.0])
+
+    @staticmethod
+    def check(b, times, w, scale):
+        got = b.coefficient_full(times, w)
+        want = np.array([b.coefficient_full(float(t), w) for t in times])
+        assert got.shape == (times.size, w.size, b.channels, b.channels)
+        assert np.max(np.abs(got - want)) <= 1e-15 * scale
+        # a scalar w gives the (nt, n, n) column
+        assert np.max(np.abs(b.coefficient_full(times, float(w[1])) - got[:, 1])) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("temp", [0.05, 0.25, 2.0])
+    @pytest.mark.parametrize("cutoff", [1.0, 5.0])
+    def test_thermal_across_tail_switch(self, temp, cutoff):
+        b = bath.ThermalLorentz(gamma0=0.1, cutoff=cutoff, temperature=temp)
+        times = _channel_times(b._impl[0])
+        scale = np.max(np.abs(b.coefficient_stationary(self.W)))
+        self.check(b, times, self.W, scale)
+
+    def test_zero_temperature_across_asymptotic_switch(self):
+        b = thermal_t0()
+        # x = Lam t passes 40, where e^x E1(x) and e^{-x} Ei(x) switch to their series
+        times = np.array([0.0, 1e-4, 0.5, 40.0 / 3.0 * (1 - 1e-9), 40.0 / 3.0 * (1 + 1e-9), 30.0])
+        self.check(b, times, self.W, np.max(np.abs(b.coefficient_stationary(self.W))))
+
+    def test_two_channels_mixed_temperature(self):
+        b = bath.ThermalLorentz(gamma0=[0.1, 0.2], cutoff=[5.0, 1.0], temperature=[0.0, 0.3],
+                                n_channels=2)
+        times = _channel_times(b._impl[1])
+        self.check(b, times, self.W, np.max(np.abs(b.coefficient_stationary(self.W))))
+
+    def test_exponential_sums(self):
+        ou = bath.ExponentialOU(c=[[0.3, 0.1], [0.1, 0.2]], lam=1.3)
+        times = np.array([0.0, 1e-9, 0.2, 1.7, 40.0])
+        self.check(ou, times, self.W, np.max(np.abs(ou.coefficient_stationary(self.W))))
+        # undamped terms at environment frequencies +-1 meet z + iw = 0 at w = -+1
+        undamped = bath.ExponentialOU(c=[[[0.2]], [[0.1]], [[0.05]]], lam=[1j, -1j, 0.0])
+        got = undamped.coefficient_full(times, self.W)
+        self.check(undamped, times, self.W, np.max(np.abs(got)))
+        assert got[2, 1, 0, 0] == pytest.approx(0.2 * 0.2 + 0.1 * (np.exp(0.4j) - 1) / 2j
+                                               + 0.05 * (np.exp(0.2j) - 1) / 1j, rel=1e-14)
+
+    def test_white_noise_vanishes_only_at_zero(self):
+        b = bath.WhiteNoise(c=[[0.4, 0.1], [0.1, 0.3]])
+        times = np.array([0.0, 1e-12, 2.0])
+        got = b.coefficient_full(times, self.W)
+        self.check(b, times, self.W, 0.0)
+        assert not got[0].any() and np.array_equal(got[2, 3], b.c / 2)
+
+    def test_tabulated(self):
+        t = np.linspace(0.0, 10.0, 201)
+        b = bath.Tabulated(t, (0.3 * np.exp(-1.1 * t) * np.exp(-0.5j * t))[:, None, None])
+        times = np.array([0.0, 0.03, 2.5, 10.0])
+        self.check(b, times, self.W, np.max(np.abs(b.coefficient_full(10.0, self.W))))
+
+
+def test_matsubara_table_on_demand_is_bit_identical():
+    # the table grows to what is asked for; an entry does not depend on its length
+    ch = thermal()._impl[0]
+    small = [x.copy() for x in ch.terms(40)]
+    assert ch.terms(40)[0].size == 40 and ch._z.size < 3001
+    full = thermal()._impl[0].terms(bath._MATSUBARA_TERMS + 1)
+    for a, b in zip(small, full):
+        assert np.array_equal(a, b[:40])
+    grown = ch.terms(3001)
+    assert all(np.array_equal(a, b[:3001]) for a, b in zip(grown, full))
+
+
 class TestMatsubaraTruncation:
     """The time-dependent Matsubara sums keep K(t) terms, or the first n0 and the
     rest in closed form; compare them with the infinite sums: the first N terms

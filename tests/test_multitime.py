@@ -46,6 +46,34 @@ class TestTwoTimeOperator:
 
 
 class TestCorrections:
+    @pytest.mark.parametrize("make", [qubit_model, ou_model], ids=["thermal", "ou"])
+    def test_integrated_correction_stacked_matches_node_by_node(self, make):
+        # all 32 Gauss nodes in one pass against the rate written out node by node in the
+        # input basis: -sum_n Tr([L_n(tau), X1(t1)] [B_n(tau, t2), X2(t2)] rho0) with
+        # X(t) = e^{iHt} X e^{-iHt} and B_n(tau, t2) from second_order_operator
+        m = make()
+        req = multitime.TwoTimeRequest(x1=SX, x2=SX + 0.5 * SZ, t1=2.0, t2=0.5, rho0=GROUND)
+
+        def heisenberg(x, t):
+            u = expm(-1j * m.h * t)
+            return u.conj().T @ x @ u
+
+        def rate(tau):
+            x1, x2 = heisenberg(req.x1, req.t1), heisenberg(req.x2, req.t2)
+            total = 0j
+            for n, l in enumerate(m.couplings):
+                ln = heisenberg(l, tau)
+                bn = heisenberg(tcl2.second_order_operator(m, tau, n)
+                                - tcl2.second_order_operator(m, tau - req.t2, n), tau)
+                total -= np.trace((ln @ x1 - x1 @ ln) @ (bn @ x2 - x2 @ bn) @ req.rho0)
+            return total
+
+        x, w = np.polynomial.legendre.leggauss(32)
+        half = 0.5 * (req.t1 - req.t2)
+        by_node = sum(half * wk * rate(req.t2 + half * (xk + 1)) for xk, wk in zip(x, w))
+        got = multitime.nm_correction_integrated(m, req)
+        assert abs(got - by_node) <= 1e-14 * abs(by_node)
+
     def test_zero_when_t2_is_zero(self):
         m = qubit_model()
         req = multitime.TwoTimeRequest(x1=SX, x2=SX, t1=2.0, t2=0.0, rho0=GROUND)
@@ -200,8 +228,7 @@ class TestQrtCorrelation:
 
 
 def test_full_time_propagator_releases_model():
-    # the DOP853 solver keeps its right-hand side in a reference cycle; with the
-    # collector off, the model must still go when its last name does
+    # with the collector off, the model must still go when its last name does
     m = ou_model()
     ref = weakref.ref(m)
     req = multitime.TwoTimeRequest(x1=SX, x2=SX, t1=0.5, t2=0.2, rho0=GROUND)

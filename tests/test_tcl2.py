@@ -251,7 +251,7 @@ class TestPropagate:
         for grid in ([0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [1.0], [], [[0.0, 1.0]], [0.0, np.nan]):
             with pytest.raises(ValueError, match="grid"):
                 tcl2.propagate(m, rho0, grid, mode=mode)
-        # a decreasing grid integrates backwards, as solve_ivp allows
+        # a decreasing grid integrates backwards
         back = tcl2.propagate(m, rho0, [1.0, 0.5, 0.0], mode=mode)
         assert back.states.shape == (3, 2, 2)
 
@@ -270,9 +270,53 @@ class TestPropagate:
         want = np.array([[[rho0[0, 0], z], [np.conj(z), rho0[1, 1]]] for z in coherence])
         assert np.max(np.abs(traj.states - want)) <= 1e-9
 
+    @pytest.mark.parametrize("make_bath", [
+        lambda: bath.ExponentialOU(c=0.075, lam=1.2),
+        lambda: bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=0.25),
+        lambda: bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=0.0),
+    ], ids=["ou", "T>0", "T=0"])
+    @pytest.mark.parametrize("backwards", [False, True], ids=["increasing", "decreasing"])
+    def test_full_time_stepper_against_scipy_and_dephasing_solution(self, make_bath, backwards):
+        # sigma_z coupling: rho_01(t) = rho_01(0) e^{-it - 4 G(t)}, G(t) = int_0^t Re A(s; 0) ds,
+        # with G from the bath's gap-pair table (closed form at T > 0 and for OU)
+        m = tcl2.SystemModel(h=0.5 * SZ, couplings=[SZ], bath=make_bath())
+        grid = np.linspace(0.0, 6.0, 13)
+        g = np.array([m.bath.coefficient_integral(t, np.zeros(1))[0][0, 0, 0, 0].real for t in grid])
+        exact = (0.3 - 0.2j) * np.exp(-1j * grid - 4 * g)
+        if backwards:
+            grid, exact = grid[::-1], exact[::-1]
+        rho0 = np.array([[0.6, exact[0]], [np.conj(exact[0]), 0.4]])
+        traj = tcl2.propagate(m, rho0, grid, mode="full-time")
+        assert np.max(np.abs(traj.states[:, 0, 1] - exact)) <= 1e-8
+        assert np.max(np.abs(traj.states[:, 0, 0] - 0.6)) <= 1e-14
+        # scipy's DOP853 at the same tolerances, one generator build per stage
+        ref = integrate.solve_ivp(lambda t, y: tcl2.build_L2(m, max(t, 0.0)) @ y,
+                                  (grid[0], grid[-1]), core.vec(rho0), method="DOP853",
+                                  t_eval=grid, rtol=1e-10, atol=1e-12)
+        assert np.max(np.abs(traj.states.reshape(grid.size, -1) - ref.y.T)) <= 1e-8
+
+    def test_stepper_counts_evaluations(self):
+        # tcl2.solve_ivp and its nfev are read from outside the package (perfbench/spans.py):
+        # two evaluations pick the first step, and each attempted step makes 12 from one
+        # call for its 11 stage times, the last of which is the step's end
+        m = random_model(seed=3, d=3, nch=2)
+        s = tcl2.build_L2(m, None)
+        calls = []
+
+        def generators(times):
+            calls.append(len(times))
+            return np.repeat(s[None], len(times), axis=0)
+
+        y0 = core.vec(np.diag([0.5, 0.3, 0.2]).astype(complex))
+        grid = np.array([0.0, 0.7, 2.0, 2.1, 5.0])
+        sol = tcl2.solve_ivp(generators, grid, y0, 1e-10, 1e-12)
+        assert calls[:2] == [1, 1] and set(calls[2:]) == {11}
+        assert sol.nfev == 2 + 12 * (len(calls) - 2)
+        want = np.array([expm(s * t) @ y0 for t in grid])
+        assert np.max(np.abs(sol.y - want)) <= 1e-9
+
     def test_full_time_releases_model(self):
-        # the DOP853 solver keeps its right-hand side in a reference cycle; with
-        # the collector off, the model must still go when its last name does
+        # with the collector off, the model must still go when its last name does
         m = relaxation_model()
         ref = weakref.ref(m)
         gc.disable()
