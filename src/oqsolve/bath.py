@@ -40,8 +40,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
-from scipy.interpolate import CubicSpline
+from scipy import special
 
 from .core import read_matrix_csv, require_hermitian, write_matrix_csv
 
@@ -153,6 +152,8 @@ def _integrate_table(coefficient_full, t: float, w: np.ndarray):
     """Gap-pair table I[a, b] = int_0^t A(tau; w_a) e^{i(w_a + w_b) tau} dtau by
     adaptive quadrature of coefficient_full(tau, w) (a (k, ...) stack); returns
     (table, abserr in the max norm, integrand evaluations)."""
+    from scipy import integrate
+
     nu = w[:, None] + w[None, :]
 
     def integrand(tau):
@@ -765,6 +766,8 @@ class Tabulated(BathModel):
     """Correlation samples alpha_{nm}(t_k) on a uniform grid starting at 0."""
 
     def __init__(self, times: np.ndarray, samples: np.ndarray):
+        from scipy.interpolate import CubicSpline
+
         times = np.asarray(times, dtype=float)
         samples = np.asarray(samples, dtype=complex)
         if samples.ndim == 1:
@@ -780,7 +783,7 @@ class Tabulated(BathModel):
         self.samples = samples
         self.n = samples.shape[1]
         self._spline = CubicSpline(times, samples, axis=0)
-        self._coeff_cache: dict[float, CubicSpline] = {}
+        self._coeff_cache = {}
         # 4x refined grid for the Laplace and coefficient quadratures
         self._tf = np.linspace(0.0, times[-1], (times.size - 1) * 4 + 1)
         self._af = self._spline(self._tf)
@@ -830,6 +833,8 @@ class Tabulated(BathModel):
                 "tabulated correlation: the exponential fit of the last samples "
                 "failed (they do not decay), so the Laplace tail beyond the grid is unknown"
             )
+        from scipy import integrate
+
         tf, af = self._tf, self._af
         w = np.exp(-s * tf)[:, None, None]
         val = integrate.simpson(af * w, x=tf, axis=0)
@@ -856,6 +861,9 @@ class Tabulated(BathModel):
             raise ValueError("coefficient_full requires t >= 0")
         key = round(float(w), 12)
         if key not in self._coeff_cache:
+            from scipy import integrate
+            from scipy.interpolate import CubicSpline
+
             integrand = self._af * np.exp(-1j * w * self._tf)[:, None, None]
             cum = integrate.cumulative_trapezoid(integrand, x=self._tf, axis=0, initial=0.0)
             self._coeff_cache[key] = CubicSpline(self._tf, cum, axis=0)
@@ -932,9 +940,9 @@ def kms_residual(b: BathModel, wgrid) -> float:
     return res / max(scale, 1e-300)
 
 
-def fdi_check(b: BathModel, wgrid) -> float:
-    """Fluctuation-dissipation inequality: min eig(nu~ -+ w gamma~) over grid."""
-    trip = kernels(b, wgrid)
+def fdi_check(trip: KernelTriple) -> float:
+    """Fluctuation-dissipation inequality: min eig(nu~ -+ w gamma~) over the
+    triple's frequency grid."""
     best = np.inf
     for w, nu, gam in zip(trip.wgrid, trip.nu, trip.gamma):
         nuh = (nu + np.conj(nu).T) / 2

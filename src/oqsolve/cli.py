@@ -282,7 +282,7 @@ def cmd_coefficients(model, run, args):
     if b.is_thermal():
         kms = bath_mod.kms_residual(b, kgrid)
         checks["kms"] = "pass" if kms < max(tol, 1e-9) else "fail"
-    fdi = bath_mod.fdi_check(b, kgrid)
+    fdi = bath_mod.fdi_check(kern)
     checks["fdi"] = "pass" if fdi > -1e-12 else "fail"
     report = {
         "command": "coefficients",

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import (
     herm_part,
@@ -71,6 +70,8 @@ def magnus_phi2(m: SystemModel, t: float, tol: float = 1e-9) -> AlgebraicGenerat
 
 def algebraic_propagator(m: SystemModel, gen: AlgebraicGenerator) -> np.ndarray:
     """G(t) = G0(t) exp(Phi2(t)) from a computed generator; exactly completely positive."""
+    from scipy.linalg import expm
+
     u0 = expm(-1j * m.h * gen.t)
     return unitary_superop(u0) @ expm(gen.phi2)
 

@@ -22,12 +22,10 @@ times and one contraction, and the state stays in the energy basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.linalg import expm
 
 from . import bath as bath_mod
 from .core import (
@@ -415,9 +413,17 @@ def _require_mode(mode: str) -> None:
 
 # DOP853 as scipy.integrate.DOP853 has it: the tableau, the error estimate and the step
 # control.  C[11] = 1, so the last stage generator is also the one at the step's end.
-_A, _B, _C, _E3, _E5 = DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+
+
+@cache
+def _dop853():
+    """(A, B, C, E3, E5, error exponent) of scipy.integrate.DOP853, read on the first
+    full-time solve: importing scipy.integrate is a large share of a cold start."""
+    from scipy.integrate import DOP853
+
+    return (DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5,
+            -1 / (DOP853.error_estimator_order + 1))
 
 
 class _Solution(NamedTuple):
@@ -440,6 +446,7 @@ def solve_ivp(generators, grid: np.ndarray, y0: np.ndarray, rtol: float, atol: f
     shortened to land on the grid points, so there is no dense output; the step
     after a shortened one starts from the size proposed before it was shortened
     if that is larger."""
+    A, B, C, E3, E5, error_exponent = _dop853()
     direction = 1.0 if grid[-1] > grid[0] else -1.0
     t, y = float(grid[0]), y0
     f = generators(np.array([t]))[0] @ y
@@ -450,9 +457,9 @@ def solve_ivp(generators, grid: np.ndarray, y0: np.ndarray, rtol: float, atol: f
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
     f1 = generators(np.array([t + h0 * direction]))[0] @ (y + h0 * direction * f)
     d2 = _rms((f1 - f) / scale) / h0
-    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** -error_exponent
     h_abs, nfev = min(100 * h0, h1, span), 2
-    k = np.empty((_B.size + 1, y.size), dtype=complex)
+    k = np.empty((B.size + 1, y.size), dtype=complex)
     ys = [y]
     for t_end in grid[1:].tolist():
         while t != t_end:
@@ -467,24 +474,24 @@ def solve_ivp(generators, grid: np.ndarray, y0: np.ndarray, rtol: float, atol: f
                 t_new = t_end if shortened else t + h_abs * direction
                 proposed, h = h_abs, t_new - t
                 h_abs = abs(h)
-                stages = generators(t + _C[1:] * h)
+                stages = generators(t + C[1:] * h)
                 k[0] = f
-                for s in range(1, _B.size):
-                    k[s] = stages[s - 1] @ (y + h * (_A[s, :s] @ k[:s]))
-                y_new = y + h * (_B @ k[:-1])
+                for s in range(1, B.size):
+                    k[s] = stages[s - 1] @ (y + h * (A[s, :s] @ k[:s]))
+                y_new = y + h * (B @ k[:-1])
                 k[-1] = f_new = stages[-1] @ y_new
-                nfev += _B.size
+                nfev += B.size
                 scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-                err5, err3 = _E5 @ k / scale, _E3 @ k / scale
+                err5, err3 = E5 @ k / scale, E3 @ k / scale
                 e5, e3 = np.vdot(err5, err5).real, np.vdot(err3, err3).real
                 norm = 0.0 if e5 == 0 and e3 == 0 else h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * y.size)
                 if norm < 1:
-                    factor = _MAX_FACTOR if norm == 0 else min(_MAX_FACTOR, _SAFETY * norm**_ERROR_EXPONENT)
+                    factor = _MAX_FACTOR if norm == 0 else min(_MAX_FACTOR, _SAFETY * norm**error_exponent)
                     h_abs *= min(1.0, factor) if rejected else factor
                     if shortened:
                         h_abs = max(h_abs, proposed)
                     break
-                h_abs *= max(_MIN_FACTOR, _SAFETY * norm**_ERROR_EXPONENT)
+                h_abs *= max(_MIN_FACTOR, _SAFETY * norm**error_exponent)
                 rejected = True
             t, y, f = t_new, y_new, f_new
         ys.append(y)
@@ -506,6 +513,8 @@ def _evolve(m: SystemModel, y0: np.ndarray, grid: np.ndarray, mode: str,
     _require_mode(mode)
     steps = _grid_steps(grid)
     if mode == "stationary":
+        from scipy.linalg import expm
+
         s = build_L2(m, None)
         step_maps = {}
         ys = [y0]

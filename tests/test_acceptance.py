@@ -124,7 +124,7 @@ def test_criterion_06_fluctuation_dissipation_inequality():
         bath.ThermalLorentz(gamma0=0.2, cutoff=3.0, temperature=0.0),
         bath.ExponentialOU(c=[[0.3]], lam=1.2),
     ):
-        worst = min(worst, bath.fdi_check(b, np.linspace(-8.0, 8.0, 33)))
+        worst = min(worst, bath.fdi_check(bath.kernels(b, np.linspace(-8.0, 8.0, 33))))
     _report(6, "fluctuation-dissipation inequality", worst >= -1e-12,
             f"min eigenvalue {worst:.3e} >= -1e-12")
 

@@ -765,7 +765,7 @@ class TestKernels:
 
     def test_fdi_nonnegative(self):
         for b in (thermal(), thermal_t0(), bath.ExponentialOU(c=[[0.3]], lam=1.2)):
-            assert bath.fdi_check(b, np.linspace(-6, 6, 25)) > -1e-12
+            assert bath.fdi_check(bath.kernels(b, np.linspace(-6, 6, 25))) > -1e-12
 
     def test_sampled_positivity(self):
         b = bath.ExponentialOU(c=[[0.3]], lam=1.2)

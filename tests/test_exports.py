@@ -1,7 +1,14 @@
 import importlib
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import oqsolve
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODULES = ["bath", "core", "memkernel", "multitime", "oracle", "positivity", "spectral", "tcl2"]
 
 
@@ -10,3 +17,56 @@ def test_every_export_resolves(name):
     mod = importlib.import_module(f"oqsolve.{name}")
     assert [attr for attr in mod.__all__ if not hasattr(mod, attr)] == []
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def _fresh(code: str):
+    """Run code in a new interpreter with the package importable; its last stdout
+    line, parsed as JSON."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oqsolve.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cold_start_loads_no_deferred_scipy_submodule():
+    # scipy.integrate pulls in scipy.optimize and scipy.sparse; these load on first use only
+    loaded = _fresh(
+        "import json, sys\n"
+        "import oqsolve.cli as cli\n"
+        "cli.load_model('examples_models/qubit_relaxation.json')\n"
+        "deferred = ('scipy.integrate', 'scipy.interpolate', 'scipy.optimize', 'scipy.linalg')\n"
+        "print(json.dumps(sorted(set(deferred) & set(sys.modules))))\n"
+    )
+    assert loaded == []
+
+
+def test_deferred_paths_in_a_fresh_interpreter():
+    # in-suite tests cannot see a missing local import once another test has
+    # loaded the submodule, so each deferred path runs here in a new process
+    finite = _fresh(
+        "import json\n"
+        "import numpy as np\n"
+        "from oqsolve import bath, positivity, tcl2\n"
+        "sx, sz = np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0])\n"
+        "rho0 = np.array([[1.0, 0.0], [0.0, 0.0]])\n"
+        "m = tcl2.SystemModel(h=0.5 * sz, couplings=[sx], bath=bath.ThermalLorentz(\n"
+        "    gamma0=0.1, cutoff=5.0, temperature=0.25))\n"
+        "grid = np.linspace(0.0, 2.0, 5)\n"
+        "t0 = bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=0.0)\n"
+        "t = np.linspace(0.0, 4.0, 41)\n"
+        "tab = bath.Tabulated(t, 0.1 * np.exp(-(0.8 + 0.3j) * t))\n"
+        "out = {\n"
+        "    'stationary': tcl2.propagate(m, rho0, grid).states,\n"
+        "    'full-time': tcl2.propagate(m, rho0, grid, mode='full-time').states,\n"
+        "    'magnus': positivity.magnus_propagator(m, 1.0),\n"
+        "    't0-table': t0.coefficient_integral(1.0, np.array([-1.0, 0.0, 1.0]))[0],\n"
+        "    'tabulated-full': tab.coefficient_full(np.array([0.5, 1.0]), 1.0),\n"
+        "    'tabulated-laplace': tab.laplace(1.0 + 0.5j),\n"
+        "}\n"
+        "print(json.dumps({k: bool(np.all(np.isfinite(v))) for k, v in out.items()}))\n"
+    )
+    assert finite == {k: True for k in ("stationary", "full-time", "magnus", "t0-table",
+                                        "tabulated-full", "tabulated-laplace")}
