@@ -10,8 +10,9 @@ A bath model supplies the multivariate correlation function alpha_{nm}(t)
 
 Variants: WhiteNoise (delta correlation), ExponentialOU (a sum
 sum_k c_k e^{-lam_k |t|}), ThermalLorentz (thermal state with Lorentzian damping
-kernel gamma~(w) = gamma0 / (1 + (w/Lam)^2): a Matsubara exponential sum with
-digamma closed forms and, at small t, an Euler-Maclaurin tail at T > 0,
+kernel gamma~(w) = gamma0 / (1 + (w/Lam)^2): at T > 0 a Matsubara exponential
+sum with digamma closed forms, summed in time over a fixed head of terms plus an
+Euler-Maclaurin tail, where only coefficient_integral reads past the head;
 log/E1/Ei closed forms at T = 0), and Tabulated
 (user samples on a uniform grid).  The exponential sums share one set of
 closed forms over a table of weights and rates.
@@ -59,11 +60,9 @@ __all__ = [
 
 _MATSUBARA_TERMS = 120_000
 _LOG_1_EPS = math.log(1 / np.finfo(float).eps)
-# past n0 = ceil(Lam / 2 pi T) + _TAIL_MARGIN the Matsubara sums of a T > 0 channel take
-# their tail in closed form (_exp_tail), where the direct sum would need more than
-# _TAIL_SWITCH terms
+# alpha_time and coefficient_full of a T > 0 channel sum c0 and the Matsubara terms up to
+# n0 = ceil(Lam / 2 pi T) + _TAIL_MARGIN and take the rest in closed form (_exp_tail)
 _TAIL_MARGIN = 32
-_TAIL_SWITCH = 3000
 # Euler-Maclaurin terms of _exp_tail: eps^m u^-i weighs B_n / (n m!), n = i + m <= 12,
 # m = 0 .. 11, i = 1 .. 12
 _EM_M, _EM_I = np.arange(12), np.arange(1, 13)[:, None]
@@ -99,8 +98,8 @@ def _finite(x, name: str, dtype=float) -> np.ndarray:
 # entries of an (n, n) matrix (the caller reshapes results' trailing axis)
 
 def _weigh(f, c):
-    """sum_k f[..., k] c_k; scalar weights are summed pairwise, since a
-    Matsubara table runs to 120 000 terms."""
+    """sum_k f[..., k] c_k; scalar weights are summed pairwise (a Matsubara head runs to
+    hundreds of terms; only coefficient_integral reads past it, by a matrix product)."""
     return (f * c).sum(-1) if c.ndim == 1 else f @ c
 
 
@@ -483,7 +482,10 @@ class _ThermalChannel(_LorentzChannel):
                            -np.pi * pre)
         self._k_pair, self._d, self._delta = k, -pre * 2 * k / (x + k) * a, a * y
         self._psi = (special.digamma(x), special.digamma(1 + x))
-        self._c = self._z = np.zeros(0)
+        # the head, which alpha_time and coefficient_full sum whole; they add the terms past
+        # it by _exp_tail while a t n0 < ln(1/eps), and later those are below round-off (and
+        # e^{eps b} in _exp_tail could overflow at large eps x)
+        self._c, self._z = self.terms(self._n0 + 1)
 
     def spectrum(self, w: float) -> complex:
         g0, T = self.gamma0, self.temperature
@@ -494,20 +496,18 @@ class _ThermalChannel(_LorentzChannel):
         # w (coth(w/2T) - 1) = 2w / (e^{w/T} - 1), stable for w >> T
         return gt * 2.0 * w / np.expm1(w / T)
 
-    def terms(self, k: int):
-        """The first k entries (c, z) of the term table: c0 + ck* at Lam, then the Matsubara
-        terms 1 .. k - 1 (ck* = 0).  The table is built on demand, to the length asked for
-        but at least twice its last length, up to _MATSUBARA_TERMS + 1 entries; an entry
-        does not depend on the length, so every length gives the same values."""
-        if self._z.size < k:
-            g0, lam, T = self.gamma0, self.cutoff, self.temperature
-            n = max(k, min(2 * self._z.size, _MATSUBARA_TERMS + 1), self._n0 + 1)
-            nu = 2 * np.pi * T * np.arange(1, n)
-            with np.errstate(divide="ignore"):
-                c = np.concatenate([[self._c0], -2 * g0 * T * lam**2 * nu / (lam**2 - nu**2)])
-            c[self._k_pair] = 0
-            self._c, self._z = c, np.concatenate([[lam], nu])
-        return self._c[:k], self._z[:k]
+    def terms(self, n: int):
+        """The first n entries (c, z) of the term table: c0 + ck* at Lam, then the Matsubara
+        terms k = 1 .. n - 1 (ck* = 0), ck = -2 gamma0 T Lam x k / ((x - k)(x + k)).  Taking
+        x - k from the rounded x keeps it exact near k*, so that the terms there cancel the
+        cot(pi x) of c0 as they do in the exact sum.  An entry does not depend on n, so every
+        table agrees with the head entry for entry."""
+        x, k = self._x, np.arange(1.0, n)
+        with np.errstate(divide="ignore"):
+            ck = -2 * self.gamma0 * self.temperature * self.cutoff * x * k / ((x - k) * (x + k))
+        c = np.concatenate([[self._c0], ck])
+        c[self._k_pair] = 0
+        return c, np.concatenate([[self.cutoff], self._a * k])
 
     def _e_delta(self, t):
         return np.expm1(self._delta * t) / self._delta if self._delta else t
@@ -518,40 +518,15 @@ class _ThermalChannel(_LorentzChannel):
         e_p = -np.expm1(-p * t) / p
         return self._d * (e_p - np.exp(-p * t) * self._e_delta(t)) / (p - self._delta)
 
-    def _n_terms(self, t):
-        """Matsubara terms kept at time t > 0 (a scalar or an array), besides the cutoff
-        term c0."""
-        # Past K = ln(1/eps) / (2 pi T t), e^{-nu_k t} <= eps e^{-2 pi T t (k - K)}, so the dropped
-        # tail of sum_k c_k e^{-nu_k t} / p_k (|p_k| >= nu_k) is at most eps max_{k>K} |c_k / nu_k|
-        # / (e^{2 pi T t} - 1), |c_k / nu_k| ~ 2 gamma0 T Lam^2 (t / ln(1/eps))^2: a few eps of
-        # A(inf; w) and alpha(t).  The cap at _MATSUBARA_TERMS breaks that bound for
-        # t < ln(1/eps) / (2 pi T _MATSUBARA_TERMS); there coefficient_full and alpha_time add
-        # the tail in closed form (they do so from _TAIL_SWITCH terms on) and coefficient_integral
-        # counts it in its error bound.  K >= ceil(x) >= k* keeps the pair's zero slot out of any tail.
-        return np.minimum(_MATSUBARA_TERMS,
-                          np.ceil(np.maximum(_LOG_1_EPS / (self._a * t), self._x))).astype(int)
-
-    def _split(self, t):
-        """(k, tailed) at times t > 0 (a scalar or an array): the first k table terms are
-        summed directly and, where tailed, the Matsubara terms past n0 = k - 1 come from
-        _exp_tail(2 pi T t, n0, b).  The tail applies where K(t) would pass _TAIL_SWITCH,
-        until e^{-nu_n0 t} < eps: from there on K(t) <= n0, and e^{eps b} in _exp_tail could
-        overflow at large eps x."""
-        k = self._n_terms(t) + 1
-        far = k > _TAIL_SWITCH + 1
-        return np.where(far, self._n0 + 1, k), far & (self._a * t * self._n0 < _LOG_1_EPS)
-
     def alpha_time(self, t: float) -> complex:
         """alpha(t).  Past n0 the Matsubara terms are (2 gamma0 T Lam^2 / a) k / (k^2 - x^2)
         e^{-a k t}, a = 2 pi T, x = Lam / a, with k / (k^2 - x^2) = (1/2) sum_{b = +-x} 1/(k + b)."""
         if t == 0.0:
             raise ValueError("thermal correlation is logarithmically divergent at t = 0")
         tau = abs(t)
-        k, tailed = self._split(tau)
-        c, z = self.terms(int(k))
         pair = self._d * np.exp(-self.cutoff * tau) * self._e_delta(tau)
-        val = _exp_sum_alpha(c, z, tau) + pair
-        if tailed:
+        val = _exp_sum_alpha(self._c, self._z, tau) + pair
+        if self._a * tau * self._n0 < _LOG_1_EPS:
             sums = _exp_tail(self._a * tau, self._n0, np.array([-self._x, self._x]))
             val += self.gamma0 * self.temperature * self.cutoff**2 / self._a * sums.sum()
         return val if t > 0 else np.conj(val)
@@ -602,11 +577,7 @@ class _ThermalChannel(_LorentzChannel):
         d e^{-pt} (1/p + E(delta, t)) / (p - delta).  Past n0, c_k / (nu_k + iw) =
         (2 gamma0 T Lam^2 / a^2) k / ((k^2 - x^2)(k + i beta)), a = 2 pi T, x = Lam / a,
         beta = w / a, is sum_b r_b / (k + b) over b = -x, x, i beta with
-        r = 1/2(x + i beta), -1/2(x - i beta), i beta / (x^2 + beta^2).
-
-        Each time needs the k of _split.  Times whose k share a power of two and whether
-        they take the tail are summed together over the group's largest k, so no time sums
-        more than twice its terms; those past its own k are below round-off (_n_terms)."""
+        r = 1/2(x + i beta), -1/2(x - i beta), i beta / (x^2 + beta^2)."""
         ts = np.asarray(t, dtype=float).reshape(-1)
         if np.any(ts < 0):
             raise ValueError("coefficient_full requires t >= 0")
@@ -620,19 +591,8 @@ class _ThermalChannel(_LorentzChannel):
 
     def _tail(self, t: np.ndarray, iw: np.ndarray) -> np.ndarray:
         """sum_k c_k e^{-z_k t} / (z_k + iw) with the pair term, (nt, nw), at times t > 0."""
-        out = np.empty((t.size, iw.size), dtype=complex)
-        k, tailed = self._split(t)
-        c, z = self.terms(int(k.max()))
-        # the table reversed, so that each sum runs from its smallest terms up (a sum of
-        # 3 000 terms rounds less so); the first n terms are the last n entries
-        z, weights = z[::-1].copy(), (c[:, None] / (z[:, None] + iw))[::-1]
-        w_re, w_im = weights.real.copy(), weights.imag.copy()
-        group = 2 * np.ceil(np.log2(k)) + tailed
-        for key in np.unique(group):
-            g = np.flatnonzero(group == key)
-            n = int(k[g].max())
-            e = np.exp(-np.multiply.outer(t[g], z[-n:]))
-            out[g] = e @ w_re[-n:] + 1j * (e @ w_im[-n:])
+        out = np.exp(-np.multiply.outer(t, self._z)) @ (self._c[:, None] / (self._z[:, None] + iw))
+        tailed = self._a * t * self._n0 < _LOG_1_EPS
         if tailed.any():
             a, x = self._a, self._x
             ib = iw / a
@@ -654,16 +614,19 @@ class _ThermalChannel(_LorentzChannel):
         expansion in x = 1/k, a = 2 pi T, in Hurwitz zetas zeta(3 + j, K + 1):
         X_k = (2 gamma0 T Lam^2 / a^3) x^3 / ((1 - (Lam/a)^2 x^2)(1 + i(g/a) x)(1 - i(h/a) x)).
         K is at least 64 max(Lam, |w|) / a, where 12 terms of the series reach
-        round-off, and the K(t) of _n_terms.  No step divides by nu.
+        round-off, and ln(1/eps) / (a t), at most _MATSUBARA_TERMS: this is the one
+        table that runs past the head.  No step divides by nu.
         """
-        if t < 0:
-            raise ValueError("coefficient_integral requires t >= 0")
         if t == 0:
             return np.zeros((w.size, w.size), dtype=complex), 0.0, 0
-        lam, a = self.cutoff, 2 * np.pi * self.temperature
+        lam, a = self.cutoff, self._a
         r = max(lam, float(np.max(np.abs(w)))) / a
-        # c holds c0 and Matsubara terms 1 .. k-1 (K = k - 1); the tail starts at k
-        k = min(_MATSUBARA_TERMS, max(int(self._n_terms(t)), int(np.ceil(64 * r)))) + 1
+        # Past K(t) = ln(1/eps) / (a t), e^{-nu_k t} <= eps e^{-a t (k - K)}, so the dropped
+        # e^{-z_k t} terms are at most eps max_{k>K} |X_k| / (e^{a t} - 1): a few eps of the
+        # table.  The cap at _MATSUBARA_TERMS breaks that bound for t < ln(1/eps) / (a
+        # _MATSUBARA_TERMS), and err counts those terms.  K >= ceil(64 x) >= k* keeps the pair's
+        # zero slot out of the tail.  c holds c0 and Matsubara terms 1 .. k-1 (K = k - 1).
+        k = math.ceil(min(_MATSUBARA_TERMS, max(_LOG_1_EPS / (a * t), 64 * r))) + 1
         c, z = self.terms(k)
         iw = 1j * w[:, None]
         pg, qh = lam + iw, lam - iw.T
@@ -748,6 +711,8 @@ class ThermalLorentz(BathModel):
 
     def coefficient_integral(self, t: float, w: np.ndarray):
         """Per channel: closed form at T > 0, quadrature at T = 0."""
+        if t < 0:
+            raise ValueError("coefficient_integral requires t >= 0")
         tables, errs, nevals = zip(*(ch.coefficient_integral(t, w) for ch in self._impl))
         out = np.zeros(tables[0].shape + (self.n_channels,) * 2, dtype=complex)
         for i, table in enumerate(tables):

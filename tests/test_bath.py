@@ -135,11 +135,11 @@ def test_coefficient_full_gap_memo_never_stale(make):
 
 
 def _channel_times(ch):
-    """Times on both sides of the T > 0 channel's tail switch (K(t) = 3 000 terms),
-    inside the tail, and where K(t) stops falling; shuffled, with t = 0."""
-    switch = bath._LOG_1_EPS / (ch._a * bath._TAIL_SWITCH)
-    t = np.array([0.0, 1e-7, 1e-5, 0.3 * switch, switch * (1 - 1e-3), switch * (1 + 1e-3),
-                  2.2 * switch, 0.05, 0.5, 3.0, 20.0])
+    """Times deep inside the T > 0 channel's closed-form tail, on both sides of where it
+    stops (2 pi T t n0 = ln(1/eps)) and past it; shuffled, with t = 0."""
+    stop = bath._LOG_1_EPS / (ch._a * ch._n0)
+    t = np.array([0.0, 1e-7, 1e-5, 0.3 * stop, stop * (1 - 1e-3), stop * (1 + 1e-3),
+                  2.2 * stop, 0.05, 0.5, 3.0, 20.0])
     return np.random.default_rng(5).permutation(t)
 
 
@@ -203,22 +203,29 @@ class TestTimeArrays:
         self.check(b, times, self.W, np.max(np.abs(b.coefficient_full(10.0, self.W))))
 
 
-def test_matsubara_table_on_demand_is_bit_identical():
-    # the table grows to what is asked for; an entry does not depend on its length
-    ch = thermal()._impl[0]
-    small = [x.copy() for x in ch.terms(40)]
-    assert ch.terms(40)[0].size == 40 and ch._z.size < 3001
-    full = thermal()._impl[0].terms(bath._MATSUBARA_TERMS + 1)
-    for a, b in zip(small, full):
-        assert np.array_equal(a, b[:40])
-    grown = ch.terms(3001)
-    assert all(np.array_equal(a, b[:3001]) for a, b in zip(grown, full))
+def test_matsubara_head_agrees_with_longer_tables():
+    # alpha_time and coefficient_full read the n0 + 1 head entries only, so calls at small
+    # t leave no longer table on the channel; a longer table from terms(k), as
+    # coefficient_integral builds, agrees with the head entry for entry
+    b = thermal()
+    ch = b._impl[0]
+    head = [x.copy() for x in (ch._c, ch._z)]
+    assert head[0].size == head[1].size == ch._n0 + 1
+    b.alpha_time(1e-7)
+    b.coefficient_full(1e-7, 1.0)
+    b.coefficient_full(np.array([1e-7, 1e-5, 0.5]), np.array([-1.0, 0.0, 1.0]))
+    b.coefficient_integral(1e-7, np.array([-1.0, 0.0, 1.0]))
+    assert all(np.array_equal(x, y) for x, y in zip((ch._c, ch._z), head))
+    for k in (ch._n0 + 2, 3001, bath._MATSUBARA_TERMS + 1):
+        longer = ch.terms(k)
+        assert longer[0].size == longer[1].size == k
+        assert all(np.array_equal(x[:ch._n0 + 1], y) for x, y in zip(longer, head))
 
 
 class TestMatsubaraTruncation:
-    """The time-dependent Matsubara sums keep K(t) terms, or the first n0 and the
-    rest in closed form; compare them with the infinite sums: the first N terms
-    written out here, and the rest from mpmath's Lerch transcendent."""
+    """The time-dependent Matsubara sums keep the first n0 terms and add the rest in
+    closed form; compare them with the infinite sums: the first N terms written out
+    here, and the rest from mpmath's Lerch transcendent."""
 
     TIMES = (1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 1.0, 8.0, 20.0)
     FREQS = (-3.0, -1.0, 0.0, 0.4, 1.0, 3.0)
@@ -229,15 +236,17 @@ class TestMatsubaraTruncation:
         g0, lam, temp = ch.gamma0, ch.cutoff, ch.temperature
         nu = 2 * np.pi * temp * np.arange(1, cls.N + 1)
         c = np.concatenate([[0j], -2 * g0 * temp * lam**2 * nu / (lam**2 - nu**2)])
-        # c0 and the Matsubara term nearest Lam are ill-conditioned in the rounded
-        # Lam / 2T and nu_k (at Lam = 5, T = 0.05 double rounding moves A(t; w) by
-        # 2e-14 of |A(inf; w)|), so both are taken from 30-digit values
-        k = max(1, round(lam / (2 * np.pi * temp)))
+        # c0 and the Matsubara terms up to k = 2 Lam / 2 pi T are ill-conditioned in the rounded
+        # Lam / 2T and nu_k (at Lam = 5, T = 0.05 double rounding moves A(t; w) by 2e-14 of
+        # |A(inf; w)|, and at Lam / 2 pi T = 300 by as much from the terms around k = 300), so
+        # they are taken from 30-digit values
+        band = int(lam / (np.pi * temp)) + 2
         with mpmath.workdps(30):
             mlam, mtemp = mpmath.mpf(lam), mpmath.mpf(temp)
-            nk = 2 * mpmath.pi * mtemp * k
             c[0] = complex(g0 * mlam**2 / 2 * (mpmath.cot(mlam / (2 * mtemp)) - 1j))
-            c[k] = float(-2 * g0 * mtemp * mlam**2 * nk / (mlam**2 - nk**2))
+            for k in range(1, band + 1):
+                nk = 2 * mpmath.pi * mtemp * k
+                c[k] = float(-2 * g0 * mtemp * mlam**2 * nk / (mlam**2 - nk**2))
         return c, np.concatenate([[lam], nu])
 
     @classmethod
@@ -291,6 +300,25 @@ class TestMatsubaraTruncation:
             want = np.sum(c * np.exp(-z * t)) + self.tail(b._impl[0], t)
             assert abs(b.alpha_time(t)[0, 0] - want) <= 1e-12 * abs(want), t
             assert b.alpha_time(-t)[0, 0] == np.conj(b.alpha_time(t)[0, 0])
+
+    @pytest.mark.parametrize("temp, cutoff", [(temp, cutoff) for cutoff in (1.0, 5.0)
+                                              for temp in (0.05, 0.25, 2.0)]
+                             + [(5.0 / (2 * np.pi * 299.7), 5.0)])
+    def test_tail_sweep_matches_full_sum(self, temp, cutoff):
+        # 25 times over 2 pi T t n0 in [0.5, 8], where the closed-form tail past the n0-term
+        # head is largest relative to round-off; the last channel has n0 = 332
+        b = bath.ThermalLorentz(gamma0=0.1, cutoff=cutoff, temperature=temp)
+        ch = b._impl[0]
+        c, z = self.full_terms(ch)
+        times = np.geomspace(0.5, 8.0, 25) / (ch._a * ch._n0)
+        w = np.array(self.FREQS)
+        scale = np.abs(b.coefficient_stationary(w)[:, 0, 0])
+        for t in times:
+            rest = [np.sum(c * np.exp(-z * t) / (z + 1j * wj)) + self.tail(ch, t, wj) for wj in w]
+            want = ch.laplace(1j * w) - np.exp(-1j * w * t) * np.array(rest)
+            assert np.all(np.abs(b.coefficient_full(t, w)[:, 0, 0] - want) <= 1e-14 * scale), t
+            alpha = np.sum(c * np.exp(-z * t)) + self.tail(ch, t)
+            assert abs(b.alpha_time(t)[0, 0] - alpha) <= 1e-12 * abs(alpha), t
 
     @pytest.mark.parametrize("rel", [1e-9, 1e-7, 1e-5])
     def test_cutoff_near_matsubara_frequency(self, rel):
@@ -553,9 +581,10 @@ class TestCoefficientIntegral:
             assert abs(tab2[a, b, 1, 1] - ref) <= 1e-12 * abs(ref), (a, b)
 
     def test_zero_time_and_negative_time(self):
-        for b in (thermal(), bath.ExponentialOU(c=[[0.3]], lam=1.2)):
+        for b in (thermal(), thermal_t0(), bath.ExponentialOU(c=[[0.3]], lam=1.2),
+                  bath.WhiteNoise(c=[[0.3]])):
             assert not np.any(b.coefficient_integral(0.0, self.W)[0])
-            with pytest.raises(ValueError, match="t >= 0"):
+            with pytest.raises(ValueError, match=r"^coefficient_integral requires t >= 0$"):
                 b.coefficient_integral(-1.0, self.W)
 
 

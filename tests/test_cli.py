@@ -115,6 +115,24 @@ class TestReports:
         report = json.loads(capsys.readouterr().out)
         assert report["checks"]["gibbs"] == "pass"
 
+    @pytest.mark.parametrize("temps", [[0.1, 0.4], [0.0, 0.25]])
+    def test_pauli_mixed_temperatures_have_no_gibbs_reference(self, tmp_path, capsys, temps):
+        # sigma_z / 2 commutes with H, so only channel 1 moves population and the
+        # stationary state is the Gibbs state at its temperature, not at either's maximum;
+        # with unequal temperatures neither check has a reference
+        doc = qubit_doc()
+        doc["system"]["couplings"].append(_pairs(np.diag([0.5, -0.5])))
+        doc["bath"]["temperature"] = temps
+        model = write_model(tmp_path, doc)
+        assert cli.main(["pauli", "--model", model]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"] == {"column_sums": "pass"}
+        assert "gibbs" not in report and "gibbs_residual" not in report
+        assert np.isfinite(report["detailed_balance_residual"])
+        if temps[0] > 0:
+            p = np.exp(-np.array([-0.5, 0.5]) / temps[0])
+            assert np.allclose(report["stationary"], p / p.sum(), rtol=0, atol=1e-10)
+
     def test_pauli_four_level_balance(self, tmp_path, capsys):
         # populations spread over seven decades
         doc = qubit_doc()
