@@ -355,6 +355,9 @@ def cmd_cp_audit(model, run, args):
 
 
 def cmd_nonlocal(model, run, args):
+    invert = run.get("invert", False)
+    if type(invert) is not bool:
+        raise ValidationError(f"run.invert must be true or false, got {invert!r}")
     tol = args.tol
     spec = spectral.perturbative_spectrum(model)
     poles = memkernel.nonlocal_poles(model)
@@ -374,7 +377,7 @@ def cmd_nonlocal(model, run, args):
         report["asymptotic_state"] = _cmat(rho_inf)
     except ValueError as exc:
         report["asymptotic_state_error"] = str(exc)
-    if run.get("invert"):
+    if invert:
         grid = _grid(run, default_tmax=10.0, default_n=6)
         states = memkernel.laplace_trajectory(model, rho0, grid)
         report["talbot_trajectory"] = {

@@ -8,8 +8,12 @@ unit e_ij it equals the second-order assembly with the coefficient replacements
 
 plus the free part -i w_ij, so that K2(-i w_ij){e_ij} reproduces the
 stationary time-local generator column exactly (the pole/shift identity).
-Columns share s' within a gap class, so two bath calls on the grid of
-distinct-gap pairs give every column.
+Columns share s' within a gap class, so on a stack of k Laplace points two
+bath calls on the grid (point, class, distinct gap) give every column of every
+kernel, and each column is contracted only with its own class's stack.
+kernel_K2 and resolvent take a scalar s or a 1-D array of s; talbot_invert
+hands its whole contour to the transform in one call, so that a time-domain
+state costs one stacked resolvent.
 """
 
 from __future__ import annotations
@@ -30,45 +34,68 @@ __all__ = [
 ]
 
 
-def _kernel_eb(m: SystemModel, s) -> np.ndarray:
-    """K2 in the energy basis, (d^2, d^2).  The columns e_ij of gap class q
-    (gap_index[i, j] = q) take the Laplace arguments s' + i u_g over the
-    distinct gaps u_g, with s' = s + i u_q; s may also be given per class.
-
-    Per class, the stack at s' + i u_g through m.generator_tensor gives the
-    terms B_n e_ij L_n - L_n B_n e_ij, and the stack at conj(s') + i u_g gives
-    their partners as the Hermiticity-preserving conjugate
-    conj S[(y,x),(j,i)]; column (i, j) reads its class's pair."""
-    d, u, q = m.dim, m.unique_gaps, m.gap_index
+def _laplace_pair(m: SystemModel, s: np.ndarray):
+    """The bath Laplace stacks at s' + i u_g and at conj(s') + i u_g over the
+    distinct gaps u_g, s' = s + i u_q, on a (k, n_gaps) array s of one point
+    per gap class q; each (k, n_gaps, n_gaps n^2), from one bath call each.
+    A pole raises a ValueError naming the entry of s that hit it."""
+    u = m.unique_gaps
     sp = s + 1j * u
     try:
-        lap = m.bath.laplace((sp[:, None] + 1j * u).reshape(-1))
-        lap_c = m.bath.laplace((np.conj(sp)[:, None] + 1j * u).reshape(-1))
-    except ValueError as exc:
-        raise ValueError(
-            f"kernel evaluation hit a correlation-function pole at s = {s!r}: {exc}"
-        ) from exc
-    s1, s2 = ((x.reshape(u.size, -1) @ m.generator_tensor).reshape(-1, d, d, d, d)
-              for x in (lap, lap_c))
-    i, j = np.indices((d, d))
-    # [i, j, x, y]: S1 of class q(i,j) at (x, y, i, j) plus conj S2 at (y, x, j, i)
-    k = s1[q, :, :, i, j] + np.conj(s2[q, :, :, j, i]).swapaxes(-1, -2)
-    k = k.transpose(2, 3, 0, 1).reshape(d * d, d * d)
-    k[np.diag_indices(d * d)] -= 1j * m.basis.gaps.reshape(-1)
-    return k
+        return [m.bath.laplace((x[..., None] + 1j * u).reshape(-1)).reshape(sp.shape + (-1,))
+                for x in (sp, np.conj(sp))]
+    except ValueError:
+        for s_k, sp_k in zip(s.reshape(-1), sp.reshape(-1)):
+            try:
+                for x in (sp_k, np.conj(sp_k)):
+                    m.bath.laplace(x + 1j * u)
+            except ValueError as exc:
+                raise ValueError(f"kernel evaluation hit a correlation-function pole "
+                                 f"at s = {complex(s_k)!r}: {exc}") from exc
+        raise
 
 
-def kernel_K2(m: SystemModel, s: complex) -> np.ndarray:
+def _kernel_eb(m: SystemModel, s) -> np.ndarray:
+    """K2 in the energy basis: (d^2, d^2) at a scalar s, (k, d^2, d^2) on a
+    1-D array of k points, or on a (k, n_gaps) array that gives each gap class
+    its own s.  The columns e_ij of gap class q (gap_index[i, j] = q) take the
+    Laplace arguments s' + i u_g over the distinct gaps u_g, s' = s + i u_q.
+
+    Through m.generator_tensor, the stack at s' + i u_g gives column (i, j)'s
+    terms B_n e_ij L_n - L_n B_n e_ij, and the stack at conj(s') + i u_g their
+    partners as the Hermiticity-preserving conjugate conj S[(y,x),(j,i)].
+    Each column block of the tensor is contracted only with the stacks that
+    read it, its own class's at s' and its transpose's class's at conj(s'):
+    one matmul batched over the d^2 columns."""
+    d, u, q = m.dim, m.unique_gaps, m.gap_index
+    s = np.asarray(s, dtype=complex)
+    s_cls = s if s.ndim == 2 else np.broadcast_to(s.reshape(-1, 1), (s.size, u.size))
+    k = len(s_cls)
+    lap, lap_c = _laplace_pair(m, s_cls)
+    # [(i,j), point, r]: the s' stacks of class q(i,j) above the conj(s') stacks of class q(j,i)
+    cls = np.where(np.arange(2 * k) < k, q.reshape(-1, 1), q.T.reshape(-1, 1))
+    stacks = np.concatenate([lap, lap_c])[np.arange(2 * k), cls]
+    # [(i,j), point, (x,y)] = S[(x,y),(i,j)], one matmul over the tensor's column blocks
+    terms = stacks @ m.generator_tensor.reshape(-1, d * d, d * d).transpose(2, 0, 1)
+    # column (i, j)'s partner terms at (x, y) are the conj(s') terms of block (j, i) at (y, x)
+    partners = terms[:, k:].reshape(d, d, k, d, d).transpose(1, 0, 2, 4, 3).reshape(d * d, k, -1)
+    kern = (terms[:, :k] + np.conj(partners)).transpose(1, 2, 0)
+    diag = np.arange(d * d)
+    kern[:, diag, diag] -= 1j * m.basis.gaps.reshape(-1)
+    return kern if s.ndim else kern[0]
+
+
+def kernel_K2(m: SystemModel, s) -> np.ndarray:
     """Full second-order memory kernel K2(s) as a superoperator matrix in the
-    input basis."""
+    input basis: (d^2, d^2) at a scalar s, (k, d^2, d^2) on a 1-D array of s."""
     return m.to_input @ _kernel_eb(m, s) @ m.to_energy
 
 
-def resolvent(m: SystemModel, s: complex) -> np.ndarray:
-    """[s - K2(s)]^{-1} in the input basis; the Laplace transform of the
-    evolution map."""
+def resolvent(m: SystemModel, s) -> np.ndarray:
+    """[s - K2(s)]^{-1} in the input basis, the Laplace transform of the
+    evolution map: (d^2, d^2) at a scalar s, (k, d^2, d^2) on a 1-D array of s."""
     k = kernel_K2(m, s)
-    return np.linalg.inv(s * np.eye(k.shape[0]) - k)
+    return np.linalg.inv(np.asarray(s)[..., None, None] * np.eye(k.shape[-1]) - k)
 
 
 def nonlocal_poles(m: SystemModel) -> dict:
@@ -79,7 +106,7 @@ def nonlocal_poles(m: SystemModel) -> dict:
     """
     d = m.dim
     # column class q is evaluated at s = -i u_q, i.e. at s' = 0
-    k = _kernel_eb(m, -1j * m.unique_gaps)
+    k = _kernel_eb(m, -1j * m.unique_gaps[None])[0]
     return {(i, j): complex(k[i * d + j, i * d + j]) for i in range(d) for j in range(d)}
 
 
@@ -102,9 +129,7 @@ def asymptotic_state(m: SystemModel, rho0: np.ndarray, tol: float = 1e-6) -> np.
         raise ValueError("no unique asymptotic state: all Pauli rates vanish")
     scale = float(rates.min())
     svals = np.array([1e-3, 1e-4, 1e-5]) * scale
-    xs = []
-    for s in svals:
-        xs.append(s * (resolvent(m, complex(s)) @ vec(rho0)))
+    xs = svals[:, None] * (resolvent(m, svals) @ vec(rho0))
     # x(s) = x0 + c s + O(s^2): eliminate the linear term pairwise
     extr01 = (svals[0] * xs[1] - svals[1] * xs[0]) / (svals[0] - svals[1])
     extr12 = (svals[1] * xs[2] - svals[2] * xs[1]) / (svals[1] - svals[2])
@@ -120,8 +145,10 @@ def asymptotic_state(m: SystemModel, rho0: np.ndarray, tol: float = 1e-6) -> np.
 def talbot_invert(fhat, t: float, nodes: int = 48) -> np.ndarray:
     """Fixed-Talbot numerical Laplace inversion at time t.
 
-    fhat(s) may return a scalar or an ndarray.  The full (unfolded) contour is
-    used so complex-valued time signals are handled correctly.
+    fhat is called once, with the 1-D array of the contour's nodes, and
+    returns an array whose leading axis runs over those nodes (a signal of any
+    trailing shape); the result has the trailing shape.  The full (unfolded)
+    contour is used so complex-valued time signals are handled correctly.
     """
     # The truncation error falls with the node count while round-off grows
     # with it (|e^{st}| on the contour reaches e^{2 nodes/5}).  Measured for
@@ -134,12 +161,13 @@ def talbot_invert(fhat, t: float, nodes: int = 48) -> np.ndarray:
     cot = np.cos(theta) / np.sin(theta)
     s = r * theta * (cot + 1j)
     dsdtheta = r * (1j + cot - theta / np.sin(theta) ** 2)
-    total = sum(np.exp(sk * t) * np.asarray(fhat(sk)) * dk for sk, dk in zip(s, dsdtheta))
-    return total * dtheta / (2j * np.pi)
+    weights = np.exp(s * t) * dsdtheta * (dtheta / (2j * np.pi))
+    return np.tensordot(weights, np.asarray(fhat(s)), axes=1)
 
 
 def laplace_trajectory(m: SystemModel, rho0: np.ndarray, grid, nodes: int = 48):
-    """States via Talbot inversion of the resolvent applied to rho0."""
+    """States via Talbot inversion of the resolvent applied to rho0: one
+    stacked resolvent on the contour's nodes per positive grid time."""
     y0 = vec(np.asarray(rho0, dtype=complex))
     return np.array([
         unvec(y0 if t == 0 else talbot_invert(lambda s: resolvent(m, s) @ y0, float(t), nodes),

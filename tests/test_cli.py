@@ -8,6 +8,7 @@ import pytest
 
 import oqsolve
 from oqsolve import bath, cli
+from test_memkernel import OU_DEPHASING, ou_dephasing_residues
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -316,6 +317,28 @@ class TestReports:
         assert report["checks"]["pole_match"] == "pass"
         assert "asymptotic_state" in report
 
+    @pytest.mark.parametrize("name", OU_DEPHASING)
+    def test_nonlocal_talbot_matches_residue_inversion(self, tmp_path, capsys, name):
+        hdiag, ldiags, c, lam, rho0 = OU_DEPHASING[name]
+        doc = qubit_doc(invert=True, t_max=4.0, n_points=5, rho0=_pairs(rho0))
+        doc["system"] = {"hamiltonian": _pairs(np.diag(hdiag)),
+                         "couplings": [_pairs(np.diag(l)) for l in ldiags]}
+        doc["bath"] = {"variant": "ou", "c": c, "lam": lam}
+        assert cli.main(["nonlocal", "--model", write_model(tmp_path, doc)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert all(v == "pass" for v in report["checks"].values())
+        traj = report["talbot_trajectory"]
+        grid = [float(t) for t in traj]
+        assert grid == [0.0, 1.0, 2.0, 3.0, 4.0]
+        got = np.array([[[complex(*z) for z in row] for row in traj[t]] for t in traj])
+        want = ou_dephasing_residues(hdiag, ldiags, c, lam, rho0, grid)
+        assert np.max(np.abs(got - want)) < 1e-7
+
+    def test_nonlocal_without_invert_has_no_trajectory(self, tmp_path, capsys):
+        for run in ({}, {"invert": False}):
+            assert cli.main(["nonlocal", "--model", write_model(tmp_path, qubit_doc(**run))]) == 0
+            assert "talbot_trajectory" not in json.loads(capsys.readouterr().out)
+
     def test_nonlocal_zero_temperature_three_level(self, tmp_path, capsys):
         # zero-temperature Laplace transform on the imaginary axis at negative
         # gaps: its real part (half the spectrum) sets the pole positions
@@ -433,6 +456,10 @@ class TestValidation:
         ("coefficients", "frequencies", "abc"),
         ("oracle-compare", "oracle.n_points", 1),
         ("oracle-compare", "oracle.horizon", -1),
+        ("nonlocal", "invert", "false"),
+        ("nonlocal", "invert", "no"),
+        ("nonlocal", "invert", 1),
+        ("nonlocal", "invert", None),
     ])
     def test_malformed_run_value_exits_validation(self, tmp_path, capsys, command, key, value):
         sx = _pairs(np.array([[0.0, 1.0], [1.0, 0.0]]))

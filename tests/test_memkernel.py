@@ -13,12 +13,60 @@ def qubit_model(gamma0=0.1):
     return tcl2.SystemModel(h=0.5 * SZ, couplings=[SX], bath=b)
 
 
-def three_level_model(seed=12):
+def three_level_model(seed=12, temperature=0.4):
     rng = np.random.default_rng(seed)
     h = np.diag([0.0, 0.9, 2.1])
     l = core.herm_part(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    b = bath.ThermalLorentz(gamma0=0.05, cutoff=4.0, temperature=0.4)
+    b = bath.ThermalLorentz(gamma0=0.05, cutoff=4.0, temperature=temperature)
     return tcl2.SystemModel(h=h, couplings=[l], bath=b)
+
+
+def two_channel_ou_model(seed=5):
+    rng = np.random.default_rng(seed)
+    ls = [core.herm_part(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) for _ in range(2)]
+    b = bath.ExponentialOU(c=[[0.06, 0.02], [0.02, 0.05]], lam=1.3)
+    return tcl2.SystemModel(h=np.diag([-0.8, 0.1, 1.0]), couplings=ls, bath=b)
+
+
+STACK_MODELS = {
+    "ou": lambda: tcl2.SystemModel(h=0.5 * SZ, couplings=[SX],
+                                   bath=bath.ExponentialOU(c=[[0.1]], lam=1.0)),
+    "ou-two-channel": two_channel_ou_model,
+    "thermal": three_level_model,
+    "thermal-t0": lambda: three_level_model(temperature=0.0),
+    "white": lambda: tcl2.SystemModel(h=0.5 * SZ, couplings=[SX], bath=bath.WhiteNoise(c=[0.4])),
+}
+
+
+def pure_state(v):
+    v = np.asarray(v, dtype=complex)
+    v = v / np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def ou_dephasing_residues(hdiag, ldiags, c, lam, rho0, times):
+    """Pure dephasing (diagonal H and couplings) under an OU bath c e^{-lam|t|}:
+    the second-order time-nonlocal solution rho^_ij(s) = rho_ij(0) / (u + q/(lam + u)),
+    u = s + i w_ij, q = D^T c D with D_n = l_n[i] - l_n[j], inverted by its two
+    residues u1, u2 (roots of u^2 + lam u + q)."""
+    hdiag, ldiags = np.asarray(hdiag, dtype=float), np.asarray(ldiags, dtype=float)
+    w = hdiag[:, None] - hdiag[None, :]
+    dl = ldiags[:, :, None] - ldiags[:, None, :]
+    q = np.einsum("nij,nm,mij->ij", dl, np.atleast_2d(c), dl)
+    disc = np.sqrt(lam**2 - 4 * q + 0j)
+    u1, u2 = (-lam + disc) / 2, (-lam - disc) / 2
+    t = np.asarray(times, dtype=float)[:, None, None]
+    val = ((lam + u1) * np.exp(u1 * t) - (lam + u2) * np.exp(u2 * t)) / (u1 - u2)
+    return rho0 * np.exp(-1j * w * t) * val
+
+
+# (h diagonal, coupling diagonals, c, lam, rho0): one channel at d = 2, two
+# correlated channels at d = 3
+OU_DEPHASING = {
+    "d2": ([0.5, -0.5], [[1.0, -1.0]], [[0.075]], 1.2, pure_state([0.8, 0.6j])),
+    "d3-two-channel": ([-0.9, 0.1, 0.8], [[-1.0, 0.1, 1.0], [0.9, -1.0, 0.05]],
+                       [[0.04, 0.012], [0.012, 0.035]], 1.2, pure_state([0.6, 0.48 + 0.3j, -0.5])),
+}
 
 
 class TestKernelStructure:
@@ -61,11 +109,35 @@ class TestKernelStructure:
         assert np.allclose(k_in, sand @ k_eb @ np.conj(sand).T, atol=1e-12)
 
     def test_pole_error_is_contextual(self):
-        b = bath.ExponentialOU(c=[[0.1]], lam=1.0)
-        m = tcl2.SystemModel(h=0.5 * SZ, couplings=[SX], bath=b)
-        # s' + i g hits -lam for a suitable s
-        with pytest.raises(ValueError, match="pole"):
-            memkernel.kernel_K2(m, -1.0 + 1j)
+        m = STACK_MODELS["ou"]()
+        # s' + i g hits -lam for a suitable s; on a stack the message names that point
+        for s in (-1.0 + 1j, np.array([0.5, -1.0 + 1j, 2.0 + 0.5j])):
+            for f in (memkernel.kernel_K2, memkernel.resolvent):
+                with pytest.raises(ValueError, match=r"pole at s = \(-1\+1j\): "):
+                    f(m, s)
+
+
+@pytest.mark.parametrize("name", STACK_MODELS)
+class TestStackedKernel:
+    S = np.array([1e-4, 0.3, 0.5 + 1.2j, -0.2 + 3.0j, 2.0 - 0.7j, 0.4j])
+
+    @pytest.mark.parametrize("f", [memkernel._kernel_eb, memkernel.kernel_K2, memkernel.resolvent])
+    def test_stack_equals_single_points(self, name, f):
+        m = STACK_MODELS[name]()
+        stack = f(m, self.S)
+        assert stack.shape == (self.S.size, m.dim**2, m.dim**2)
+        tol = 1e-14 * np.max(np.abs(stack))
+        for s, got in zip(self.S, stack):
+            assert np.max(np.abs(got - f(m, s))) <= tol
+
+    def test_poles_read_the_single_point_kernels(self, name):
+        # column (i, j) at s = -i u_q, q its gap class
+        m = STACK_MODELS[name]()
+        d, u, q = m.dim, m.unique_gaps, m.gap_index
+        poles = memkernel.nonlocal_poles(m)
+        for (i, j), pole in poles.items():
+            want = memkernel._kernel_eb(m, -1j * u[q[i, j]])[i * d + j, i * d + j]
+            assert abs(pole - want) <= 1e-14 * max(1.0, abs(want))
 
 
 class TestPolesAndSpectrum:
@@ -116,13 +188,24 @@ class TestTalbot:
     def test_scalar_exponential(self):
         for t in (0.5, 2.0, 10.0):
             got = memkernel.talbot_invert(lambda s: 1.0 / (s + 0.7), t)
-            assert abs(got - np.exp(-0.7 * t)) < 1e-4
+            assert abs(got - np.exp(-0.7 * t)) < 2e-7
 
     def test_complex_signal(self):
         # oscillatory signal requires the unfolded contour
         z = 0.3 + 2.1j
         got = memkernel.talbot_invert(lambda s: 1.0 / (s + z), 1.5)
-        assert abs(got - np.exp(-z * 1.5)) < 1e-4
+        assert abs(got - np.exp(-z * 1.5)) < 2e-7
+
+    def test_one_call_on_the_whole_contour(self):
+        calls = []
+
+        def fhat(s):
+            calls.append(s.shape)
+            return np.stack([1.0 / (s + 0.7), 2.0 / (s + 0.3)], axis=-1)
+
+        got = memkernel.talbot_invert(fhat, 2.0)
+        assert calls == [(48,)]
+        assert np.max(np.abs(got - [np.exp(-1.4), 2.0 * np.exp(-0.6)])) < 2e-7
 
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
@@ -130,9 +213,9 @@ class TestTalbot:
 
     def test_default_nodes_near_round_off_optimum(self):
         for t in (0.5, 2.0, 10.0):
-            assert abs(memkernel.talbot_invert(lambda s: 1.0 / s, t) - 1.0) < 1e-6
+            assert abs(memkernel.talbot_invert(lambda s: 1.0 / s, t) - 1.0) < 2e-7
             got = memkernel.talbot_invert(lambda s: 1.0 / (s + 0.7), t)
-            assert abs(got - np.exp(-0.7 * t)) < 1e-6
+            assert abs(got - np.exp(-0.7 * t)) < 2e-7
 
     def test_trajectory_matches_direct_integration(self):
         # the resummed orders differ, so agreement is at the coupling scale
@@ -143,3 +226,18 @@ class TestTalbot:
         traj = tcl2.propagate(m, rho0, grid, mode="full-time", rtol=1e-11, atol=1e-13)
         assert np.array_equal(states[0], rho0)
         assert np.max(np.abs(states - traj.states)) < 5e-3
+
+    @pytest.mark.parametrize("name", OU_DEPHASING)
+    def test_ou_dephasing_matches_residue_inversion(self, name, monkeypatch):
+        hdiag, ldiags, c, lam, rho0 = OU_DEPHASING[name]
+        m = tcl2.SystemModel(h=np.diag(hdiag), couplings=[np.diag(l) for l in ldiags],
+                             bath=bath.ExponentialOU(c=c, lam=lam))
+        grid = np.array([0.0, 0.5, 2.0, 4.0])
+        calls = []
+        resolvent = memkernel.resolvent
+        monkeypatch.setattr(memkernel, "resolvent", lambda m, s: calls.append(s.shape) or resolvent(m, s))
+        states = memkernel.laplace_trajectory(m, rho0, grid)
+        # one stacked resolvent per positive output time
+        assert calls == [(48,)] * 3
+        want = ou_dephasing_residues(hdiag, ldiags, c, lam, rho0, grid)
+        assert np.max(np.abs(states - want)) < 1e-7
