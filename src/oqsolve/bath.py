@@ -17,18 +17,10 @@ log/E1/Ei closed forms at T = 0), and Tabulated
 (user samples on a uniform grid).  The exponential sums share one set of
 closed forms over a table of weights and rates.
 
-The evaluators laplace(s), coefficient_stationary(w) and coefficient_full(t, w)
-take a scalar and return an (n, n) matrix, or take a 1-D array of k points and
-return the (k, n, n) stack, so that one call serves every distinct gap.
-coefficient_full also takes a 1-D array of nt times, which leads the result:
-(nt, k, n, n), so that a caller that knows its times (a Runge-Kutta step's
-stages, a quadrature's nodes, a sample grid) makes one call for all of them.
-The array case is told apart by the exact type numpy.ndarray, the cheapest
-test on the scalar path.  coefficient_integral(t, w) takes the 1-D array of gaps and
-returns the gap-pair table int_0^t A(tau; w_a) e^{i(w_a + w_b) tau} dtau,
-(k, k, n, n), with an error bound and the number of integrand evaluations:
-closed forms for damped exponential sums, adaptive quadrature of
-coefficient_full for the others.
+Each variant implements the evaluators as array forms only, on 1-D arrays of
+points that lead the result, so that one call serves every distinct gap and
+every time a caller knows; BathModel alone takes scalars, applies
+alpha(-t) = alpha(t)^dag and rejects t < 0 (see BathModel).
 
 Real decomposition alpha = nu + i mu with damping kernel mu~ = i w gamma~;
 diagnostics: KMS symmetry, fluctuation-dissipation inequality.
@@ -36,7 +28,6 @@ diagnostics: KMS symmetry, fluctuation-dissipation inequality.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -103,23 +94,16 @@ def _weigh(f, c):
     return (f * c).sum(-1) if c.ndim == 1 else f @ c
 
 
-def _exp_sum_alpha(c, z, t: float):
-    """alpha(t) = sum_k c_k e^{-z_k t}."""
-    return _weigh(np.exp(-z * t), c)
+def _exp_sum_alpha(c, z, t: np.ndarray):
+    """alpha(t) = sum_k c_k e^{-z_k t} at a 1-D array of t."""
+    return _weigh(np.exp(-z * t[:, None]), c)
 
 
-def _exp_sum_laplace(c, z, s):
-    """alpha^(s) = sum_k c_k / (z_k + s) at a scalar s or a 1-D array of s."""
-    return _weigh(1 / (z + (s[:, None] if type(s) is np.ndarray else s)), c)
-
-
-def _exp_sum_coefficient(c, z, t, w, undamped: bool = False):
-    """A(t; w) = sum_k c_k E(-(z_k + iw), t) at a scalar w or a 1-D array of w, and at a
-    scalar t or a 1-D array of t (the leading axis); only undamped terms can meet
-    z_k + iw = 0, so only they take the guard."""
-    x = -1j * (w[:, None] if type(w) is np.ndarray else w) - z
-    if type(t) is np.ndarray:
-        t = t.reshape(t.shape + (1,) * x.ndim)
+def _exp_sum_coefficient(c, z, t: np.ndarray, w: np.ndarray, undamped: bool = False):
+    """A(t; w) = sum_k c_k E(-(z_k + iw), t) at 1-D arrays of t and w, (nt, k, ...); only
+    undamped terms can meet z_k + iw = 0, so only they take the guard."""
+    x = -1j * w[:, None] - z
+    t = t[:, None, None]
     return _weigh(_exp_integral(x, t) if undamped else np.expm1(x * t) / x, c)
 
 
@@ -149,14 +133,14 @@ def _exp_tail(eps, n0: int, b: np.ndarray) -> np.ndarray:
 
 def _integrate_table(coefficient_full, t: float, w: np.ndarray):
     """Gap-pair table I[a, b] = int_0^t A(tau; w_a) e^{i(w_a + w_b) tau} dtau by
-    adaptive quadrature of coefficient_full(tau, w) (a (k, ...) stack); returns
-    (table, abserr in the max norm, integrand evaluations)."""
+    adaptive quadrature of the array form coefficient_full(tau, w) at one time
+    per node; returns (table, abserr in the max norm, integrand evaluations)."""
     from scipy import integrate
 
     nu = w[:, None] + w[None, :]
 
     def integrand(tau):
-        a = coefficient_full(tau, w)
+        a = coefficient_full(np.array([tau]), w)[0]
         phase = np.exp(1j * tau * nu)
         return a[:, None] * phase.reshape(phase.shape + (1,) * (a.ndim - 1))
 
@@ -165,41 +149,82 @@ def _integrate_table(coefficient_full, t: float, w: np.ndarray):
     return table, float(err), int(info.neval)
 
 
-def _stacked(method):
-    """Let a scalar evaluator take a 1-D array as its last argument, looping
-    over it and stacking the results along a new first axis."""
-    @functools.wraps(method)
-    def wrapper(self, *args):
-        if type(args[-1]) is np.ndarray:
-            return np.array([method(self, *args[:-1], x) for x in args[-1]])
-        return method(self, *args)
-    return wrapper
-
-
 class BathModel:
-    """Common interface: every variant implements alpha_time(t),
-    alpha_spectrum(w), laplace(s) and coefficient_full(t, w); the rest is
-    generic."""
+    """Common interface.  A variant implements array forms on 1-D arrays of points,
+    which lead the result: _alpha_time(t) at t >= 0, _alpha_spectrum(w), _laplace(s)
+    and _coefficient_full(t, w) at t >= 0, (nt, k, n, n); it may replace the quadrature
+    of _coefficient_integral and the generic _gamma_spectrum.  The public evaluators,
+    here alone, take a scalar (an (n, n) result) or a 1-D array (the stack; times lead
+    frequencies), apply alpha(-t) = alpha(t)^dag and reject t < 0."""
 
     channels: int
 
-    def coefficient_stationary(self, w: float) -> np.ndarray:
-        return self.laplace(1j * w)
+    @staticmethod
+    def _points(x):
+        """x as a 1-D array of points, and whether it was a scalar."""
+        if type(x) is np.ndarray and x.ndim:
+            return x, False
+        return np.array([x]), True
 
-    def coefficient_integral(self, t: float, w: np.ndarray):
+    def _evaluate(self, form, x):
+        points, scalar = self._points(x)
+        out = form(points)
+        return out[0] if scalar else out
+
+    def alpha_time(self, t) -> np.ndarray:
+        """alpha(t); at t < 0, alpha(|t|)^dag."""
+        ts, scalar = self._points(t)
+        out = self._alpha_time(np.abs(ts))
+        neg = ts < 0
+        out[neg] = np.conj(out[neg]).swapaxes(-1, -2)
+        return out[0] if scalar else out
+
+    def alpha_spectrum(self, w) -> np.ndarray:
+        """alpha~(w) = int e^{-iwt} alpha(t) dt."""
+        return self._evaluate(self._alpha_spectrum, w)
+
+    def laplace(self, s) -> np.ndarray:
+        """alpha^(s) = int_0^inf e^{-st} alpha(t) dt."""
+        return self._evaluate(self._laplace, s)
+
+    def coefficient_stationary(self, w) -> np.ndarray:
+        """A(w) = alpha^(iw + 0+)."""
+        return self._evaluate(lambda ws: self._laplace(1j * ws), w)
+
+    def coefficient_full(self, t, w) -> np.ndarray:
+        """A(t; w) = int_0^t alpha(tau) e^{-iw tau} dtau."""
+        ts, t_scalar = self._points(t)
+        ws, w_scalar = self._points(w)
+        # on a stepper's few stage times a list's min costs less than a numpy reduction
+        if min(ts.tolist(), default=0.0) < 0:
+            raise ValueError("coefficient_full requires t >= 0")
+        return self._coefficient_full(ts, ws)[0 if t_scalar else slice(None),
+                                              0 if w_scalar else slice(None)]
+
+    def coefficient_integral(self, t: float, w):
         """Gap-pair table I[a, b] = int_0^t A(tau; w_a) e^{i(w_a + w_b) tau} dtau
         over a 1-D array w, shaped (k, k, n, n), with an absolute error bound in
         the max norm and the number of integrand evaluations (0 for a closed
-        form).  Default: adaptive quadrature of coefficient_full."""
+        form)."""
         if t < 0:
             raise ValueError("coefficient_integral requires t >= 0")
-        return _integrate_table(self.coefficient_full, t, w)
+        ws, scalar = self._points(w)
+        table, err, neval = self._coefficient_integral(t, ws)
+        return (table[0, 0] if scalar else table), err, neval
 
-    def gamma_spectrum(self, w: float) -> np.ndarray:
+    def gamma_spectrum(self, w) -> np.ndarray:
         """Damping kernel gamma~(w) = mu~(w)/(iw); w=0 taken as a limit."""
-        weff = w if abs(w) > 1e-7 * self._freq_scale() else 1e-7 * self._freq_scale()
-        mu = (self.alpha_spectrum(weff) - np.conj(self.alpha_spectrum(-weff))) / 2j
-        return mu / (1j * weff)
+        return self._evaluate(self._gamma_spectrum, w)
+
+    def _coefficient_integral(self, t: float, w: np.ndarray):
+        """Default: adaptive quadrature of _coefficient_full."""
+        return _integrate_table(self._coefficient_full, t, w)
+
+    def _gamma_spectrum(self, w: np.ndarray) -> np.ndarray:
+        small = 1e-7 * self._freq_scale()
+        weff = np.where(np.abs(w) > small, w, small)
+        mu = (self._alpha_spectrum(weff) - np.conj(self._alpha_spectrum(-weff))) / 2j
+        return mu / (1j * weff)[:, None, None]
 
     def _freq_scale(self) -> float:
         return 1.0
@@ -227,25 +252,24 @@ class WhiteNoise(BathModel):
     def channels(self) -> int:
         return self.c.shape[0]
 
-    def alpha_time(self, t: float) -> np.ndarray:
-        if t == 0.0:
+    def _alpha_time(self, t: np.ndarray) -> np.ndarray:
+        if (t == 0.0).any():
             raise ValueError("delta correlation is singular at t = 0")
-        return np.zeros_like(self.c, dtype=complex)
+        return np.zeros((t.size,) + self.c.shape, dtype=complex)
 
-    def alpha_spectrum(self, w: float) -> np.ndarray:
-        return self.c.astype(complex)
+    def _alpha_spectrum(self, w: np.ndarray) -> np.ndarray:
+        return np.repeat(self.c.astype(complex)[None], w.size, axis=0)
 
-    def laplace(self, s: complex) -> np.ndarray:
+    def _laplace(self, s: np.ndarray) -> np.ndarray:
         # boundary half-weight convention: int_0^t delta(tau) dtau = 1/2
-        half = self.c.astype(complex) / 2.0
-        return np.repeat(half[None], len(s), axis=0) if type(s) is np.ndarray else half
+        return np.repeat((self.c.astype(complex) / 2.0)[None], s.size, axis=0)
 
-    def coefficient_full(self, t, w) -> np.ndarray:
-        half = (self.c / 2.0 * (np.asarray(t) != 0.0)[..., None, None]).astype(complex)
-        return np.repeat(half[..., None, :, :], len(w), axis=-3) if type(w) is np.ndarray else half
+    def _coefficient_full(self, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+        half = (self.c / 2.0 * (t != 0.0)[:, None, None]).astype(complex)
+        return np.repeat(half[:, None], w.size, axis=1)
 
-    def gamma_spectrum(self, w: float) -> np.ndarray:
-        return np.zeros_like(self.c, dtype=complex)
+    def _gamma_spectrum(self, w: np.ndarray) -> np.ndarray:
+        return np.zeros((w.size,) + self.c.shape, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -291,35 +315,33 @@ class ExponentialOU(BathModel):
         if self._undamped:
             raise ValueError("undamped terms (Re lam = 0): the correlation has no t -> inf limit")
 
-    def alpha_time(self, t: float) -> np.ndarray:
-        if t >= 0:
-            return self._matrices(_exp_sum_alpha(self._c, self._z, t))
-        return np.conj(self.alpha_time(-t)).T
+    def _alpha_time(self, t: np.ndarray) -> np.ndarray:
+        return self._matrices(_exp_sum_alpha(self._c, self._z, t))
 
-    def alpha_spectrum(self, w: float) -> np.ndarray:
+    def _alpha_spectrum(self, w: np.ndarray) -> np.ndarray:
         """sum_k 2 Re(lam_k) c_k / |lam_k + iw|^2."""
         self._require_damped()
         zr = self._z.real
-        return self._matrices(_weigh(2 * zr / (zr**2 + (self._z.imag + w) ** 2), self._c))
+        return self._matrices(_weigh(2 * zr / (zr**2 + (self._z.imag + w[:, None]) ** 2), self._c))
 
-    def laplace(self, s: complex) -> np.ndarray:
+    def _laplace(self, s: np.ndarray) -> np.ndarray:
         self._require_damped()
-        p = self._z + (s[:, None] if type(s) is np.ndarray else s)
+        p = self._z + s[:, None]
         near = np.abs(p / self._z)
         if near.min() < 1e-12:
             pole = -self._z[near.argmin() % self._z.size]
             raise ValueError(f"Laplace transform pole at s = {pole}")
         return self._matrices(_weigh(1 / p, self._c))
 
-    def coefficient_full(self, t: float, w: float) -> np.ndarray:
+    def _coefficient_full(self, t: np.ndarray, w: np.ndarray) -> np.ndarray:
         return self._matrices(_exp_sum_coefficient(self._c, self._z, t, w, self._undamped))
 
-    def coefficient_integral(self, t: float, w: np.ndarray):
+    def _coefficient_integral(self, t: float, w: np.ndarray):
         """The gap-pair table in closed form, or by quadrature with undamped terms."""
-        if t < 0 or self._undamped:
-            return super().coefficient_integral(t, w)
-        table = _exp_sum_table(self._c, self._z, t, w, _exp_sum_laplace(self._c, self._z, 1j * w))
-        return self._matrices(table), 0.0, 0
+        if self._undamped:
+            return super()._coefficient_integral(t, w)
+        laplace_iw = self._laplace(1j * w).reshape(w.size, -1)
+        return self._matrices(_exp_sum_table(self._c, self._z, t, w, laplace_iw)), 0.0, 0
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +371,6 @@ class _LorentzChannel:
         """laplace(1j * w).  It does not depend on t, and every generator build
         of one model asks for it at the same gaps, so the value for the last
         array w is kept, keyed by its dtype, shape and bytes."""
-        if type(w) is not np.ndarray:
-            return self.laplace(1j * w)
         key = (w.dtype.str, w.shape, w.tobytes())
         if key != self._axis_key:
             self._axis_key, self._axis_value = key, self.laplace(1j * w)
@@ -362,7 +382,6 @@ def _scaled_exp_integrals(x):
     x = 40 (e^x overflows at 709) both come from the asymptotic series
     (1/x) sum_k (-+1)^k k!/x^k, cut after 40 terms: the first dropped term is at
     most 40!/40^40 < 1e-16."""
-    shape, x = np.shape(x), np.array(x, dtype=float, ndmin=1)
     near = np.minimum(x, 40.0)
     e1, ei = np.exp(near) * special.exp1(near), np.exp(-near) * special.expi(near)
     far = x > 40.0
@@ -371,7 +390,7 @@ def _scaled_exp_integrals(x):
         terms = np.cumprod(np.concatenate([np.ones_like(xf), np.arange(1, 40) / xf], 1), 1) / xf
         e1[far] = terms[:, ::2].sum(1) - terms[:, 1::2].sum(1)
         ei[far] = terms.sum(1)
-    return e1.reshape(shape), ei.reshape(shape)
+    return e1, ei
 
 
 class _ThermalChannelT0(_LorentzChannel):
@@ -387,23 +406,20 @@ class _ThermalChannelT0(_LorentzChannel):
         self.cutoff = cutoff
         self._k = gamma0 * cutoff**2 / (2 * np.pi)
 
-    def spectrum(self, w: float) -> complex:
-        if w >= 0:
-            return 0.0 + 0.0j
-        return 2.0 * abs(w) * self.gamma_tilde(w)
+    def spectrum(self, w: np.ndarray) -> np.ndarray:
+        return np.where(w >= 0, 0.0, 2.0 * np.abs(w) * self.gamma_tilde(w))
 
-    def alpha_time(self, t: float) -> complex:
-        # K [e^x E1(x) - e^{-x} Ei(x)] - i pi K e^{-x},  x = Lam |t|
-        if t == 0.0:
+    def alpha_time(self, t: np.ndarray) -> np.ndarray:
+        # K [e^x E1(x) - e^{-x} Ei(x)] - i pi K e^{-x},  x = Lam t
+        if (t == 0.0).any():
             raise ValueError("zero-temperature correlation diverges at t = 0")
-        x = self.cutoff * abs(t)
+        x = self.cutoff * t
         e1, ei = _scaled_exp_integrals(x)
-        val = complex(self._k * (e1 - ei), -np.pi * self._k * np.exp(-x))
-        return val if t > 0 else val.conjugate()
+        return self._k * (e1 - ei) + 1j * (-np.pi * self._k * np.exp(-x))
 
-    def laplace(self, s):
+    def laplace(self, s: np.ndarray) -> np.ndarray:
         """alpha^(s) = (2K/i) [c log(c/Lam) + pi Lam/2] / (c^2 + Lam^2), c = -is,
-        with the principal log; a 1-D array of s gives the array of values.
+        with the principal log.
 
         On the cut c < 0 (s = iw, w < 0) the boundary value from Re s > 0 takes
         log(c - i0) = ln|c| - i pi, set explicitly rather than left to the sign
@@ -412,8 +428,7 @@ class _ThermalChannelT0(_LorentzChannel):
         [log(c/Lam) + log1p(z)/z] / (c + b), z = c/b - 1.
         """
         lam = self.cutoff
-        sa = np.atleast_1d(np.asarray(s, dtype=complex))
-        c = sa.imag - 1j * sa.real
+        c = s.imag - 1j * s.real
         with np.errstate(divide="ignore", invalid="ignore"):
             log_c = np.log(c / lam)
             log_c = np.where((c.imag == 0) & (c.real < 0), log_c.real - 1j * np.pi, log_c)
@@ -424,32 +439,25 @@ class _ThermalChannelT0(_LorentzChannel):
                 z = c[near] / b[near] - 1
                 ratio = np.where(z == 0, 1, special.log1p(z) / z)
                 f[near] = (log_c[near] + ratio) / (c[near] + b[near])
-        out = -2j * self._k * f
-        return out if type(s) is np.ndarray else complex(out[0])
+        return -2j * self._k * f
 
-    def coefficient_full(self, t, w):
-        """A(t; w) = alpha^(iw + 0+) - int_t^inf alpha(tau) e^{-iw tau} dtau; a 1-D
-        array of w gives the array of values, and a 1-D array of t leads it.
+    def coefficient_full(self, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """A(t; w) = alpha^(iw + 0+) - int_t^inf alpha(tau) e^{-iw tau} dtau, (nt, k).
 
         With 1/((u + w)(u - b)) = [1/(u - b) - 1/(u + w)] / (b + w) the tail is
         K [2iw/(Lam^2 + w^2) E1(iwt) + e^{-iwt} sum_b e^{-ibt} E1(-ibt) / (i(b + w))],
         where e^{-ibt} E1(-ibt) is e^x E1(x) at b = i Lam and -e^{-x} (Ei(x) + i pi)
         at b = -i Lam, x = Lam t; w E1(iwt) -> 0 as w -> 0.  A(0; w) = 0.
         """
-        wa = np.asarray(w, dtype=float)
-        ta = np.asarray(t, dtype=float).reshape(np.shape(t) + (1,) * wa.ndim)
-        if np.any(ta < 0):
-            raise ValueError("coefficient_full requires t >= 0")
-        lam, pos = self.cutoff, ta > 0
-        ts = np.where(pos, ta, 1.0)  # A(0; w) = 0 is set below
+        lam, pos = self.cutoff, t[:, None] > 0
+        ts = np.where(pos, t[:, None], 1.0)  # A(0; w) = 0 is set below
         x = lam * ts
         e1, ei = _scaled_exp_integrals(x)
-        pole_terms = e1 / (1j * wa - lam) - (ei + 1j * np.pi * np.exp(-x)) / (1j * wa + lam)
+        pole_terms = e1 / (1j * w - lam) - (ei + 1j * np.pi * np.exp(-x)) / (1j * w + lam)
         with np.errstate(invalid="ignore"):
-            w_e1 = np.where(wa == 0, 0, wa * special.exp1(1j * wa * ts))
-        tail = self._k * (2j * w_e1 / (lam**2 + wa**2) + np.exp(-1j * wa * ts) * pole_terms)
-        out = np.where(pos, self._laplace_on_axis(w) - tail, 0j)
-        return out if out.ndim else complex(out)
+            w_e1 = np.where(w == 0, 0, w * special.exp1(1j * w * ts))
+        tail = self._k * (2j * w_e1 / (lam**2 + w**2) + np.exp(-1j * w * ts) * pole_terms)
+        return np.where(pos, self._laplace_on_axis(w) - tail, 0j)
 
     def coefficient_integral(self, t: float, w: np.ndarray):
         """The gap-pair table by adaptive quadrature of coefficient_full."""
@@ -487,14 +495,14 @@ class _ThermalChannel(_LorentzChannel):
         # e^{eps b} in _exp_tail could overflow at large eps x)
         self._c, self._z = self.terms(self._n0 + 1)
 
-    def spectrum(self, w: float) -> complex:
-        g0, T = self.gamma0, self.temperature
+    def spectrum(self, w: np.ndarray) -> np.ndarray:
+        T = self.temperature
         gt = self.gamma_tilde(w)
-        if abs(w) < 1e-6 * T:
-            # w coth(w/2T) = 2T + w^2/(6T) + O(w^4)
-            return gt * (2 * T + w * w / (6 * T) - w)
-        # w (coth(w/2T) - 1) = 2w / (e^{w/T} - 1), stable for w >> T
-        return gt * 2.0 * w / np.expm1(w / T)
+        # w (coth(w/2T) - 1) = 2w / (e^{w/T} - 1), stable for w >> T; near w = 0,
+        # w coth(w/2T) = 2T + w^2/(6T) + O(w^4)
+        with np.errstate(invalid="ignore"):
+            far = gt * 2.0 * w / np.expm1(w / T)
+        return np.where(np.abs(w) < 1e-6 * T, gt * (2 * T + w * w / (6 * T) - w), far)
 
     def terms(self, n: int):
         """The first n entries (c, z) of the term table: c0 + ck* at Lam, then the Matsubara
@@ -518,18 +526,18 @@ class _ThermalChannel(_LorentzChannel):
         e_p = -np.expm1(-p * t) / p
         return self._d * (e_p - np.exp(-p * t) * self._e_delta(t)) / (p - self._delta)
 
-    def alpha_time(self, t: float) -> complex:
+    def alpha_time(self, t: np.ndarray) -> np.ndarray:
         """alpha(t).  Past n0 the Matsubara terms are (2 gamma0 T Lam^2 / a) k / (k^2 - x^2)
         e^{-a k t}, a = 2 pi T, x = Lam / a, with k / (k^2 - x^2) = (1/2) sum_{b = +-x} 1/(k + b)."""
-        if t == 0.0:
+        if (t == 0.0).any():
             raise ValueError("thermal correlation is logarithmically divergent at t = 0")
-        tau = abs(t)
-        pair = self._d * np.exp(-self.cutoff * tau) * self._e_delta(tau)
-        val = _exp_sum_alpha(self._c, self._z, tau) + pair
-        if self._a * tau * self._n0 < _LOG_1_EPS:
-            sums = _exp_tail(self._a * tau, self._n0, np.array([-self._x, self._x]))
-            val += self.gamma0 * self.temperature * self.cutoff**2 / self._a * sums.sum()
-        return val if t > 0 else np.conj(val)
+        pair = self._d * np.exp(-self.cutoff * t) * self._e_delta(t)
+        val = _exp_sum_alpha(self._c, self._z, t) + pair
+        tailed = self._a * t * self._n0 < _LOG_1_EPS
+        if tailed.any():
+            sums = _exp_tail(self._a * t[tailed], self._n0, np.array([-self._x, self._x]))
+            val[tailed] += self.gamma0 * self.temperature * self.cutoff**2 / self._a * sums.sum(-1)
+        return val
 
     def _regular_point(self, s: complex) -> complex:
         """Reject the poles of the digamma form at s; nudge s off its
@@ -546,9 +554,8 @@ class _ThermalChannel(_LorentzChannel):
                 s = sp + 1e-9 * lam * (s - sp) / abs(s - sp)
         return lam * (1 + 1e-9) if s == lam else s
 
-    def laplace(self, s):
-        """Closed form of the Matsubara sum via digamma functions; a 1-D array
-        of s gives the array of values.
+    def laplace(self, s: np.ndarray) -> np.ndarray:
+        """Closed form of the Matsubara sum via digamma functions.
 
         The sum over k >= 1 brings psi(1 - x), x = Lam/2piT, and the cutoff
         term c0/(Lam + s) brings cot(Lam/2T) = cot(pi x); both diverge as Lam
@@ -557,13 +564,10 @@ class _ThermalChannel(_LorentzChannel):
         so the form below keeps psi(x) and only the imaginary part of c0."""
         g0, lam, T = self.gamma0, self.cutoff, self.temperature
         a = 2 * np.pi * T
-        if type(s) is np.ndarray:
-            s = s.astype(complex)
-            # every pole and nudge of _regular_point lies this close to the real axis
-            for k in np.flatnonzero(np.abs(s.imag) < 1e-9 * max(lam, a)):
-                s[k] = self._regular_point(complex(s[k]))
-        else:
-            s = self._regular_point(complex(s))
+        s = s.astype(complex)
+        # every pole and nudge of _regular_point lies this close to the real axis
+        for k in np.flatnonzero(np.abs(s.imag) < 1e-9 * max(lam, a)):
+            s[k] = self._regular_point(complex(s[k]))
         A = 1.0 / (2 * (lam + s))
         B = 1.0 / (2 * (lam - s))
         C = -s / (lam**2 - s**2)
@@ -571,23 +575,18 @@ class _ThermalChannel(_LorentzChannel):
         ssum = (A / a) * psi_x - (B / a) * psi_plus - (C / a) * special.digamma(1 + s / a)
         return -0.5j * g0 * lam**2 / (lam + s) - 2 * g0 * T * lam**2 * ssum
 
-    def coefficient_full(self, t, w):
-        """A(t; w) = alpha^(iw) - e^{-iwt} sum_k c_k e^{-z_k t} / (z_k + iw); a 1-D array
-        of w gives the array of values, and a 1-D array of t leads it.  The pair term adds
-        d e^{-pt} (1/p + E(delta, t)) / (p - delta).  Past n0, c_k / (nu_k + iw) =
+    def coefficient_full(self, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """A(t; w) = alpha^(iw) - e^{-iwt} sum_k c_k e^{-z_k t} / (z_k + iw), (nt, k).  The
+        pair term adds d e^{-pt} (1/p + E(delta, t)) / (p - delta).  Past n0, c_k / (nu_k + iw) =
         (2 gamma0 T Lam^2 / a^2) k / ((k^2 - x^2)(k + i beta)), a = 2 pi T, x = Lam / a,
         beta = w / a, is sum_b r_b / (k + b) over b = -x, x, i beta with
         r = 1/2(x + i beta), -1/2(x - i beta), i beta / (x^2 + beta^2)."""
-        ts = np.asarray(t, dtype=float).reshape(-1)
-        if np.any(ts < 0):
-            raise ValueError("coefficient_full requires t >= 0")
-        iw = 1j * np.atleast_1d(w)
-        out = np.zeros((ts.size, iw.size), dtype=complex)
-        pos = np.flatnonzero(ts > 0)
+        iw = 1j * w
+        out = np.zeros((t.size, w.size), dtype=complex)
+        pos = np.flatnonzero(t > 0)
         if pos.size:
-            out[pos] = self._laplace_on_axis(w) - np.exp(-ts[pos, None] * iw) * self._tail(ts[pos], iw)
-        out = out.reshape(np.shape(t) + np.shape(w))
-        return out if out.ndim else complex(out)
+            out[pos] = self._laplace_on_axis(w) - np.exp(-t[pos, None] * iw) * self._tail(t[pos], iw)
+        return out
 
     def _tail(self, t: np.ndarray, iw: np.ndarray) -> np.ndarray:
         """sum_k c_k e^{-z_k t} / (z_k + iw) with the pair term, (nt, nw), at times t > 0."""
@@ -697,29 +696,24 @@ class ThermalLorentz(BathModel):
         out[..., :: n + 1] = vals.transpose(tuple(range(1, vals.ndim)) + (0,))
         return out.reshape(vals.shape[1:] + (n, n))
 
-    def alpha_time(self, t: float) -> np.ndarray:
+    def _alpha_time(self, t: np.ndarray) -> np.ndarray:
         return self._diag([ch.alpha_time(t) for ch in self._impl])
 
-    def alpha_spectrum(self, w: float) -> np.ndarray:
+    def _alpha_spectrum(self, w: np.ndarray) -> np.ndarray:
         return self._diag([ch.spectrum(w) for ch in self._impl])
 
-    def laplace(self, s: complex) -> np.ndarray:
+    def _laplace(self, s: np.ndarray) -> np.ndarray:
         return self._diag([ch.laplace(s) for ch in self._impl])
 
-    def coefficient_full(self, t, w) -> np.ndarray:
+    def _coefficient_full(self, t: np.ndarray, w: np.ndarray) -> np.ndarray:
         return self._diag([ch.coefficient_full(t, w) for ch in self._impl])
 
-    def coefficient_integral(self, t: float, w: np.ndarray):
+    def _coefficient_integral(self, t: float, w: np.ndarray):
         """Per channel: closed form at T > 0, quadrature at T = 0."""
-        if t < 0:
-            raise ValueError("coefficient_integral requires t >= 0")
         tables, errs, nevals = zip(*(ch.coefficient_integral(t, w) for ch in self._impl))
-        out = np.zeros(tables[0].shape + (self.n_channels,) * 2, dtype=complex)
-        for i, table in enumerate(tables):
-            out[..., i, i] = table
-        return out, max(errs), sum(nevals)
+        return self._diag(tables), max(errs), sum(nevals)
 
-    def gamma_spectrum(self, w: float) -> np.ndarray:
+    def _gamma_spectrum(self, w: np.ndarray) -> np.ndarray:
         return self._diag([ch.gamma_tilde(w) for ch in self._impl])
 
 
@@ -784,15 +778,16 @@ class Tabulated(BathModel):
                 a[i, j] = y[-1] * np.exp(zij * t[-1])
         return ok, a, z
 
-    def alpha_time(self, t: float) -> np.ndarray:
-        if t < 0:
-            return np.conj(self.alpha_time(-t)).T
-        if t > self.times[-1] * (1 + 1e-12):
-            raise ValueError(f"query t = {t} outside tabulated grid [0, {self.times[-1]}]")
-        return self._spline(min(t, self.times[-1]))
+    def _on_grid(self, t: np.ndarray) -> np.ndarray:
+        """t, checked against the grid's end and clipped to it."""
+        if t.max() > self.times[-1] * (1 + 1e-12):
+            raise ValueError(f"query t = {t.max()} outside tabulated grid [0, {self.times[-1]}]")
+        return np.minimum(t, self.times[-1])
 
-    @_stacked
-    def laplace(self, s: complex) -> np.ndarray:
+    def _alpha_time(self, t: np.ndarray) -> np.ndarray:
+        return self._spline(self._on_grid(t))
+
+    def _laplace(self, s: np.ndarray) -> np.ndarray:
         if not self.tail_ok:
             raise ValueError(
                 "tabulated correlation: the exponential fit of the last samples "
@@ -801,29 +796,25 @@ class Tabulated(BathModel):
         from scipy import integrate
 
         tf, af = self._tf, self._af
-        w = np.exp(-s * tf)[:, None, None]
-        val = integrate.simpson(af * w, x=tf, axis=0)
+        val = np.array([integrate.simpson(af * np.exp(-x * tf)[:, None, None], x=tf, axis=0)
+                        for x in s])
         # exponential tail beyond the grid
-        tail = np.zeros_like(val)
-        mask = self._tail_z.real > 0
-        if np.any(mask):
-            zt = self._tail_z + s
-            with np.errstate(divide="ignore", invalid="ignore"):
-                full = self._tail_a * np.exp(-zt * self.times[-1]) / zt
-            tail[mask] = full[mask]
-        return val + tail
+        zt = self._tail_z + s[:, None, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            full = self._tail_a * np.exp(-zt * self.times[-1]) / zt
+        return val + np.where(self._tail_z.real > 0, full, 0)
 
-    def alpha_spectrum(self, w: float) -> np.ndarray:
-        f = self.laplace(1j * w)
-        return f + np.conj(f).T
+    def _alpha_spectrum(self, w: np.ndarray) -> np.ndarray:
+        f = self._laplace(1j * w)
+        return f + np.conj(f).swapaxes(-1, -2)
 
-    def coefficient_full(self, t, w) -> np.ndarray:
-        """A spline of the cumulative trapezoid rule per frequency, evaluated at a
-        scalar t or at once at a 1-D array of t (the leading axis)."""
-        if type(w) is np.ndarray:
-            return np.stack([self.coefficient_full(t, x) for x in w], axis=np.ndim(t))
-        if np.any(np.asarray(t) < 0):
-            raise ValueError("coefficient_full requires t >= 0")
+    def _coefficient_full(self, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """A spline of the cumulative trapezoid rule per frequency, each evaluated
+        at all the times at once."""
+        t = self._on_grid(t)
+        return np.stack([self._coefficient_spline(x)(t) for x in w], axis=1)
+
+    def _coefficient_spline(self, w: float):
         key = round(float(w), 12)
         if key not in self._coeff_cache:
             from scipy import integrate
@@ -832,9 +823,7 @@ class Tabulated(BathModel):
             integrand = self._af * np.exp(-1j * w * self._tf)[:, None, None]
             cum = integrate.cumulative_trapezoid(integrand, x=self._tf, axis=0, initial=0.0)
             self._coeff_cache[key] = CubicSpline(self._tf, cum, axis=0)
-        if np.any(np.asarray(t) > self.times[-1] * (1 + 1e-12)):
-            raise ValueError(f"query t = {np.max(t)} outside tabulated grid [0, {self.times[-1]}]")
-        return self._coeff_cache[key](np.minimum(t, self.times[-1]))
+        return self._coeff_cache[key]
 
     # -- CSV round-trip ------------------------------------------------------
 
@@ -868,10 +857,8 @@ def kernels(b: BathModel, wgrid) -> KernelTriple:
     mu~(w) = (alpha~(w) - conj(alpha~(-w)))/2i,  gamma~(w) = mu~(w)/(iw).
     """
     wgrid = np.atleast_1d(np.asarray(wgrid, dtype=float))
-    ap = np.array([b.alpha_spectrum(w) for w in wgrid])
-    am = np.conj([b.alpha_spectrum(-w) for w in wgrid])
-    return KernelTriple(wgrid, (ap + am) / 2, (ap - am) / 2j,
-                        np.array([b.gamma_spectrum(w) for w in wgrid]))
+    ap, am = b.alpha_spectrum(wgrid), np.conj(b.alpha_spectrum(-wgrid))
+    return KernelTriple(wgrid, (ap + am) / 2, (ap - am) / 2j, b.gamma_spectrum(wgrid))
 
 
 def kms_residual(b: BathModel, wgrid) -> float:
@@ -885,24 +872,22 @@ def kms_residual(b: BathModel, wgrid) -> float:
     (generally nonzero) number from the whole matrix at T = 1.
     """
     wgrid = np.atleast_1d(np.asarray(wgrid, dtype=float))
+    ap = b.alpha_spectrum(wgrid).reshape(wgrid.size, -1)
+    am = np.conj(b.alpha_spectrum(-wgrid)).reshape(wgrid.size, -1)
     if b.is_thermal():
-        entries = [((i, i), T, ch) for i, (T, ch) in enumerate(zip(b.temperature, b._impl))]
+        n = b.channels
+        entries = [([i * (n + 1)], T, ch) for i, (T, ch) in enumerate(zip(b.temperature, b._impl))]
     else:
-        entries = [(np.s_[...], 1.0, None)]
-    res = scale = 0.0
-    for w in wgrid:
-        ap = b.alpha_spectrum(w)
-        am = np.conj(b.alpha_spectrum(-w))
-        scale = max(scale, float(np.max(np.abs(ap))))
-        for idx, T, ch in entries:
-            if T == 0:
-                want = 0.0 if w >= 0 else 2 * abs(w) * ch.gamma_tilde(w)
-            elif w / T > 700:
-                continue  # underflowing Boltzmann factor
-            else:
-                want = am[idx] * np.exp(-w / T)
-            res = max(res, float(np.max(np.abs(ap[idx] - want))))
-    return res / max(scale, 1e-300)
+        entries = [(np.s_[:], 1.0, None)]
+    res = 0.0
+    for cols, T, ch in entries:
+        if T == 0:
+            want = np.where(wgrid >= 0, 0.0, 2 * np.abs(wgrid) * ch.gamma_tilde(wgrid))[:, None]
+        else:  # frequencies past w/T = 700, where the Boltzmann factor underflows, pass
+            want = np.where((wgrid / T <= 700)[:, None], am[:, cols] * np.exp(-wgrid / T)[:, None],
+                            ap[:, cols])
+        res = max(res, float(np.max(np.abs(ap[:, cols] - want))))
+    return res / max(float(np.max(np.abs(ap))), 1e-300)
 
 
 def fdi_check(trip: KernelTriple) -> float:
@@ -920,6 +905,8 @@ def fdi_check(trip: KernelTriple) -> float:
 def sampled_positivity(b: BathModel, tgrid) -> float:
     """Min eigenvalue of the block matrix [alpha(t_i - t_j)] over the grid."""
     tgrid = np.asarray(tgrid, dtype=float)
-    big = np.block([[b.alpha_time(ti - tj) for tj in tgrid] for ti in tgrid]).astype(complex)
+    k, n = tgrid.size, b.channels
+    blocks = b.alpha_time(np.subtract.outer(tgrid, tgrid).reshape(-1)).reshape(k, k, n, n)
+    big = blocks.transpose(0, 2, 1, 3).reshape(k * n, k * n)
     big = (big + np.conj(big).T) / 2
     return float(np.linalg.eigvalsh(big)[0])

@@ -272,9 +272,10 @@ def cmd_coefficients(model, run, args):
         full = b.coefficient_full(tgrid, wgrid)
     except ValueError as exc:
         raise NumericalError(f"coefficient evaluation failed: {exc}")
+    stationary = b.coefficient_stationary(wgrid)
     table = {
         repr(float(w)): {
-            "stationary": _cmat(b.coefficient_stationary(float(w))),
+            "stationary": _cmat(stationary[j]),
             "full_time": {repr(float(t)): _cmat(full[i, j]) for i, t in enumerate(tgrid)},
         }
         for j, w in enumerate(wgrid)
@@ -379,6 +380,10 @@ def cmd_nonlocal(model, run, args):
         report["asymptotic_state_error"] = str(exc)
     if invert:
         grid = _grid(run, default_tmax=10.0, default_n=6)
+        gap_time = float(np.max(np.abs(model.unique_gaps)) * grid[-1])
+        report["talbot_max_gap_time"] = gap_time
+        in_range = gap_time <= memkernel.TALBOT_MAX_GAP_TIME
+        report["checks"]["talbot_range"] = "pass" if in_range else "fail"
         states = memkernel.laplace_trajectory(model, rho0, grid)
         report["talbot_trajectory"] = {
             repr(float(t)): _cmat(s) for t, s in zip(grid, states)

@@ -33,6 +33,9 @@ __all__ = [
     "laplace_trajectory",
 ]
 
+# largest omega t, over the system's gaps omega, that talbot_invert resolves (see there)
+TALBOT_MAX_GAP_TIME = 20.0
+
 
 def _laplace_pair(m: SystemModel, s: np.ndarray):
     """The bath Laplace stacks at s' + i u_g and at conj(s') + i u_g over the
@@ -149,6 +152,9 @@ def talbot_invert(fhat, t: float, nodes: int = 48) -> np.ndarray:
     returns an array whose leading axis runs over those nodes (a signal of any
     trailing shape); the result has the trailing shape.  The full (unfolded)
     contour is used so complex-valued time signals are handled correctly.
+    A signal oscillating at omega is resolved while omega t <= 20: on a three-level
+    OU dephasing model against its residue inversion the error is 2.7e-8 at omega t
+    = 20.4, 4.3e-6 at 23.8, 2.7e-4 at 27.2 and 2.3e-2 at 34.
     """
     # The truncation error falls with the node count while round-off grows
     # with it (|e^{st}| on the contour reaches e^{2 nodes/5}).  Measured for
@@ -167,7 +173,8 @@ def talbot_invert(fhat, t: float, nodes: int = 48) -> np.ndarray:
 
 def laplace_trajectory(m: SystemModel, rho0: np.ndarray, grid, nodes: int = 48):
     """States via Talbot inversion of the resolvent applied to rho0: one
-    stacked resolvent on the contour's nodes per positive grid time."""
+    stacked resolvent on the contour's nodes per positive grid time; accurate
+    while every gap times the last grid time is at most 20 (see talbot_invert)."""
     y0 = vec(np.asarray(rho0, dtype=complex))
     return np.array([
         unvec(y0 if t == 0 else talbot_invert(lambda s: resolvent(m, s) @ y0, float(t), nodes),

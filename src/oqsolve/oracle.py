@@ -190,8 +190,7 @@ def exact_alpha(c: CompositeModel, tgrid) -> np.ndarray:
     """alpha_nm(t) = Tr_E[l_n(t) l_m rho_E] with free environment evolution,
     sampled on tgrid with shape (nt, n, n); stationary because the thermal
     state commutes with H_E."""
-    b = _environment_bath(c)
-    return np.array([b.alpha_time(float(t)) for t in tgrid])
+    return _environment_bath(c).alpha_time(np.asarray(tgrid, dtype=float))
 
 
 def exact_two_time(c: CompositeModel, x1: np.ndarray, t1: float, x2: np.ndarray, t2: float,

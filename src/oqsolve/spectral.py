@@ -155,10 +155,8 @@ def detailed_balance_residual(m: SystemModel) -> float:
     the largest one-way flux p_j S(w_ij)."""
     p = _pauli(m).stationary
     gaps = m.basis.gaps
-    spec = np.array([
-        [float(np.real(np.trace(m.bath.alpha_spectrum(float(w))))) for w in row]
-        for row in gaps
-    ])
+    spec = np.real(np.trace(m.bath.alpha_spectrum(gaps.reshape(-1)), axis1=1, axis2=2))
+    spec = spec.reshape(gaps.shape)
     flux = p[None, :] * spec  # flux[i, j] = p_j S(w_ij)
     np.fill_diagonal(flux, 0.0)
     scale = float(np.max(np.abs(flux)))

@@ -200,7 +200,7 @@ def _coefficients(m: SystemModel, t) -> np.ndarray:
     u = m.unique_gaps
     if t is None:
         return m.bath.coefficient_stationary(u)
-    return m.bath.coefficient_full(t if type(t) is np.ndarray else float(t), u)
+    return m.bath.coefficient_full(t, u)
 
 
 def _second_order_ops_eb(m: SystemModel, t) -> np.ndarray:

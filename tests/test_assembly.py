@@ -233,6 +233,29 @@ class TestArrayArguments:
             assert_stack_equal(b.coefficient_full(t, w), [b.coefficient_full(t, x) for x in w],
                                scale)
 
+    def test_alpha_time_mixed_signs(self, name):
+        b = BATHS[name]()
+        t = np.array([0.4, -0.4, 2.0, -3.5, 7.0, -1e-3])
+        got = b.alpha_time(t)
+        assert_stack_equal(got, [b.alpha_time(x) for x in t])
+        assert np.array_equal(b.alpha_time(-t), np.conj(got).swapaxes(-1, -2))
+
+    def test_alpha_spectrum(self, name):
+        b = BATHS[name]()
+        assert_stack_equal(b.alpha_spectrum(self.W), [b.alpha_spectrum(w) for w in self.W])
+
+    def test_gamma_spectrum(self, name):
+        b = BATHS[name]()
+        assert_stack_equal(b.gamma_spectrum(self.W), [b.gamma_spectrum(w) for w in self.W])
+
+    def test_negative_times_rejected(self, name):
+        b = BATHS[name]()
+        for t in (-1.0, np.array([0.5, -1e-9])):
+            with pytest.raises(ValueError, match=r"^coefficient_full requires t >= 0$"):
+                b.coefficient_full(t, self.W)
+        with pytest.raises(ValueError, match=r"^coefficient_integral requires t >= 0$"):
+            b.coefficient_integral(-1.0, self.W)
+
 
 def test_thermal_array_laplace_rejects_poles_and_nudges_like_scalars():
     b = bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=0.25)

@@ -287,7 +287,7 @@ class TestMatsubaraTruncation:
             scale = abs(b.coefficient_stationary(w)[0, 0])
             for t in self.TIMES:
                 rest = np.sum(c * np.exp(-z * t) / p) + self.tail(ch, t, w)
-                want = ch.laplace(1j * w) - np.exp(-1j * w * t) * rest
+                want = b.laplace(1j * w)[0, 0] - np.exp(-1j * w * t) * rest
                 got = b.coefficient_full(t, w)[0, 0]
                 assert abs(got - want) <= 1e-14 * scale, (w, t)
 
@@ -330,7 +330,7 @@ class TestMatsubaraTruncation:
         c, z = self.full_terms(ch)
         scale = abs(b.coefficient_stationary(0.0)[0, 0])
         for t in np.linspace(36.1 / lam, 40.0 / lam, 8):
-            want = ch.laplace(0j) - np.sum(c * np.exp(-z * t) / z)
+            want = b.laplace(0j)[0, 0] - np.sum(c * np.exp(-z * t) / z)
             assert abs(b.coefficient_full(t, 0.0)[0, 0] - want) <= 1e-14 * scale, t
 
 
@@ -652,7 +652,7 @@ class TestExponentialSum:
         w = np.array([-1.1, 0.0, 0.8])
         for t in (0.4, 3.0):
             got, err, nodes = b.coefficient_integral(t, w)
-            want, _, quad_nodes = bath.BathModel.coefficient_integral(b, t, w)
+            want, _, quad_nodes = bath.BathModel._coefficient_integral(b, t, w)
             assert got.shape == (3, 3, 2, 2) and err == 0.0 and nodes == 0 < quad_nodes
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want)), t
 

@@ -334,6 +334,21 @@ class TestReports:
         want = ou_dephasing_residues(hdiag, ldiags, c, lam, rho0, grid)
         assert np.max(np.abs(got - want)) < 1e-7
 
+    @pytest.mark.parametrize("t_max, verdict", [(11.0, "pass"), (14.0, "fail")])
+    def test_nonlocal_talbot_range_check(self, tmp_path, capsys, t_max, verdict):
+        # gaps up to 1.7: omega t = 18.7 is inside the Talbot range, 23.8 past it, where
+        # this model's trajectory is off by 4.3e-6
+        hdiag, ldiags, c, lam, rho0 = OU_DEPHASING["d3-two-channel"]
+        doc = qubit_doc(invert=True, t_max=t_max, n_points=2, rho0=_pairs(rho0))
+        doc["system"] = {"hamiltonian": _pairs(np.diag(hdiag)),
+                         "couplings": [_pairs(np.diag(l)) for l in ldiags]}
+        doc["bath"] = {"variant": "ou", "c": c, "lam": lam}
+        assert cli.main(["nonlocal", "--model", write_model(tmp_path, doc)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["talbot_max_gap_time"] == pytest.approx(1.7 * t_max, rel=1e-14)
+        assert report["checks"]["talbot_range"] == verdict
+        assert report["checks"]["pole_match"] == "pass"
+
     def test_nonlocal_without_invert_has_no_trajectory(self, tmp_path, capsys):
         for run in ({}, {"invert": False}):
             assert cli.main(["nonlocal", "--model", write_model(tmp_path, qubit_doc(**run))]) == 0
