@@ -13,7 +13,7 @@ bath calls on the grid (point, class, distinct gap) give every column of every
 kernel, and each column is contracted only with its own class's stack.
 kernel_K2 and resolvent take a scalar s or a 1-D array of s; talbot_invert
 hands its whole contour to the transform in one call, so that a time-domain
-state costs one stacked resolvent.
+state costs one stacked solve of s - K2(s) against the initial state.
 """
 
 from __future__ import annotations
@@ -97,8 +97,19 @@ def kernel_K2(m: SystemModel, s) -> np.ndarray:
 def resolvent(m: SystemModel, s) -> np.ndarray:
     """[s - K2(s)]^{-1} in the input basis, the Laplace transform of the
     evolution map: (d^2, d^2) at a scalar s, (k, d^2, d^2) on a 1-D array of s."""
+    return np.linalg.inv(_shifted_kernel(m, s))
+
+
+def _shifted_kernel(m: SystemModel, s) -> np.ndarray:
+    """s - K2(s) in the input basis; see kernel_K2."""
     k = kernel_K2(m, s)
-    return np.linalg.inv(np.asarray(s)[..., None, None] * np.eye(k.shape[-1]) - k)
+    return np.asarray(s)[..., None, None] * np.eye(k.shape[-1]) - k
+
+
+def _resolvent_apply(m: SystemModel, s, y: np.ndarray) -> np.ndarray:
+    """resolvent(m, s) @ y by one solve, stacked like s, without the inverse."""
+    a = _shifted_kernel(m, s)
+    return np.linalg.solve(a, np.broadcast_to(y, a.shape[:-1])[..., None])[..., 0]
 
 
 def nonlocal_poles(m: SystemModel) -> dict:
@@ -132,7 +143,7 @@ def asymptotic_state(m: SystemModel, rho0: np.ndarray, tol: float = 1e-6) -> np.
         raise ValueError("no unique asymptotic state: all Pauli rates vanish")
     scale = float(rates.min())
     svals = np.array([1e-3, 1e-4, 1e-5]) * scale
-    xs = svals[:, None] * (resolvent(m, svals) @ vec(rho0))
+    xs = svals[:, None] * _resolvent_apply(m, svals, vec(rho0))
     # x(s) = x0 + c s + O(s^2): eliminate the linear term pairwise
     extr01 = (svals[0] * xs[1] - svals[1] * xs[0]) / (svals[0] - svals[1])
     extr12 = (svals[1] * xs[2] - svals[2] * xs[1]) / (svals[1] - svals[2])
@@ -173,11 +184,12 @@ def talbot_invert(fhat, t: float, nodes: int = 48) -> np.ndarray:
 
 def laplace_trajectory(m: SystemModel, rho0: np.ndarray, grid, nodes: int = 48):
     """States via Talbot inversion of the resolvent applied to rho0: one
-    stacked resolvent on the contour's nodes per positive grid time; accurate
-    while every gap times the last grid time is at most 20 (see talbot_invert)."""
+    stacked solve of s - K2(s) against vec(rho0) on the contour's nodes per
+    positive grid time; accurate while every gap times the last grid time is
+    at most 20 (see talbot_invert)."""
     y0 = vec(np.asarray(rho0, dtype=complex))
     return np.array([
-        unvec(y0 if t == 0 else talbot_invert(lambda s: resolvent(m, s) @ y0, float(t), nodes),
-              m.dim)
+        unvec(y0 if t == 0 else
+              talbot_invert(lambda s: _resolvent_apply(m, s, y0), float(t), nodes), m.dim)
         for t in grid
     ])

@@ -21,7 +21,7 @@ from .core import (
     vec,
     write_matrix_csv,
 )
-from .tcl2 import SystemModel, _pair_dissipator, _pair_superop, _phase_table
+from .tcl2 import SystemModel, _pair_dissipator, _pair_superop, _second_order_ops_eb
 
 __all__ = [
     "AlgebraicGenerator",
@@ -63,16 +63,18 @@ def magnus_phi2(m: SystemModel, t: float, tol: float = 1e-9) -> AlgebraicGenerat
         return AlgebraicGenerator(t=0.0, phi2=z, delta=z.copy())
     table, err, nodes = m.bath.coefficient_integral(float(t), m.unique_gaps)
     phi2 = _pair_superop(m, table)
-    change = m.pair_error_gain * err / max(1.0, float(np.max(np.abs(phi2))))
+    # pair_error_gain builds the dense pair tensor: closed-form tables (err 0) skip it
+    change = m.pair_error_gain * err / max(1.0, float(np.max(np.abs(phi2)))) if err else 0.0
     return AlgebraicGenerator(t=float(t), phi2=phi2, delta=_pair_dissipator(m, table),
                               nodes=nodes, change=change, converged=change <= tol)
 
 
 def algebraic_propagator(m: SystemModel, gen: AlgebraicGenerator) -> np.ndarray:
-    """G(t) = G0(t) exp(Phi2(t)) from a computed generator; exactly completely positive."""
+    """G(t) = G0(t) exp(Phi2(t)) from a computed generator, G0 from the model's
+    eigenbasis, U0(t) = V diag(e^{-iEt}) V^dag; exactly completely positive."""
     from scipy.linalg import expm
 
-    u0 = expm(-1j * m.h * gen.t)
+    u0 = m.basis.from_energy_basis(np.diag(np.exp(-1j * m.basis.energies * gen.t)))
     return unitary_superop(u0) @ expm(gen.phi2)
 
 
@@ -133,10 +135,18 @@ def weak_cp_test(d_samples, grid) -> float:
 
 def interaction_dissipator_samples(m: SystemModel, tgrid):
     """Interaction-picture dissipator coefficient matrices D(tau) on a grid,
-    stacked (k, d^2, d^2): one bath call for the whole grid, then one stacked
-    contraction."""
+    stacked (k, d^2, d^2), from one bath call for the whole grid: as in
+    _pair_dissipator, D = Y + Y^dag with Y = sum_n vec(B_n) vec(L_n)^dag, B_n and
+    L_n the traceless interaction-picture operators in the input basis."""
     tgrid = np.asarray(tgrid, dtype=float)
-    return _pair_dissipator(m, _phase_table(m, m.bath.coefficient_full(tgrid, m.unique_gaps), tgrid))
+    k, d = tgrid.size, m.dim
+    phase = np.exp(1j * np.multiply.outer(tgrid, m.unique_gaps))[:, None, m.gap_index]
+    b, l = (m.basis.from_energy_basis(x * phase)
+            for x in (_second_order_ops_eb(m, tgrid), m.couplings_eb))
+    b, l = (x - np.trace(x, axis1=-2, axis2=-1)[..., None, None] * np.eye(d) / d for x in (b, l))
+    # y[(x,i),(y,j)] = sum_n B_n[x,i] L_n[j,y]
+    y = b.reshape(k, -1, d * d).swapaxes(1, 2) @ l.swapaxes(-1, -2).reshape(k, -1, d * d)
+    return y + np.conj(y).swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ B_n(t) = sum_m (A_nm <> L_m)(t), built in the energy basis by the Hadamard rule
 stack A(t; g) over the distinct gaps g; `gap_index` spreads it over the
 matrix elements.  The generator is linear in that stack, so each build is one
 contraction with the fixed `SystemModel.generator_tensor` (the memory kernel
-K2(s) uses the same tensor per gap class), and the interaction-picture
-objects are one contraction of a gap-pair table with `pair_tensor`.
+K2(s) uses the same tensor per gap class).  The interaction-picture objects
+gather from a gap-pair table, in the energy basis, only the entries they
+read.
 
 Also provides: the pseudo-Lindblad split -i[H+V, .] + dissipator(D), the
 rotating-wave (Lindblad) projection, and propagation: exact
@@ -165,9 +166,9 @@ class SystemModel:
 
     @cached_property
     def pair_tensor(self) -> np.ndarray:
-        """The fixed map from a gap-pair table X[a, b] (n_gaps, n_gaps, n, n) to
-        the interaction-picture superoperator, as (n_gaps^2 n^2, d^4) in the
-        input basis; see _pair_superop."""
+        """The dense map from a gap-pair table X[a, b] (n_gaps, n_gaps, n, n) to
+        the terms B_n e_ij L_n - L_n B_n e_ij of _pair_superop, as
+        (n_gaps^2 n^2, d^4) in the input basis; only pair_error_gain reads it."""
         d, f = self.dim, self._gap_couplings
         # B_n e_ij L_n, entry (x, y): X[g(x,i), g(j,y)]_nm L_m[x,i] L_n[j,y]
         c = np.einsum("amxi,bnjy->abnmxyij", f, f)
@@ -184,14 +185,6 @@ class SystemModel:
         d = self.dim
         col = np.abs(self.pair_tensor).sum(0).reshape(d, d, d, d)
         return float(np.max(col + col.transpose(1, 0, 3, 2)))
-
-    @cached_property
-    def pair_dissipator_tensor(self) -> np.ndarray:
-        """pair_tensor carried through canonical_coefficient_matrix; see
-        _pair_dissipator."""
-        d = self.dim
-        c = canonical_coefficient_matrix(self.pair_tensor.reshape(-1, d * d, d * d))
-        return c.reshape(-1, d**4)
 
 
 def _coefficients(m: SystemModel, t) -> np.ndarray:
@@ -245,45 +238,46 @@ def build_L2(m: SystemModel, t=None) -> np.ndarray:
     return m.free_superop + m.to_input @ _dissipative_superop_eb(m, t) @ m.to_energy
 
 
-def _phase_table(m: SystemModel, a: np.ndarray, tau) -> np.ndarray:
-    """Gap-pair table T[a, b] = A(tau; u_a) e^{i(u_a + u_b) tau} from coefficient
-    stacks a (..., n_gaps, n, n) at times tau (...); (..., n_gaps, n_gaps, n, n)."""
-    phase = np.exp(1j * np.multiply.outer(np.asarray(tau), m.unique_gaps))
-    return a[..., :, None, :, :] * (phase[..., :, None] * phase[..., None, :])[..., None, None]
+def _pair_terms_eb(m: SystemModel, table: np.ndarray) -> np.ndarray:
+    """The terms B_n e_ij L_n of the interaction-picture superoperator of a
+    gap-pair table X (n_gaps, n_gaps, n, n) in the energy basis, (d, d, d, d):
+    entry (x, y, i, j) = sum_nm L_m[x,i] X[g(x,i), g(j,y)]_nm L_n[j,y], a gather
+    of the d^4 n^2 table entries they read."""
+    g, l = m.gap_index, m.couplings_eb
+    return np.einsum("xiyjnm,mxi,njy->xyij", table[g[:, :, None, None], g.T], l, l)
 
 
 def _pair_superop(m: SystemModel, table: np.ndarray) -> np.ndarray:
-    """Interaction-picture superoperator(s) in the input basis, (..., d^2, d^2),
-    from gap-pair table(s) (..., n_gaps, n_gaps, n, n).
-
-    The terms B_n e_ij L_n - L_n B_n e_ij of the second-order generator,
-    carried to the interaction picture, read the table at (g(x,i), g(j,y)) and
-    (g(k,i), g(x,k)): that is m.pair_tensor.  Their partners L_n e_ij Bd_n -
-    e_ij Bd_n L_n are the Hermiticity-preserving conjugate
-    S'[(x,y),(i,j)] = conj S[(y,x),(j,i)], which a basis change kron(u, conj u)
-    keeps."""
-    d = m.dim
-    lead = table.shape[:-4]
-    s = (table.reshape(lead + (-1,)) @ m.pair_tensor).reshape(lead + (d, d, d, d))
-    s = s + np.conj(s.transpose(tuple(range(len(lead))) + (-3, -4, -1, -2)))
-    return s.reshape(lead + (d * d, d * d))
+    """Interaction-picture superoperator in the input basis, (d^2, d^2), from a
+    gap-pair table (n_gaps, n_gaps, n, n): the terms B_n e_ij L_n - L_n B_n e_ij
+    of the second-order generator, carried to the interaction picture
+    (_pair_terms_eb, and a gather of d^3 n^2 entries for the second), plus their
+    partners L_n e_ij Bd_n - e_ij Bd_n L_n, the Hermiticity-preserving conjugate
+    S'[(x,y),(i,j)] = conj S[(y,x),(j,i)], which a basis change keeps."""
+    d, g, l = m.dim, m.gap_index, m.couplings_eb
+    # -L_n B_n e_ij, entry (x, j): -sum_k L_n[x,k] X[g(k,i), g(x,k)]_nm L_m[k,i]
+    k = np.einsum("xkinm,nxk,mki->xi", table[g, g[:, :, None]], l, l)
+    s = _pair_terms_eb(m, table) - k[:, None, :, None] * np.eye(d)[:, None, :]
+    s = s + np.conj(s.transpose(1, 0, 3, 2))
+    return m.to_input @ s.reshape(d * d, d * d) @ m.to_energy
 
 
 def _pair_dissipator(m: SystemModel, table: np.ndarray) -> np.ndarray:
-    """Coefficient matrices herm_part(canonical_coefficient_matrix(S)) of the
-    superoperators S = _pair_superop(m, table), (..., d^2, d^2).  The Choi
-    matrix of the conjugate partner is the adjoint of the first half's, so
-    they are Y + Y^dag with Y the first half's canonical matrix."""
+    """herm_part(canonical_coefficient_matrix(S)) of S = _pair_superop(m, table),
+    (d^2, d^2).  The terms -L_n B_n e_ij have the Choi matrix -vec(K) vec(1)^T,
+    which the traceless gauge removes, and the partners' is the adjoint of the
+    rest's, so this is Y + Y^dag with Y the gauge of _pair_terms_eb alone."""
     d = m.dim
-    lead = table.shape[:-4]
-    y = (table.reshape(lead + (-1,)) @ m.pair_dissipator_tensor).reshape(lead + (d * d, d * d))
-    return y + np.conj(y).swapaxes(-1, -2)
+    y = canonical_coefficient_matrix(_pair_terms_eb(m, table).reshape(d * d, d * d))
+    return m.to_input @ (y + dag(y)) @ m.to_energy
 
 
 def interaction_L2(m: SystemModel, tau: float) -> np.ndarray:
-    """Interaction-picture second-order generator G0(-tau) L2(tau) G0(tau)."""
+    """Interaction-picture second-order generator G0(-tau) L2(tau) G0(tau), from
+    the gap-pair table T[a, b] = A(tau; u_a) e^{i(u_a + u_b) tau}."""
     a = m.bath.coefficient_full(float(tau), m.unique_gaps)
-    return _pair_superop(m, _phase_table(m, a, tau))
+    phase = np.exp(1j * float(tau) * m.unique_gaps)
+    return _pair_superop(m, a[:, None] * (phase[:, None] * phase)[..., None, None])
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +310,8 @@ def canonical_coefficient_matrix(s: np.ndarray) -> np.ndarray:
 
     Components of the Choi matrix along vec(1) generate commutators and the
     zero map; projecting them out fixes the pseudo-Lindblad gauge.  A
-    (k, d^2, d^2) stack is projected matrix by matrix.
+    (k, d^2, d^2) stack is projected matrix by matrix.  The projection
+    commutes with the basis change kron(u, conj u).
     """
     d = int(round(np.sqrt(s.shape[-1])))
     c = choi_rearrange(s)

@@ -3,6 +3,7 @@ array form of the bath evaluators against stacked scalar calls."""
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from oqsolve import bath, core, memkernel, positivity, tcl2
 
@@ -163,14 +164,31 @@ class TestStackedAssembly:
             assert_close(memkernel.kernel_K2(m, s), ref_kernel_K2(m, s))
 
     def test_interaction_dissipator_samples(self, name):
-        # the stacked grid path against one reference generator per tau
+        # the stacked grid path against one reference generator per tau, and
+        # against the microscopic form sum_n vec(B_n) vec(L_n)^dag + h.c. with
+        # B_n, L_n the traceless interaction-picture operators, which
+        # annihilates vec(1) on both sides
         m = MODELS[name]()
-        grid = np.linspace(0.0, 3.0, 7)
+        d, grid = m.dim, np.linspace(0.0, 3.0, 7)
         got = positivity.interaction_dissipator_samples(m, grid)
         assert got.shape == (7, m.dim**2, m.dim**2)
+        one = core.vec(np.eye(d))
         for tau, s in zip(grid, got):
             want = core.herm_part(tcl2.canonical_coefficient_matrix(ref_interaction_L2(m, tau)))
             assert_close(s, want)
+            u0 = expm(-1j * m.h * tau)
+
+            def traceless_int(x_eb):
+                x = core.dag(u0) @ m.basis.from_energy_basis(x_eb) @ u0
+                return core.vec(x - np.trace(x) / d * np.eye(d))
+
+            want = 0
+            for leb, beb in zip(m.couplings_eb, ref_second_order_ops(m, tau)):
+                b, l = traceless_int(beb), traceless_int(leb)
+                want = want + np.outer(b, np.conj(l)) + np.outer(l, np.conj(b))
+            assert_close(s, want)
+            assert_close(s @ one, np.zeros(d * d))
+            assert_close(one @ s, np.zeros(d * d))
 
     def test_plindblad_kernel_matrix(self, name):
         m = MODELS[name]()

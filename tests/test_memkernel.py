@@ -165,6 +165,16 @@ class TestResolvent:
         x = s * (memkernel.resolvent(m, s) @ core.vec(rho0))
         assert abs(np.sum(x[[0, 3]]) - 1.0) < 1e-10
 
+    def test_solve_matches_resolvent(self):
+        # laplace_trajectory and asymptotic_state solve s - K2(s) against one vector
+        m = three_level_model()
+        y = core.vec(np.diag([0.5, 0.3, 0.2]) + 0.1 * np.eye(3, k=1) + 0.1 * np.eye(3, k=-1))
+        s = np.array([0.3 + 0.2j, 1e-3, 2.0 - 1.5j])
+        want = memkernel.resolvent(m, s) @ y
+        for got in (memkernel._resolvent_apply(m, s, y),
+                    [memkernel._resolvent_apply(m, x, y) for x in s]):
+            assert np.max(np.abs(np.asarray(got) - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_asymptotic_state_near_gibbs(self):
         m = qubit_model(gamma0=0.05)
         rho0 = np.diag([1.0, 0.0]).astype(complex)
@@ -234,10 +244,10 @@ class TestTalbot:
                              bath=bath.ExponentialOU(c=c, lam=lam))
         grid = np.array([0.0, 0.5, 2.0, 4.0])
         calls = []
-        resolvent = memkernel.resolvent
-        monkeypatch.setattr(memkernel, "resolvent", lambda m, s: calls.append(s.shape) or resolvent(m, s))
+        kernel = memkernel.kernel_K2
+        monkeypatch.setattr(memkernel, "kernel_K2", lambda m, s: calls.append(s.shape) or kernel(m, s))
         states = memkernel.laplace_trajectory(m, rho0, grid)
-        # one stacked resolvent per positive output time
+        # one stacked kernel (and solve) per positive output time
         assert calls == [(48,)] * 3
         want = ou_dephasing_residues(hdiag, ldiags, c, lam, rho0, grid)
         assert np.max(np.abs(states - want)) < 1e-7

@@ -3,6 +3,7 @@ import functools
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from oqsolve import bath, core, positivity, tcl2
 
@@ -117,21 +118,34 @@ def ref_phi2(m, integral):
             @ core.superop_sandwich(core.dag(u), u))
 
 
+def correlated_ou_model():
+    rng = np.random.default_rng(5)
+    herm = lambda: core.herm_part(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    c = 0.05 * np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 0.8]])
+    return tcl2.SystemModel(h=herm(), couplings=[herm(), herm()],
+                            bath=bath.ExponentialOU(c=c, lam=1.3))
+
+
 class TestMagnusClosedForm:
     @pytest.mark.parametrize("channels", [1, 2])
     def test_ou_against_analytic_double_integral(self, channels):
-        if channels == 1:
-            m = ou_model()
-        else:
-            rng = np.random.default_rng(5)
-            herm = lambda: core.herm_part(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-            c = 0.05 * np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 0.8]])
-            m = tcl2.SystemModel(h=herm(), couplings=[herm(), herm()],
-                                 bath=bath.ExponentialOU(c=c, lam=1.3))
+        m = ou_model() if channels == 1 else correlated_ou_model()
         for t in (0.3, 2.5, 9.0):
             gen = positivity.magnus_phi2(m, t)
             want = ref_phi2(m, lambda g, nu: ou_integral_ref(m.bath, g, nu, t))
             assert np.max(np.abs(gen.phi2 - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+            # Delta is the traceless-gauge coefficient matrix of the reference Phi2
+            want = core.herm_part(tcl2.canonical_coefficient_matrix(want))
+            assert np.max(np.abs(gen.delta - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_closed_form_tables_skip_the_dense_pair_tensor(self):
+        # a closed-form table has no error bound, so its error gain is never read
+        m = correlated_ou_model()
+        positivity.magnus_phi2(m, 2.5)
+        positivity.interaction_dissipator_samples(m, np.linspace(0.0, 2.5, 6))
+        assert "pair_tensor" not in vars(m)
+        m = t0_model()
+        assert positivity.magnus_phi2(m, 1.0).change > 0 and "pair_tensor" in vars(m)
 
 
 class TestMagnusPropagator:
@@ -141,6 +155,14 @@ class TestMagnusPropagator:
                 g = positivity.magnus_propagator(m, t)
                 assert core.trace_preservation_defect(g) < 1e-9
                 assert core.min_choi_eigenvalue(core.choi_rearrange(g)) > -1e-10
+
+    def test_free_part_is_the_unitary_evolution(self):
+        # with Phi2 = 0 the propagator is the free G0(t) = U0 . U0^dag, U0 = expm(-iHt)
+        m = ou_model()
+        z = np.zeros((9, 9), dtype=complex)
+        for t in (0.4, 3.0, 17.0):
+            got = positivity.algebraic_propagator(m, positivity.AlgebraicGenerator(t, z, z))
+            assert np.max(np.abs(got - core.unitary_superop(expm(-1j * m.h * t)))) < 1e-13
 
     def test_agrees_with_direct_integration_at_second_order(self):
         m = qubit_model(gamma0=0.02)
