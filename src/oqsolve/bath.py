@@ -13,9 +13,10 @@ sum_k c_k e^{-lam_k |t|}), ThermalLorentz (thermal state with Lorentzian damping
 kernel gamma~(w) = gamma0 / (1 + (w/Lam)^2): at T > 0 a Matsubara exponential
 sum with digamma closed forms, summed in time over a fixed head of terms plus an
 Euler-Maclaurin tail, where only coefficient_integral reads past the head;
-log/E1/Ei closed forms at T = 0), and Tabulated
-(user samples on a uniform grid).  The exponential sums share one set of
-closed forms over a table of weights and rates.
+log/E1/Ei closed forms at T = 0), and Tabulated (user samples on a uniform grid,
+fitted once to an exponential sum by ESPRIT and from then on evaluated as that
+sum).  The exponential sums share one set of closed forms over a table of
+weights and rates.
 
 Each variant implements the evaluators as array forms only, on 1-D arrays of
 points that lead the result, so that one call serves every distinct gap and
@@ -64,6 +65,14 @@ _EM_WEIGHTS = np.where((_EM_I + _EM_M >= 2) & (_EM_I + _EM_M <= 12),
 # the max norm over its entries
 _TABLE_EPSABS = 1e-13
 _TABLE_EPSREL = 1e-11
+# the exponential fit of tabulated samples (_fit_exponentials): block-Hankel rows, singular
+# value cut (of the largest), held-out residual tolerance (of max|alpha|), Re z t_end below
+# which a rate is undamped, and the grid points that one rate and its check take
+_FIT_ROWS = 64
+_FIT_CUT = 1e-13
+_FIT_TOL = 1e-6
+_FIT_UNDAMPED = 1e-9
+_FIT_MIN_POINTS = 3
 
 
 def _exp_integral(z, t):
@@ -151,9 +160,9 @@ def _integrate_table(coefficient_full, t: float, w: np.ndarray):
 
 class BathModel:
     """Common interface.  A variant implements array forms on 1-D arrays of points,
-    which lead the result: _alpha_time(t) at t >= 0, _alpha_spectrum(w), _laplace(s)
-    and _coefficient_full(t, w) at t >= 0, (nt, k, n, n); it may replace the quadrature
-    of _coefficient_integral and the generic _gamma_spectrum.  The public evaluators,
+    which lead the result: _alpha_time(t) at t >= 0, _alpha_spectrum(w), _laplace(s),
+    _coefficient_full(t, w) at t >= 0, (nt, k, n, n), and _gamma_spectrum(w); it may
+    replace the quadrature of _coefficient_integral.  The public evaluators,
     here alone, take a scalar (an (n, n) result) or a 1-D array (the stack; times lead
     frequencies), apply alpha(-t) = alpha(t)^dag and reject t < 0."""
 
@@ -220,15 +229,6 @@ class BathModel:
         """Default: adaptive quadrature of _coefficient_full."""
         return _integrate_table(self._coefficient_full, t, w)
 
-    def _gamma_spectrum(self, w: np.ndarray) -> np.ndarray:
-        small = 1e-7 * self._freq_scale()
-        weff = np.where(np.abs(w) > small, w, small)
-        mu = (self._alpha_spectrum(weff) - np.conj(self._alpha_spectrum(-weff))) / 2j
-        return mu / (1j * weff)[:, None, None]
-
-    def _freq_scale(self) -> float:
-        return 1.0
-
     def is_thermal(self) -> bool:
         return False
 
@@ -276,14 +276,67 @@ class WhiteNoise(BathModel):
 # exponential-sum (Ornstein-Uhlenbeck) correlation
 # ---------------------------------------------------------------------------
 
+class _ExponentialSum(BathModel):
+    """alpha(t) = sum_k c_k e^{-z_k t} for t >= 0 over a term table: rates _z (K,) with
+    Re z_k >= 0 and weights _c (K, n * n), any complex (n, n) matrices; _undamped tells
+    whether some Re z_k = 0.  Undamped terms have no t -> inf limit: laplace,
+    coefficient_stationary and alpha_spectrum raise for them."""
+
+    @property
+    def channels(self) -> int:
+        return math.isqrt(self._c.shape[-1])
+
+    def _matrices(self, flat):
+        return flat.reshape(flat.shape[:-1] + (self.channels,) * 2)
+
+    def _require_damped(self):
+        if self._undamped:
+            raise ValueError("undamped terms (Re lam = 0): no decaying tail, so the correlation "
+                             "has no t -> inf limit")
+
+    def _alpha_time(self, t: np.ndarray) -> np.ndarray:
+        return self._matrices(_exp_sum_alpha(self._c, self._z, t))
+
+    def _alpha_spectrum(self, w: np.ndarray) -> np.ndarray:
+        """alpha^(iw) + alpha^(iw)^dag; with Re z_k > 0 no z_k + iw is 0."""
+        self._require_damped()
+        f = self._matrices(_weigh(1 / (self._z + 1j * w[:, None]), self._c))
+        return f + np.conj(f).swapaxes(-1, -2)
+
+    def _laplace(self, s: np.ndarray) -> np.ndarray:
+        self._require_damped()
+        p = self._z + s[:, None]
+        near = np.abs(p / self._z)
+        if near.size and near.min() < 1e-12:
+            pole = -self._z[near.argmin() % self._z.size]
+            raise ValueError(f"Laplace transform pole at s = {pole}")
+        return self._matrices(_weigh(1 / p, self._c))
+
+    def _coefficient_full(self, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return self._matrices(_exp_sum_coefficient(self._c, self._z, t, w, self._undamped))
+
+    def _coefficient_integral(self, t: float, w: np.ndarray):
+        """The gap-pair table in closed form, or by quadrature with undamped terms."""
+        if self._undamped:
+            return super()._coefficient_integral(t, w)
+        laplace_iw = self._laplace(1j * w).reshape(w.size, -1)
+        return self._matrices(_exp_sum_table(self._c, self._z, t, w, laplace_iw)), 0.0, 0
+
+    def _gamma_spectrum(self, w: np.ndarray) -> np.ndarray:
+        """mu~(w) / (iw), with |w| at least 1e-7 of the largest |z_k| (of 1 with no terms)."""
+        small = 1e-7 * (float(np.max(np.abs(self._z), initial=0.0)) or 1.0)
+        weff = np.where(np.abs(w) > small, w, small)
+        mu = (self._alpha_spectrum(weff) - np.conj(self._alpha_spectrum(-weff))) / 2j
+        return mu / (1j * weff)[:, None, None]
+
+
 @dataclass(frozen=True)
-class ExponentialOU(BathModel):
+class ExponentialOU(_ExponentialSum):
     """alpha(t) = sum_k c_k e^{-lam_k t} for t >= 0, alpha(-t) = alpha(t)^dag.
 
     One (n, n) Hermitian c with a scalar rate lam is the Ornstein-Uhlenbeck
     correlation c e^{-lam |t|}; a (K, n, n) stack of Hermitian weights takes K
-    finite rates with Re lam_k >= 0.  Undamped terms (Re lam_k = 0) have no t -> inf
-    limit: laplace, coefficient_stationary and alpha_spectrum raise for them.
+    finite rates with Re lam_k >= 0.
     """
 
     c: np.ndarray
@@ -300,48 +353,6 @@ class ExponentialOU(BathModel):
         for attr, value in (("c", c), ("lam", z[()]), ("_c", c.reshape(-1, c.shape[-1] ** 2)),
                             ("_z", np.atleast_1d(z)), ("_undamped", bool(np.any(z.real == 0)))):
             object.__setattr__(self, attr, value)
-
-    @property
-    def channels(self) -> int:
-        return self.c.shape[-1]
-
-    def _freq_scale(self) -> float:
-        return float(np.max(np.abs(self._z)))
-
-    def _matrices(self, flat):
-        return flat.reshape(flat.shape[:-1] + self.c.shape[-2:])
-
-    def _require_damped(self):
-        if self._undamped:
-            raise ValueError("undamped terms (Re lam = 0): the correlation has no t -> inf limit")
-
-    def _alpha_time(self, t: np.ndarray) -> np.ndarray:
-        return self._matrices(_exp_sum_alpha(self._c, self._z, t))
-
-    def _alpha_spectrum(self, w: np.ndarray) -> np.ndarray:
-        """sum_k 2 Re(lam_k) c_k / |lam_k + iw|^2."""
-        self._require_damped()
-        zr = self._z.real
-        return self._matrices(_weigh(2 * zr / (zr**2 + (self._z.imag + w[:, None]) ** 2), self._c))
-
-    def _laplace(self, s: np.ndarray) -> np.ndarray:
-        self._require_damped()
-        p = self._z + s[:, None]
-        near = np.abs(p / self._z)
-        if near.min() < 1e-12:
-            pole = -self._z[near.argmin() % self._z.size]
-            raise ValueError(f"Laplace transform pole at s = {pole}")
-        return self._matrices(_weigh(1 / p, self._c))
-
-    def _coefficient_full(self, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return self._matrices(_exp_sum_coefficient(self._c, self._z, t, w, self._undamped))
-
-    def _coefficient_integral(self, t: float, w: np.ndarray):
-        """The gap-pair table in closed form, or by quadrature with undamped terms."""
-        if self._undamped:
-            return super()._coefficient_integral(t, w)
-        laplace_iw = self._laplace(1j * w).reshape(w.size, -1)
-        return self._matrices(_exp_sum_table(self._c, self._z, t, w, laplace_iw)), 0.0, 0
 
 
 # ---------------------------------------------------------------------------
@@ -643,12 +654,13 @@ class _ThermalChannel(_LorentzChannel):
         tail_c = 2 * self.gamma0 * self.temperature * lam**2 / a**3
         table -= tail_c * (d @ special.zeta(3 + np.arange(n), k))
         # dropped X_k e^{(ih - z_k) t}, k >= k: |X_k| <= (tail_c / k^3) / (1 - (Lam / nu_k)^2),
-        # nu_k > Lam; and the series past x^n: |d_j| <= (j + 1)^2 r^j
+        # nu_k > Lam; and the series past x^n: |d_j| <= (j + 1)^2 r^j.  A bound within the
+        # table's round-off counts as 0, so that callers skip their error propagation
         rho = r / k
         err = tail_c * special.zeta(3, k) * (
             np.exp(-a * k * t) / (1 - (lam / (a * k)) ** 2)
             + (np.inf if rho >= 0.5 else (n + 1) ** 2 * rho**n / (1 - rho) ** 3))
-        return table, float(err), 0
+        return table, float(err) if err > np.finfo(float).eps * np.max(np.abs(table)) else 0.0, 0
 
 
 @dataclass(frozen=True)
@@ -685,9 +697,6 @@ class ThermalLorentz(BathModel):
     def is_thermal(self) -> bool:
         return True
 
-    def _freq_scale(self) -> float:
-        return float(np.max(self.cutoff))
-
     def _diag(self, values) -> np.ndarray:
         """Channel-diagonal (..., n, n) from per-channel arrays of values of any shape."""
         vals = np.asarray(values)
@@ -721,62 +730,59 @@ class ThermalLorentz(BathModel):
 # tabulated correlation data
 # ---------------------------------------------------------------------------
 
-class Tabulated(BathModel):
-    """Correlation samples alpha_{nm}(t_k) on a uniform grid starting at 0."""
+def _fit_exponentials(times: np.ndarray, y: np.ndarray):
+    """Rates z (K,) and weights c (K, m), y(t_j) = sum_k c_k e^{-z_k t_j}, for samples y (nt, m)
+    on a uniform grid by ESPRIT (Hua & Sarkar 1990): the leading left singular vectors of the
+    block-Hankel matrix of the even samples shift by e^{-2 z_k dt}.  The rank with no growing
+    rate whose least-squares weights best predict the odd samples wins; ValueError when it
+    misses them by more than _FIT_TOL of max|y|.  All-zero samples have no terms."""
+    scale = np.max(np.abs(y))
+    if scale == 0:
+        return np.zeros((0, y.shape[1]), dtype=complex), np.zeros(0)
+    even, odd = y[::2], y[1::2]
+    rows = min(_FIT_ROWS, even.shape[0] // 2 + 1)
+    hankel = np.lib.stride_tricks.sliding_window_view(even, rows, axis=0)
+    u, sv, _ = np.linalg.svd(hankel.transpose(2, 0, 1).reshape(rows, -1), full_matrices=False)
+    best = (np.inf, None, None)
+    for r in range(1, min(rows - 1, int(np.sum(sv > _FIT_CUT * sv[0]))) + 1):
+        shift = np.linalg.lstsq(u[:-1, :r], u[1:, :r], rcond=None)[0]
+        with np.errstate(divide="ignore"):
+            z = -np.log(np.linalg.eigvals(shift)) / (2 * times[1])
+        z = np.where(np.abs(z.real) * times[-1] <= _FIT_UNDAMPED, 1j * z.imag, z)
+        if not np.isfinite(z).all() or np.any(z.real < 0):
+            continue
+        c = np.linalg.lstsq(np.exp(-np.outer(times[::2], z)), even, rcond=None)[0]
+        res = np.max(np.abs(np.exp(-np.outer(times[1::2], z)) @ c - odd)) / scale
+        if res < best[0]:
+            best = (res, c, z)
+    if not best[0] <= _FIT_TOL:
+        raise ValueError(f"tabulated correlation: the best exponential fit misses the held-out "
+                         f"samples by {best[0]:.3g} of max|alpha|, above the tolerance {_FIT_TOL:g}")
+    return best[1], best[2]
+
+
+class Tabulated(_ExponentialSum):
+    """Correlation samples alpha_{nm}(t_k) on a uniform grid starting at 0, fitted once
+    to an exponential sum (_fit_exponentials) and evaluated as that sum; alpha_time,
+    coefficient_full and coefficient_integral stay within the grid."""
 
     def __init__(self, times: np.ndarray, samples: np.ndarray):
-        from scipy.interpolate import CubicSpline
-
-        times = np.asarray(times, dtype=float)
-        samples = np.asarray(samples, dtype=complex)
+        times = _finite(times, "tabulated grid")
+        samples = _finite(samples, "tabulated samples", complex)
         if samples.ndim == 1:
             samples = samples[:, None, None]
-        if times.ndim != 1 or times[0] != 0.0:
+        if times.ndim != 1 or not times.size or times[0] != 0.0:
             raise ValueError("tabulated grid must be 1-D and start at t = 0")
         dt = np.diff(times)
-        if times.size < 4 or np.max(np.abs(dt - dt[0])) > 1e-9 * dt[0]:
-            raise ValueError("tabulated grid must be uniform with >= 4 points")
-        if samples.shape[0] != times.size or samples.shape[1] != samples.shape[2]:
-            raise ValueError("samples must have shape (nt, n, n)")
-        self.times = times
-        self.samples = samples
-        self.n = samples.shape[1]
-        self._spline = CubicSpline(times, samples, axis=0)
-        self._coeff_cache = {}
-        # 4x refined grid for the Laplace and coefficient quadratures
-        self._tf = np.linspace(0.0, times[-1], (times.size - 1) * 4 + 1)
-        self._af = self._spline(self._tf)
-        self.tail_ok, self._tail_a, self._tail_z = self._fit_tail()
-
-    @property
-    def channels(self) -> int:
-        return self.n
-
-    def _freq_scale(self) -> float:
-        return 1.0 / (self.times[1] - self.times[0])
-
-    def _fit_tail(self):
-        """Least-squares exponential fit on the last samples for the Laplace tail."""
-        m = min(6, self.times.size // 2)
-        t = self.times[-m:]
-        a = np.zeros((self.n, self.n), dtype=complex)
-        z = np.zeros((self.n, self.n), dtype=complex)
-        ok = True
-        for i in range(self.n):
-            for j in range(self.n):
-                y = self.samples[-m:, i, j]
-                if np.min(np.abs(y)) < 1e-300 or np.max(np.abs(y)) < 1e-14 * np.max(
-                    np.abs(self.samples[:, i, j]) if np.any(self.samples[:, i, j]) else [1.0]
-                ):
-                    continue  # decayed to zero; no tail needed
-                ratios = np.log(y[1:] / y[:-1]) / np.diff(t)
-                zij = -np.mean(ratios)
-                if zij.real <= 0 or np.std(ratios.real) > 0.2 * abs(zij.real):
-                    ok = False
-                    continue
-                z[i, j] = zij
-                a[i, j] = y[-1] * np.exp(zij * t[-1])
-        return ok, a, z
+        if times.size < _FIT_MIN_POINTS or dt[0] <= 0 or np.max(np.abs(dt - dt[0])) > 1e-9 * dt[0]:
+            raise ValueError(f"tabulated grid must be increasing and uniform with >= "
+                             f"{_FIT_MIN_POINTS} points (the exponential fit needs them)")
+        if samples.ndim != 3 or samples.shape[0] != times.size or samples.shape[1] != samples.shape[2]:
+            raise ValueError(f"samples must have shape ({times.size},) or ({times.size}, n, n), "
+                             f"got {samples.shape}")
+        self.times, self.samples = times, samples
+        self._c, self._z = _fit_exponentials(times, samples.reshape(times.size, -1))
+        self._undamped = bool(np.any(self._z.real == 0))
 
     def _on_grid(self, t: np.ndarray) -> np.ndarray:
         """t, checked against the grid's end and clipped to it."""
@@ -785,45 +791,13 @@ class Tabulated(BathModel):
         return np.minimum(t, self.times[-1])
 
     def _alpha_time(self, t: np.ndarray) -> np.ndarray:
-        return self._spline(self._on_grid(t))
-
-    def _laplace(self, s: np.ndarray) -> np.ndarray:
-        if not self.tail_ok:
-            raise ValueError(
-                "tabulated correlation: the exponential fit of the last samples "
-                "failed (they do not decay), so the Laplace tail beyond the grid is unknown"
-            )
-        from scipy import integrate
-
-        tf, af = self._tf, self._af
-        val = np.array([integrate.simpson(af * np.exp(-x * tf)[:, None, None], x=tf, axis=0)
-                        for x in s])
-        # exponential tail beyond the grid
-        zt = self._tail_z + s[:, None, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            full = self._tail_a * np.exp(-zt * self.times[-1]) / zt
-        return val + np.where(self._tail_z.real > 0, full, 0)
-
-    def _alpha_spectrum(self, w: np.ndarray) -> np.ndarray:
-        f = self._laplace(1j * w)
-        return f + np.conj(f).swapaxes(-1, -2)
+        return super()._alpha_time(self._on_grid(t))
 
     def _coefficient_full(self, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """A spline of the cumulative trapezoid rule per frequency, each evaluated
-        at all the times at once."""
-        t = self._on_grid(t)
-        return np.stack([self._coefficient_spline(x)(t) for x in w], axis=1)
+        return super()._coefficient_full(self._on_grid(t), w)
 
-    def _coefficient_spline(self, w: float):
-        key = round(float(w), 12)
-        if key not in self._coeff_cache:
-            from scipy import integrate
-            from scipy.interpolate import CubicSpline
-
-            integrand = self._af * np.exp(-1j * w * self._tf)[:, None, None]
-            cum = integrate.cumulative_trapezoid(integrand, x=self._tf, axis=0, initial=0.0)
-            self._coeff_cache[key] = CubicSpline(self._tf, cum, axis=0)
-        return self._coeff_cache[key]
+    def _coefficient_integral(self, t: float, w: np.ndarray):
+        return super()._coefficient_integral(self._on_grid(np.array([t]))[0], w)
 
     # -- CSV round-trip ------------------------------------------------------
 

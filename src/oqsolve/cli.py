@@ -493,7 +493,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except (NumericalError, ValueError) as exc:
         # input errors are ValidationError by now: a ValueError that escapes a
-        # subcommand comes from the numerics (a pole, a tabulated grid or tail)
+        # subcommand comes from the numerics (a pole, a tabulated grid's end or an undamped term)
         print(json.dumps({"error": "numerical-failure", "detail": str(exc)}), file=sys.stderr)
         return EXIT_NUMERICAL
     return 0

@@ -750,13 +750,104 @@ class TestTabulated:
     def test_failed_tail_fit_raises(self):
         tgrid = np.linspace(0.0, 10.0, 201)
         b = bath.Tabulated(tgrid, 0.1 * np.cos(1.3 * tgrid))
-        assert not b.tail_ok
+        assert b._undamped and not b._z.real.any()  # the fit is 0.05 (e^{1.3it} + e^{-1.3it})
         for call in (lambda: b.laplace(0.5), lambda: b.laplace(np.array([0.5, 1j])),
                      lambda: b.coefficient_stationary(1.0), lambda: b.alpha_spectrum(1.0)):
             with pytest.raises(ValueError, match="tail"):
                 call()
         # the finite-time coefficients need no tail
         assert np.isfinite(b.coefficient_full(3.0, 0.8)[0, 0])
+
+
+def exact_sum(c, z):
+    """The closed-form evaluators over a known term table (c (K, n, n), z (K,))."""
+    ref = bath._ExponentialSum()
+    ref._c, ref._z, ref._undamped = np.reshape(c, (len(z), -1)).astype(complex), np.asarray(z), False
+    return ref
+
+
+class TestTabulatedFit:
+    """Tabulated fits its samples once to sum_k c_k e^{-z_k t} and is that sum."""
+
+    GRID = np.linspace(0.0, 8.0, 161)
+    HERM = np.array([[0.05, 0.015 + 0.01j], [0.015 - 0.01j, 0.04]])
+    TERMS = {
+        "real-rate": ([[[0.075]]], [1.2]),
+        "complex-rate": ([[[0.1]]], [0.8 + 0.3j]),
+        "hermitian-2x2": ([HERM, np.diag([0.01, 0.02])], [1.3, 0.4 + 2.0j]),
+        "non-hermitian": ([[[0.08 - 0.05j]], [[0.03 + 0.02j]]], [1.0, 0.5 + 2.0j]),
+    }
+
+    @staticmethod
+    def close(got, want, rel=1e-12):
+        assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("case", TERMS)
+    def test_exponential_data_is_the_closed_form(self, case):
+        c, z = self.TERMS[case]
+        ref = exact_sum(c, z)
+        b = bath.Tabulated(self.GRID, ref.alpha_time(self.GRID))
+        times, w = np.array([0.013, 1.234, 3.3, 7.99]), np.array([-1.3, 0.0, 0.7, 2.0])
+        s = np.array([0.2, 1.0 + 0.5j, 2.0j])
+        for name, args in (("alpha_time", (times,)), ("laplace", (s,)), ("alpha_spectrum", (w,)),
+                           ("coefficient_full", (times, w))):
+            self.close(getattr(b, name)(*args), getattr(ref, name)(*args))
+        got, err, nodes = b.coefficient_integral(3.0, np.array([-1.0, 0.0, 1.0]))
+        assert err == 0.0 and nodes == 0
+        self.close(got, ref.coefficient_integral(3.0, np.array([-1.0, 0.0, 1.0]))[0])
+
+    def test_spectrum_of_non_hermitian_weights(self):
+        # alpha~(w) = int e^{-iwt} alpha(t) dt with alpha(-t) = alpha(t)^dag:
+        # sum_k c_k / (z_k + iw) + conj(c_k) / (conj(z_k) - iw)
+        c, z = np.array([0.08 - 0.05j, 0.03 + 0.02j]), np.array([1.0, 0.5 + 2.0j])
+        b = bath.Tabulated(self.GRID, np.exp(-np.outer(self.GRID, z)) @ c)
+        w = np.array([-2.0, 0.0, 1.5])
+        want = (c / (z + 1j * w[:, None]) + np.conj(c) / (np.conj(z) - 1j * w[:, None])).sum(1)
+        self.close(b.alpha_spectrum(w)[:, 0, 0], want)
+
+    @pytest.mark.parametrize("alpha", [
+        lambda t: 0.05 * mpmath.exp(-t**2) * mpmath.cos(2 * t),
+        lambda t: 0.05 * (1 + t) ** -2,
+    ], ids=["gaussian", "power-law"])
+    def test_smooth_data_against_mpmath(self, alpha):
+        grid = np.linspace(0.0, 10.0, 401)
+        b = bath.Tabulated(grid, np.array([complex(alpha(mpmath.mpf(t))) for t in grid]))
+        assert b._z.size > 1 and np.all(b._z.real > 0)
+        for t in (0.37, 2.0, 9.5):
+            for w in (-1.5, 0.0, 2.0):
+                want = complex(mpmath.quad(lambda s: alpha(s) * mpmath.exp(-1j * w * s),
+                                           [0, min(t, 1), t]))
+                assert abs(b.coefficient_full(t, w)[0, 0] - want) < 1e-10
+
+    def test_slightly_noisy_data_fits_without_growing_rates(self):
+        noise = 1e-8 * np.random.default_rng(0).standard_normal(self.GRID.size)
+        b = bath.Tabulated(self.GRID, 0.075 * np.exp(-1.2 * self.GRID) + noise)
+        assert b._z.size and np.all(b._z.real >= 0)
+
+    def test_noisy_data_rejected_with_both_numbers(self):
+        noise = 1e-6 * np.random.default_rng(0).standard_normal(self.GRID.size)
+        with pytest.raises(ValueError, match=r"misses the held-out samples by .* tolerance 1e-06"):
+            bath.Tabulated(self.GRID, 0.075 * np.exp(-1.2 * self.GRID) + noise)
+
+    def test_zero_samples_are_a_zero_bath(self):
+        b = bath.Tabulated(self.GRID, np.zeros((self.GRID.size, 2, 2)))
+        assert b._z.size == 0 and b.channels == 2
+        w = np.array([-1.0, 0.0, 1.0])
+        for got in (b.alpha_time(np.array([0.0, 3.0])), b.laplace(np.array([0.5, 1j])),
+                    b.alpha_spectrum(w), b.gamma_spectrum(w),
+                    b.coefficient_full(np.array([0.0, 3.0]), w), b.coefficient_integral(2.0, w)[0]):
+            assert np.array_equal(got, np.zeros_like(got))
+
+    def test_two_dimensional_samples_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(161,\) or \(161, n, n\)"):
+            bath.Tabulated(self.GRID, np.ones((self.GRID.size, 2)))
+
+    def test_minimum_grid(self):
+        t = np.linspace(0.0, 1.0, 3)
+        b = bath.Tabulated(t, 0.075 * np.exp(-1.2 * t))
+        assert abs(b._z[0] - 1.2) < 1e-14
+        with pytest.raises(ValueError, match=">= 3 points"):
+            bath.Tabulated(t[:2], 0.075 * np.exp(-1.2 * t[:2]))
 
 
 class TestKernels:

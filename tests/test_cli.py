@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -556,7 +557,7 @@ class TestNumericalFailure:
         # undamped samples: no exponential tail, so no Laplace transform
         tgrid = np.linspace(0.0, 10.0, 201)
         tab = bath.Tabulated(tgrid, 0.1 * np.cos(1.3 * tgrid))
-        assert not tab.tail_ok
+        assert tab._undamped
         tab.to_csv(str(tmp_path / "alpha.csv"))
         doc = qubit_doc()
         doc["bath"] = {"variant": "tabulated", "path": "alpha.csv"}
@@ -579,3 +580,19 @@ class TestTabulatedModel:
             ["simulate", "--model", model, "--out", str(out)]
         ) == 0
         assert out.exists()
+
+    def test_noisy_samples_exit_validation(self, tmp_path, capsys):
+        # 1e-6 noise on 0.075 e^{-1.2 t}: no exponential sum predicts the held-out samples
+        tgrid = np.linspace(0.0, 8.0, 161)
+        noise = 1e-6 * np.random.default_rng(0).standard_normal(tgrid.size)
+        with open(tmp_path / "alpha.csv", "w") as fh:
+            fh.write("t,re_alpha_0_0,im_alpha_0_0\n")
+            for t, a in zip(tgrid, 0.075 * np.exp(-1.2 * tgrid) + noise):
+                fh.write(f"{float(t)!r},{float(a)!r},0.0\n")
+        doc = qubit_doc()
+        doc["bath"] = {"variant": "tabulated", "path": "alpha.csv"}
+        model = write_model(tmp_path, doc)
+        assert cli.main(["pauli", "--model", model]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        residual = re.search(r"held-out samples by (\S+) of max\|alpha\|", err)
+        assert "tolerance 1e-06" in err and residual and float(residual[1]) > 1e-6

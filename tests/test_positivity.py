@@ -22,10 +22,15 @@ def t0_model():
 
 
 def tabulated_model():
-    # fine samples: coefficient_full integrates the spline by the trapezoid
-    # rule on a 4x finer grid, an O(dt^2) error
-    tg = np.linspace(0.0, 2.0, 2001)
+    # damped samples: the fitted exponential sum has a closed-form table
+    tg = np.linspace(0.0, 2.0, 201)
     b = bath.Tabulated(tg, 0.1 * np.exp(-(0.8 + 0.3j) * tg))
+    return tcl2.SystemModel(h=0.5 * SZ, couplings=[SX], bath=b)
+
+
+def undamped_ou_model():
+    # 0.1 cos(1.3 t): undamped terms, whose table is integrated by quadrature
+    b = bath.ExponentialOU(c=[[[0.05]], [[0.05]]], lam=[1.3j, -1.3j])
     return tcl2.SystemModel(h=0.5 * SZ, couplings=[SX], bath=b)
 
 
@@ -144,8 +149,21 @@ class TestMagnusClosedForm:
         positivity.magnus_phi2(m, 2.5)
         positivity.interaction_dissipator_samples(m, np.linspace(0.0, 2.5, 6))
         assert "pair_tensor" not in vars(m)
+        # a T > 0 bound within the table's round-off (from t = 1e-3) counts as 0, and a
+        # damped tabulated fit is an exact closed form
+        for model in (qubit_model, tabulated_model):
+            m = model()
+            gen = positivity.magnus_phi2(m, 1.0)
+            assert gen.nodes == 0 and gen.change == 0 and "pair_tensor" not in vars(m)
         m = t0_model()
         assert positivity.magnus_phi2(m, 1.0).change > 0 and "pair_tensor" in vars(m)
+
+    def test_tabulated_table_matches_double_time_route(self):
+        m = tabulated_model()
+        for t in (0.8, 1.5):
+            gen = positivity.magnus_phi2(m, t)
+            d2 = positivity.delta_double_time(m, t, nodes=48)
+            assert np.max(np.abs(d2 - gen.delta)) < 1e-8 * max(1.0, np.max(np.abs(gen.delta)))
 
 
 class TestMagnusPropagator:
@@ -194,7 +212,7 @@ class TestDoubleTimeRoute:
             scale = max(1.0, np.max(np.abs(gen.delta)))
             assert np.max(np.abs(d2 - gen.delta)) < 1e-8 * scale
 
-    @pytest.mark.parametrize("model", [t0_model, tabulated_model])
+    @pytest.mark.parametrize("model", [t0_model, undamped_ou_model])
     def test_quadrature_tables_match(self, model):
         m = model()
         for t in (0.8, 1.5):
