@@ -6,7 +6,8 @@ A bath model supplies the multivariate correlation function alpha_{nm}(t)
 * its spectrum          alpha~(w)  = int e^{-iwt} alpha(t) dt,
 * its Laplace transform alpha^(s)  = int_0^inf e^{-st} alpha(t) dt,
 * the stationary master-equation coefficients  A(w) = alpha^(iw + 0+),
-* the finite-time coefficients  A(t; w) = int_0^t alpha(tau) e^{-iw tau} dtau.
+* the finite-time coefficients  A(t; w) = int_0^t alpha(tau) e^{-iw tau} dtau,
+* the gap-pair table  I[a, b](t) = int_0^t A(tau; w_a) e^{i(w_a + w_b) tau} dtau, closed form.
 
 Variants: WhiteNoise (delta correlation), ExponentialOU (a sum
 sum_k c_k e^{-lam_k |t|}), ThermalLorentz (thermal state with Lorentzian damping
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .core import read_matrix_csv, require_hermitian, write_matrix_csv
+from .core import _GAP_TOL, read_matrix_csv, require_hermitian, write_matrix_csv
 
 __all__ = [
     "BathModel",
@@ -61,10 +62,6 @@ _EM_M, _EM_I = np.arange(12), np.arange(1, 13)[:, None]
 _EM_WEIGHTS = np.where((_EM_I + _EM_M >= 2) & (_EM_I + _EM_M <= 12),
                        special.bernoulli(12)[np.minimum(_EM_I + _EM_M, 12)]
                        / ((_EM_I + _EM_M) * special.factorial(_EM_M)), 0.0)
-# adaptive quadrature of the gap-pair table: absolute and relative targets in
-# the max norm over its entries
-_TABLE_EPSABS = 1e-13
-_TABLE_EPSREL = 1e-11
 # the exponential fit of tabulated samples (_fit_exponentials): block-Hankel rows, singular
 # value cut (of the largest), held-out residual tolerance (of max|alpha|), Re z t_end below
 # which a rate is undamped, and the grid points that one rate and its check take
@@ -116,15 +113,35 @@ def _exp_sum_coefficient(c, z, t: np.ndarray, w: np.ndarray, undamped: bool = Fa
     return _weigh(_exp_integral(x, t) if undamped else np.expm1(x * t) / x, c)
 
 
-def _exp_sum_table(c, z, t: float, w: np.ndarray, laplace_iw: np.ndarray):
-    """Gap-pair table I[a, b] = int_0^t A(tau; w_a) e^{i(w_a + w_b) tau} dtau of damped terms
-    given alpha^(i w_a): c_k E(-p_k, tau), p_k = z_k + i w_a, integrates to (c_k/p_k)[E(i nu, t)
-    - E(i w_b - z_k, t)], nu = w_a + w_b; the head is a BLAS product (rounds less than a sum)."""
+def _over_i_nu(num, nu, limit, size):
+    """num / (i nu) on the gap-pair grid, limit where |nu| <= _GAP_TOL (unique_gaps' resolution;
+    representatives of opposite gaps need not cancel exactly), and eps size / |nu|: the bound
+    on the round-off of a numerator of terms up to size that cancel to O(nu)."""
+    small = np.abs(nu) <= _GAP_TOL
+    inu = 1j * np.where(small, 1.0, nu)
+    return np.where(small, limit, num / inu), np.where(small, 0, np.finfo(float).eps * size / abs(inu))
+
+
+def _exp_sum_table(c, z, t: float, w: np.ndarray, laplace_iw=None):
+    """Gap-pair table I[a, b] = int_0^t A(tau; w_a) e^{i(w_a + w_b) tau} dtau and its round-off
+    bound: c_k E(-p_k, tau), p_k = z_k + i w_a, integrates to (c_k/p_k)[E(i nu, t) - E(i w_b - z_k,
+    t)], nu = w_a + w_b, and at p_k = 0 (an undamped term at a gap) c_k tau to c_k (t e^{i nu t}
+    - E(i nu, t)) / (i nu).  laplace_iw = alpha^(i w_a) defaults to the sum of c_k / p_k over
+    p_k != 0 (p_k = inf there); the head is a BLAS product (rounds less than a sum)."""
     iw = 1j * w[:, None]
-    head = (np.atleast_2d(c.T)[:, None, :] / (z + iw)) @ (np.expm1((iw - z) * t) / (iw - z)).T
+    p = z + iw
+    resonant = np.abs(p) <= _GAP_TOL
+    p = np.where(resonant, np.inf, p)
+    laplace_iw = (1 / p) @ c if laplace_iw is None else laplace_iw
+    head = (np.atleast_2d(c.T)[:, None, :] / p) @ _exp_integral(iw - z, t).T
     e_nu = _exp_integral(iw + iw.T, t)
-    return (laplace_iw.T[..., None] * e_nu - head).transpose(1, 2, 0).reshape(
-        e_nu.shape + c.shape[1:])
+    table, err = laplace_iw.T[..., None] * e_nu - head, 0.0
+    if resonant.any():
+        nu = (iw + iw.T).imag
+        tau, bound = _over_i_nu(t * np.exp(1j * nu * t) - e_nu, nu, t * t / 2, 2 * t)
+        table += (resonant @ c).T[..., None] * tau
+        err = np.max((resonant @ np.abs(c)).T[..., None] * bound)
+    return table.transpose(1, 2, 0).reshape(e_nu.shape + c.shape[1:]), err
 
 
 def _exp_tail(eps, n0: int, b: np.ndarray) -> np.ndarray:
@@ -140,29 +157,11 @@ def _exp_tail(eps, n0: int, b: np.ndarray) -> np.ndarray:
     return np.exp(-eps * n0) * (np.exp(z) * special.exp1(z) - 0.5 / u + corr)
 
 
-def _integrate_table(coefficient_full, t: float, w: np.ndarray):
-    """Gap-pair table I[a, b] = int_0^t A(tau; w_a) e^{i(w_a + w_b) tau} dtau by
-    adaptive quadrature of the array form coefficient_full(tau, w) at one time
-    per node; returns (table, abserr in the max norm, integrand evaluations)."""
-    from scipy import integrate
-
-    nu = w[:, None] + w[None, :]
-
-    def integrand(tau):
-        a = coefficient_full(np.array([tau]), w)[0]
-        phase = np.exp(1j * tau * nu)
-        return a[:, None] * phase.reshape(phase.shape + (1,) * (a.ndim - 1))
-
-    table, err, info = integrate.quad_vec(integrand, 0.0, t, epsabs=_TABLE_EPSABS,
-                                          epsrel=_TABLE_EPSREL, norm="max", full_output=True)
-    return table, float(err), int(info.neval)
-
-
 class BathModel:
     """Common interface.  A variant implements array forms on 1-D arrays of points,
     which lead the result: _alpha_time(t) at t >= 0, _alpha_spectrum(w), _laplace(s),
-    _coefficient_full(t, w) at t >= 0, (nt, k, n, n), and _gamma_spectrum(w); it may
-    replace the quadrature of _coefficient_integral.  The public evaluators,
+    _coefficient_full(t, w) at t >= 0, (nt, k, n, n), _gamma_spectrum(w), and the closed
+    form _coefficient_integral(t, w) with its round-off bound.  The public evaluators,
     here alone, take a scalar (an (n, n) result) or a 1-D array (the stack; times lead
     frequencies), apply alpha(-t) = alpha(t)^dag and reject t < 0."""
 
@@ -213,21 +212,19 @@ class BathModel:
     def coefficient_integral(self, t: float, w):
         """Gap-pair table I[a, b] = int_0^t A(tau; w_a) e^{i(w_a + w_b) tau} dtau
         over a 1-D array w, shaped (k, k, n, n), with an absolute error bound in
-        the max norm and the number of integrand evaluations (0 for a closed
-        form)."""
+        the max norm; 0 at t = 0.  A bound within eps max|table| counts as 0, so
+        that callers skip their error propagation."""
         if t < 0:
             raise ValueError("coefficient_integral requires t >= 0")
         ws, scalar = self._points(w)
-        table, err, neval = self._coefficient_integral(t, ws)
-        return (table[0, 0] if scalar else table), err, neval
+        table, err = (self._coefficient_integral(t, ws) if t else
+                      (np.zeros((ws.size, ws.size) + (self.channels,) * 2, dtype=complex), 0.0))
+        err = float(err) if err > np.finfo(float).eps * np.max(np.abs(table)) else 0.0
+        return (table[0, 0] if scalar else table), err
 
     def gamma_spectrum(self, w) -> np.ndarray:
         """Damping kernel gamma~(w) = mu~(w)/(iw); w=0 taken as a limit."""
         return self._evaluate(self._gamma_spectrum, w)
-
-    def _coefficient_integral(self, t: float, w: np.ndarray):
-        """Default: adaptive quadrature of _coefficient_full."""
-        return _integrate_table(self._coefficient_full, t, w)
 
     def is_thermal(self) -> bool:
         return False
@@ -267,6 +264,11 @@ class WhiteNoise(BathModel):
     def _coefficient_full(self, t: np.ndarray, w: np.ndarray) -> np.ndarray:
         half = (self.c / 2.0 * (t != 0.0)[:, None, None]).astype(complex)
         return np.repeat(half[:, None], w.size, axis=1)
+
+    def _coefficient_integral(self, t: float, w: np.ndarray):
+        """A(tau; w) = c/2 for tau > 0: I[a, b] = (c/2) E(i nu, t)."""
+        iw = 1j * w[:, None]
+        return _exp_integral(iw + iw.T, t)[..., None, None] * (self.c / 2), 0.0
 
     def _gamma_spectrum(self, w: np.ndarray) -> np.ndarray:
         return np.zeros((w.size,) + self.c.shape, dtype=complex)
@@ -316,11 +318,8 @@ class _ExponentialSum(BathModel):
         return self._matrices(_exp_sum_coefficient(self._c, self._z, t, w, self._undamped))
 
     def _coefficient_integral(self, t: float, w: np.ndarray):
-        """The gap-pair table in closed form, or by quadrature with undamped terms."""
-        if self._undamped:
-            return super()._coefficient_integral(t, w)
-        laplace_iw = self._laplace(1j * w).reshape(w.size, -1)
-        return self._matrices(_exp_sum_table(self._c, self._z, t, w, laplace_iw)), 0.0, 0
+        table, err = _exp_sum_table(self._c, self._z, t, w)
+        return self._matrices(table), err
 
     def _gamma_spectrum(self, w: np.ndarray) -> np.ndarray:
         """mu~(w) / (iw), with |w| at least 1e-7 of the largest |z_k| (of 1 with no terms)."""
@@ -471,8 +470,30 @@ class _ThermalChannelT0(_LorentzChannel):
         return np.where(pos, self._laplace_on_axis(w) - tail, 0j)
 
     def coefficient_integral(self, t: float, w: np.ndarray):
-        """The gap-pair table by adaptive quadrature of coefficient_full."""
-        return _integrate_table(self.coefficient_full, t, w)
+        """Gap-pair table in closed form, nu = u_a + u_b: coefficient_full's tail integrates term
+        by term (d/dtau [e^{a tau} E1(b tau) - E1((b - a) tau)] = a e^{a tau} E1(b tau), E1(z) ~
+        -gamma - ln z at 0, Ei(x) = -E1(-x + i0) - i pi) to I = A^(u_a) E(i nu, t) - K [2i u_a J1
+        / (Lam^2 + u_a^2) + J2 / (i u_a - Lam) + J3 / (i u_a + Lam)], with x, e1 and ei as there
+        and Q_b = -E1(-i u_b t) - ln(-i u_b) (gamma + ln t at u_b = 0): J2 = [e^{i u_b t} e1 +
+        ln Lam + Q_b] / (Lam + i u_b), J3 = [ln Lam + i pi + Q_b - e^{i u_b t} (ei + i pi e^{-x})]
+        / (i u_b - Lam) and J1 = [e^{i nu t} E1(i u_a t) + ln(i u_a) + Q_b] / (i nu), which is
+        t E1(i u_a t) + E(-i u_a, t) at nu = 0; the J1 term is 0 at u_a = 0.  The bound is on
+        the round-off of J1's quotient."""
+        lam, ua, nu = self.cutoff, w[:, None], w[:, None] + w
+        e1, ei = _scaled_exp_integrals(np.array([lam * t]))
+        with np.errstate(divide="ignore", invalid="ignore"):  # the w = 0 entries are set apart
+            e1w, logw = special.exp1(1j * w * t), np.log(1j * w)  # conjugated at -i w
+            q = np.where(w == 0, np.euler_gamma + np.log(t), -np.conj(e1w + logw))
+            size = np.where(w == 0, np.abs(q), np.abs(e1w) + np.abs(logw))
+            j1, bound = _over_i_nu(np.exp(1j * nu * t) * e1w[:, None] + logw[:, None] + q, nu,
+                                   t * e1w[:, None] + _exp_integral(-1j * ua, t), size[:, None] + size)
+            j1, bound = (np.where(ua == 0, 0, f * ua / (lam**2 + ua**2)) for f in (2j * j1, 2 * bound))
+        phase, log_lam = np.exp(1j * w * t), math.log(lam)
+        j2 = (phase * e1 + log_lam + q) / (lam + 1j * w)
+        j3 = (log_lam + 1j * np.pi + q - phase * (ei + 1j * np.pi * np.exp(-lam * t))) / (1j * w - lam)
+        table = self._laplace_on_axis(w)[:, None] * _exp_integral(1j * nu, t) - self._k * (
+            j1 + j2 / (1j * ua - lam) + j3 / (1j * ua + lam))
+        return table, self._k * np.max(np.abs(bound))
 
 
 class _ThermalChannel(_LorentzChannel):
@@ -627,8 +648,6 @@ class _ThermalChannel(_LorentzChannel):
         round-off, and ln(1/eps) / (a t), at most _MATSUBARA_TERMS: this is the one
         table that runs past the head.  No step divides by nu.
         """
-        if t == 0:
-            return np.zeros((w.size, w.size), dtype=complex), 0.0, 0
         lam, a = self.cutoff, self._a
         r = max(lam, float(np.max(np.abs(w)))) / a
         # Past K(t) = ln(1/eps) / (a t), e^{-nu_k t} <= eps e^{-a t (k - K)}, so the dropped
@@ -641,7 +660,7 @@ class _ThermalChannel(_LorentzChannel):
         iw = 1j * w[:, None]
         pg, qh = lam + iw, lam - iw.T
         pair = self._pair_integral(qh, t) - self._d * np.expm1(-qh * t) / (qh * pg)
-        table = _exp_sum_table(c, z, t, w, self.laplace(1j * w)) - pair / (pg - self._delta)
+        table = _exp_sum_table(c, z, t, w, self.laplace(1j * w))[0] - pair / (pg - self._delta)
         # 1/((1 + i(g/a) x)(1 - i(h/a) x)) = sum_j x^j sum_{p+q=j} (-ig/a)^p (ih/a)^q
         n = 12
         gp = (-iw / a) ** np.arange(n)
@@ -654,13 +673,12 @@ class _ThermalChannel(_LorentzChannel):
         tail_c = 2 * self.gamma0 * self.temperature * lam**2 / a**3
         table -= tail_c * (d @ special.zeta(3 + np.arange(n), k))
         # dropped X_k e^{(ih - z_k) t}, k >= k: |X_k| <= (tail_c / k^3) / (1 - (Lam / nu_k)^2),
-        # nu_k > Lam; and the series past x^n: |d_j| <= (j + 1)^2 r^j.  A bound within the
-        # table's round-off counts as 0, so that callers skip their error propagation
+        # nu_k > Lam; and the series past x^n: |d_j| <= (j + 1)^2 r^j
         rho = r / k
         err = tail_c * special.zeta(3, k) * (
             np.exp(-a * k * t) / (1 - (lam / (a * k)) ** 2)
             + (np.inf if rho >= 0.5 else (n + 1) ** 2 * rho**n / (1 - rho) ** 3))
-        return table, float(err) if err > np.finfo(float).eps * np.max(np.abs(table)) else 0.0, 0
+        return table, err
 
 
 @dataclass(frozen=True)
@@ -718,9 +736,8 @@ class ThermalLorentz(BathModel):
         return self._diag([ch.coefficient_full(t, w) for ch in self._impl])
 
     def _coefficient_integral(self, t: float, w: np.ndarray):
-        """Per channel: closed form at T > 0, quadrature at T = 0."""
-        tables, errs, nevals = zip(*(ch.coefficient_integral(t, w) for ch in self._impl))
-        return self._diag(tables), max(errs), sum(nevals)
+        tables, errs = zip(*(ch.coefficient_integral(t, w) for ch in self._impl))
+        return self._diag(tables), max(errs)
 
     def _gamma_spectrum(self, w: np.ndarray) -> np.ndarray:
         return self._diag([ch.gamma_tilde(w) for ch in self._impl])

@@ -341,7 +341,6 @@ def cmd_cp_audit(model, run, args):
         "magnus_choi_min": min(choi_mins),
         "magnus_choi_min_per_time": choi_mins,
         "delta_min_eigenvalue": min(delta_mins),
-        "magnus_nodes_per_time": [g.nodes for g in gens],
         "magnus_change_per_time": [g.change for g in gens],
         "magnus_converged": all(g.converged for g in gens),
         "weak_test_min_eigenvalue": weak,

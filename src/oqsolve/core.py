@@ -40,6 +40,9 @@ __all__ = [
     "read_matrix_csv",
 ]
 
+# gaps this close are one (SystemModel.unique_gaps), and so a gap-pair divisor this small is 0
+_GAP_TOL = 1e-9
+
 
 def vec(x: np.ndarray) -> np.ndarray:
     """Row-major vectorization of a d x d operator."""
@@ -212,14 +215,14 @@ def _fix_phases(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def eig_hermitian(h: np.ndarray, tol: float = 1e-12) -> SpectralBasis:
+def eig_hermitian(h: np.ndarray) -> SpectralBasis:
     """Ascending eigendecomposition of a Hermitian operator.
 
     Degenerate eigenvalues come out contiguously (ascending sort); the phase of
     each eigencolumn is fixed by making its first significant component real
     positive, so the output is deterministic.
     """
-    h = require_hermitian(h, tol=tol, name="Hamiltonian")
+    h = require_hermitian(h, name="Hamiltonian")
     w, u = np.linalg.eigh(herm_part(h))
     return SpectralBasis(energies=w, vectors=_fix_phases(u))
 

@@ -33,8 +33,9 @@ __all__ = [
     "laplace_trajectory",
 ]
 
-# largest omega t, over the system's gaps omega, that talbot_invert resolves (see there)
-TALBOT_MAX_GAP_TIME = 20.0
+# largest omega t, over the system's gaps omega, that talbot_invert resolves, and its contour
+# nodes (see there); the relative agreement asked of asymptotic_state's two extrapolants
+TALBOT_MAX_GAP_TIME, _TALBOT_NODES, _EXTRAPOLATION_TOL = 20.0, 48, 1e-6
 
 
 def _laplace_pair(m: SystemModel, s: np.ndarray):
@@ -124,7 +125,7 @@ def nonlocal_poles(m: SystemModel) -> dict:
     return {(i, j): complex(k[i * d + j, i * d + j]) for i in range(d) for j in range(d)}
 
 
-def asymptotic_state(m: SystemModel, rho0: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+def asymptotic_state(m: SystemModel, rho0: np.ndarray) -> np.ndarray:
     """Final-value limit lim_{s->0} s [s - K2(s)]^{-1} vec(rho0).
 
     Evaluated at three small real s values (scaled by the slowest dissipative
@@ -147,7 +148,7 @@ def asymptotic_state(m: SystemModel, rho0: np.ndarray, tol: float = 1e-6) -> np.
     # x(s) = x0 + c s + O(s^2): eliminate the linear term pairwise
     extr01 = (svals[0] * xs[1] - svals[1] * xs[0]) / (svals[0] - svals[1])
     extr12 = (svals[1] * xs[2] - svals[2] * xs[1]) / (svals[1] - svals[2])
-    if np.max(np.abs(extr01 - extr12)) > tol * max(1.0, float(np.max(np.abs(extr12)))):
+    if np.max(np.abs(extr01 - extr12)) > _EXTRAPOLATION_TOL * max(1.0, float(np.max(np.abs(extr12)))):
         raise ValueError(
             f"final-value extrapolation did not converge "
             f"(disagreement {np.max(np.abs(extr01 - extr12)):.3e})"
@@ -156,7 +157,7 @@ def asymptotic_state(m: SystemModel, rho0: np.ndarray, tol: float = 1e-6) -> np.
     return 0.5 * (rho + dag(rho))
 
 
-def talbot_invert(fhat, t: float, nodes: int = 48) -> np.ndarray:
+def talbot_invert(fhat, t: float) -> np.ndarray:
     """Fixed-Talbot numerical Laplace inversion at time t.
 
     fhat is called once, with the 1-D array of the contour's nodes, and
@@ -172,9 +173,9 @@ def talbot_invert(fhat, t: float, nodes: int = 48) -> np.ndarray:
     # 1/s at t = 2: error 2.8e-7 at 32 nodes, 4.5e-8 at 48, 5.3e-6 at 64.
     if t <= 0:
         raise ValueError("talbot_invert requires t > 0")
-    r = 2.0 * nodes / (5.0 * t)
-    dtheta = 2.0 * np.pi / nodes
-    theta = -np.pi + (np.arange(nodes) + 0.5) * dtheta
+    r = 2.0 * _TALBOT_NODES / (5.0 * t)
+    dtheta = 2.0 * np.pi / _TALBOT_NODES
+    theta = -np.pi + (np.arange(_TALBOT_NODES) + 0.5) * dtheta
     cot = np.cos(theta) / np.sin(theta)
     s = r * theta * (cot + 1j)
     dsdtheta = r * (1j + cot - theta / np.sin(theta) ** 2)
@@ -182,7 +183,7 @@ def talbot_invert(fhat, t: float, nodes: int = 48) -> np.ndarray:
     return np.tensordot(weights, np.asarray(fhat(s)), axes=1)
 
 
-def laplace_trajectory(m: SystemModel, rho0: np.ndarray, grid, nodes: int = 48):
+def laplace_trajectory(m: SystemModel, rho0: np.ndarray, grid):
     """States via Talbot inversion of the resolvent applied to rho0: one
     stacked solve of s - K2(s) against vec(rho0) on the contour's nodes per
     positive grid time; accurate while every gap times the last grid time is
@@ -190,6 +191,6 @@ def laplace_trajectory(m: SystemModel, rho0: np.ndarray, grid, nodes: int = 48):
     y0 = vec(np.asarray(rho0, dtype=complex))
     return np.array([
         unvec(y0 if t == 0 else
-              talbot_invert(lambda s: _resolvent_apply(m, s, y0), float(t), nodes), m.dim)
+              talbot_invert(lambda s: _resolvent_apply(m, s, y0), float(t)), m.dim)
         for t in grid
     ])

@@ -213,13 +213,12 @@ def reduced_model(c: CompositeModel) -> SystemModel:
     return SystemModel(h=c.h, couplings=[c.g * l for l in c.couplings], bath=_environment_bath(c))
 
 
-def convergence_errors(c: CompositeModel, rho0: np.ndarray, horizon: float, npoints: int = 21,
-                       couplings=(1.0, 0.5)):
+def convergence_errors(c: CompositeModel, rho0: np.ndarray, horizon: float, npoints: int = 21):
     """Max full-time trajectory error of the perturbative theory vs. exact
-    dynamics, at the model's coupling scaled by each factor in `couplings`."""
+    dynamics, at the model's coupling g and at g/2."""
     grid = np.linspace(0.0, horizon, npoints)
     errs = []
-    for fac in couplings:
+    for fac in (1.0, 0.5):
         cf = c.with_coupling(c.g * fac)
         exact = exact_reduced_trajectory(cf, rho0, grid)
         m = reduced_model(cf)

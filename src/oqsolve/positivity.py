@@ -35,38 +35,34 @@ __all__ = [
     "save_superop_samples",
 ]
 
+_MAGNUS_TOL = 1e-9  # the bound on Phi2's error, relative to max(1, max|Phi2|), that converges
+
 
 @dataclass(frozen=True)
 class AlgebraicGenerator:
-    """Phi2(t) and its Lindblad coefficient matrix Delta, with how the time
-    integral was obtained: the integrand evaluations (0 for a closed form),
-    the error bound relative to max(1, max|Phi2|), and whether that met the
-    tolerance."""
+    """Phi2(t) and its Lindblad coefficient matrix Delta, with the bound on
+    Phi2's error that the table's bound carries, relative to max(1, max|Phi2|),
+    and whether that met the tolerance."""
 
     t: float
     phi2: np.ndarray
     delta: np.ndarray
-    nodes: int = 0
     change: float = 0.0
     converged: bool = True
 
 
-def magnus_phi2(m: SystemModel, t: float, tol: float = 1e-9) -> AlgebraicGenerator:
+def magnus_phi2(m: SystemModel, t: float) -> AlgebraicGenerator:
     """Interaction-picture Magnus generator Phi2(t) = int_0^t L2_int(tau) dtau:
     the gap-pair contraction of the integrated table I[a, b](t) =
-    int_0^t A(tau; u_a) e^{i(u_a + u_b) tau} dtau from the bath."""
+    int_0^t A(tau; u_a) e^{i(u_a + u_b) tau} dtau, which every bath gives in
+    closed form with a bound on its round-off or truncation."""
     if t < 0:
         raise ValueError("magnus_phi2 requires t >= 0")
-    d = m.dim
-    if t == 0:
-        z = np.zeros((d * d, d * d), dtype=complex)
-        return AlgebraicGenerator(t=0.0, phi2=z, delta=z.copy())
-    table, err, nodes = m.bath.coefficient_integral(float(t), m.unique_gaps)
+    table, err = m.bath.coefficient_integral(float(t), m.unique_gaps)
     phi2 = _pair_superop(m, table)
-    # pair_error_gain builds the dense pair tensor: closed-form tables (err 0) skip it
     change = m.pair_error_gain * err / max(1.0, float(np.max(np.abs(phi2)))) if err else 0.0
     return AlgebraicGenerator(t=float(t), phi2=phi2, delta=_pair_dissipator(m, table),
-                              nodes=nodes, change=change, converged=change <= tol)
+                              change=change, converged=change <= _MAGNUS_TOL)
 
 
 def algebraic_propagator(m: SystemModel, gen: AlgebraicGenerator) -> np.ndarray:

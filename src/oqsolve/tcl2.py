@@ -30,6 +30,7 @@ import numpy as np
 
 from . import bath as bath_mod
 from .core import (
+    _GAP_TOL,
     SpectralBasis,
     anticommutator_superop,
     choi_rearrange,
@@ -61,7 +62,7 @@ __all__ = [
     "propagate",
 ]
 
-_GAP_TOL = 1e-9
+_HP_TOL = 1e-10  # the relative Hermiticity-preservation defect that pseudo_lindblad accepts
 
 
 @dataclass(eq=False)
@@ -136,18 +137,13 @@ class SystemModel:
         return commutator_superop(self.h)
 
     @cached_property
-    def _gap_couplings(self) -> np.ndarray:
-        """f[a, m, x, i] = L_m[x, i] where gap (x, i) is unique_gaps[a], else 0;
-        (n_gaps, n, d, d), energy basis."""
-        ng = self.unique_gaps.size
-        return (self.gap_index == np.arange(ng)[:, None, None])[:, None] * self.couplings_eb
-
-    @cached_property
     def generator_tensor(self) -> np.ndarray:
         """The fixed map from a coefficient stack a (n_gaps, n, n) to the terms
         B_n e_ij L_n - L_n B_n e_ij of the second-order generator, as
         (n_gaps n^2, d^4) in the energy basis; see _dissipative_superop_eb."""
-        d, f, l = self.dim, self._gap_couplings, self.couplings_eb
+        d, l = self.dim, self.couplings_eb
+        # f[a, m, x, i] = L_m[x, i] where gap (x, i) is unique_gaps[a], else 0
+        f = (self.gap_index == np.arange(self.unique_gaps.size)[:, None, None])[:, None] * l
         # B_n e_ij L_n, entry (x, y): a[g(x,i)]_nm L_m[x,i] L_n[j,y]; axes (g, n, m, x, y, i, j)
         c = f[:, None, :, :, None, :, None] * l.swapaxes(1, 2)[None, :, None, None, :, None, :]
         # -L_n B_n e_ij, entry (x, j): -sum_k L_n[x,k] a[g(k,i)]_nm L_m[k,i]
@@ -165,26 +161,15 @@ class SystemModel:
         return rows, cols, partners, g[np.ix_(rows, cols)]
 
     @cached_property
-    def pair_tensor(self) -> np.ndarray:
-        """The dense map from a gap-pair table X[a, b] (n_gaps, n_gaps, n, n) to
-        the terms B_n e_ij L_n - L_n B_n e_ij of _pair_superop, as
-        (n_gaps^2 n^2, d^4) in the input basis; only pair_error_gain reads it."""
-        d, f = self.dim, self._gap_couplings
-        # B_n e_ij L_n, entry (x, y): X[g(x,i), g(j,y)]_nm L_m[x,i] L_n[j,y]
-        c = np.einsum("amxi,bnjy->abnmxyij", f, f)
-        # -L_n B_n e_ij, entry (x, j): -sum_k L_n[x,k] X[g(k,i), g(x,k)]_nm L_m[k,i]
-        c -= np.einsum("amki,bnxk->abnmxi", f, f)[..., None, :, None] * np.eye(d)[:, None, :]
-        c = self.to_input @ c.reshape(-1, d * d, d * d) @ self.to_energy
-        return c.reshape(-1, d**4)
-
-    @cached_property
     def pair_error_gain(self) -> float:
-        """Bound on the entries of _pair_superop's error per unit error in
-        every table entry: the largest absolute column sum of pair_tensor plus
-        that of its conjugate partner."""
-        d = self.dim
-        col = np.abs(self.pair_tensor).sum(0).reshape(d, d, d, d)
-        return float(np.max(col + col.transpose(1, 0, 3, 2)))
+        """Bound on the entries of _pair_superop's error per unit error in every
+        table entry: the gathers of _pair_superop on |L_n| and a table of ones,
+        G[x,y,i,j] = a[x,i] a[j,y] + (a a)[x,i] delta_yj with a = sum_n |L_n|, plus
+        the partner G[y,x,j,i], carried to the input basis as |to_input| G |to_energy|."""
+        d, a = self.dim, np.abs(self.couplings_eb).sum(0)
+        g = np.einsum("xi,jy->xyij", a, a) + (a @ a)[:, None, :, None] * np.eye(d)[:, None, :]
+        g = (g + g.transpose(1, 0, 3, 2)).reshape(d * d, d * d)
+        return float(np.max(np.abs(self.to_input) @ g @ np.abs(self.to_energy)))
 
 
 def _coefficients(m: SystemModel, t) -> np.ndarray:
@@ -320,10 +305,10 @@ def canonical_coefficient_matrix(s: np.ndarray) -> np.ndarray:
     return p @ c @ p
 
 
-def pseudo_lindblad(s: np.ndarray, h: np.ndarray, tol: float = 1e-10) -> PseudoLindblad:
+def pseudo_lindblad(s: np.ndarray, h: np.ndarray) -> PseudoLindblad:
     """Unique pseudo-Lindblad split of a trace/Hermiticity-preserving generator."""
     defect = hermiticity_preservation_defect(s)
-    if defect > tol * max(1.0, float(np.max(np.abs(s)))):
+    if defect > _HP_TOL * max(1.0, float(np.max(np.abs(s)))):
         raise ValueError(
             f"generator is not Hermiticity-preserving (defect {defect:.3e})"
         )
@@ -361,9 +346,9 @@ def microscopic_pseudo_lindblad(m: SystemModel, t=None) -> PseudoLindblad:
 # RWA projection
 # ---------------------------------------------------------------------------
 
-def _rwa_mask(m: SystemModel, tol: float = _GAP_TOL) -> np.ndarray:
+def _rwa_mask(m: SystemModel) -> np.ndarray:
     gaps = m.basis.gaps.reshape(-1)
-    return np.abs(gaps[:, None] - gaps[None, :]) <= tol
+    return np.abs(gaps[:, None] - gaps[None, :]) <= _GAP_TOL
 
 
 def rwa_projection(m: SystemModel) -> np.ndarray:

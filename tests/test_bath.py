@@ -1,4 +1,5 @@
 import functools
+import itertools
 import os
 import tempfile
 
@@ -6,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oqsolve import bath
+from oqsolve import bath, oracle
 
 
 def thermal():
@@ -445,13 +446,81 @@ class TestThermalZeroTemperature:
         assert abs(a + np.conj(a)) / 2 < 1e-8
 
 
+def table_by_quadrature(b, t, w):
+    """The gap-pair table I[a, b] = int_0^t A(tau; w_a) e^{i(w_a + w_b) tau} dtau by adaptive
+    quadrature (scipy's quad_vec) of coefficient_full, to 1e-14 of the largest entry."""
+    from scipy import integrate
+
+    nu = w[:, None] + w
+
+    def integrand(tau):
+        return b.coefficient_full(tau, w)[:, None] * np.exp(1j * tau * nu)[..., None, None]
+
+    return integrate.quad_vec(integrand, 0.0, t, epsabs=0.0, epsrel=1e-14, norm="max")[0]
+
+
+@functools.lru_cache(maxsize=None)
+def t0_alpha_mp(tau):
+    """alpha(tau) of the T = 0 channel gamma0 0.1, Lam 5 at the working precision; cached,
+    since the quadratures of t0_table_ref share their nodes."""
+    return TestZeroTemperatureClosedForm.alpha_ref(tau, 0.1, 5.0)
+
+
+def t0_table_ref(t, w):
+    """I[a, b] = int_0^t alpha(s) e^{-i u_a s} (e^{i nu t} - e^{i nu s}) / (i nu) ds, nu = u_a + u_b
+    ((t - s) for the last factor at nu = 0), on the T = 0 channel gamma0 0.1, Lam 5 at 20
+    digits.  It is [e^{i nu t} A(t; u_a) - A(t; -u_b)] / (i nu), or t A(t; u_a) - int_0^t s
+    alpha(s) e^{-i u_a s} ds at nu = 0, from mpmath quadratures of alpha(s) e^{-iws} on one
+    set of points: log-spaced towards s = 0, and about two per period of the fastest gap."""
+    with mpmath.workdps(20):
+        tm = mpmath.mpf(t)
+        pts = [tm * mpmath.mpf(10) ** -k for k in range(6)]
+        pts = sorted(set(pts + list(mpmath.linspace(0, tm, int(t * np.max(np.abs(w)) / 3) + 2))))
+        moments = {}
+        for x in set(w.tolist()) | set((-w).tolist()):
+            f = lambda s: t0_alpha_mp(s) * mpmath.exp(-1j * mpmath.mpf(x) * s)
+            moments[x] = mpmath.quad(f, pts), mpmath.quad(lambda s: s * f(s), pts)
+        out = np.zeros((w.size, w.size), dtype=complex)
+        for (a, ua), (b, ub) in itertools.product(enumerate(w.tolist()), repeat=2):
+            nu = mpmath.mpf(ua) + mpmath.mpf(ub)
+            if nu == 0:
+                out[a, b] = complex(tm * moments[ua][0] - moments[ua][1])
+            else:
+                out[a, b] = complex((mpmath.exp(1j * nu * tm) * moments[ua][0]
+                                     - moments[-ub][0]) / (1j * nu))
+    return out
+
+
 class TestZeroTemperatureClosedForm:
     """The T = 0 log/E1/Ei closed forms against mpmath quadrature of the
     defining integrals: A(t; w) = int_0^t alpha(tau) e^{-iw tau} dtau with the
-    E1/Ei form of alpha(tau), and alpha^(s) = (1/2pi) int_0^inf 2u gamma~(u) /
-    (s + iu) du."""
+    E1/Ei form of alpha(tau), alpha^(s) = (1/2pi) int_0^inf 2u gamma~(u) /
+    (s + iu) du, and the gap-pair table (t0_table_ref)."""
 
     G0, LAM = 0.1, 5.0
+    # a 7-gap set; {-1, 0, 1} is its entries 1, 3, 5
+    GAPS = np.array([-2.3, -1.0, -0.4, 0.0, 0.4, 1.0, 2.3])
+
+    @pytest.mark.parametrize("t", [1e-5, 1e-3, 1e-2, 1.0, 5.0, 20.0])
+    def test_gap_pair_table_against_mpmath(self, t):
+        b = bath.ThermalLorentz(gamma0=self.G0, cutoff=self.LAM, temperature=0.0)
+        ref = t0_table_ref(t, self.GAPS)
+        for w, want in ((self.GAPS, ref), (self.GAPS[1::2][:3], ref[1:6:2, 1:6:2])):
+            got, err = b.coefficient_integral(t, w)
+            diff = np.max(np.abs(got[..., 0, 0] - want))
+            # below t = 1e-2 the table is O(t) with O(1) terms cancelling in it
+            assert diff <= (1e-12 * np.max(np.abs(want)) if t >= 1e-2 else 1e-15), (w.size, diff)
+            assert diff <= err + 4 * np.finfo(float).eps * np.max(np.abs(want)), (w.size, err)
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-8])
+    def test_near_resonant_table_bounds_its_round_off(self, delta):
+        # nu = -delta for the pair (-(1 + delta), 1): J1's quotient loses digits as 1/delta
+        b = bath.ThermalLorentz(gamma0=self.G0, cutoff=self.LAM, temperature=0.0)
+        w = np.array([-(1 + delta), 0.0, 1.0])
+        for t in (1.0, 5.0):
+            got, err = b.coefficient_integral(t, w)
+            diff = np.max(np.abs(got[..., 0, 0] - t0_table_ref(t, w)))
+            assert 0 < diff <= err < 1e-7, (t, diff, err)
 
     @staticmethod
     def alpha_ref(tau, g0, lam):
@@ -566,19 +635,32 @@ class TestCoefficientIntegral:
         one = bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=0.25)
         two = bath.ThermalLorentz(gamma0=[0.1, 0.2], cutoff=[5.0, 2.0],
                                   temperature=[0.25, 1.0], n_channels=2)
-        tab, err, nodes = one.coefficient_integral(t, self.W)
-        assert tab.shape == (3, 3, 1, 1) and nodes == 0
+        tab, err = one.coefficient_integral(t, self.W)
+        assert tab.shape == (3, 3, 1, 1)
         assert err <= 1e-15 * np.min(np.abs(tab))
         for a, b in self.ENTRIES:
             ref = thermal_table_entry_ref(0.1, 5.0, 0.25, t, self.W[a], self.W[b])
             assert abs(tab[a, b, 0, 0] - ref) <= 1e-12 * abs(ref), (a, b)
-        tab2, _, nodes = two.coefficient_integral(t, self.W)
-        assert tab2.shape == (3, 3, 2, 2) and nodes == 0
+        tab2, _ = two.coefficient_integral(t, self.W)
+        assert tab2.shape == (3, 3, 2, 2)
         assert np.array_equal(tab2[..., 0, 0], tab[..., 0, 0])
         assert not np.any(tab2[..., 0, 1]) and not np.any(tab2[..., 1, 0])
         for a, b in self.ENTRIES[:2]:
             ref = thermal_table_entry_ref(0.2, 2.0, 1.0, t, self.W[a], self.W[b])
             assert abs(tab2[a, b, 1, 1] - ref) <= 1e-12 * abs(ref), (a, b)
+
+    @pytest.mark.parametrize("t", [0.5, 2.0, 6.0])
+    def test_undamped_and_white_noise_against_quadrature(self, t):
+        # the oracle's baths have about 200 undamped terms, one of them with z_k + i w_a = 0
+        models = [oracle.reduced_model(oracle.random_composite(seed)) for seed in range(3)]
+        cases = [(m.bath, m.unique_gaps) for m in models] + [
+            (bath.ExponentialOU(c=[[[0.05]], [[0.05]]], lam=[1.3j, -1.3j]), self.W),
+            (bath.WhiteNoise(c=[[0.6, 0.1], [0.1, 0.3]]), self.W)]
+        for b, w in cases:
+            got, err = b.coefficient_integral(t, w)
+            want = table_by_quadrature(b, t, w)
+            assert got.shape == want.shape and err == 0.0
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_zero_time_and_negative_time(self):
         for b in (thermal(), thermal_t0(), bath.ExponentialOU(c=[[0.3]], lam=1.2),
@@ -651,9 +733,9 @@ class TestExponentialSum:
         b, _ = self.make()
         w = np.array([-1.1, 0.0, 0.8])
         for t in (0.4, 3.0):
-            got, err, nodes = b.coefficient_integral(t, w)
-            want, _, quad_nodes = bath.BathModel._coefficient_integral(b, t, w)
-            assert got.shape == (3, 3, 2, 2) and err == 0.0 and nodes == 0 < quad_nodes
+            got, err = b.coefficient_integral(t, w)
+            want = table_by_quadrature(b, t, w)
+            assert got.shape == (3, 3, 2, 2) and err == 0.0
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want)), t
 
     def test_alpha_and_spectrum(self):
@@ -792,8 +874,8 @@ class TestTabulatedFit:
         for name, args in (("alpha_time", (times,)), ("laplace", (s,)), ("alpha_spectrum", (w,)),
                            ("coefficient_full", (times, w))):
             self.close(getattr(b, name)(*args), getattr(ref, name)(*args))
-        got, err, nodes = b.coefficient_integral(3.0, np.array([-1.0, 0.0, 1.0]))
-        assert err == 0.0 and nodes == 0
+        got, err = b.coefficient_integral(3.0, np.array([-1.0, 0.0, 1.0]))
+        assert err == 0.0
         self.close(got, ref.coefficient_integral(3.0, np.array([-1.0, 0.0, 1.0]))[0])
 
     def test_spectrum_of_non_hermitian_weights(self):

@@ -70,3 +70,20 @@ def test_deferred_paths_in_a_fresh_interpreter():
     )
     assert finite == {k: True for k in ("stationary", "full-time", "magnus", "t0-table",
                                         "tabulated-full", "tabulated-laplace")}
+
+
+def test_magnus_tables_load_no_quadrature_in_a_fresh_interpreter():
+    # every bath's gap-pair table is a closed form: neither the T = 0 channel nor
+    # undamped exponential sums reach for scipy.integrate
+    loaded = _fresh(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from oqsolve import bath, positivity, tcl2\n"
+        "sx, sz = np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0])\n"
+        "for b in (bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=0.0),\n"
+        "          bath.ExponentialOU(c=[[[0.05]], [[0.05]]], lam=[1.3j, -1.3j])):\n"
+        "    m = tcl2.SystemModel(h=0.5 * sz, couplings=[sx], bath=b)\n"
+        "    assert np.all(np.isfinite(positivity.magnus_propagator(m, 1.0)))\n"
+        "print(json.dumps('scipy.integrate' in sys.modules))\n"
+    )
+    assert loaded is False

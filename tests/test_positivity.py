@@ -29,7 +29,7 @@ def tabulated_model():
 
 
 def undamped_ou_model():
-    # 0.1 cos(1.3 t): undamped terms, whose table is integrated by quadrature
+    # 0.1 cos(1.3 t): undamped terms
     b = bath.ExponentialOU(c=[[[0.05]], [[0.05]]], lam=[1.3j, -1.3j])
     return tcl2.SystemModel(h=0.5 * SZ, couplings=[SX], bath=b)
 
@@ -54,15 +54,16 @@ class TestMagnusGenerator:
         assert np.max(np.abs(gen.phi2)) == 0.0
 
     def test_reports_quadrature_outcome(self):
-        # T > 0 thermal and OU tables are closed forms (no integrand
-        # evaluations); T = 0 goes through adaptive quadrature and converges
+        # every table is a closed form; the T > 0 truncation bound and the T = 0 round-off
+        # bound of 1/nu quotients, where they exceed the table's round-off, carry to Phi2
         gen = positivity.magnus_phi2(qubit_model(), 1.0)
-        assert gen.nodes == 0 and gen.converged and gen.change < 1e-15
+        assert gen.converged and gen.change < 1e-15
         ou = tcl2.SystemModel(h=0.5 * SZ, couplings=[SX], bath=bath.ExponentialOU(c=[[0.08]], lam=1.1))
         gen = positivity.magnus_phi2(ou, 1.0)
-        assert gen.converged and gen.nodes == 0 and gen.change == 0.0
-        gen = positivity.magnus_phi2(t0_model(), 1.0)
-        assert gen.converged and gen.nodes > 0 and gen.change < 1e-9
+        assert gen.converged and gen.change == 0.0
+        for t in (1e-5, 1.0):
+            gen = positivity.magnus_phi2(t0_model(), t)
+            assert gen.converged and gen.change < 1e-15
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -144,19 +145,36 @@ class TestMagnusClosedForm:
             assert np.max(np.abs(gen.delta - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_closed_form_tables_skip_the_dense_pair_tensor(self):
-        # a closed-form table has no error bound, so its error gain is never read
+        # a table with no error bound never reads the error gain
         m = correlated_ou_model()
         positivity.magnus_phi2(m, 2.5)
         positivity.interaction_dissipator_samples(m, np.linspace(0.0, 2.5, 6))
-        assert "pair_tensor" not in vars(m)
-        # a T > 0 bound within the table's round-off (from t = 1e-3) counts as 0, and a
-        # damped tabulated fit is an exact closed form
-        for model in (qubit_model, tabulated_model):
+        assert "pair_error_gain" not in vars(m)
+        # a bound within the table's round-off counts as 0: T > 0 from t = 1e-3, T = 0 on
+        # the qubit's gaps at t = 3; a damped tabulated fit is an exact closed form
+        for model, t in ((qubit_model, 1.0), (tabulated_model, 1.0), (t0_model, 3.0)):
             m = model()
-            gen = positivity.magnus_phi2(m, 1.0)
-            assert gen.nodes == 0 and gen.change == 0 and "pair_tensor" not in vars(m)
+            gen = positivity.magnus_phi2(m, t)
+            assert gen.change == 0 and "pair_error_gain" not in vars(m)
         m = t0_model()
-        assert positivity.magnus_phi2(m, 1.0).change > 0 and "pair_tensor" in vars(m)
+        assert positivity.magnus_phi2(m, 1e-3).change > 0 and "pair_error_gain" in vars(m)
+
+    def test_rotated_equally_spaced_t0_qutrit_takes_the_zero_limit(self):
+        # the gap representatives of U diag(0, 1, 2) U^dag are not exactly antisymmetric:
+        # two sum to 4.4e-16, where the plain 1/nu quotient of a T = 0 table is wrong by
+        # percents; the table is the one at the exact gaps -2 .. 2
+        rng = np.random.default_rng(1)
+        u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        l = core.herm_part(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        m = tcl2.SystemModel(h=u @ np.diag([0.0, 1.0, 2.0]) @ core.dag(u), couplings=[l],
+                             bath=t0_model().bath)
+        w = m.unique_gaps
+        assert np.max(np.abs(w + w[::-1])) > 0 and np.max(np.abs(w - np.arange(-2, 3))) < 1e-14
+        for t in (0.5, 3.0):
+            got, want = (m.bath.coefficient_integral(t, x)[0] for x in (w, np.arange(-2.0, 3.0)))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), t
+            gen = positivity.magnus_phi2(m, t)
+            assert gen.converged and np.linalg.eigvalsh(gen.delta)[0] > -1e-12
 
     def test_tabulated_table_matches_double_time_route(self):
         m = tabulated_model()
@@ -217,7 +235,7 @@ class TestDoubleTimeRoute:
         m = model()
         for t in (0.8, 1.5):
             gen = positivity.magnus_phi2(m, t)
-            assert gen.converged and gen.nodes > 0
+            assert gen.converged
             d2 = positivity.delta_double_time(m, t, nodes=48)
             assert np.max(np.abs(d2 - gen.delta)) < 1e-8 * max(1.0, np.max(np.abs(gen.delta)))
 
