@@ -530,9 +530,9 @@ class _ThermalChannel(_LorentzChannel):
     def spectrum(self, w: np.ndarray) -> np.ndarray:
         T = self.temperature
         gt = self.gamma_tilde(w)
-        # w (coth(w/2T) - 1) = 2w / (e^{w/T} - 1), stable for w >> T; near w = 0,
-        # w coth(w/2T) = 2T + w^2/(6T) + O(w^4)
-        with np.errstate(invalid="ignore"):
+        # w (coth(w/2T) - 1) = 2w / (e^{w/T} - 1), stable for w >> T, where e^{w/T}
+        # overflows to inf and the quotient to 0; near w = 0, w coth(w/2T) = 2T + w^2/(6T) + O(w^4)
+        with np.errstate(invalid="ignore", over="ignore"):
             far = gt * 2.0 * w / np.expm1(w / T)
         return np.where(np.abs(w) < 1e-6 * T, gt * (2 * T + w * w / (6 * T) - w), far)
 
@@ -853,30 +853,27 @@ def kernels(b: BathModel, wgrid) -> KernelTriple:
 
 
 def kms_residual(b: BathModel, wgrid) -> float:
-    """Max residual of alpha~(+w) = e^{-w/T} conj(alpha~(-w)) over the grid,
-    relative to the largest |alpha~(w)|.
+    """Max residual of alpha~(+w) = e^{-x} conj(alpha~(-w)), x = w/T (x = 0 at
+    w = 0), over the grid, relative to the largest |alpha~(w)|.  Where x > 700
+    (every w > 0 at T = 0) alpha~(w) is compared with 0, where x < -700 the
+    Boltzmann factor overflows and the frequency is skipped.
 
     A thermal bath is channel-diagonal, and each diagonal entry is checked at
-    its own channel's temperature; at T = 0 the detailed-balance factor
-    degenerates and the zero-temperature spectrum rule is checked instead.
-    Thermal models pass within roundoff; other variants get an informative
-    (generally nonzero) number from the whole matrix at T = 1.
+    its own channel's temperature.  Thermal models pass within roundoff; other
+    variants get an informative (generally nonzero) number from the whole
+    matrix at T = 1.
     """
     wgrid = np.atleast_1d(np.asarray(wgrid, dtype=float))
     ap = b.alpha_spectrum(wgrid).reshape(wgrid.size, -1)
     am = np.conj(b.alpha_spectrum(-wgrid)).reshape(wgrid.size, -1)
-    if b.is_thermal():
-        n = b.channels
-        entries = [([i * (n + 1)], T, ch) for i, (T, ch) in enumerate(zip(b.temperature, b._impl))]
-    else:
-        entries = [(np.s_[:], 1.0, None)]
+    entries = ([([i * (b.channels + 1)], T) for i, T in enumerate(b.temperature)]
+               if b.is_thermal() else [(np.s_[:], 1.0)])
     res = 0.0
-    for cols, T, ch in entries:
-        if T == 0:
-            want = np.where(wgrid >= 0, 0.0, 2 * np.abs(wgrid) * ch.gamma_tilde(wgrid))[:, None]
-        else:  # frequencies past w/T = 700, where the Boltzmann factor underflows, pass
-            want = np.where((wgrid / T <= 700)[:, None], am[:, cols] * np.exp(-wgrid / T)[:, None],
-                            ap[:, cols])
+    for cols, T in entries:
+        with np.errstate(divide="ignore", invalid="ignore"):  # T = 0: x = +-inf
+            x = np.where(wgrid == 0, 0.0, wgrid / T)[:, None]
+        want = np.select([x > 700, x < -700], [0.0, ap[:, cols]],
+                         am[:, cols] * np.exp(-np.clip(x, -700, 700)))
         res = max(res, float(np.max(np.abs(ap[:, cols] - want))))
     return res / max(float(np.max(np.abs(ap))), 1e-300)
 

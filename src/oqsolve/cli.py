@@ -75,6 +75,16 @@ def _build_bath(node, model_dir, n_channels):
     raise ValidationError(f"bath: unknown variant {variant!r}")
 
 
+def _section(node, key, name, kind=dict):
+    """node[key], empty when it is absent; ValidationError naming the section
+    when it is not a JSON object (kind=list: an array)."""
+    value = node.get(key, kind())
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be a JSON {'object' if kind is dict else 'array'}, "
+                              f"got {type(value).__name__}")
+    return value
+
+
 def load_model(path):
     try:
         with open(path) as fh:
@@ -83,7 +93,10 @@ def load_model(path):
         raise ValidationError(f"cannot read model file: {exc}")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"model file is not valid JSON (line {exc.lineno}): {exc.msg}")
-    if "compose" in doc or "compose" in doc.get("run", {}):
+    if not isinstance(doc, dict):
+        raise ValidationError(f"model file must hold a JSON object, got {type(doc).__name__}")
+    run = _section(doc, "run", "run")
+    if "compose" in doc or "compose" in run:
         raise ValidationError(
             "refusing to compose Liouvillians from separate models: summing "
             "generators derived for different environments is not a valid "
@@ -92,9 +105,9 @@ def load_model(path):
         )
     if "system" not in doc or "bath" not in doc:
         raise ValidationError("model file must contain 'system' and 'bath' sections")
-    sysnode = doc["system"]
+    sysnode = _section(doc, "system", "system")
+    couplings_node = _section(sysnode, "couplings", "system.couplings", list)
     model_dir = os.path.dirname(os.path.abspath(path))
-    run = doc.get("run", {})
     if "superop_csv" in run:
         # resolved like bath.path; read by cp-audit
         run["superop_csv"] = os.path.join(model_dir, str(run["superop_csv"]))
@@ -104,7 +117,7 @@ def load_model(path):
             name="system.hamiltonian",
         )
         couplings = []
-        for k, lnode in enumerate(sysnode.get("couplings", [])):
+        for k, lnode in enumerate(couplings_node):
             name = f"system.couplings[{k}]"
             couplings.append(require_hermitian(_parse_complex_matrix(lnode, name), name=name))
         bath = _build_bath(doc["bath"], model_dir, len(couplings))
@@ -373,7 +386,7 @@ def cmd_nonlocal(model, run, args):
     }
     rho0 = _parse_state(run.get("rho0"), model.dim)
     try:
-        rho_inf = memkernel.asymptotic_state(model, rho0)
+        rho_inf = memkernel.asymptotic_state(model)
         report["asymptotic_state"] = _cmat(rho_inf)
     except ValueError as exc:
         report["asymptotic_state_error"] = str(exc)
@@ -391,7 +404,7 @@ def cmd_nonlocal(model, run, args):
 
 
 def cmd_qrt(model, run, args):
-    qrun = run.get("qrt", {})
+    qrun = _section(run, "qrt", "run.qrt")
     for key in ("x1", "x2"):
         if key not in qrun:
             raise ValidationError(f"run.qrt.{key} is required")
@@ -421,7 +434,7 @@ def cmd_qrt(model, run, args):
 
 
 def cmd_oracle_compare(model, run, args):
-    orun = run.get("oracle", {})
+    orun = _section(run, "oracle", "run.oracle")
     node, name = (orun, "run.oracle.seed") if args.seed is None else ({"seed": args.seed}, "--seed")
     seed = _run_value(node, "seed", name, 0, integer=True, above=-1)
     g = _run_value(orun, "g", "run.oracle.g", 0.1, above=0)

@@ -44,6 +44,13 @@ __all__ = [
 _GAP_TOL = 1e-9
 
 
+def _null_vectors(a: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the null space of the square matrix a: the
+    conj(vh) rows of its SVD at singular values at most 1e-10 times the largest."""
+    _, svals, vh = np.linalg.svd(a)
+    return np.conj(vh[svals <= 1e-10 * max(svals[0], 1e-300)])
+
+
 def vec(x: np.ndarray) -> np.ndarray:
     """Row-major vectorization of a d x d operator."""
     return np.asarray(x).reshape(-1)

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import dag, unvec, vec
-from .spectral import _pauli
+from .core import _null_vectors, herm_part, unvec, vec
 from .tcl2 import SystemModel
 
 __all__ = [
@@ -34,8 +33,8 @@ __all__ = [
 ]
 
 # largest omega t, over the system's gaps omega, that talbot_invert resolves, and its contour
-# nodes (see there); the relative agreement asked of asymptotic_state's two extrapolants
-TALBOT_MAX_GAP_TIME, _TALBOT_NODES, _EXTRAPOLATION_TOL = 20.0, 48, 1e-6
+# nodes (see there)
+TALBOT_MAX_GAP_TIME, _TALBOT_NODES = 20.0, 48
 
 
 def _laplace_pair(m: SystemModel, s: np.ndarray):
@@ -125,36 +124,17 @@ def nonlocal_poles(m: SystemModel) -> dict:
     return {(i, j): complex(k[i * d + j, i * d + j]) for i in range(d) for j in range(d)}
 
 
-def asymptotic_state(m: SystemModel, rho0: np.ndarray) -> np.ndarray:
-    """Final-value limit lim_{s->0} s [s - K2(s)]^{-1} vec(rho0).
-
-    Evaluated at three small real s values (scaled by the slowest dissipative
-    rate) with Richardson extrapolation in s; raises if the stationary state is
-    not unique or the extrapolants do not agree.
-    """
-    ps = _pauli(m)
-    if ps.multiple_stationary:
-        raise ValueError(
-            "no unique asymptotic state: the Pauli sector has a degenerate "
-            "null space (e.g. vanishing coupling)"
-        )
-    rates = np.abs(np.real(ps.eigenvalues))
-    rates = rates[rates > 1e-12 * max(1.0, rates.max(initial=0.0))]
-    if rates.size == 0:
-        raise ValueError("no unique asymptotic state: all Pauli rates vanish")
-    scale = float(rates.min())
-    svals = np.array([1e-3, 1e-4, 1e-5]) * scale
-    xs = svals[:, None] * _resolvent_apply(m, svals, vec(rho0))
-    # x(s) = x0 + c s + O(s^2): eliminate the linear term pairwise
-    extr01 = (svals[0] * xs[1] - svals[1] * xs[0]) / (svals[0] - svals[1])
-    extr12 = (svals[1] * xs[2] - svals[2] * xs[1]) / (svals[1] - svals[2])
-    if np.max(np.abs(extr01 - extr12)) > _EXTRAPOLATION_TOL * max(1.0, float(np.max(np.abs(extr12)))):
-        raise ValueError(
-            f"final-value extrapolation did not converge "
-            f"(disagreement {np.max(np.abs(extr01 - extr12)):.3e})"
-        )
-    rho = unvec(extr12, m.dim)
-    return 0.5 * (rho + dag(rho))
+def asymptotic_state(m: SystemModel) -> np.ndarray:
+    """Final-value limit lim_{s->0} s [s - K2(s)]^{-1} vec(rho0), the same for
+    every trace-1 rho0: each column of K2(s) is traceless, so the limit is the
+    null vector of K2(0) (core._null_vectors), made Hermitian at trace 1.
+    Raises unless that null space is one-dimensional."""
+    nulls = _null_vectors(kernel_K2(m, 0.0))
+    if len(nulls) != 1:
+        raise ValueError(f"no unique asymptotic state: K2(0) has a "
+                         f"{len(nulls)}-dimensional null space")
+    rho = unvec(nulls[0], m.dim)
+    return herm_part(rho / np.trace(rho))
 
 
 def talbot_invert(fhat, t: float) -> np.ndarray:

@@ -158,9 +158,12 @@ def save_superop_samples(path, tgrid, superops) -> None:
 
 def load_superop_samples(path):
     """Inverse of save_superop_samples; returns (tgrid, (k, d^2, d^2) stack).
-    Columns are matched by name; the dimension must be a perfect square."""
+    Columns are matched by name; the dimension must be a perfect square, and
+    the grid at least two finite, strictly increasing times."""
     tgrid, mats = read_matrix_csv(path, "")
     dim2 = mats.shape[-1]
     if int(round(np.sqrt(dim2))) ** 2 != dim2:
         raise ValueError(f"superoperator CSV: dimension {dim2} is not a perfect square")
+    if tgrid.size < 2 or not (np.isfinite(tgrid).all() and (np.diff(tgrid) > 0).all()):
+        raise ValueError("superoperator CSV: t must be two or more finite, strictly increasing times")
     return tgrid, mats

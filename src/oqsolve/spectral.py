@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import unvec, vec
+from .core import _null_vectors, unvec, vec
 from .tcl2 import SystemModel, _dissipative_superop_eb
 
 __all__ = [
@@ -77,19 +77,15 @@ def _pair_groups(m: SystemModel):
 
 def pauli_system(m: SystemModel) -> PauliSystem:
     """Characteristic matrix W_ij = sum_nm L_m[i,j] 2He[A_nm(w_ij)] conj(L_n[i,j])
-    for i != j, diagonals minus the column sums; stationary vector from the
-    SVD null space."""
+    for i != j, diagonals minus the column sums; stationary vectors from its
+    null space (core._null_vectors)."""
     a = m.bath.coefficient_stationary(m.unique_gaps)
     he2 = (a + np.conj(a).transpose(0, 2, 1))[m.gap_index]  # 2 He[A](w_ij), (d, d, n, n)
     x = m.couplings_eb
     w = np.real(np.einsum("nij,ijnm,mij->ij", np.conj(x), he2, x))
     np.fill_diagonal(w, 0.0)
     np.fill_diagonal(w, -w.sum(axis=0))
-    _, svals, vt = np.linalg.svd(w)
-    wnorm = float(svals[0]) if svals.size else 0.0
-    null_mask = svals <= 1e-10 * max(wnorm, 1e-300)
-    nulls = vt[null_mask] if null_mask.any() else vt[-1:]
-    probs = [p / p.sum() for p in np.real(nulls)]
+    probs = [p / p.sum() for p in np.real(_null_vectors(w))]
     ps = PauliSystem(
         W=w,
         stationary=probs[0],

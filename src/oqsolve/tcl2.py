@@ -73,7 +73,7 @@ class SystemModel:
     couplings: list
     bath: bath_mod.BathModel
     # the last spectral.pauli_system of this model, reused by the routes that
-    # need it again (detailed balance, the asymptotic state)
+    # need it again (the spectrum's Pauli sector, detailed balance)
     _pauli_system: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):

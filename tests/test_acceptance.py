@@ -183,7 +183,7 @@ def test_criterion_09_nonlocal_poles_and_asymptotics():
     # sector-decoupled model: the kernel's final value must agree with the
     # time-local stationary state
     m = _qubit_relaxation()
-    rho_inf = memkernel.asymptotic_state(m, np.diag([1.0, 0.0]).astype(complex))
+    rho_inf = memkernel.asymptotic_state(m)
     s = tcl2.build_L2(m, None)
     evals, vecs = np.linalg.eig(s)
     st = core.unvec(vecs[:, np.argmin(np.abs(evals))], 2)

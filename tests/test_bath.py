@@ -2,6 +2,7 @@ import functools
 import itertools
 import os
 import tempfile
+import warnings
 
 import mpmath
 import numpy as np
@@ -960,6 +961,23 @@ class TestKernels:
         # each channel is held to its own temperature and its own rule
         b = bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=temperature, n_channels=2)
         assert bath.kms_residual(b, np.linspace(-5, 5, 21)) <= 1e-12
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.005, 0.25])
+    def test_kms_residual_one_rule_for_every_temperature(self, temperature):
+        # at T = 0.005 the grid reaches w/T = +-1000: alpha~ is held to 0 past +700, and
+        # past -700, where the Boltzmann factor overflows, the frequency is skipped
+        b = bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=temperature)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bath.kms_residual(b, np.linspace(-5, 5, 21)) <= 1e-12
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.005])
+    def test_kms_residual_holds_suppressed_absorption_to_zero(self, temperature, monkeypatch):
+        b = bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=temperature)
+        spectrum = bath.ThermalLorentz.alpha_spectrum
+        monkeypatch.setattr(bath.ThermalLorentz, "alpha_spectrum", lambda self, w: (
+            spectrum(self, w) + 1e-3 * (np.asarray(w) >= 4)[:, None, None]))
+        assert bath.kms_residual(b, np.linspace(-5, 5, 21)) > 1e-4
 
     def test_kms_residual_detects_violation(self):
         b = bath.ExponentialOU(c=[[0.3]], lam=1.2)  # classical: symmetric spectrum

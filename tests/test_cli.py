@@ -289,6 +289,18 @@ class TestReports:
         assert cli.main(["cp-audit", "--model", model]) == 0
         assert json.loads(capsys.readouterr().out)["weak_test_min_eigenvalue"] == 0.0
 
+    @pytest.mark.parametrize("times", [[0.0], [2.0, 1.0, 0.0]], ids=["one-row", "decreasing"])
+    def test_cp_audit_rejects_malformed_sample_grid(self, tmp_path, capsys, times):
+        # one row would integrate to nothing (min eigenvalue inf); a decreasing t negates every
+        # running integral, so a negative-definite sample set would pass
+        from oqsolve import positivity
+
+        samples = -np.eye(4) * np.ones((len(times), 1, 1))
+        positivity.save_superop_samples(tmp_path / "samples.csv", times, samples)
+        model = write_model(tmp_path, qubit_doc(superop_csv="samples.csv"))
+        assert cli.main(["cp-audit", "--model", model]) == cli.EXIT_VALIDATION
+        assert "run.superop_csv" in capsys.readouterr().err
+
     def test_cp_audit_missing_superop_csv(self, tmp_path, capsys):
         model = write_model(tmp_path, qubit_doc(superop_csv="nope.csv"))
         assert cli.main(["cp-audit", "--model", model]) == cli.EXIT_VALIDATION
@@ -429,6 +441,20 @@ class TestValidation:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert cli.main(["simulate", "--model", str(path)]) == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("edit, section", [
+        (lambda doc: [doc], "model file"),
+        (lambda doc: {**doc, "run": 5}, "run"),
+        (lambda doc: {**doc, "system": [1]}, "system"),
+        (lambda doc: {**doc, "system": {**doc["system"], "couplings": 7}}, "system.couplings"),
+        (lambda doc: {**doc, "run": {"qrt": [1, 2]}}, "run.qrt"),
+        (lambda doc: {**doc, "run": {"oracle": 3}}, "run.oracle"),
+    ], ids=["top-level-array", "run", "system", "couplings", "qrt", "oracle"])
+    def test_non_object_section_exits_validation(self, tmp_path, capsys, edit, section):
+        model = write_model(tmp_path, edit(qubit_doc()))
+        command = {"run.qrt": "qrt", "run.oracle": "oracle-compare"}.get(section, "simulate")
+        assert cli.main([command, "--model", model]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {section} must ")
 
     def test_non_hermitian_reports_residual(self, tmp_path, capsys):
         doc = qubit_doc()

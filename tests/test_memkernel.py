@@ -8,8 +8,8 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.diag([1.0, -1.0])
 
 
-def qubit_model(gamma0=0.1):
-    b = bath.ThermalLorentz(gamma0=gamma0, cutoff=5.0, temperature=0.25)
+def qubit_model(gamma0=0.1, temperature=0.25):
+    b = bath.ThermalLorentz(gamma0=gamma0, cutoff=5.0, temperature=temperature)
     return tcl2.SystemModel(h=0.5 * SZ, couplings=[SX], bath=b)
 
 
@@ -166,7 +166,7 @@ class TestResolvent:
         assert abs(np.sum(x[[0, 3]]) - 1.0) < 1e-10
 
     def test_solve_matches_resolvent(self):
-        # laplace_trajectory and asymptotic_state solve s - K2(s) against one vector
+        # laplace_trajectory solves s - K2(s) against one vector
         m = three_level_model()
         y = core.vec(np.diag([0.5, 0.3, 0.2]) + 0.1 * np.eye(3, k=1) + 0.1 * np.eye(3, k=-1))
         s = np.array([0.3 + 0.2j, 1e-3, 2.0 - 1.5j])
@@ -177,8 +177,7 @@ class TestResolvent:
 
     def test_asymptotic_state_near_gibbs(self):
         m = qubit_model(gamma0=0.05)
-        rho0 = np.diag([1.0, 0.0]).astype(complex)
-        rho_inf = memkernel.asymptotic_state(m, rho0)
+        rho_inf = memkernel.asymptotic_state(m)
         gibbs = expm(-m.h / 0.25)
         gibbs /= np.trace(gibbs)
         assert abs(np.trace(rho_inf) - 1.0) < 1e-8
@@ -191,7 +190,56 @@ class TestResolvent:
             bath=bath.ThermalLorentz(gamma0=0.05, cutoff=4.0, temperature=0.4),
         )
         with pytest.raises(ValueError, match="asymptotic state"):
-            memkernel.asymptotic_state(m, np.diag([1.0, 0.0]).astype(complex))
+            memkernel.asymptotic_state(m)
+
+
+def dark_state_model():
+    # H = diag(0, 1, 1), L = |0><1| + |0><2| + h.c.: (|1> - |2>)/sqrt(2) never decays; the
+    # Pauli sector alone sees one stationary state, as the coherence between levels 1 and 2
+    # holds the second
+    l = np.zeros((3, 3))
+    l[0, 1:] = 1.0
+    return tcl2.SystemModel(h=np.diag([0.0, 1.0, 1.0]), couplings=[l + l.T],
+                            bath=bath.ThermalLorentz(gamma0=0.05, cutoff=4.0, temperature=0.4))
+
+
+UNIQUE_STATE_MODELS = {
+    **{f"t0-seed{seed}": (lambda seed=seed: three_level_model(seed, 0.0)) for seed in range(12)},
+    **STACK_MODELS,
+    **{f"qubit-T{t}": (lambda t=t: qubit_model(temperature=t)) for t in (0.25, 0.05, 0.0)},
+}
+
+
+class TestAsymptoticState:
+    @pytest.mark.parametrize("name", UNIQUE_STATE_MODELS)
+    def test_null_vector_of_the_zero_frequency_kernel(self, name):
+        m = UNIQUE_STATE_MODELS[name]()
+        rho = memkernel.asymptotic_state(m)
+        k, y = memkernel.kernel_K2(m, 0.0), core.vec(rho)
+        assert np.linalg.norm(k @ y) <= 1e-13 * np.linalg.norm(k, 2) * np.linalg.norm(y)
+        assert abs(np.trace(rho) - 1.0) <= 1e-14
+        assert np.array_equal(rho, core.dag(rho))
+
+    @pytest.mark.parametrize("m", [qubit_model(), three_level_model(2, 0.0)],
+                             ids=["qubit", "t0-seed2"])
+    def test_is_the_final_value_of_the_resolvent(self, m):
+        # s [s - K2(s)]^{-1} vec(rho0) approaches the null vector linearly in s
+        rho0 = core.vec(pure_state(np.arange(1.0, m.dim + 1)))
+        s = 1e-9
+        got = core.unvec(s * memkernel._resolvent_apply(m, s, rho0), m.dim)
+        assert np.max(np.abs(got - memkernel.asymptotic_state(m))) < 1e-6
+
+    @pytest.mark.parametrize("make", [
+        dark_state_model,
+        lambda: tcl2.SystemModel(h=np.diag([0.0, 1.0]), couplings=[SZ],
+                                 bath=bath.ThermalLorentz(gamma0=0.05, cutoff=4.0,
+                                                          temperature=0.4)),
+    ], ids=["dark-state", "dephasing"])
+    def test_rejects_a_degenerate_null_space(self, make):
+        m = make()
+        with pytest.raises(ValueError, match="no unique asymptotic state: K2[(]0[)] has a "
+                                             "2-dimensional null space"):
+            memkernel.asymptotic_state(m)
 
 
 class TestTalbot:
