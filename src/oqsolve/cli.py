@@ -344,9 +344,7 @@ def cmd_cp_audit(model, run, args):
         for g in gens
     ]
     dense = np.linspace(0.0, float(tgrid[-1]), weak_points)
-    weak = positivity.weak_cp_test(
-        positivity.interaction_dissipator_samples(model, dense), dense
-    )
+    weak = positivity.weak_test_min_eigenvalue(model, dense)
     report = {
         "command": "cp-audit",
         "tolerance": tol,

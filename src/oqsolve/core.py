@@ -74,18 +74,21 @@ def herm_part(x: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(x: np.ndarray, tol: float = 1e-12, name: str = "operator") -> np.ndarray:
-    """Validate Hermiticity relative to the largest entry, matrix by matrix for
-    a (k, n, n) stack, whose first failing matrix is named by its index;
-    return the input as a complex array."""
+    """Validate finite entries and Hermiticity relative to the largest entry,
+    matrix by matrix for a (k, n, n) stack, whose first failing matrix is named
+    by its index; return the input as a complex array."""
     x = np.asarray(x, dtype=complex)
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise ValueError(f"{name} must be a square matrix or a stack of them, got shape {x.shape}")
     defect = np.max(np.abs(x - np.conj(x).swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+    # max|X| is NaN or inf where X has a non-finite entry (or one whose modulus overflows)
     scale = np.maximum(np.max(np.abs(x), axis=(-2, -1), initial=0.0), 1.0)
-    bad = np.flatnonzero(defect > tol * scale)
+    bad = np.flatnonzero(~np.isfinite(scale) | (defect > tol * scale))
     if bad.size:
         k = bad[0]
         label = name if x.ndim == 2 else f"{name} {k}"
+        if not np.isfinite(scale.flat[k]):
+            raise ValueError(f"{label} has a non-finite entry")
         raise ValueError(
             f"{label} is not Hermitian: max|X - X^dag| = {defect.flat[k]:.3e} "
             f"(tolerance {tol:.1e} relative to max|X| = {scale.flat[k]:.3e})"

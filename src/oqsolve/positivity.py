@@ -3,8 +3,17 @@
 The algebraic (Magnus) generator Phi2(t) = int_0^t L2_int(tau) dtau has a
 Hermitian Lindblad coefficient matrix Delta that is positive semidefinite for
 every model and time, so G(t) = G0(t) exp(Phi2(t)) is exactly completely
-positive even though the instantaneous generator need not be.  The weak test
-checks positivity of the running-averaged interaction-picture dissipator.
+positive even though the instantaneous generator need not be.
+
+The weak test checks positivity of the running trapezoid integral of the
+interaction-picture dissipator D(tau) = Y + Y^dag, Y = sum_n vec(B_n) vec(L_n)^dag
+of the traceless operators B_n(tau), L_n(tau).  weak_cp_test validates dense
+input-basis samples (an external audit); weak_test_min_eigenvalue gives the
+same number from the model without forming them.  The input- and energy-basis
+matrices are unitarily similar, and vec(1) is an exact null vector of every
+running integral, so it works in the energy basis, in d^2 - 1 orthonormal
+traceless coordinates: it integrates Y there and takes one eigvalsh of the
+Hermitian stack acc + acc^dag.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ __all__ = [
     "algebraic_propagator",
     "delta_double_time",
     "weak_cp_test",
+    "weak_test_min_eigenvalue",
     "interaction_dissipator_samples",
     "load_superop_samples",
     "save_superop_samples",
@@ -120,13 +130,69 @@ def delta_double_time(m: SystemModel, t: float, nodes: int = 48) -> np.ndarray:
     return mmat + np.conj(mmat).T
 
 
-def weak_cp_test(d_samples, grid) -> float:
-    """Min eigenvalue of the trapezoid-integrated dissipator over all endpoints."""
+def _require_grid(grid, k: int) -> np.ndarray:
+    """The grid as a float array, which must be 1-D, finite and strictly
+    increasing, with one point per sample and k >= 2 samples."""
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or not (np.isfinite(grid).all() and (np.diff(grid) > 0).all()):
+        raise ValueError("weak test: the grid must be 1-D, finite and strictly increasing")
+    if grid.size != k or k < 2:
+        raise ValueError(f"weak test: the grid has {grid.size} points and there are {k} "
+                         "samples; it needs one point per sample, at least two")
+    return grid
+
+
+def _running_integrals(samples, grid) -> np.ndarray:
+    """Trapezoid integrals of a (k, n, n) stack from grid[0] to each later grid
+    point, (k - 1, n, n)."""
+    steps = 0.5 * np.diff(grid)[:, None, None] * (samples[1:] + samples[:-1])
+    return np.cumsum(steps, axis=0)
+
+
+def weak_cp_test(d_samples, grid) -> float:
+    """Min eigenvalue of the trapezoid-integrated dissipator over all endpoints,
+    from Hermitian samples (k, d^2, d^2) on a 1-D, finite, strictly increasing
+    grid of k >= 2 points."""
     samples = require_hermitian(d_samples, tol=1e-8, name="dissipator sample")
-    steps = 0.5 * np.diff(grid)[:, None, None] * (samples[1:len(grid)] + samples[:len(grid) - 1])
-    acc = np.cumsum(steps, axis=0)
-    return float(np.min(np.linalg.eigvalsh(herm_part(acc))[:, 0], initial=np.inf))
+    grid = _require_grid(grid, samples.shape[0] if samples.ndim == 3 else 1)
+    acc = _running_integrals(samples, grid)
+    return float(np.min(np.linalg.eigvalsh(herm_part(acc))[:, 0]))
+
+
+def _interaction_factors_eb(m: SystemModel, tgrid: np.ndarray):
+    """The interaction-picture operators B_n(tau) and L_n(tau) in the energy
+    basis, each stacked (k, n, d, d), from one bath call for the whole grid:
+    X_n(tau)[x, i] = X_n[x, i] e^{i w_xi tau}."""
+    phase = np.exp(1j * np.multiply.outer(tgrid, m.unique_gaps))[:, None, m.gap_index]
+    return _second_order_ops_eb(m, tgrid) * phase, m.couplings_eb * phase
+
+
+def _traceless_coordinates(x: np.ndarray) -> np.ndarray:
+    """Q^T vec(X) for a (..., d, d) stack, (..., d^2 - 1): Q's real orthonormal
+    columns span the complement of vec(1), the off-diagonal unit vectors, then
+    the d - 1 traceless diagonal ones that a QR of [1, e_1 ... e_{d-1}] leaves
+    after the first."""
+    d = x.shape[-1]
+    first = np.eye(d)
+    first[:, 0] = 1.0
+    diag = np.linalg.qr(first)[0][:, 1:]
+    return np.concatenate([x[..., ~np.eye(d, dtype=bool)],
+                           x.diagonal(axis1=-2, axis2=-1) @ diag], axis=-1)
+
+
+def weak_test_min_eigenvalue(m: SystemModel, grid) -> float:
+    """weak_cp_test(interaction_dissipator_samples(m, grid), grid) to round-off,
+    without forming the samples.  The running integrals are unitarily similar to
+    their energy-basis form and annihilate vec(1), so in the traceless
+    coordinates Q they are acc + acc^dag, acc the trapezoid integral of
+    Y = sum_n (Q^T vec(B_n)) (Q^T vec(L_n^T))^T; the result is min(0, their
+    smallest eigenvalue), the 0 that of vec(1)."""
+    grid = _require_grid(grid, np.size(grid))
+    b, l = _interaction_factors_eb(m, grid)
+    bq, lq = _traceless_coordinates(b), _traceless_coordinates(l.swapaxes(-1, -2))
+    acc = _running_integrals(bq.swapaxes(1, 2) @ lq, grid)
+    acc += np.conj(acc).swapaxes(-1, -2)
+    return float(np.min(np.linalg.eigvalsh(acc), initial=0.0))
 
 
 def interaction_dissipator_samples(m: SystemModel, tgrid):
@@ -136,9 +202,7 @@ def interaction_dissipator_samples(m: SystemModel, tgrid):
     L_n the traceless interaction-picture operators in the input basis."""
     tgrid = np.asarray(tgrid, dtype=float)
     k, d = tgrid.size, m.dim
-    phase = np.exp(1j * np.multiply.outer(tgrid, m.unique_gaps))[:, None, m.gap_index]
-    b, l = (m.basis.from_energy_basis(x * phase)
-            for x in (_second_order_ops_eb(m, tgrid), m.couplings_eb))
+    b, l = (m.basis.from_energy_basis(x) for x in _interaction_factors_eb(m, tgrid))
     b, l = (x - np.trace(x, axis1=-2, axis2=-1)[..., None, None] * np.eye(d) / d for x in (b, l))
     # y[(x,i),(y,j)] = sum_n B_n[x,i] L_n[j,y]
     y = b.reshape(k, -1, d * d).swapaxes(1, 2) @ l.swapaxes(-1, -2).reshape(k, -1, d * d)
@@ -158,12 +222,14 @@ def save_superop_samples(path, tgrid, superops) -> None:
 
 def load_superop_samples(path):
     """Inverse of save_superop_samples; returns (tgrid, (k, d^2, d^2) stack).
-    Columns are matched by name; the dimension must be a perfect square, and
-    the grid at least two finite, strictly increasing times."""
+    Columns are matched by name; the dimension must be a perfect square, the
+    grid at least two finite, strictly increasing times, and every sample finite."""
     tgrid, mats = read_matrix_csv(path, "")
     dim2 = mats.shape[-1]
     if int(round(np.sqrt(dim2))) ** 2 != dim2:
         raise ValueError(f"superoperator CSV: dimension {dim2} is not a perfect square")
+    if not np.isfinite(mats).all():
+        raise ValueError("superoperator CSV: every sample entry must be finite")
     if tgrid.size < 2 or not (np.isfinite(tgrid).all() and (np.diff(tgrid) > 0).all()):
         raise ValueError("superoperator CSV: t must be two or more finite, strictly increasing times")
     return tgrid, mats

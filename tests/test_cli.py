@@ -564,6 +564,28 @@ class TestValidation:
         model = write_model(tmp_path, doc)
         assert cli.main(["simulate", "--model", model]) == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("command, place, message", [
+        ("spectrum", "hamiltonian", "system.hamiltonian has a non-finite entry"),
+        ("simulate", "rho0", "run.rho0 has a non-finite entry"),
+        ("cp-audit", "superop_csv", "run.superop_csv: superoperator CSV: every sample entry must be finite"),
+    ])
+    def test_non_finite_input_exits_validation(self, tmp_path, capsys, command, place, message):
+        # every comparison with NaN is False, so these ran to exit 0 with NaN in the output
+        from oqsolve import positivity
+
+        doc = qubit_doc()
+        if place == "hamiltonian":
+            doc["system"]["hamiltonian"][1][1][0] = float("nan")
+        elif place == "rho0":
+            doc["run"]["rho0"] = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+        else:
+            samples = np.zeros((3, 4, 4))
+            samples[1, 0, 0] = np.nan
+            positivity.save_superop_samples(tmp_path / "samples.csv", [0.0, 0.5, 1.0], samples)
+            doc["run"]["superop_csv"] = "samples.csv"
+        assert cli.main([command, "--model", write_model(tmp_path, doc)]) == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
 
 class TestNumericalFailure:
     def test_tabulated_out_of_range_exits_numerical(self, tmp_path):

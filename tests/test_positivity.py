@@ -285,6 +285,79 @@ class TestWeakCP:
         assert inst_min < -1e-6
 
 
+def resonant_model():
+    # equally spaced d = 4: the gaps -3 .. 3 repeat, so distinct transitions share a gap
+    rng = np.random.default_rng(7)
+    l = core.herm_part(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return tcl2.SystemModel(h=np.diag([0.0, 1.0, 2.0, 3.0]), couplings=[l],
+                            bath=bath.ExponentialOU(c=[[0.08]], lam=1.1))
+
+
+class TestWeakCPGrid:
+    @pytest.mark.parametrize("samples, points", [(5, 3), (2, 3), (1, 1)])
+    def test_sample_count_must_match_the_grid(self, samples, points):
+        # a longer stack's tail was silently dropped, a shorter one broadcast against the grid
+        stack = -np.eye(4) * np.ones((samples, 1, 1))
+        with pytest.raises(ValueError, match=f"grid has {points} points and there are {samples} samples"):
+            positivity.weak_cp_test(stack, np.linspace(0.0, 1.0, points))
+
+    @pytest.mark.parametrize("grid", [[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, np.nan, 2.0],
+                                      [0.0, 1.0, np.inf], [[0.0, 1.0, 2.0]]],
+                             ids=["decreasing", "repeated", "nan", "inf", "2-D"])
+    def test_grid_must_be_finite_and_strictly_increasing(self, grid):
+        # a decreasing grid negated every integral, so negative samples passed
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            positivity.weak_cp_test(-np.eye(4) * np.ones((3, 1, 1)), grid)
+
+    def test_rejects_non_finite_samples(self):
+        stack = np.zeros((2, 4, 4))
+        stack[1, 2, 2] = np.nan
+        with pytest.raises(ValueError, match="dissipator sample 1 has a non-finite entry"):
+            positivity.weak_cp_test(stack, [0.0, 1.0])
+
+    def test_model_route_validates_its_grid(self):
+        m = ou_model(d=2)
+        for grid in ([0.0], [1.0, 0.0], [0.0, np.nan]):
+            with pytest.raises(ValueError, match="weak test"):
+                positivity.weak_test_min_eigenvalue(m, grid)
+
+
+class TestWeakRoute:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_traceless_coordinates_are_an_isometry_onto_the_complement_of_vec_one(self, d):
+        # row I of Q holds the coordinates of the unit operator e_I
+        q = positivity._traceless_coordinates(np.eye(d * d).reshape(d * d, d, d))
+        assert q.shape == (d * d, d * d - 1)
+        assert np.max(np.abs(q.T @ q - np.eye(d * d - 1))) < 1e-15
+        assert np.max(np.abs(q.T @ core.vec(np.eye(d)))) < 1e-15
+
+    @pytest.mark.parametrize("model", [
+        functools.partial(ou_model, d=2), ou_model, functools.partial(ou_model, seed=2, d=4),
+        correlated_ou_model, qubit_model, t0_model, tabulated_model, resonant_model,
+    ], ids=["ou-d2", "ou-d3", "ou-d4", "correlated-ou", "thermal", "t0", "tabulated", "resonant-d4"])
+    @pytest.mark.parametrize("grid", [
+        np.linspace(0.0, 2.0, 401),
+        np.cumsum(np.random.default_rng(4).uniform(0.001, 0.01, 300)),
+    ], ids=["uniform", "non-uniform"])
+    def test_matches_the_dense_samples(self, model, grid):
+        m = model()
+        want = positivity.weak_cp_test(positivity.interaction_dissipator_samples(m, grid), grid)
+        got = positivity.weak_test_min_eigenvalue(m, grid)
+        assert got <= 0.0 and abs(got - want) <= 1e-15
+
+    def test_reports_a_negative_running_integral(self):
+        # the route's min(0, .) hides no failure: a grid that starts inside the
+        # non-Markovian transient integrates a negative D(tau)
+        m = qubit_model()
+        grid = np.linspace(0.0, 6.0, 121)
+        inst = positivity.interaction_dissipator_samples(m, grid)
+        k = int(np.argmin([np.linalg.eigvalsh(s)[0] for s in inst]))
+        sub = grid[k:k + 2]
+        want = positivity.weak_cp_test(positivity.interaction_dissipator_samples(m, sub), sub)
+        assert want < -1e-8
+        assert abs(positivity.weak_test_min_eigenvalue(m, sub) - want) <= 1e-15
+
+
 class TestSuperopCSV:
     def test_round_trip(self, tmp_path):
         m = qubit_model()
