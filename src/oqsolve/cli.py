@@ -323,9 +323,9 @@ def cmd_cp_audit(model, run, args):
     if "superop_csv" in run:
         try:
             tgrid, samples = positivity.load_superop_samples(run["superop_csv"])
+            weak = positivity.weak_cp_test(samples, tgrid)
         except (OSError, ValueError) as exc:
             raise ValidationError(f"run.superop_csv: {exc}")
-        weak = positivity.weak_cp_test(samples, tgrid)
         report = {
             "command": "cp-audit",
             "tolerance": tol,

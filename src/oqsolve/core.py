@@ -12,6 +12,7 @@ Conventions (fixed globally):
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass
 
@@ -49,6 +50,49 @@ def _null_vectors(a: np.ndarray) -> np.ndarray:
     conj(vh) rows of its SVD at singular values at most 1e-10 times the largest."""
     _, svals, vh = np.linalg.svd(a)
     return np.conj(vh[svals <= 1e-10 * max(svals[0], 1e-300)])
+
+
+# Higham (SIAM J. Matrix Anal. Appl. 26, 1179 (2005)): the largest 1-norm at which the
+# [m/m] Pade approximant of exp is accurate to double precision, and its coefficients
+# b_j = (2m - j)! m! / ((2m)! j! (m - j)!), b_0 = 1
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+               9: 2.097847961257068, 13: 5.371920351148152}
+_PADE_B = {m: [math.factorial(2 * m - j) * math.factorial(m)
+               / (math.factorial(2 * m) * math.factorial(j) * math.factorial(m - j))
+               for j in range(m + 1)] for m in _PADE_THETA}
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a square matrix by Higham's 2005 scaling and squaring:
+    the [m/m] Pade approximant r = (V - U)^-1 (V + U) at the least m in 3, 5, 7, 9
+    whose theta_m bounds the 1-norm, else at m = 13 after halving a s times to within
+    theta_13, then squared s times.  r is formed as 1 + 2 (V - U)^-1 U: where
+    vec(1)^T a = 0 (a trace-annihilating generator), vec(1)^T U = 0 and the
+    column traces of the result keep the round-off of U, not of V + U."""
+    norm = float(np.max(np.abs(a).sum(axis=0), initial=0.0))
+    if not math.isfinite(norm):
+        raise ValueError("expm: the matrix has a non-finite entry")
+    m = next((m for m in (3, 5, 7, 9) if norm <= _PADE_THETA[m]), 13)
+    s = max(0, math.ceil(math.log2(norm / _PADE_THETA[13]))) if m == 13 else 0
+    a = np.asarray(a) / 2.0**s
+    eye, b = np.eye(a.shape[0], dtype=a.dtype), _PADE_B[m]
+    a2 = a @ a
+    if m < 13:
+        powers = [eye, a2]
+        while len(powers) <= m // 2:
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(b[2 * k + 1] * x for k, x in enumerate(powers))
+        v = sum(b[2 * k] * x for k, x in enumerate(powers))
+    else:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + eye
+    r = eye + 2.0 * np.linalg.solve(v - u, u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def vec(x: np.ndarray) -> np.ndarray:

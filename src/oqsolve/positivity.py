@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    expm,
     herm_part,
     read_matrix_csv,
     require_hermitian,
@@ -78,8 +79,6 @@ def magnus_phi2(m: SystemModel, t: float) -> AlgebraicGenerator:
 def algebraic_propagator(m: SystemModel, gen: AlgebraicGenerator) -> np.ndarray:
     """G(t) = G0(t) exp(Phi2(t)) from a computed generator, G0 from the model's
     eigenbasis, U0(t) = V diag(e^{-iEt}) V^dag; exactly completely positive."""
-    from scipy.linalg import expm
-
     u0 = m.basis.from_energy_basis(np.diag(np.exp(-1j * m.basis.energies * gen.t)))
     return unitary_superop(u0) @ expm(gen.phi2)
 

@@ -37,6 +37,7 @@ from .core import (
     commutator_superop,
     dag,
     eig_hermitian,
+    expm,
     herm_part,
     hermiticity_preservation_defect,
     require_hermitian,
@@ -484,17 +485,16 @@ def _evolve(m: SystemModel, y0: np.ndarray, grid: np.ndarray, mode: str,
     dy/dt = L y, L the TCL2 generator (see _grid_steps for what grid may be).
 
     Stationary mode: L is constant, so each step is exact, y(t_k+1) =
-    expm(L h) y(t_k) with h = t_k+1 - t_k, one matrix exponential (scaling
-    and squaring, accurate to round-off) per distinct h; rtol and atol are not
-    used.  Full-time mode: adaptive DOP853 at rtol and atol (solve_ivp) in the
-    energy basis, where -i[H, .] is diagonal; each step builds its stage
-    generators from one bath call, and the states go back to the input basis at
-    the grid points only."""
+    expm(L h) y(t_k) with h = t_k+1 - t_k, one matrix exponential per distinct
+    h: core.expm, Pade scaling and squaring on numpy's BLAS, accurate to
+    round-off, whose step maps keep their column traces to round-off; rtol and
+    atol are not used.  Full-time mode: adaptive DOP853 at rtol and atol
+    (solve_ivp) in the energy basis, where -i[H, .] is diagonal; each step
+    builds its stage generators from one bath call, and the states go back to
+    the input basis at the grid points only."""
     _require_mode(mode)
     steps = _grid_steps(grid)
     if mode == "stationary":
-        from scipy.linalg import expm
-
         s = build_L2(m, None)
         step_maps = {}
         ys = [y0]

@@ -663,6 +663,27 @@ class TestCoefficientIntegral:
             assert got.shape == want.shape and err == 0.0
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("t", [1e-5, 1e-3, 1.0])
+    def test_exponential_sum_small_time_cancellation(self, t):
+        # (c/p)[E(i nu, t) - E(i w_b - z, t)]: both exponential integrals are about t, and
+        # their difference is O(p t^2), so the closed form loses eps (|E(i nu)| + |E(i w_b -
+        # z)|) |c/p|, about eps / (|p| t) of the entry, and nothing more (3.7e-11 relative
+        # at t = 1e-5).  Its round-off bound does not count this loss: ROADMAP item 3
+        c, lam = 0.08, 1.1
+        got = bath.ExponentialOU(c=[[c]], lam=lam).coefficient_integral(t, self.W)[0][..., 0, 0]
+        with mpmath.workdps(40):
+            tm = mpmath.mpf(t)
+
+            def e(z):
+                return tm if z == 0 else mpmath.expm1(z * tm) / z
+
+            for a, b in itertools.product(range(3), repeat=2):
+                p = lam + 1j * mpmath.mpf(self.W[a])
+                e_nu, e_b = e(1j * mpmath.mpf(self.W[a] + self.W[b])), e(1j * mpmath.mpf(self.W[b]) - lam)
+                ref = complex(c / p * (e_nu - e_b))
+                size = float(abs(c / p) * (abs(e_nu) + abs(e_b)))
+                assert abs(got[a, b] - ref) <= np.finfo(float).eps * size, (a, b)
+
     def test_zero_time_and_negative_time(self):
         for b in (thermal(), thermal_t0(), bath.ExponentialOU(c=[[0.3]], lam=1.2),
                   bath.WhiteNoise(c=[[0.3]])):

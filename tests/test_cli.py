@@ -306,6 +306,17 @@ class TestReports:
         assert cli.main(["cp-audit", "--model", model]) == cli.EXIT_VALIDATION
         assert "run.superop_csv" in capsys.readouterr().err
 
+    def test_cp_audit_rejects_non_hermitian_sample(self, tmp_path, capsys):
+        from oqsolve import positivity
+
+        samples = np.zeros((3, 4, 4))
+        samples[1, 0, 1] = 1.0
+        positivity.save_superop_samples(tmp_path / "samples.csv", [0.0, 0.5, 1.0], samples)
+        model = write_model(tmp_path, qubit_doc(superop_csv="samples.csv"))
+        assert cli.main(["cp-audit", "--model", model]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: run.superop_csv: dissipator sample 1 is not Hermitian")
+
     def test_cp_audit_tol_sets_positivity_thresholds(self, tmp_path, capsys, monkeypatch):
         # a Choi matrix and a Delta 1e-6 below zero: fail at the default 1e-10,
         # pass at --tol 1e-5

@@ -2,13 +2,14 @@ import csv
 import io
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from oqsolve import bath, core, tcl2
+from oqsolve import bath, core, positivity, tcl2
 
 
 def _rand_op(rng, d):
@@ -141,6 +142,80 @@ class TestPreservationChecks:
         assert core.hermiticity_preservation_defect(gen) < 1e-12
         gen[0, 1] += 0.1
         assert core.hermiticity_preservation_defect(gen) > 0.01
+
+
+def _expm_models():
+    """T > 0, T = 0 and OU models of dimension 2-4, each with random Hermitian H and L."""
+    rng = np.random.default_rng(31)
+    baths = [(2, bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=0.25)),
+             (3, bath.ThermalLorentz(gamma0=0.05, cutoff=3.0, temperature=1.0)),
+             (3, bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=0.0)),
+             (2, bath.ExponentialOU(c=[[0.08]], lam=1.1)),
+             (4, bath.ExponentialOU(c=[[0.05]], lam=1.3))]
+    return [tcl2.SystemModel(h=_rand_herm(rng, d), couplings=[_rand_herm(rng, d)], bath=b)
+            for d, b in baths]
+
+
+def _mp_expm(a):
+    with mpmath.workdps(40):
+        ref = mpmath.expm(mpmath.matrix(a.tolist()))
+        return np.array(ref.tolist(), dtype=complex)
+
+
+def _relative_error(a):
+    got, want = core.expm(a), _mp_expm(a)
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestExpm:
+    @pytest.mark.parametrize("k", range(5))
+    def test_against_mpmath_on_generators_and_magnus_exponents(self, k):
+        m = _expm_models()[k]
+        s = tcl2.build_L2(m, None)
+        mats = [s * h for h in (0.05, 0.5, 2.0, 10.0, 40.0)]
+        mats += [positivity.magnus_phi2(m, t).phi2 for t in (1.0, 8.0)]
+        assert max(_relative_error(a) for a in mats) <= 1e-13
+
+    def test_zero_is_the_identity(self):
+        for d in (1, 4, 9):
+            assert np.array_equal(core.expm(np.zeros((d, d))), np.eye(d))
+            assert np.array_equal(core.expm(np.zeros((d, d), dtype=complex)), np.eye(d))
+
+    def test_unitary_evolution(self):
+        # every squaring doubles the round-off of U U^dag - 1: |Ht| of 30-100 takes 3-5 of them
+        rng = np.random.default_rng(37)
+        for d in (2, 3, 4):
+            h = _rand_herm(rng, d)
+            for t, tol in ((0.01, 1e-14), (1.0, 1e-14), (5.0, 1e-14), (30.0, 5e-14)):
+                u = core.expm(-1j * h * t)
+                assert np.max(np.abs(u @ core.dag(u) - np.eye(d))) <= tol, (d, t)
+
+    def test_step_maps_preserve_the_trace(self):
+        # vec(1)^T S = 0 for a TCL2 generator, so vec(1)^T expm(S h) = vec(1)^T: to 1e-15 up
+        # to |S h|_1 = 10 (a shipped-grid step is 0.14), then to round-off in |S h|_1, which
+        # the squarings carry (h = 40 takes up to 7 of them, at |S h|_1 up to 360).  The
+        # built generator's own column traces (up to 1.2e-15 at T = 0) are projected out
+        for m in _expm_models():
+            one = core.vec(np.eye(m.dim))
+            s = tcl2.build_L2(m, None)
+            s -= np.outer(one, one @ s) / m.dim
+            for h in (0.05, 0.5, 2.0, 10.0, 40.0):
+                tol = max(1e-15, 1e-16 * np.max(np.abs(s * h).sum(axis=0)))
+                assert np.max(np.abs(one @ core.expm(s * h) - one)) <= tol, h
+
+    @pytest.mark.parametrize("degree", [3, 5, 7, 9, 13])
+    def test_norms_at_each_pade_threshold(self, degree):
+        # a random complex 4x4 matrix scaled to 1-norm just below and just above theta_m:
+        # the degree (and at theta_13, the scaling) switches there
+        rng = np.random.default_rng(degree)
+        a = _rand_op(rng, 4)
+        a /= np.max(np.abs(a).sum(axis=0))
+        for factor in (1 - 1e-9, 1 + 1e-9):
+            assert _relative_error(a * core._PADE_THETA[degree] * factor) <= 1e-14
+
+    def test_non_finite_entry_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            core.expm(np.array([[0.0, np.nan], [0.0, 0.0]]))
 
 
 class TestBasisChange:

@@ -43,6 +43,22 @@ def test_cold_start_loads_no_deferred_scipy_submodule():
     assert loaded == []
 
 
+def test_cli_paths_never_load_scipy_linalg():
+    # scipy.linalg runs on scipy's own OpenBLAS, a second copy beside numpy's whose idle
+    # worker spins after each call and stalls numpy's next one: every matrix exponential
+    # is core.expm, so no subcommand on the shipped model loads it
+    loaded = _fresh(
+        "import json, os, sys, tempfile\n"
+        "import oqsolve.cli as cli\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    codes = [cli.main([c, '--model', 'examples_models/qubit_relaxation.json',\n"
+        "                       '--out', os.path.join(out, c)])\n"
+        "             for c in ('simulate', 'qrt', 'cp-audit', 'pauli', 'spectrum', 'nonlocal')]\n"
+        "print(json.dumps([codes, 'scipy.linalg' in sys.modules]))\n"
+    )
+    assert loaded == [[0] * 6, False]
+
+
 def test_deferred_paths_in_a_fresh_interpreter():
     # in-suite tests cannot see a missing local import once another test has
     # loaded the submodule, so each deferred path runs here in a new process
