@@ -34,8 +34,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
+from . import _special as special
 from .core import _GAP_TOL, read_matrix_csv, require_hermitian, write_matrix_csv
 
 __all__ = [
@@ -60,8 +60,8 @@ _TAIL_MARGIN = 32
 # m = 0 .. 11, i = 1 .. 12
 _EM_M, _EM_I = np.arange(12), np.arange(1, 13)[:, None]
 _EM_WEIGHTS = np.where((_EM_I + _EM_M >= 2) & (_EM_I + _EM_M <= 12),
-                       special.bernoulli(12)[np.minimum(_EM_I + _EM_M, 12)]
-                       / ((_EM_I + _EM_M) * special.factorial(_EM_M)), 0.0)
+                       special.BERNOULLI[np.minimum(_EM_I + _EM_M, 12)]
+                       / ((_EM_I + _EM_M) * [math.factorial(m) for m in range(12)]), 0.0)
 # the exponential fit of tabulated samples (_fit_exponentials): block-Hankel rows, singular
 # value cut (of the largest), held-out residual tolerance (of max|alpha|), Re z t_end below
 # which a rate is undamped, and the grid points that one rate and its check take
@@ -154,14 +154,15 @@ def _exp_tail(eps, n0: int, b: np.ndarray) -> np.ndarray:
     u = n0 + b
     z = eps * u
     corr = (eps**_EM_M @ _EM_WEIGHTS.T) @ (1 / u) ** _EM_I
-    return np.exp(-eps * n0) * (np.exp(z) * special.exp1(z) - 0.5 / u + corr)
+    return np.exp(-eps * n0) * (special.exp1_scaled(z) - 0.5 / u + corr)
 
 
 class BathModel:
     """Common interface.  A variant implements array forms on 1-D arrays of points,
     which lead the result: _alpha_time(t) at t >= 0, _alpha_spectrum(w), _laplace(s),
     _coefficient_full(t, w) at t >= 0, (nt, k, n, n), _gamma_spectrum(w), and the closed
-    form _coefficient_integral(t, w) with its round-off bound.  The public evaluators,
+    form _coefficient_integral(t, w) with its round-off bound; _coefficient_stationary(w)
+    is _laplace(iw) unless the variant overrides it.  The public evaluators,
     here alone, take a scalar (an (n, n) result) or a 1-D array (the stack; times lead
     frequencies), apply alpha(-t) = alpha(t)^dag and reject t < 0."""
 
@@ -197,7 +198,10 @@ class BathModel:
 
     def coefficient_stationary(self, w) -> np.ndarray:
         """A(w) = alpha^(iw + 0+)."""
-        return self._evaluate(lambda ws: self._laplace(1j * ws), w)
+        return self._evaluate(self._coefficient_stationary, w)
+
+    def _coefficient_stationary(self, w: np.ndarray) -> np.ndarray:
+        return self._laplace(1j * w)
 
     def coefficient_full(self, t, w) -> np.ndarray:
         """A(t; w) = int_0^t alpha(tau) e^{-iw tau} dtau."""
@@ -377,13 +381,17 @@ class _LorentzChannel:
     def gamma_tilde(self, w: float) -> float:
         return self.gamma0 / (1.0 + (w / self.cutoff) ** 2)
 
-    def _laplace_on_axis(self, w):
-        """laplace(1j * w).  It does not depend on t, and every generator build
-        of one model asks for it at the same gaps, so the value for the last
+    def _on_axis(self, w: np.ndarray) -> np.ndarray:
+        """A(w) = alpha^(iw + 0+)."""
+        return self.laplace(1j * w)
+
+    def on_axis(self, w: np.ndarray) -> np.ndarray:
+        """_on_axis(w).  It does not depend on t, and every generator build of
+        one model asks for it at the same gaps, so the value for the last
         array w is kept, keyed by its dtype, shape and bytes."""
         key = (w.dtype.str, w.shape, w.tobytes())
         if key != self._axis_key:
-            self._axis_key, self._axis_value = key, self.laplace(1j * w)
+            self._axis_key, self._axis_value = key, self._on_axis(w)
         return self._axis_value
 
 
@@ -391,9 +399,10 @@ def _scaled_exp_integrals(x):
     """(e^x E1(x), e^{-x} Ei(x)) for real x > 0, elementwise over an array.  Past
     x = 40 (e^x overflows at 709) both come from the asymptotic series
     (1/x) sum_k (-+1)^k k!/x^k, cut after 40 terms: the first dropped term is at
-    most 40!/40^40 < 1e-16."""
+    most 40!/40^40 < 1e-16.  Both sum the same terms, and alpha_time takes their
+    difference, about -2/x^2."""
     near = np.minimum(x, 40.0)
-    e1, ei = np.exp(near) * special.exp1(near), np.exp(-near) * special.expi(near)
+    e1, ei = special.exp1_scaled(near), np.exp(-near) * special.expi(near)
     far = x > 40.0
     if far.any():
         xf = x[far][:, None]
@@ -464,10 +473,10 @@ class _ThermalChannelT0(_LorentzChannel):
         x = lam * ts
         e1, ei = _scaled_exp_integrals(x)
         pole_terms = e1 / (1j * w - lam) - (ei + 1j * np.pi * np.exp(-x)) / (1j * w + lam)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):  # E1(0) = inf at w = 0
             w_e1 = np.where(w == 0, 0, w * special.exp1(1j * w * ts))
         tail = self._k * (2j * w_e1 / (lam**2 + w**2) + np.exp(-1j * w * ts) * pole_terms)
-        return np.where(pos, self._laplace_on_axis(w) - tail, 0j)
+        return np.where(pos, self.on_axis(w) - tail, 0j)
 
     def coefficient_integral(self, t: float, w: np.ndarray):
         """Gap-pair table in closed form, nu = u_a + u_b: coefficient_full's tail integrates term
@@ -491,7 +500,7 @@ class _ThermalChannelT0(_LorentzChannel):
         phase, log_lam = np.exp(1j * w * t), math.log(lam)
         j2 = (phase * e1 + log_lam + q) / (lam + 1j * w)
         j3 = (log_lam + 1j * np.pi + q - phase * (ei + 1j * np.pi * np.exp(-lam * t))) / (1j * w - lam)
-        table = self._laplace_on_axis(w)[:, None] * _exp_integral(1j * nu, t) - self._k * (
+        table = self.on_axis(w)[:, None] * _exp_integral(1j * nu, t) - self._k * (
             j1 + j2 / (1j * ua - lam) + j3 / (1j * ua + lam))
         return table, self._k * np.max(np.abs(bound))
 
@@ -521,7 +530,8 @@ class _ThermalChannel(_LorentzChannel):
         self._c0 = complex(pre * (special.digamma(1 - y) - special.digamma(1 + y) + 1 / (x + k)),
                            -np.pi * pre)
         self._k_pair, self._d, self._delta = k, -pre * 2 * k / (x + k) * a, a * y
-        self._psi = (special.digamma(x), special.digamma(1 + x))
+        psi_plus = special.digamma(1 + x)
+        self._psi = (psi_plus - 1 / x, psi_plus)  # psi(x) = psi(1 + x) - 1/x
         # the head, which alpha_time and coefficient_full sum whole; they add the terms past
         # it by _exp_tail while a t n0 < ln(1/eps), and later those are below round-off (and
         # e^{eps b} in _exp_tail could overflow at large eps x)
@@ -535,6 +545,14 @@ class _ThermalChannel(_LorentzChannel):
         with np.errstate(invalid="ignore", over="ignore"):
             far = gt * 2.0 * w / np.expm1(w / T)
         return np.where(np.abs(w) < 1e-6 * T, gt * (2 * T + w * w / (6 * T) - w), far)
+
+    def _on_axis(self, w: np.ndarray) -> np.ndarray:
+        """A(w) = alpha^(iw): its real part is alpha~(w)/2, taken from spectrum's expm1
+        form, which holds the KMS ratio Re A(-w) / Re A(w) = e^{w/T} to round-off; the
+        digamma form, a difference of O(1) terms, loses it as e^{|w|/T} grows (by 3e-8
+        at T = 0.05 on a gap of 1).  The Lamb shift, the imaginary part, is the digamma
+        form's."""
+        return self.spectrum(w) / 2 + 1j * self.laplace(1j * w).imag
 
     def terms(self, n: int):
         """The first n entries (c, z) of the term table: c0 + ck* at Lam, then the Matsubara
@@ -617,7 +635,7 @@ class _ThermalChannel(_LorentzChannel):
         out = np.zeros((t.size, w.size), dtype=complex)
         pos = np.flatnonzero(t > 0)
         if pos.size:
-            out[pos] = self._laplace_on_axis(w) - np.exp(-t[pos, None] * iw) * self._tail(t[pos], iw)
+            out[pos] = self.on_axis(w) - np.exp(-t[pos, None] * iw) * self._tail(t[pos], iw)
         return out
 
     def _tail(self, t: np.ndarray, iw: np.ndarray) -> np.ndarray:
@@ -660,7 +678,7 @@ class _ThermalChannel(_LorentzChannel):
         iw = 1j * w[:, None]
         pg, qh = lam + iw, lam - iw.T
         pair = self._pair_integral(qh, t) - self._d * np.expm1(-qh * t) / (qh * pg)
-        table = _exp_sum_table(c, z, t, w, self.laplace(1j * w))[0] - pair / (pg - self._delta)
+        table = _exp_sum_table(c, z, t, w, self.on_axis(w))[0] - pair / (pg - self._delta)
         # 1/((1 + i(g/a) x)(1 - i(h/a) x)) = sum_j x^j sum_{p+q=j} (-ig/a)^p (ih/a)^q
         n = 12
         gp = (-iw / a) ** np.arange(n)
@@ -671,11 +689,12 @@ class _ThermalChannel(_LorentzChannel):
         for j in range(2, n):  # times 1/(1 - (Lam/a)^2 x^2): f_j = e_j + (Lam/a)^2 f_{j-2}
             d[:, :, j] += (lam / a) ** 2 * d[:, :, j - 2]
         tail_c = 2 * self.gamma0 * self.temperature * lam**2 / a**3
-        table -= tail_c * (d @ special.zeta(3 + np.arange(n), k))
+        zetas = special.zeta(3 + np.arange(n), k)
+        table -= tail_c * (d @ zetas)
         # dropped X_k e^{(ih - z_k) t}, k >= k: |X_k| <= (tail_c / k^3) / (1 - (Lam / nu_k)^2),
         # nu_k > Lam; and the series past x^n: |d_j| <= (j + 1)^2 r^j
         rho = r / k
-        err = tail_c * special.zeta(3, k) * (
+        err = tail_c * zetas[0] * (
             np.exp(-a * k * t) / (1 - (lam / (a * k)) ** 2)
             + (np.inf if rho >= 0.5 else (n + 1) ** 2 * rho**n / (1 - rho) ** 3))
         return table, err
@@ -731,6 +750,9 @@ class ThermalLorentz(BathModel):
 
     def _laplace(self, s: np.ndarray) -> np.ndarray:
         return self._diag([ch.laplace(s) for ch in self._impl])
+
+    def _coefficient_stationary(self, w: np.ndarray) -> np.ndarray:
+        return self._diag([ch.on_axis(w) for ch in self._impl])
 
     def _coefficient_full(self, t: np.ndarray, w: np.ndarray) -> np.ndarray:
         return self._diag([ch.coefficient_full(t, w) for ch in self._impl])

@@ -23,7 +23,7 @@ times and one contraction, and the state stays in the energy basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -392,19 +392,75 @@ def _require_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-# DOP853 as scipy.integrate.DOP853 has it: the tableau, the error estimate and the step
-# control.  C[11] = 1, so the last stage generator is also the one at the step's end.
+# DOP853 (Hairer, Norsett & Wanner) as scipy.integrate.DOP853 has it: the tableau, the
+# error estimate and the step control, with the same literals and the same arithmetic for
+# E3, so every entry is bit for bit scipy's.  C[11] = 1, so the last stage generator is also
+# the one at the step's end.
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order 7 + 1)
 
 
-@cache
-def _dop853():
-    """(A, B, C, E3, E5, error exponent) of scipy.integrate.DOP853, read on the first
-    full-time solve: importing scipy.integrate is a large share of a cold start."""
-    from scipy.integrate import DOP853
+def _dop853_tableau():
+    """(A, B, C, E3, E5): the 12 stages' matrix (12, 12), weights (12,) and nodes (12,),
+    and the third- and fifth-order error weights (13,), the last on f at the step's end."""
+    c = np.array([0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+                  0.118350341907227396726757197510, 0.281649658092772603273242802490,
+                  0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+                  0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0])
+    rows = (
+        {},
+        {0: 5.26001519587677318785587544488e-2},
+        {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+        {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+        {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
+         3: 9.24834003261792003115737966543e-1},
+        {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
+         4: 1.25467687566822425016691814123e-1},
+        {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+         4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+        {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
+         4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
+         6: 8.27378916381402288758473766002e-3},
+        {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
+         4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
+         6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
+        {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
+         4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
+         6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
+         8: -2.03312017085086261358222928593e-2},
+        {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
+         4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
+         6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
+         8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
+        {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+         4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
+         6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+         8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+         10: 6.43392746015763530355970484046e-1},
+        # the weights B
+        {0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+         6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+         8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
+         10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2},
+    )
+    a = np.zeros((13, 12))
+    for i, row in enumerate(rows):
+        a[i, list(row)] = list(row.values())
+    e3 = np.zeros(13)
+    e3[:-1] = a[12]
+    e3[0] -= 0.244094488188976377952755905512
+    e3[8] -= 0.733846688281611857341361741547
+    e3[11] -= 0.220588235294117647058823529412e-1
+    e5 = np.zeros(13)
+    e5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+        0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
+        -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+        -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+        0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1]
+    return a[:12], a[12], c, e3, e5
 
-    return (DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5,
-            -1 / (DOP853.error_estimator_order + 1))
+
+_A, _B, _C, _E3, _E5 = _dop853_tableau()
 
 
 class _Solution(NamedTuple):
@@ -427,7 +483,6 @@ def solve_ivp(generators, grid: np.ndarray, y0: np.ndarray, rtol: float, atol: f
     shortened to land on the grid points, so there is no dense output; the step
     after a shortened one starts from the size proposed before it was shortened
     if that is larger."""
-    A, B, C, E3, E5, error_exponent = _dop853()
     direction = 1.0 if grid[-1] > grid[0] else -1.0
     t, y = float(grid[0]), y0
     f = generators(np.array([t]))[0] @ y
@@ -438,9 +493,9 @@ def solve_ivp(generators, grid: np.ndarray, y0: np.ndarray, rtol: float, atol: f
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
     f1 = generators(np.array([t + h0 * direction]))[0] @ (y + h0 * direction * f)
     d2 = _rms((f1 - f) / scale) / h0
-    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** -error_exponent
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
     h_abs, nfev = min(100 * h0, h1, span), 2
-    k = np.empty((B.size + 1, y.size), dtype=complex)
+    k = np.empty((_B.size + 1, y.size), dtype=complex)
     ys = [y]
     for t_end in grid[1:].tolist():
         while t != t_end:
@@ -455,28 +510,48 @@ def solve_ivp(generators, grid: np.ndarray, y0: np.ndarray, rtol: float, atol: f
                 t_new = t_end if shortened else t + h_abs * direction
                 proposed, h = h_abs, t_new - t
                 h_abs = abs(h)
-                stages = generators(t + C[1:] * h)
+                stages = generators(t + _C[1:] * h)
                 k[0] = f
-                for s in range(1, B.size):
-                    k[s] = stages[s - 1] @ (y + h * (A[s, :s] @ k[:s]))
-                y_new = y + h * (B @ k[:-1])
+                for s in range(1, _B.size):
+                    k[s] = stages[s - 1] @ (y + h * (_A[s, :s] @ k[:s]))
+                y_new = y + h * (_B @ k[:-1])
                 k[-1] = f_new = stages[-1] @ y_new
-                nfev += B.size
+                nfev += _B.size
                 scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-                err5, err3 = E5 @ k / scale, E3 @ k / scale
+                err5, err3 = _E5 @ k / scale, _E3 @ k / scale
                 e5, e3 = np.vdot(err5, err5).real, np.vdot(err3, err3).real
                 norm = 0.0 if e5 == 0 and e3 == 0 else h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * y.size)
                 if norm < 1:
-                    factor = _MAX_FACTOR if norm == 0 else min(_MAX_FACTOR, _SAFETY * norm**error_exponent)
+                    factor = _MAX_FACTOR if norm == 0 else min(_MAX_FACTOR, _SAFETY * norm**_ERROR_EXPONENT)
                     h_abs *= min(1.0, factor) if rejected else factor
                     if shortened:
                         h_abs = max(h_abs, proposed)
                     break
-                h_abs *= max(_MIN_FACTOR, _SAFETY * norm**error_exponent)
+                h_abs *= max(_MIN_FACTOR, _SAFETY * norm**_ERROR_EXPONENT)
                 rejected = True
             t, y, f = t_new, y_new, f_new
         ys.append(y)
     return _Solution(y=np.array(ys), nfev=nfev)
+
+
+# stationary steps within this many units in the last place of max|grid| share one exponential
+_STEP_ULPS = 4
+
+
+def _step_classes(steps: np.ndarray, tol: float) -> np.ndarray:
+    """The class index of each step, numbered in increasing order of step: taken in that
+    order, a step more than tol above the first step of the current class starts the next.
+    Grid points are rounded to their own spacing, so the steps of a uniform grid such as
+    np.linspace(0, 20, 201) take several float values (9 there) that agree to a few of
+    its units."""
+    order = np.argsort(steps, kind="stable")
+    cls = np.empty(steps.size, dtype=int)
+    first, k = None, -1
+    for i, h in zip(order.tolist(), steps[order].tolist()):
+        if first is None or h - first > tol:
+            first, k = h, k + 1
+        cls[i] = k
+    return cls
 
 
 def _evolve(m: SystemModel, y0: np.ndarray, grid: np.ndarray, mode: str,
@@ -485,23 +560,24 @@ def _evolve(m: SystemModel, y0: np.ndarray, grid: np.ndarray, mode: str,
     dy/dt = L y, L the TCL2 generator (see _grid_steps for what grid may be).
 
     Stationary mode: L is constant, so each step is exact, y(t_k+1) =
-    expm(L h) y(t_k) with h = t_k+1 - t_k, one matrix exponential per distinct
-    h: core.expm, Pade scaling and squaring on numpy's BLAS, accurate to
-    round-off, whose step maps keep their column traces to round-off; rtol and
-    atol are not used.  Full-time mode: adaptive DOP853 at rtol and atol
-    (solve_ivp) in the energy basis, where -i[H, .] is diagonal; each step
-    builds its stage generators from one bath call, and the states go back to
-    the input basis at the grid points only."""
+    expm(L h) y(t_k) with h = t_k+1 - t_k, one matrix exponential per class of
+    steps (_step_classes, within _STEP_ULPS units of max|grid|) at the mean step
+    of its members, so that the steps still add up to the grid's span: core.expm,
+    Pade scaling and squaring on numpy's BLAS, accurate to round-off, whose step
+    maps keep their column traces to round-off; rtol and atol are not used.
+    Full-time mode: adaptive DOP853 at rtol and atol (solve_ivp) in the energy
+    basis, where -i[H, .] is diagonal; each step builds its stage generators
+    from one bath call, and the states go back to the input basis at the grid
+    points only."""
     _require_mode(mode)
     steps = _grid_steps(grid)
     if mode == "stationary":
         s = build_L2(m, None)
-        step_maps = {}
+        cls = _step_classes(steps, _STEP_ULPS * np.spacing(np.max(np.abs(grid))))
+        maps = [expm(s * h) for h in (np.bincount(cls, weights=steps) / np.bincount(cls)).tolist()]
         ys = [y0]
-        for h in steps.tolist():
-            if h not in step_maps:
-                step_maps[h] = expm(s * h)
-            ys.append(step_maps[h] @ ys[-1])
+        for c in cls.tolist():
+            ys.append(maps[c] @ ys[-1])
         return np.array(ys)
 
     free = -1j * m.basis.gaps.reshape(-1)

@@ -124,6 +124,33 @@ class TestThermalLorentz:
         assert a[1, 1] == pytest.approx(single.alpha_time(0.4)[0, 0], rel=1e-12)
 
 
+class TestDetailedBalanceAtLowTemperature:
+    # He A(w) is alpha~(w)/2 from the expm1 spectrum, whose ratio holds KMS to round-off;
+    # the digamma form, a difference of O(1) terms, lost it as e^{w/T} grew (3e-8 at T = 0.05)
+    W = np.array([0.5, 1.0, 2.0])
+
+    @pytest.mark.parametrize("temp", [0.25, 0.1, 0.05, 0.03, 0.02])
+    def test_stationary_ratio_is_boltzmann(self, temp):
+        b = bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=temp)
+        a = b.coefficient_stationary(np.concatenate([self.W, -self.W]))[:, 0, 0].real
+        ratio = a[:3] / a[3:]
+        assert np.max(np.abs(ratio / np.exp(-self.W / temp) - 1)) <= 1e-13
+
+    @pytest.mark.parametrize("temp", [0.05, 0.02])
+    def test_full_coefficient_keeps_the_ratio(self, temp):
+        # at t = 1500 the Matsubara terms are below e^{-188}: A(t; w) is A(w)
+        b = bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=temp)
+        a = b.coefficient_full(1500.0, np.concatenate([self.W, -self.W]))[:, 0, 0].real
+        assert np.max(np.abs(a[:3] / a[3:] / np.exp(-self.W / temp) - 1)) <= 1e-13
+
+    def test_lamb_shift_is_the_digamma_form(self):
+        b = bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=0.05)
+        w = np.concatenate([self.W, -self.W, [0.0]])
+        a = b.coefficient_stationary(w)[:, 0, 0]
+        assert np.array_equal(a.imag, b.laplace(1j * w)[:, 0, 0].imag)
+        assert np.array_equal(a.real, b.alpha_spectrum(w)[:, 0, 0].real / 2)
+
+
 @pytest.mark.parametrize("make", [thermal, thermal_t0], ids=["T>0", "T=0"])
 def test_coefficient_full_gap_memo_never_stale(make):
     # each channel keeps alpha^(iw) for the last gap array; a call with other

@@ -109,6 +109,19 @@ class TestReports:
         assert report["checks"]["detailed_balance"] == "pass"
         assert report["checks"]["column_sums"] == "pass"
 
+    @pytest.mark.parametrize("temp", [0.05, 0.02])
+    def test_pauli_detailed_balance_at_low_temperature(self, tmp_path, capsys, temp):
+        # the rates' real parts come from the expm1 spectrum, so the suppressed rate keeps
+        # its Boltzmann ratio e^{-1/T} (e^{-50} at T = 0.02) and the state is the Gibbs state
+        doc = qubit_doc()
+        doc["bath"]["temperature"] = temp
+        model = write_model(tmp_path, doc)
+        assert cli.main(["pauli", "--model", model]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert set(report["checks"].values()) == {"pass"}
+        assert report["detailed_balance_residual"] < 1e-14
+        assert report["stationary"][1] == pytest.approx(report["gibbs"][1], rel=1e-13)
+
     def test_pauli_two_coupling_thermal(self, tmp_path, capsys):
         doc = qubit_doc()
         doc["system"]["couplings"].append(_pairs(np.diag([1.0, -1.0])))

@@ -59,6 +59,32 @@ def test_cli_paths_never_load_scipy_linalg():
     assert loaded == [[0] * 6, False]
 
 
+def test_cli_paths_load_no_scipy():
+    # the special functions are oqsolve._special and the DOP853 tableau is literal: no
+    # subcommand, on the shipped model or a full-time T = 0 copy, imports any of scipy
+    loaded = _fresh(
+        "import json, os, sys, tempfile\n"
+        "import oqsolve.cli as cli\n"
+        "with open('examples_models/qubit_relaxation.json') as fh:\n"
+        "    doc = json.load(fh)\n"
+        "doc['bath']['temperature'] = 0.0\n"
+        "doc['run']['mode'] = doc['run']['qrt']['mode'] = 'full-time'\n"
+        "codes = set()\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    t0 = os.path.join(out, 'full-time-t0.json')\n"
+        "    with open(t0, 'w') as fh:\n"
+        "        json.dump(doc, fh)\n"
+        "    for model in ('examples_models/qubit_relaxation.json', t0):\n"
+        "        cli.load_model(model)\n"
+        "        for c in ('simulate', 'pauli', 'cp-audit', 'spectrum', 'nonlocal', 'qrt',\n"
+        "                  'coefficients', 'oracle-compare'):\n"
+        "            codes.add(cli.main([c, '--model', model, '--out', os.path.join(out, c)]))\n"
+        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([sorted(codes), scipy]))\n"
+    )
+    assert loaded == [[0], []]
+
+
 def test_deferred_paths_in_a_fresh_interpreter():
     # in-suite tests cannot see a missing local import once another test has
     # loaded the submodule, so each deferred path runs here in a new process

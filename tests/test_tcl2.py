@@ -244,6 +244,32 @@ class TestPropagate:
             want = core.unvec(expm(s * (t - grid[0])) @ core.vec(rho0), d)
             assert np.max(np.abs(rho - want)) <= 1e-13
 
+    def test_uniform_grid_builds_one_exponential(self, monkeypatch):
+        # np.linspace(0, 20, 201) has 9 distinct float steps, all within 1.5e-15 of 0.1; they
+        # share one exponential, and the states still match per-step exponentials (scipy's)
+        m = relaxation_model()
+        grid = np.linspace(0.0, 20.0, 201)
+        assert len(set(np.diff(grid).tolist())) == 9
+        calls = []
+        monkeypatch.setattr(tcl2, "expm", lambda a: calls.append(a) or core.expm(a))
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+        traj = tcl2.propagate(m, rho0, grid, mode="stationary")
+        assert len(calls) == 1
+        s = tcl2.build_L2(m, None)
+        maps, ys = {}, [core.vec(rho0)]
+        for h in np.diff(grid).tolist():
+            ys.append(maps.setdefault(h, expm(s * h)) @ ys[-1])
+        assert np.max(np.abs(traj.states.reshape(grid.size, -1) - np.array(ys))) <= 1e-13
+
+    def test_step_classes(self):
+        # sorted steps start a class when more than tol above the class's first step, so
+        # steps that creep upward by less than tol each do not chain into one class
+        steps = np.array([0.1, 0.2, 0.1 + 1e-15, 0.3, 0.2 - 1e-15])
+        assert tcl2._step_classes(steps, 1e-14).tolist() == [0, 1, 0, 2, 1]
+        creep = 1.0 + 0.6e-14 * np.arange(4)
+        assert tcl2._step_classes(creep, 1e-14).tolist() == [0, 0, 1, 1]
+        assert tcl2._step_classes(-steps, 1e-14).tolist() == [2, 1, 2, 0, 1]
+
     @pytest.mark.parametrize("mode", ["stationary", "full-time"])
     def test_grid_solve_ivp_rejects_raises(self, mode):
         m = relaxation_model()
@@ -294,6 +320,15 @@ class TestPropagate:
                                   (grid[0], grid[-1]), core.vec(rho0), method="DOP853",
                                   t_eval=grid, rtol=1e-10, atol=1e-12)
         assert np.max(np.abs(traj.states.reshape(grid.size, -1) - ref.y.T)) <= 1e-8
+
+    def test_dop853_tableau_is_scipys(self):
+        # the literals reproduce scipy.integrate.DOP853 bit for bit
+        DOP853 = integrate.DOP853
+        for ours, theirs in [(tcl2._A, DOP853.A), (tcl2._B, DOP853.B), (tcl2._C, DOP853.C),
+                             (tcl2._E3, DOP853.E3), (tcl2._E5, DOP853.E5)]:
+            assert ours.shape == theirs.shape and np.array_equal(ours, theirs)
+        assert tcl2._ERROR_EXPONENT == -1 / (DOP853.error_estimator_order + 1)
+        assert DOP853.n_stages == tcl2._B.size
 
     def test_stepper_counts_evaluations(self):
         # tcl2.solve_ivp and its nfev are read from outside the package (perfbench/spans.py):
