@@ -381,17 +381,13 @@ class _LorentzChannel:
     def gamma_tilde(self, w: float) -> float:
         return self.gamma0 / (1.0 + (w / self.cutoff) ** 2)
 
-    def _on_axis(self, w: np.ndarray) -> np.ndarray:
-        """A(w) = alpha^(iw + 0+)."""
-        return self.laplace(1j * w)
-
     def on_axis(self, w: np.ndarray) -> np.ndarray:
-        """_on_axis(w).  It does not depend on t, and every generator build of
-        one model asks for it at the same gaps, so the value for the last
-        array w is kept, keyed by its dtype, shape and bytes."""
+        """A(w) = alpha^(iw + 0+).  It does not depend on t, and every generator
+        build of one model asks for it at the same gaps, so the value for the
+        last array w is kept, keyed by its dtype, shape and bytes."""
         key = (w.dtype.str, w.shape, w.tobytes())
         if key != self._axis_key:
-            self._axis_key, self._axis_value = key, self._on_axis(w)
+            self._axis_key, self._axis_value = key, self.laplace(1j * w)
         return self._axis_value
 
 
@@ -546,14 +542,6 @@ class _ThermalChannel(_LorentzChannel):
             far = gt * 2.0 * w / np.expm1(w / T)
         return np.where(np.abs(w) < 1e-6 * T, gt * (2 * T + w * w / (6 * T) - w), far)
 
-    def _on_axis(self, w: np.ndarray) -> np.ndarray:
-        """A(w) = alpha^(iw): its real part is alpha~(w)/2, taken from spectrum's expm1
-        form, which holds the KMS ratio Re A(-w) / Re A(w) = e^{w/T} to round-off; the
-        digamma form, a difference of O(1) terms, loses it as e^{|w|/T} grows (by 3e-8
-        at T = 0.05 on a gap of 1).  The Lamb shift, the imaginary part, is the digamma
-        form's."""
-        return self.spectrum(w) / 2 + 1j * self.laplace(1j * w).imag
-
     def terms(self, n: int):
         """The first n entries (c, z) of the term table: c0 + ck* at Lam, then the Matsubara
         terms k = 1 .. n - 1 (ck* = 0), ck = -2 gamma0 T Lam x k / ((x - k)(x + k)).  Taking
@@ -611,10 +599,18 @@ class _ThermalChannel(_LorentzChannel):
         term c0/(Lam + s) brings cot(Lam/2T) = cot(pi x); both diverge as Lam
         nears a Matsubara frequency.  By reflection, psi(1 - x) = psi(x) +
         pi cot(pi x), and that cot term cancels the real part of c0 exactly,
-        so the form below keeps psi(x) and only the imaginary part of c0."""
+        so the form below keeps psi(x) and only the imaginary part of c0.
+
+        On the axis, s = iw, the real part is alpha~(w)/2, taken from spectrum's
+        expm1 form, which holds the KMS ratio Re A(-w) / Re A(w) = e^{w/T} to
+        round-off; the digamma form, a difference of O(1) terms, loses it as
+        e^{|w|/T} grows (by 3e-8 at T = 0.05 on a gap of 1, and all of it, 0 for
+        e^{-50}, at T = 0.02).  The Lamb shift, the imaginary part, is the digamma
+        form's."""
         g0, lam, T = self.gamma0, self.cutoff, self.temperature
         a = 2 * np.pi * T
         s = s.astype(complex)
+        axis = s.real == 0
         # every pole and nudge of _regular_point lies this close to the real axis
         for k in np.flatnonzero(np.abs(s.imag) < 1e-9 * max(lam, a)):
             s[k] = self._regular_point(complex(s[k]))
@@ -623,7 +619,10 @@ class _ThermalChannel(_LorentzChannel):
         C = -s / (lam**2 - s**2)
         psi_x, psi_plus = self._psi
         ssum = (A / a) * psi_x - (B / a) * psi_plus - (C / a) * special.digamma(1 + s / a)
-        return -0.5j * g0 * lam**2 / (lam + s) - 2 * g0 * T * lam**2 * ssum
+        out = -0.5j * g0 * lam**2 / (lam + s) - 2 * g0 * T * lam**2 * ssum
+        if axis.any():
+            out[axis] = self.spectrum(s.imag[axis]) / 2 + 1j * out[axis].imag
+        return out
 
     def coefficient_full(self, t: np.ndarray, w: np.ndarray) -> np.ndarray:
         """A(t; w) = alpha^(iw) - e^{-iwt} sum_k c_k e^{-z_k t} / (z_k + iw), (nt, k).  The

@@ -17,7 +17,9 @@ matrix-exponential steps for the stationary generator, adaptive DOP853 (an
 eighth-order Runge-Kutta method) for the full-time one.  L(t) does not
 depend on the state, so all stage times of a DOP853 step are known once its
 size is: each step builds its stage generators from one bath call over those
-times and one contraction, and the state stays in the energy basis.
+times and one contraction.  The free part -i[H, .] is diagonal in the energy
+basis and is applied exactly: DOP853 steps the interaction-picture state under
+the second-order part alone (see _evolve).
 """
 
 from __future__ import annotations
@@ -153,13 +155,10 @@ class SystemModel:
 
     @cached_property
     def generator_support(self):
-        """generator_tensor cut to its nonzero rows and columns: (rows, cols,
-        partners, core), with partners the columns where the Hermiticity-preserving
-        partners of cols land, (x,y,i,j) -> (y,x,j,i); see _dissipative_superop_eb."""
-        d, g = self.dim, self.generator_tensor
+        """generator_tensor cut to its nonzero rows and columns: (rows, cols, core)."""
+        g = self.generator_tensor
         rows, cols = np.flatnonzero(np.any(g, axis=1)), np.flatnonzero(np.any(g, axis=0))
-        partners = np.arange(d**4).reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(-1)[cols]
-        return rows, cols, partners, g[np.ix_(rows, cols)]
+        return rows, cols, g[np.ix_(rows, cols)]
 
     @cached_property
     def pair_error_gain(self) -> float:
@@ -197,21 +196,34 @@ def second_order_operator(m: SystemModel, t, n: int) -> np.ndarray:
     return m.basis.from_energy_basis(b)
 
 
-def _dissipative_superop_eb(m: SystemModel, t) -> np.ndarray:
+def _dissipative_superop_eb(m: SystemModel, t, tau=None) -> np.ndarray:
     """The second-order part of the generator in the energy basis: the terms
     B_n e_ij L_n - L_n B_n e_ij from m.generator_tensor, plus their
     Hermiticity-preserving partners L_n e_ij Bd_n - e_ij Bd_n L_n,
-    S'[(x,y),(i,j)] = conj S[(y,x),(j,i)].  At a 1-D array of times the
-    coefficient stacks lead, and so do the generators: (nt, d^2, d^2)."""
+    S'[(x,y),(i,j)] = conj S[(y,x),(j,i)], added as a transposed view.  At a
+    1-D array of times the coefficient stacks lead, and so do the generators:
+    (nt, d^2, d^2).
+
+    With tau, a 1-D array like t, the generators are carried to the interaction
+    picture of the free part F = -i[H, .] = -i diag(w_xy), e^{-F tau} S e^{F tau}:
+    entry ((x,y),(i,j)) times e^{i w_xy tau} e^{-i w_ij tau}.  The phases go on
+    before the partners are added; w_yx = -w_xy, so the partners take the
+    conjugate phases with the conjugate terms."""
     d = m.dim
     a = _coefficients(m, t)
     lead = a.shape[:-3]
-    rows, cols, partners, core = m.generator_support
-    part = a.reshape(lead + (-1,))[..., rows] @ core
-    s = np.zeros(lead + (d**4,), dtype=complex)
-    s[..., cols] = part
-    s[..., partners] += np.conj(part)
-    return s.reshape(lead + (d * d, d * d))
+    rows, cols, core = m.generator_support
+    s = a.reshape(lead + (-1,))[..., rows] @ core
+    if cols.size < d**4:
+        part, s = s, np.zeros(lead + (d**4,), dtype=complex)
+        s[..., cols] = part
+    s = s.reshape(lead + (d * d, d * d))
+    if tau is not None:
+        p = np.exp(1j * np.multiply.outer(tau, m.basis.gaps.reshape(-1)))
+        s *= p[:, :, None]
+        s *= np.conj(p)[:, None, :]
+    s4 = s.reshape(lead + (d, d, d, d))
+    return (s4 + np.conj(s4.swapaxes(-4, -3).swapaxes(-2, -1))).reshape(lead + (d * d, d * d))
 
 
 def build_L2(m: SystemModel, t=None) -> np.ndarray:
@@ -461,6 +473,10 @@ def _dop853_tableau():
 
 
 _A, _B, _C, _E3, _E5 = _dop853_tableau()
+# rows (1, A[s]) and (1, B): scaled by h past column 0, row s takes the block (y, k_0 ..
+# k_{s-1}) to the argument of stage s, and row 12 the block (y, k_0 .. k_11) to the step's end
+_STEP = np.hstack([np.ones((13, 1)), np.vstack([_A, _B])])
+_ERRORS = np.stack([_E5, _E3])
 
 
 class _Solution(NamedTuple):
@@ -479,10 +495,12 @@ def solve_ivp(generators, grid: np.ndarray, y0: np.ndarray, rtol: float, atol: f
 
     Each step asks for the generators at all its stage times t + C[1:] h at once.
     The tableau, the error norm, the step control and the first step are those of
-    scipy's solve_ivp(method="DOP853") at the same rtol and atol.  Steps are
-    shortened to land on the grid points, so there is no dense output; the step
-    after a shortened one starts from the size proposed before it was shortened
-    if that is larger."""
+    scipy's solve_ivp(method="DOP853") at the same rtol and atol.  The state and
+    the stages share one array, and the tableau is scaled by h once per step, so
+    each stage is one row-times-block product and one matrix-vector product.
+    Steps are shortened to land on the grid points, so there is no dense output;
+    the step after a shortened one starts from the size proposed before it was
+    shortened if that is larger."""
     direction = 1.0 if grid[-1] > grid[0] else -1.0
     t, y = float(grid[0]), y0
     f = generators(np.array([t]))[0] @ y
@@ -495,7 +513,11 @@ def solve_ivp(generators, grid: np.ndarray, y0: np.ndarray, rtol: float, atol: f
     d2 = _rms((f1 - f) / scale) / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
     h_abs, nfev = min(100 * h0, h1, span), 2
-    k = np.empty((_B.size + 1, y.size), dtype=complex)
+    # w holds y, the 12 stages k_0 = f .. k_11 and f at the step's end, one row each
+    w = np.empty((_B.size + 2, y.size), dtype=complex)
+    w[0], w[1] = y, f
+    # stage s reads the block w[:s + 1] and writes row s + 1
+    blocks = [(s, w[:s + 1], w[s + 1]) for s in range(1, _B.size)]
     ys = [y]
     for t_end in grid[1:].tolist():
         while t != t_end:
@@ -511,15 +533,16 @@ def solve_ivp(generators, grid: np.ndarray, y0: np.ndarray, rtol: float, atol: f
                 proposed, h = h_abs, t_new - t
                 h_abs = abs(h)
                 stages = generators(t + _C[1:] * h)
-                k[0] = f
-                for s in range(1, _B.size):
-                    k[s] = stages[s - 1] @ (y + h * (_A[s, :s] @ k[:s]))
-                y_new = y + h * (_B @ k[:-1])
-                k[-1] = f_new = stages[-1] @ y_new
+                step = _STEP * h
+                step[:, 0] = 1.0
+                for (s, block, k), g in zip(blocks, stages):
+                    np.dot(g, np.dot(step[s, :s + 1], block), out=k)
+                y_new = step[-1] @ w[:-1]
+                np.dot(stages[-1], y_new, out=w[-1])
                 nfev += _B.size
                 scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-                err5, err3 = _E5 @ k / scale, _E3 @ k / scale
-                e5, e3 = np.vdot(err5, err5).real, np.vdot(err3, err3).real
+                err = _ERRORS @ w[1:] / scale
+                e5, e3 = (err.real**2 + err.imag**2).sum(1)
                 norm = 0.0 if e5 == 0 and e3 == 0 else h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * y.size)
                 if norm < 1:
                     factor = _MAX_FACTOR if norm == 0 else min(_MAX_FACTOR, _SAFETY * norm**_ERROR_EXPONENT)
@@ -529,7 +552,8 @@ def solve_ivp(generators, grid: np.ndarray, y0: np.ndarray, rtol: float, atol: f
                     break
                 h_abs *= max(_MIN_FACTOR, _SAFETY * norm**_ERROR_EXPONENT)
                 rejected = True
-            t, y, f = t_new, y_new, f_new
+            t, y = t_new, y_new
+            w[0], w[1] = y, w[-1]
         ys.append(y)
     return _Solution(y=np.array(ys), nfev=nfev)
 
@@ -565,10 +589,24 @@ def _evolve(m: SystemModel, y0: np.ndarray, grid: np.ndarray, mode: str,
     of its members, so that the steps still add up to the grid's span: core.expm,
     Pade scaling and squaring on numpy's BLAS, accurate to round-off, whose step
     maps keep their column traces to round-off; rtol and atol are not used.
-    Full-time mode: adaptive DOP853 at rtol and atol (solve_ivp) in the energy
-    basis, where -i[H, .] is diagonal; each step builds its stage generators
-    from one bath call, and the states go back to the input basis at the grid
-    points only."""
+    Full-time mode: adaptive DOP853 at rtol and atol (solve_ivp) in the
+    interaction picture.  In the energy basis the free part is F = -i diag(w_xy),
+    so with tau = t - grid[0] DOP853 integrates y_I = e^{-F tau} y under the
+    stage generators e^{-F tau} S(t) e^{F tau} of the second-order part S alone
+    (_dissipative_superop_eb with tau), each step from one bath call; the
+    phases e^{F tau} go back on exactly, and the states to the input basis, at
+    the grid points only.  |y_I| = |y| entry by entry, so the error scale and
+    norm read the same magnitudes and rtol and atol keep their meaning.  The
+    steps follow the bath, not the free oscillation: on the perfbench
+    time-dependent jobs (seed 3) the evaluations fall from 974 to 242 (d = 4 OU
+    dephasing), 326 to 230 (thermal dephasing) and 184 to 148 (OU qrt), and
+    rise from 172 to 220 for oracle-compare's 3-level model, over a horizon of
+    1: from grid[0] = 0 the first stage is L(0) y_I = 0 (A(0; w) = 0), so the
+    first step is 1e-4, 100 times the first-step rule's 1e-6 probe, and the next
+    few grow tenfold.  Against an rtol
+    1e-13 run the defaults are off by 1.2e-11 on the shipped model's 201 points
+    from a coherent state and by 1.3e-13 on a d = 3 two-channel OU relaxation,
+    against 1.5e-10 and 3.5e-12 when DOP853 also stepped -i[H, .]."""
     _require_mode(mode)
     steps = _grid_steps(grid)
     if mode == "stationary":
@@ -580,15 +618,14 @@ def _evolve(m: SystemModel, y0: np.ndarray, grid: np.ndarray, mode: str,
             ys.append(maps[c] @ ys[-1])
         return np.array(ys)
 
-    free = -1j * m.basis.gaps.reshape(-1)
+    t0 = float(grid[0])
 
     def generators(times):
-        s = _dissipative_superop_eb(m, np.maximum(times, 0.0))
-        s.reshape(len(times), -1)[:, :: free.size + 1] += free
-        return s
+        return _dissipative_superop_eb(m, np.maximum(times, 0.0), times - t0)
 
     sol = solve_ivp(generators, grid, m.to_energy @ y0, rtol, atol)
-    return sol.y @ m.to_input.T
+    free = np.exp(-1j * np.multiply.outer(grid - t0, m.basis.gaps.reshape(-1)))
+    return (sol.y * free) @ m.to_input.T
 
 
 def propagate(m: SystemModel, rho0: np.ndarray, grid, mode: str = "stationary",

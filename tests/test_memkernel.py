@@ -220,6 +220,16 @@ class TestAsymptoticState:
         assert abs(np.trace(rho) - 1.0) <= 1e-14
         assert np.array_equal(rho, core.dag(rho))
 
+    @pytest.mark.parametrize("temperature", [0.1, 0.05, 0.02])
+    def test_low_temperature_populations_are_boltzmann(self, temperature):
+        # the rates Re A(+-1) that K2(0) reads on the axis hold the KMS ratio e^{1/T} to
+        # round-off, so the upper population is e^{-1/T} / (1 + e^{-1/T}) to round-off
+        # too, 1.9e-22 at T = 0.02; the digamma form's real parts read 1.1e-11 and 1.7e-7
+        # relative off at T = 0.1 and 0.05, and 0 at T = 0.02
+        rho = memkernel.asymptotic_state(qubit_model(temperature=temperature))
+        want = np.exp(-1 / temperature) / (1 + np.exp(-1 / temperature))
+        assert abs(rho[0, 0].real - want) <= 1e-12 * want
+
     @pytest.mark.parametrize("m", [qubit_model(), three_level_model(2, 0.0)],
                              ids=["qubit", "t0-seed2"])
     def test_is_the_final_value_of_the_resolvent(self, m):

@@ -57,6 +57,31 @@ class TestSpinChainEnvironment:
         assert np.allclose(l, core.dag(l))
         assert env_h.shape == (8, 8)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_site_operators_match_the_kron_chain(self, seed):
+        # every entry is a product of 0s and +-1s, so building a site operator from two
+        # krons (and a chain term from sx x sx) moves no bit against the chain of n - 1
+        def site_op(op, k, n):
+            out = np.eye(1, dtype=complex)
+            for j in range(n):
+                out = np.kron(out, op if j == k else np.eye(2, dtype=complex))
+            return out
+
+        rng = np.random.default_rng(seed)
+        n = 4 + seed % 2
+        eps, weights, j = rng.uniform(0.5, 2.5, n), rng.uniform(0.3, 1.0, n), rng.uniform(0.05, 0.15)
+        sx, sz = np.array([[0, 1], [1, 0]], dtype=complex), np.diag([1.0, -1.0]).astype(complex)
+        want_h = np.zeros((2**n, 2**n), dtype=complex)
+        for k in range(n):
+            want_h += 0.5 * eps[k] * site_op(sz, k, n)
+        for k in range(n - 1):
+            want_h += j * (site_op(sx, k, n) @ site_op(sx, k + 1, n))
+        want_l = np.zeros_like(want_h)
+        for k in range(n):
+            want_l += weights[k] * site_op(sx, k, n)
+        env_h, l = oracle.spin_chain_environment(n, eps, chain_coupling=j, site_weights=weights)
+        assert np.array_equal(env_h, want_h) and np.array_equal(l, want_l)
+
 
 class TestExactDynamics:
     def test_reduced_trajectory_is_physical(self):
@@ -123,6 +148,26 @@ class TestExactAlpha:
                               for lm in c.env_couplings] for ln in c.env_couplings])
             assert np.max(np.abs(b.alpha_time(t) - want)) <= 1e-13 * np.max(np.abs(want)), t
             assert np.array_equal(oracle.exact_alpha(c, [t])[0], b.alpha_time(t))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_round_off_frequencies_dropped(self, seed):
+        # the parity selection rule of sum c_k sx_k leaves about half of the register's
+        # frequencies with round-off weights; without them alpha and A(t; w) move by at
+        # most 4 eps of their largest value
+        c = oracle.random_composite(seed)
+        e, u = c.env_eig
+        rho = np.diag(core.dag(u) @ c.env_state @ u).real
+        l = core.dag(u) @ c.env_couplings[0] @ u
+        freqs, term = np.unique(np.subtract.outer(e, e), return_inverse=True)
+        table = np.zeros(freqs.size, dtype=complex)
+        np.add.at(table, term.ravel(), (rho[:, None] * l * l.T).ravel())
+        full = bath.ExponentialOU(c=table[:, None, None], lam=-1j * freqs)
+        pruned = oracle._environment_bath(c)
+        assert 100 <= pruned.lam.size <= 115 < 190 <= freqs.size
+        t, w = np.linspace(0.0, 5.0, 11), np.array([-1.3, 0.0, 0.4, 2.1])
+        for got, want in [(pruned.alpha_time(t), full.alpha_time(t)),
+                          (pruned.coefficient_full(t, w), full.coefficient_full(t, w))]:
+            assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
 
     def test_reduced_bath_has_no_stationary_limit(self):
         b = oracle.reduced_model(small_composite()).bath
