@@ -1,9 +1,10 @@
 """Complete-positivity machinery for the second-order theory.
 
 The algebraic (Magnus) generator Phi2(t) = int_0^t L2_int(tau) dtau has a
-Hermitian Lindblad coefficient matrix Delta that is positive semidefinite for
-every model and time, so G(t) = G0(t) exp(Phi2(t)) is exactly completely
-positive even though the instantaneous generator need not be.
+Hermitian Lindblad coefficient matrix Delta, read off Phi2 in the traceless
+gauge, that is positive semidefinite for every model and time, so
+G(t) = G0(t) exp(Phi2(t)) is exactly completely positive even though the
+instantaneous generator need not be.
 
 The weak test checks positivity of the running trapezoid integral of the
 interaction-picture dissipator D(tau) = Y + Y^dag, Y = sum_n vec(B_n) vec(L_n)^dag
@@ -31,7 +32,7 @@ from .core import (
     vec,
     write_matrix_csv,
 )
-from .tcl2 import SystemModel, _pair_dissipator, _pair_superop, _second_order_ops_eb
+from .tcl2 import SystemModel, _pair_superop, _second_order_ops_eb, canonical_coefficient_matrix
 
 __all__ = [
     "AlgebraicGenerator",
@@ -63,16 +64,16 @@ class AlgebraicGenerator:
 
 
 def magnus_phi2(m: SystemModel, t: float) -> AlgebraicGenerator:
-    """Interaction-picture Magnus generator Phi2(t) = int_0^t L2_int(tau) dtau:
-    the gap-pair contraction of the integrated table I[a, b](t) =
-    int_0^t A(tau; u_a) e^{i(u_a + u_b) tau} dtau, which every bath gives in
-    closed form with a bound on its round-off or truncation."""
+    """Interaction-picture Magnus generator Phi2(t) = int_0^t L2_int(tau) dtau,
+    the gap-pair contraction of the integrated table I[a, b](t) = int_0^t
+    A(tau; u_a) e^{i(u_a + u_b) tau} dtau (in closed form, with a bound on its
+    round-off or truncation), and Delta, its traceless-gauge coefficient matrix."""
     if t < 0:
         raise ValueError("magnus_phi2 requires t >= 0")
     table, err = m.bath.coefficient_integral(float(t), m.unique_gaps)
     phi2 = _pair_superop(m, table)
     change = m.pair_error_gain * err / max(1.0, float(np.max(np.abs(phi2)))) if err else 0.0
-    return AlgebraicGenerator(t=float(t), phi2=phi2, delta=_pair_dissipator(m, table),
+    return AlgebraicGenerator(t=float(t), phi2=phi2, delta=herm_part(canonical_coefficient_matrix(phi2)),
                               change=change, converged=change <= _MAGNUS_TOL)
 
 
@@ -196,9 +197,10 @@ def weak_test_min_eigenvalue(m: SystemModel, grid) -> float:
 
 def interaction_dissipator_samples(m: SystemModel, tgrid):
     """Interaction-picture dissipator coefficient matrices D(tau) on a grid,
-    stacked (k, d^2, d^2), from one bath call for the whole grid: as in
-    _pair_dissipator, D = Y + Y^dag with Y = sum_n vec(B_n) vec(L_n)^dag, B_n and
-    L_n the traceless interaction-picture operators in the input basis."""
+    stacked (k, d^2, d^2), from one bath call for the whole grid: the traceless-gauge
+    coefficient matrix of interaction_L2(m, tau), D = Y + Y^dag with
+    Y = sum_n vec(B_n) vec(L_n)^dag, B_n and L_n the traceless interaction-picture
+    operators in the input basis."""
     tgrid = np.asarray(tgrid, dtype=float)
     k, d = tgrid.size, m.dim
     b, l = (m.basis.from_energy_basis(x) for x in _interaction_factors_eb(m, tgrid))

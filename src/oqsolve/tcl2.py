@@ -7,9 +7,9 @@ B_n(t) = sum_m (A_nm <> L_m)(t), built in the energy basis by the Hadamard rule
 stack A(t; g) over the distinct gaps g; `gap_index` spreads it over the
 matrix elements.  The generator is linear in that stack, so each build is one
 contraction with the fixed `SystemModel.generator_tensor` (the memory kernel
-K2(s) uses the same tensor per gap class).  The interaction-picture objects
-gather from a gap-pair table, in the energy basis, only the entries they
-read.
+K2(s) uses the same tensor per gap class); with interaction phases it gives
+interaction_L2.  The Magnus generator alone gathers from a gap-pair table, in
+the energy basis, only the entries it reads (_pair_superop).
 
 Also provides: the pseudo-Lindblad split -i[H+V, .] + dissipator(D), the
 rotating-wave (Lindblad) projection, and propagation: exact
@@ -236,46 +236,28 @@ def build_L2(m: SystemModel, t=None) -> np.ndarray:
     return m.free_superop + m.to_input @ _dissipative_superop_eb(m, t) @ m.to_energy
 
 
-def _pair_terms_eb(m: SystemModel, table: np.ndarray) -> np.ndarray:
-    """The terms B_n e_ij L_n of the interaction-picture superoperator of a
-    gap-pair table X (n_gaps, n_gaps, n, n) in the energy basis, (d, d, d, d):
-    entry (x, y, i, j) = sum_nm L_m[x,i] X[g(x,i), g(j,y)]_nm L_n[j,y], a gather
-    of the d^4 n^2 table entries they read."""
-    g, l = m.gap_index, m.couplings_eb
-    return np.einsum("xiyjnm,mxi,njy->xyij", table[g[:, :, None, None], g.T], l, l)
+def interaction_L2(m: SystemModel, tau: float) -> np.ndarray:
+    """Interaction-picture second-order generator G0(-tau) L2(tau) G0(tau): the
+    time-local assembly at t = tau with the interaction phases of tau."""
+    t = np.array([float(tau)])
+    return m.to_input @ _dissipative_superop_eb(m, t, t)[0] @ m.to_energy
 
 
 def _pair_superop(m: SystemModel, table: np.ndarray) -> np.ndarray:
     """Interaction-picture superoperator in the input basis, (d^2, d^2), from a
-    gap-pair table (n_gaps, n_gaps, n, n): the terms B_n e_ij L_n - L_n B_n e_ij
-    of the second-order generator, carried to the interaction picture
-    (_pair_terms_eb, and a gather of d^3 n^2 entries for the second), plus their
-    partners L_n e_ij Bd_n - e_ij Bd_n L_n, the Hermiticity-preserving conjugate
+    gap-pair table X (n_gaps, n_gaps, n, n): the terms B_n e_ij L_n - L_n B_n e_ij
+    of the second-order generator, carried to the interaction picture, a gather
+    of the d^4 n^2 and d^3 n^2 table entries they read, plus their partners
+    L_n e_ij Bd_n - e_ij Bd_n L_n, the Hermiticity-preserving conjugate
     S'[(x,y),(i,j)] = conj S[(y,x),(j,i)], which a basis change keeps."""
     d, g, l = m.dim, m.gap_index, m.couplings_eb
+    # B_n e_ij L_n, entry (x, y): sum_nm L_m[x,i] X[g(x,i), g(j,y)]_nm L_n[j,y]
+    s = np.einsum("xiyjnm,mxi,njy->xyij", table[g[:, :, None, None], g.T], l, l)
     # -L_n B_n e_ij, entry (x, j): -sum_k L_n[x,k] X[g(k,i), g(x,k)]_nm L_m[k,i]
     k = np.einsum("xkinm,nxk,mki->xi", table[g, g[:, :, None]], l, l)
-    s = _pair_terms_eb(m, table) - k[:, None, :, None] * np.eye(d)[:, None, :]
+    s -= k[:, None, :, None] * np.eye(d)[:, None, :]
     s = s + np.conj(s.transpose(1, 0, 3, 2))
     return m.to_input @ s.reshape(d * d, d * d) @ m.to_energy
-
-
-def _pair_dissipator(m: SystemModel, table: np.ndarray) -> np.ndarray:
-    """herm_part(canonical_coefficient_matrix(S)) of S = _pair_superop(m, table),
-    (d^2, d^2).  The terms -L_n B_n e_ij have the Choi matrix -vec(K) vec(1)^T,
-    which the traceless gauge removes, and the partners' is the adjoint of the
-    rest's, so this is Y + Y^dag with Y the gauge of _pair_terms_eb alone."""
-    d = m.dim
-    y = canonical_coefficient_matrix(_pair_terms_eb(m, table).reshape(d * d, d * d))
-    return m.to_input @ (y + dag(y)) @ m.to_energy
-
-
-def interaction_L2(m: SystemModel, tau: float) -> np.ndarray:
-    """Interaction-picture second-order generator G0(-tau) L2(tau) G0(tau), from
-    the gap-pair table T[a, b] = A(tau; u_a) e^{i(u_a + u_b) tau}."""
-    a = m.bath.coefficient_full(float(tau), m.unique_gaps)
-    phase = np.exp(1j * float(tau) * m.unique_gaps)
-    return _pair_superop(m, a[:, None] * (phase[:, None] * phase)[..., None, None])
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +342,9 @@ def microscopic_pseudo_lindblad(m: SystemModel, t=None) -> PseudoLindblad:
 # ---------------------------------------------------------------------------
 
 def _rwa_mask(m: SystemModel) -> np.ndarray:
-    gaps = m.basis.gaps.reshape(-1)
-    return np.abs(gaps[:, None] - gaps[None, :]) <= _GAP_TOL
+    """The secular entries ((x,y),(i,j)): w_xy and w_ij in one gap class."""
+    g = m.gap_index.reshape(-1)
+    return g[:, None] == g
 
 
 def rwa_projection(m: SystemModel) -> np.ndarray:
@@ -400,7 +383,7 @@ def _grid_steps(grid: np.ndarray) -> np.ndarray:
 
 
 def _require_mode(mode: str) -> None:
-    if mode not in ("stationary", "full-time", "full"):
+    if mode not in ("stationary", "full-time"):
         raise ValueError(f"unknown mode {mode!r}")
 
 

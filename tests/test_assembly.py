@@ -119,6 +119,25 @@ def ref_plindblad_kernel_matrix(m):
     return dmat
 
 
+def ref_magnus_delta(m, t):
+    """Delta = Y + Y^dag from the integrated gap-pair table X = coefficient_integral(t),
+    with Y the traceless-gauge Choi matrix of the terms B_n e_ij L_n alone, entry by
+    entry: S[(x,y),(i,j)] = sum_nm L_m[x,i] X[g(x,i), g(j,y)]_nm L_n[j,y]."""
+    d, nch, leb = m.dim, len(m.couplings), m.couplings_eb
+    table, _ = m.bath.coefficient_integral(t, m.unique_gaps)
+
+    def index(i, j):
+        return int(np.flatnonzero(m.unique_gaps == nearest_gap(m, m.basis.gaps[i, j]))[0])
+
+    s = np.zeros((d, d, d, d), dtype=complex)
+    for x, y, i, j in np.ndindex(d, d, d, d):
+        a = table[index(x, i), index(j, y)]
+        s[x, y, i, j] = sum(leb[mm, x, i] * a[n, mm] * leb[n, j, y]
+                            for n in range(nch) for mm in range(nch))
+    y = tcl2.canonical_coefficient_matrix(to_input(m, s.reshape(d * d, d * d)))
+    return y + core.dag(y)
+
+
 def assert_close(got, want, tol=1e-13):
     assert got.shape == want.shape
     scale = max(1.0, float(np.max(np.abs(want))))
@@ -168,6 +187,14 @@ class TestStackedAssembly:
         m = MODELS[name]()
         for tau in (0.05, 0.9, 3.0):
             assert_close(tcl2.interaction_L2(m, tau), ref_interaction_L2(m, tau))
+
+    def test_magnus_delta(self, name):
+        # Delta read off Phi2 against the identity Y + Y^dag on the gap-pair table
+        m = MODELS[name]()
+        for t in (0.5, 3.0):
+            want = ref_magnus_delta(m, t)
+            got = positivity.magnus_phi2(m, t).delta
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_kernel_K2(self, name):
         m = MODELS[name]()

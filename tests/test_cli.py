@@ -547,6 +547,15 @@ class TestValidation:
         assert cli.main(["oracle-compare", "--model", model, *option]) == cli.EXIT_VALIDATION
         assert f"{where} must be an integer > -1, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "qrt"])
+    def test_unknown_mode_exits_validation(self, tmp_path, capsys, command):
+        # only "stationary" and "full-time" are modes; "full" is not an alias
+        sx = _pairs(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        doc = qubit_doc(t_max=1.0, n_points=2, mode="full",
+                        qrt={"x1": sx, "x2": sx, "t1": 1.0, "t2": 0.5, "mode": "full"})
+        assert cli.main([command, "--model", write_model(tmp_path, doc)]) == cli.EXIT_VALIDATION
+        assert "unknown mode 'full'" in capsys.readouterr().err
+
     def test_compose_refused(self, tmp_path, capsys):
         doc = qubit_doc()
         doc["compose"] = ["a.json", "b.json"]

@@ -61,6 +61,16 @@ class TestPauliSystem:
         assert abs(w[1, 0]) < 1e-14 and abs(w[2, 0]) < 1e-14 and abs(w[2, 1]) < 1e-14
         assert w[0, 1] > 0 and w[0, 2] > 0 and w[1, 2] > 0
 
+    def test_zero_temperature_rates_exactly_downward(self):
+        # a non-diagonal four-level H: the upward rates are exact zeros of the T = 0
+        # spectrum, which the 2 He[A] assembly keeps, so detailed balance holds exactly
+        h = np.array([[0, .2, 0, .1j], [.2, .7, .15j, 0], [0, -.15j, 1.3, .1], [-.1j, 0, .1, 2.2]])
+        l = np.array([[.1, 1, .3j, .2], [1, -.2, .5, .4j], [-.3j, .5, .3, .6], [.2, -.4j, .6, -.2]])
+        b = bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=0.0)
+        m = tcl2.SystemModel(h=h, couplings=[l], bath=b)
+        assert np.all(np.tril(spectral.pauli_system(m).W, -1) == 0.0)
+        assert spectral.detailed_balance_residual(m) == 0.0
+
     def test_decoupled_system_reports_multiple_stationary(self):
         m = tcl2.SystemModel(
             h=np.diag([0.0, 1.0, 2.5]),
