@@ -268,7 +268,7 @@ def cmd_pauli(model, run, args):
             report["gibbs"] = [float(x) for x in gibbs]
             report["gibbs_residual"] = gerr
             checks["gibbs"] = "pass" if gerr < tol else "fail"
-        balance = spectral.detailed_balance_residual(model)
+        balance = spectral.detailed_balance_residual(model, ps.stationary)
         report["detailed_balance_residual"] = balance
         if same:
             checks["detailed_balance"] = "pass" if balance < max(tol, 1e-10) else "fail"

@@ -75,9 +75,6 @@ class SystemModel:
     h: np.ndarray
     couplings: list
     bath: bath_mod.BathModel
-    # the last spectral.pauli_system of this model, reused by the routes that
-    # need it again (the spectrum's Pauli sector, detailed balance)
-    _pauli_system: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.h = require_hermitian(self.h, name="Hamiltonian")

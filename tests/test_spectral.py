@@ -69,7 +69,7 @@ class TestPauliSystem:
         b = bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=0.0)
         m = tcl2.SystemModel(h=h, couplings=[l], bath=b)
         assert np.all(np.tril(spectral.pauli_system(m).W, -1) == 0.0)
-        assert spectral.detailed_balance_residual(m) == 0.0
+        assert spectral.detailed_balance_residual(m, spectral.pauli_system(m).stationary) == 0.0
 
     def test_decoupled_system_reports_multiple_stationary(self):
         m = tcl2.SystemModel(
@@ -117,6 +117,22 @@ class TestPerturbativeSpectrum:
         n2 = max(np.max(np.abs(v)) for v in s2.dsigma.values())
         # corrections scale with the square of the coupling strength
         assert 3.0 < n1 / n2 < 5.0
+
+    def test_corrections_are_their_definition(self):
+        # S[out, k] / (l_k - l_out) and S[k, out] / (l_k - l_out), one pair at a time
+        m = three_level_model()
+        spec = spectral.perturbative_spectrum(m)
+        s2 = tcl2._dissipative_superop_eb(m, None)
+        lam0 = -1j * m.basis.gaps.reshape(-1)
+        for (i, j) in spec.pairs:
+            k = i * 3 + j
+            right, left = np.zeros(9, dtype=complex), np.zeros(9, dtype=complex)
+            for out in range(9):
+                if out != k:
+                    right[out] = s2[out, k] / (lam0[k] - lam0[out])
+                    left[out] = s2[k, out] / (lam0[k] - lam0[out])
+            assert np.array_equal(spec.dsigma[(i, j)], right.reshape(3, 3))
+            assert np.array_equal(spec.dsigma_star[(i, j)], left.reshape(3, 3))
 
     def test_qubit_has_no_degenerate_groups(self):
         spec = spectral.perturbative_spectrum(qubit_model())
@@ -167,9 +183,36 @@ class TestResonantGroups:
             assert np.min(np.abs(exact - spec.f[(i, j)])) < 0.1 * shift
 
 
+class TestPairGroups:
+    def test_shift_by_identity_keeps_groups(self):
+        # the tolerance follows the energy spread, so H + 1e6 * 1 groups like H
+        for m in (qubit_model(), three_level_model()):
+            shifted = tcl2.SystemModel(h=m.h + 1e6 * np.eye(m.dim), couplings=m.couplings,
+                                       bath=m.bath)
+            a, b = spectral.perturbative_spectrum(m), spectral.perturbative_spectrum(shifted)
+            assert a.pairs and b.pairs == a.pairs
+            assert b.degenerate_groups == a.degenerate_groups
+            assert max(abs(b.f[p] - a.f[p]) for p in a.pairs) < 1e-8
+
+    def test_chaining_joins_neighbours_not_ends(self):
+        # dlt = 0.6 tol (tol = 1e-6 times the spread, about 3): gaps 1, 1 + dlt, 1 + 2 dlt
+        # chain into one group although the ends are 1.2 tol apart; 2 + dlt and 2 + 3 dlt,
+        # 1.2 tol apart with nothing between, do not
+        dlt = 0.6 * spectral._DEGEN_REL_TOL * 3.0
+        m = tcl2.SystemModel(
+            h=np.diag([0.0, 1.0, 2.0 + dlt, 3.0 + 3 * dlt]),
+            couplings=[np.ones((4, 4)) - np.eye(4)],
+            bath=bath.ExponentialOU(c=[[0.05]], lam=1.1),
+        )
+        spec = spectral.perturbative_spectrum(m)
+        assert spec.degenerate_groups == [[(2, 3), (1, 2), (0, 1)], [(1, 0), (2, 1), (3, 2)]]
+        assert spec.pairs == [(0, 3), (1, 3), (0, 2), (2, 0), (3, 1), (3, 0)]
+
+
 class TestDetailedBalance:
     def test_thermal_residual_tiny(self):
-        assert spectral.detailed_balance_residual(three_level_model()) < 1e-9
+        m = three_level_model()
+        assert spectral.detailed_balance_residual(m, spectral.pauli_system(m).stationary) < 1e-9
 
     def test_two_temperature_bath_violates(self):
         rng = np.random.default_rng(21)
@@ -181,7 +224,7 @@ class TestDetailedBalance:
             gamma0=0.05, cutoff=4.0, temperature=[0.2, 2.0], n_channels=2
         )
         m = tcl2.SystemModel(h=np.diag([0.0, 0.9, 2.1]), couplings=ls, bath=b)
-        assert spectral.detailed_balance_residual(m) > 1e-2
+        assert spectral.detailed_balance_residual(m, spectral.pauli_system(m).stationary) > 1e-2
 
 
     def test_widely_spread_populations_balance(self):
@@ -193,7 +236,7 @@ class TestDetailedBalance:
         gibbs = np.exp(-m.basis.energies / 0.23)
         gibbs /= gibbs.sum()
         assert np.max(np.abs(spectral.pauli_system(m).stationary - gibbs)) < 1e-13
-        assert spectral.detailed_balance_residual(m) < 1e-10
+        assert spectral.detailed_balance_residual(m, spectral.pauli_system(m).stationary) < 1e-10
 
 class TestDampingBasis:
     def test_orthogonality_defect_scales_as_fourth_power(self):
@@ -205,3 +248,24 @@ class TestDampingBasis:
         )
         assert d1 < 0.05
         assert d1 / d2 > 10.0
+
+    @pytest.mark.parametrize("levels", [[0.0, 0.7, 1.6, 3.1], [0.0, 1.0, 2.0, 3.0]])
+    def test_orthogonality_is_its_definition(self, levels):
+        # the largest |sigma*_p . sigma_q - delta_pq| over pairs p, q, one product at a time
+        rng = np.random.default_rng(4)
+        l = 0.3 * core.herm_part(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        m = tcl2.SystemModel(h=np.diag(levels), couplings=[l],
+                             bath=bath.ExponentialOU(c=[[0.1]], lam=0.9 + 0.4j))
+        spec = spectral.perturbative_spectrum(m)
+        assert len(spec.pairs) >= 2 and bool(spec.degenerate_groups) == (levels[1] == 1.0)
+
+        def unit(p):
+            e = np.zeros((4, 4), dtype=complex)
+            e[p] = 1.0
+            return e
+
+        want = max(
+            abs(np.sum((spec.dsigma_star[p] + unit(p)) * (spec.dsigma[q] + unit(q))) - (p == q))
+            for p in spec.pairs for q in spec.pairs
+        )
+        assert abs(spectral.damping_basis_orthogonality(spec) - want) < 1e-15
