@@ -13,8 +13,10 @@ input-basis samples (an external audit); weak_test_min_eigenvalue gives the
 same number from the model without forming them.  The input- and energy-basis
 matrices are unitarily similar, and vec(1) is an exact null vector of every
 running integral, so it works in the energy basis, in d^2 - 1 orthonormal
-traceless coordinates: it integrates Y there and takes one eigvalsh of the
-Hermitian stack acc + acc^dag.
+traceless coordinates: it integrates Y there, into the Hermitian stack
+acc + acc^dag.  Both routes read the stack's minimum from _stack_min_eigenvalue:
+one eigvalsh of the first matrix and one stacked Cholesky screen of the rest,
+with an eigvalsh of every matrix only when the screen fails.
 """
 
 from __future__ import annotations
@@ -149,14 +151,33 @@ def _running_integrals(samples, grid) -> np.ndarray:
     return np.cumsum(steps, axis=0)
 
 
+def _stack_min_eigenvalue(h: np.ndarray) -> float:
+    """The smallest eigenvalue over a Hermitian (k, n, n) stack, k >= 1.
+
+    mu = eigvalsh(h[0])[0]; with tau = 8 n eps max|h|, a stacked Cholesky of
+    h[1:] - (mu - tau) 1 that succeeds shows every later eigenvalue to be above
+    mu - tau, so mu is returned, within tau of the stack's minimum and exact
+    when the minimum is at h[0].  When it fails (a later matrix dips below, or
+    tau = 0 on a zero stack) the minimum of every matrix's eigvalsh is returned.
+    """
+    mu = float(np.linalg.eigvalsh(h[0])[0])
+    n = h.shape[-1]
+    tau = 8 * n * np.finfo(float).eps * float(np.max(np.abs(h)))
+    try:
+        np.linalg.cholesky(h[1:] - (mu - tau) * np.eye(n))
+    except np.linalg.LinAlgError:
+        return float(np.min(np.linalg.eigvalsh(h)[:, 0]))
+    return mu
+
+
 def weak_cp_test(d_samples, grid) -> float:
     """Min eigenvalue of the trapezoid-integrated dissipator over all endpoints,
     from Hermitian samples (k, d^2, d^2) on a 1-D, finite, strictly increasing
-    grid of k >= 2 points."""
+    grid of k >= 2 points (_stack_min_eigenvalue, so within its tau)."""
     samples = require_hermitian(d_samples, tol=1e-8, name="dissipator sample")
     grid = _require_grid(grid, samples.shape[0] if samples.ndim == 3 else 1)
     acc = _running_integrals(samples, grid)
-    return float(np.min(np.linalg.eigvalsh(herm_part(acc))[:, 0]))
+    return _stack_min_eigenvalue(herm_part(acc))
 
 
 def _interaction_factors_eb(m: SystemModel, tgrid: np.ndarray):
@@ -186,13 +207,16 @@ def weak_test_min_eigenvalue(m: SystemModel, grid) -> float:
     their energy-basis form and annihilate vec(1), so in the traceless
     coordinates Q they are acc + acc^dag, acc the trapezoid integral of
     Y = sum_n (Q^T vec(B_n)) (Q^T vec(L_n^T))^T; the result is min(0, their
-    smallest eigenvalue), the 0 that of vec(1)."""
+    smallest eigenvalue), the 0 that of vec(1).  That eigenvalue is
+    _stack_min_eigenvalue's: within tau = 8 (d^2 - 1) eps max|acc| of the
+    stack's minimum, and exact when the minimum is at the first running
+    integral, where the trapezoid put it on every cp-audit model tried."""
     grid = _require_grid(grid, np.size(grid))
     b, l = _interaction_factors_eb(m, grid)
     bq, lq = _traceless_coordinates(b), _traceless_coordinates(l.swapaxes(-1, -2))
     acc = _running_integrals(bq.swapaxes(1, 2) @ lq, grid)
     acc += np.conj(acc).swapaxes(-1, -2)
-    return float(np.min(np.linalg.eigvalsh(acc), initial=0.0))
+    return min(0.0, _stack_min_eigenvalue(acc))
 
 
 def interaction_dissipator_samples(m: SystemModel, tgrid):

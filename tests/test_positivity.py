@@ -322,6 +322,68 @@ class TestWeakCPGrid:
                 positivity.weak_test_min_eigenvalue(m, grid)
 
 
+def record_eigvalsh(monkeypatch):
+    """Wrap np.linalg.eigvalsh as positivity sees it; the list of argument shapes."""
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(positivity.np.linalg, "eigvalsh", spy)
+    return shapes
+
+
+def full_stack_min(h):
+    return float(np.min(np.linalg.eigvalsh(h)[:, 0]))
+
+
+def stack_tau(h):
+    """The round-off scale the helper screens with, 8 n eps max|h|."""
+    return 8 * h.shape[-1] * np.finfo(float).eps * float(np.max(np.abs(h)))
+
+
+def random_hermitian_stack(k, n, seed=11):
+    rng = np.random.default_rng(seed)
+    return core.herm_part(rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n)))
+
+
+class TestStackMinEigenvalue:
+    @pytest.mark.parametrize("where", [0, 20, 39], ids=["first", "middle", "last"])
+    def test_minimum_anywhere_in_the_stack(self, monkeypatch, where):
+        h = random_hermitian_stack(40, 8)
+        h[where] -= 20.0 * np.eye(8)
+        want = full_stack_min(h)
+        assert int(np.argmin(np.linalg.eigvalsh(h)[:, 0])) == where
+        shapes = record_eigvalsh(monkeypatch)
+        got = positivity._stack_min_eigenvalue(h)
+        if where == 0:
+            # one decomposition, of the first matrix, and the stack's minimum bit for bit
+            assert shapes == [(8, 8)] and got == want
+        else:
+            # the screen fails and every matrix is decomposed
+            assert (40, 8, 8) in shapes and abs(got - want) <= stack_tau(h)
+
+    def test_positive_semidefinite_stack(self):
+        x = random_hermitian_stack(30, 6, seed=12)
+        h = x @ x  # x Hermitian: x^2 = x x^dag
+        assert abs(positivity._stack_min_eigenvalue(h) - full_stack_min(h)) <= stack_tau(h)
+
+    def test_single_matrix(self):
+        h = random_hermitian_stack(1, 5)
+        assert positivity._stack_min_eigenvalue(h) == full_stack_min(h)
+
+    def test_zero_stack(self):
+        # tau = 0, so the screen cannot pass and the fallback reads the exact 0
+        assert positivity._stack_min_eigenvalue(np.zeros((5, 4, 4), dtype=complex)) == 0.0
+
+    def test_badly_scaled_stack(self):
+        # entries from 1e-12 to 1e4: the screen's tau follows max|h|
+        s = np.where(np.random.default_rng(13).random(8) < 0.5, 1e-6, 1e2)
+        h = random_hermitian_stack(25, 8, seed=14) * np.multiply.outer(s, s)
+        assert abs(positivity._stack_min_eigenvalue(h) - full_stack_min(h)) <= stack_tau(h)
+
+
 class TestWeakRoute:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_traceless_coordinates_are_an_isometry_onto_the_complement_of_vec_one(self, d):
@@ -339,11 +401,23 @@ class TestWeakRoute:
         np.linspace(0.0, 2.0, 401),
         np.cumsum(np.random.default_rng(4).uniform(0.001, 0.01, 300)),
     ], ids=["uniform", "non-uniform"])
-    def test_matches_the_dense_samples(self, model, grid):
+    def test_matches_the_dense_samples(self, monkeypatch, model, grid):
         m = model()
         want = positivity.weak_cp_test(positivity.interaction_dissipator_samples(m, grid), grid)
+        stacks, helper = [], positivity._stack_min_eigenvalue
+        monkeypatch.setattr(positivity, "_stack_min_eigenvalue", lambda h: stacks.append(h) or helper(h))
         got = positivity.weak_test_min_eigenvalue(m, grid)
         assert got <= 0.0 and abs(got - want) <= 1e-15
+        # and within tau of the minimum of every running integral's eigvalsh
+        (h,) = stacks
+        assert abs(got - min(0.0, full_stack_min(h))) <= stack_tau(h)
+
+    def test_one_eigendecomposition_on_the_fast_path(self, monkeypatch):
+        # the trapezoid puts the minimum at the first dense point, so the screen
+        # passes and no running integral after it is decomposed
+        shapes = record_eigvalsh(monkeypatch)
+        positivity.weak_test_min_eigenvalue(ou_model(d=3), np.linspace(0.0, 3.0, 301))
+        assert shapes == [(8, 8)]
 
     def test_reports_a_negative_running_integral(self):
         # the route's min(0, .) hides no failure: a grid that starts inside the
