@@ -106,11 +106,35 @@ def _exp_sum_alpha(c, z, t: np.ndarray):
 
 
 def _exp_sum_coefficient(c, z, t: np.ndarray, w: np.ndarray, undamped: bool = False):
-    """A(t; w) = sum_k c_k E(-(z_k + iw), t) at 1-D arrays of t and w, (nt, k, ...); only
-    undamped terms can meet z_k + iw = 0, so only they take the guard."""
+    """A(t; w) = sum_k c_k E(x_k, t), x_k = -(z_k + iw), at 1-D arrays of t and w, (nt, k,
+    ...).  Damped terms take expm1(x t) / x.  An undamped term (Re z_k = 0) has x = i theta,
+    theta = -(Im z_k + w), and E(i theta, t) = (2/theta) sin(theta t/2) e^{-i Im z_k t/2}
+    e^{-iwt/2}, with E(0, t) = t: only a real sine runs on (nt, k, K), the phases are
+    (nt, K) and (nt, k), and the theta = 0 guard is (k, K).  The phases round Im z_k t/2
+    and w t/2 apart, so near resonance (|theta| << |w|) an entry is off by up to about
+    eps |w| t relative, where expm1 rounds theta t only; an error of eps |w| in the rates
+    or gaps moves the exact sum as much.  A table with both kinds sums the two parts."""
+    if undamped:
+        still = z.real == 0
+        out = _undamped_coefficient(c[still], z[still].imag, t, w)
+        return out if still.all() else out + _exp_sum_coefficient(c[~still], z[~still], t, w)
     x = -1j * w[:, None] - z
-    t = t[:, None, None]
-    return _weigh(_exp_integral(x, t) if undamped else np.expm1(x * t) / x, c)
+    return _weigh(np.expm1(x * t[:, None, None]) / x, c)
+
+
+def _undamped_coefficient(c, v, t: np.ndarray, w: np.ndarray):
+    """sum_k c_k E(i theta_k, t), theta_k = -(v_k + w), for real v (K,), weights c (K,) or
+    (K, m): the real (nt, k, K) factor 2 sin(theta t/2) / theta takes the complex weights
+    e^{-i v t/2} c as two real columns each, and e^{-iwt/2} multiplies the result."""
+    half = -(v + w[:, None]) / 2
+    zero = half == 0
+    half[zero] = 1.0
+    s = np.sin(t[:, None, None] * half) / half
+    if zero.any():
+        s[:, zero] = t[:, None]
+    weighted = np.exp(-0.5j * v * t[:, None])[..., None] * c.reshape(len(c), -1)
+    out = (s @ weighted.view(float)).view(complex)
+    return (np.exp(-0.5j * w * t[:, None])[..., None] * out).reshape(out.shape[:2] + c.shape[1:])
 
 
 def _over_i_nu(num, nu, limit, size):

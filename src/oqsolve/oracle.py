@@ -5,9 +5,10 @@ H = H_S x 1 + 1 x H_E + g sum_n L_n x l_n is diagonalized once, and exact
 reduced trajectories, correlation functions and two-time averages follow from
 phase evolution in the eigenbasis.  The environment correlation
 alpha_nm(t) = <l_n(t) l_m> is a finite sum of undamped exponentials, one per
-distinct transition frequency of H_E; reduced_model hands exactly that sum to
-the perturbative machinery as an ExponentialOU bath, so both sides run the
-same microscopic physics.
+distinct transition frequency of H_E (frequencies that eigh returns a few ulps
+apart are one frequency; on random_composite's registers 40 of them carry
+weight); reduced_model hands exactly that sum to the perturbative machinery as
+an ExponentialOU bath, so both sides run the same microscopic physics.
 """
 
 from __future__ import annotations
@@ -33,18 +34,8 @@ __all__ = [
 ]
 
 _MAX_DIM = 512
-
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_SZ = np.diag([1.0, -1.0]).astype(complex)
-
-
-def _site_op(op: np.ndarray, k: int, n: int) -> np.ndarray:
-    """1 x op x 1 on an n-qubit register, op acting on qubits k, k + 1, ... (as many
-    as its size holds)."""
-    left = np.eye(2**k, dtype=complex)
-    right = np.eye(2**n // (2**k * op.shape[0]), dtype=complex)
-    return np.kron(np.kron(left, op), right)
+# E_a - E_b closer than this many eps max|E| are one frequency (see _environment_bath)
+_MERGE_ULPS = 1024
 
 
 @dataclass(eq=False)
@@ -59,6 +50,9 @@ class CompositeModel:
     temperature: float = np.inf
 
     def __post_init__(self):
+        if not self.temperature > 0:
+            raise ValueError(f"temperature must be > 0 (np.inf for a maximally mixed register), "
+                             f"got {self.temperature!r}")
         self.h = require_hermitian(self.h, name="system Hamiltonian")
         self.env_h = require_hermitian(self.env_h, name="environment Hamiltonian")
         self.couplings = [require_hermitian(l, name=f"system coupling {n}")
@@ -86,7 +80,7 @@ class CompositeModel:
         """Thermal environment state exp(-H_E/T)/Z (maximally mixed at T=inf)."""
         if np.isinf(self.temperature):
             return np.eye(self.env_dim) / self.env_dim
-        w, u = np.linalg.eigh(self.env_h)
+        w, u = self.env_eig
         p = np.exp(-(w - w[0]) / self.temperature)
         p /= p.sum()
         return (u * p) @ dag(u)
@@ -108,27 +102,40 @@ class CompositeModel:
         return np.linalg.eigh(self.env_h)
 
     def with_coupling(self, g: float) -> "CompositeModel":
-        return replace(self, g=g)
+        """The same composite at coupling g; the environment's eigenbasis and thermal state,
+        which do not depend on g, carry over."""
+        out = replace(self, g=g)
+        out.env_eig, out.env_state = self.env_eig, self.env_state
+        return out
 
 
 def spin_chain_environment(n_qubits: int, splittings, chain_coupling: float = 0.0,
                            site_weights=None):
     """Qubit-register environment: H_E = sum eps_k sz_k/2 + J sum sx_k sx_{k+1},
-    coupled through l = sum c_k sx_k.  Returns (env_h, env_coupling)."""
+    coupled through l = sum c_k sx_k.  Returns (env_h, env_coupling).
+
+    Qubit 0 is the leading factor of the tensor product, so qubit k is bit n - 1 - k of a
+    basis index i: sz_k is the diagonal +-1 by that bit, and sx_k (sx_k sx_{k+1}) the swap
+    of i with i ^ bit_k (i ^ bit_k ^ bit_{k+1}).  The chain and coupling terms fill
+    disjoint entries, and the diagonal sums its terms in qubit order."""
     splittings = np.asarray(splittings, dtype=float)
     if splittings.size != n_qubits:
         raise ValueError("need one level splitting per qubit")
-    if site_weights is None:
-        site_weights = np.ones(n_qubits)
-    env_h = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
-    for k in range(n_qubits):
-        env_h += 0.5 * splittings[k] * _site_op(_SZ, k, n_qubits)
-    sxsx = np.kron(_SX, _SX)
-    for k in range(n_qubits - 1):
-        env_h += chain_coupling * _site_op(sxsx, k, n_qubits)
+    site_weights = np.ones(n_qubits) if site_weights is None else np.asarray(site_weights)
+    if site_weights.size != n_qubits:
+        raise ValueError(f"site_weights: need one weight per qubit ({n_qubits}), "
+                         f"got {site_weights.size}")
+    i = np.arange(2**n_qubits)
+    bits = 1 << np.arange(n_qubits)[::-1]
+    env_h = np.zeros((i.size, i.size), dtype=complex)
     l = np.zeros_like(env_h)
-    for k in range(n_qubits):
-        l += site_weights[k] * _site_op(_SX, k, n_qubits)
+    diag = np.zeros(i.size)
+    for k, b in enumerate(bits):
+        diag += 0.5 * splittings[k] * np.where(i & b, -1.0, 1.0)
+        l[i, i ^ b] = site_weights[k]
+    for b, b_next in zip(bits[:-1], bits[1:]):
+        env_h[i, i ^ b ^ b_next] = chain_coupling
+    env_h[i, i] = diag
     return env_h, l
 
 
@@ -173,20 +180,34 @@ def _environment_bath(c: CompositeModel) -> ExponentialOU:
 
     In the eigenbasis E_a of H_E the thermal state is diagonal, rho_a, so
     alpha_nm(t) = sum_ab rho_a (l_n)_ab (l_m)_ba e^{i(E_a - E_b) t}: Hermitian
-    weights at the undamped rates -i(E_a - E_b), one term per distinct
-    frequency.  A frequency whose largest weight is at most eps times the largest
-    weight of all is round-off, and is dropped: on random_composite's registers
-    these are the transitions that the parity selection rule of sum c_k sx_k
-    forbids (seeds 0-4: at most 1.7e-31 relative, where the smallest kept weight
-    is 7.4e-11), about half of the frequencies."""
+    weights at the undamped rates -i(E_a - E_b), one term per distinct frequency.
+
+    Differences that are equal in exact arithmetic come out of eigh a few ulps apart, so
+    the sorted E_a - E_b split into groups wherever neighbours lie more than
+    _MERGE_ULPS eps max|E| apart, and each group is one term at the mean of its members,
+    with their summed weight.  On random_composite's registers (seeds 0-59) members lie
+    at most 6.2 eps max|E| from their group's mean, and distinct frequencies at least
+    9e10 eps max|E| apart.  The merge moves alpha(t) by at most
+    t sum_ab |w_ab| |E_a - E_b - f_ab|, f_ab the frequency of the pair's group: against
+    40-digit sums over all level pairs, the merged alpha(t) and A(t; w) are within 16 eps
+    of their largest value at t <= 6 (seeds 0-59).
+
+    A frequency whose largest weight is at most eps times the largest weight of all is
+    round-off, and is dropped: on random_composite's registers these are the
+    transitions that the parity selection rule of sum c_k sx_k forbids, 41 of the 81
+    frequencies on every seed from 0 to 59, which leaves K = 40 terms."""
     e, u = c.env_eig
     rho = np.diag(dag(u) @ c.env_state @ u).real
     ls = np.array([dag(u) @ l @ u for l in c.env_couplings])
     n = len(ls)
     weights = np.einsum("a,nab,mba->abnm", rho, ls, ls).reshape(-1, n, n)
-    freqs, term = np.unique(np.subtract.outer(e, e), return_inverse=True)
-    table = np.zeros((freqs.size, n, n), dtype=complex)
-    np.add.at(table, term.ravel(), weights)
+    diffs = np.subtract.outer(e, e).ravel()
+    order = np.argsort(diffs)
+    diffs = diffs[order]
+    tol = _MERGE_ULPS * np.finfo(float).eps * np.max(np.abs(e))
+    heads = np.flatnonzero(np.diff(diffs, prepend=-np.inf) > tol)
+    table = np.add.reduceat(weights[order], heads)
+    freqs = np.add.reduceat(diffs, heads) / np.diff(heads, append=diffs.size)
     size = np.max(np.abs(table), axis=(1, 2))
     keep = size > np.finfo(float).eps * np.max(size)
     return ExponentialOU(c=table[keep], lam=-1j * freqs[keep])

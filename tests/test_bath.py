@@ -679,7 +679,7 @@ class TestCoefficientIntegral:
 
     @pytest.mark.parametrize("t", [0.5, 2.0, 6.0])
     def test_undamped_and_white_noise_against_quadrature(self, t):
-        # the oracle's baths have about 200 undamped terms, one of them with z_k + i w_a = 0
+        # the oracle's baths have 40 undamped terms each, none at a system gap
         models = [oracle.reduced_model(oracle.random_composite(seed)) for seed in range(3)]
         cases = [(m.bath, m.unique_gaps) for m in models] + [
             (bath.ExponentialOU(c=[[[0.05]], [[0.05]]], lam=[1.3j, -1.3j]), self.W),
@@ -801,6 +801,15 @@ class TestExponentialSum:
         want = np.einsum("sk,kij->sij", 1 / (self.LAM + s[:, None]), c)
         assert np.max(np.abs(b.laplace(s) - want)) <= 1e-14 * np.max(np.abs(want))
 
+    def test_damped_coefficient_is_the_expm1_form(self):
+        # a table of damped terms only takes sum_k c_k expm1(x_k t) / x_k, x_k = -(z_k + iw),
+        # bit for bit
+        b, c = self.make()
+        t, w = np.array([0.0, 1e-9, 0.4, 3.0, 40.0]), np.array([-1.1, 0.0, 0.8])
+        x = -1j * w[:, None] - self.LAM
+        want = (np.expm1(x * t[:, None, None]) / x) @ c.reshape(3, 4)
+        assert np.array_equal(b.coefficient_full(t, w), want.reshape(5, 3, 2, 2))
+
     @pytest.mark.parametrize("lam, match", [
         ([0.7, 1.3], "one rate with Re lam >= 0 per weight matrix"),
         ([0.7, -0.1, 1.0], "one rate with Re lam >= 0 per weight matrix"),
@@ -810,6 +819,59 @@ class TestExponentialSum:
         _, c = self.make()
         with pytest.raises(ValueError, match=match):
             bath.ExponentialOU(c=c, lam=lam)
+
+
+def exp_sum_coefficient_ref(c, lam, t, w):
+    """sum_k c_k E(x_k, t), x_k = -(lam_k + iw), E(x, t) = expm1(x t) / x and E(0, t) = t, at
+    40 digits for scalar weights c_k, on the (t, w) grid; and the bound eps sum_k |c_k| (2t +
+    (8 + (|lam_k| + |w|) t / 2) |E_k|), which counts the rounding of the arguments: the
+    undamped form rounds lam_k t/2 and w t/2 apart, so near resonance an entry can be off
+    by eps (|lam_k| + |w|) t / 4 relative where expm1 rounds theta t only."""
+    eps = np.finfo(float).eps
+    out, bound = np.empty((t.size, w.size), dtype=complex), np.empty((t.size, w.size))
+    with mpmath.workdps(40):
+        for i, tk in enumerate(t):
+            tm = mpmath.mpf(tk)
+            for j, wk in enumerate(w):
+                terms = []
+                for ck, zk in zip(c, lam):
+                    x = -(mpmath.mpc(complex(zk)) + 1j * mpmath.mpf(wk))
+                    terms.append(mpmath.mpc(complex(ck)) * (tm if x == 0 else mpmath.expm1(x * tm) / x))
+                out[i, j] = complex(mpmath.fsum(terms))
+                bound[i, j] = eps * sum(float(abs(e)) * (8 + (abs(zk) + abs(wk)) * tk / 2)
+                                        + 2 * abs(ck) * tk for e, ck, zk in zip(terms, c, lam))
+    return out, bound
+
+
+class TestUndampedCoefficient:
+    """Undamped terms (Re z_k = 0) of coefficient_full take the real sine form
+    E(i theta, t) = (2/theta) sin(theta t/2) e^{-i Im z_k t/2} e^{-iwt/2}, theta = -(Im z_k + w),
+    and E(0, t) = t; against 40-digit sums."""
+
+    @pytest.mark.parametrize("v", [0.0, 1.0, -5.0])
+    def test_across_theta_t_against_mpmath(self, v):
+        # theta = 0 exactly, and |theta| from 1e-12 to 3 at t from 1e-3 to 1e3: |theta t| from
+        # 1e-15 to 3e3
+        theta = np.array([0.0, 1e-12, -1e-9, 1e-6, -1e-3, 0.1, -1.0, 3.0])
+        t = np.array([1e-3, 0.5, 3.0, 30.0, 300.0, 1000.0])
+        w = -v - theta
+        b = bath.ExponentialOU(c=[[0.3]], lam=1j * v)
+        got = b.coefficient_full(t, w)[..., 0, 0]
+        want, bound = exp_sum_coefficient_ref([0.3], [1j * v], t, w)
+        assert np.all(np.abs(got - want) <= bound)
+        # at theta = 0 the term is 0.3 t: the sine factor is t, and the two phases cancel
+        assert np.all(np.abs(got[:, 0] - 0.3 * t) <= 2 * np.finfo(float).eps * 0.3 * t)
+
+    def test_mixed_damped_and_undamped_table(self):
+        # damped (real and complex rates) and undamped terms, one of them at w = 1.3
+        lam = np.array([0.7, 0.4 + 2.0j, -1.3j, 2.1j, 0.0, 1e-3 - 0.5j])
+        c = np.array([0.2, -0.05, 0.1, 0.07, 0.03, 0.04])
+        t, w = np.array([0.0, 1e-6, 0.3, 2.0, 7.0, 40.0]), np.array([-2.1, 0.0, 0.5, 1.3])
+        b = bath.ExponentialOU(c=c[:, None, None], lam=lam)
+        got = b.coefficient_full(t, w)[..., 0, 0]
+        want, bound = exp_sum_coefficient_ref(c, lam, t, w)
+        assert np.all(np.abs(got - want) <= bound)
+        assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * np.abs(want).max(axis=1)[:, None])
 
 
 class TestWhiteNoise:

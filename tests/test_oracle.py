@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -42,12 +43,33 @@ class TestCompositeModel:
         c2 = c.with_coupling(0.05)
         assert c2.g == 0.05
         assert np.array_equal(c2.h, c.h)
+        # the environment does not depend on g: its eigenbasis and state carry over
+        assert c2.env_eig is c.env_eig and c2.env_state is c.env_state
+
+    @pytest.mark.parametrize("temperature", [0.0, -0.5, -np.inf, np.nan])
+    def test_temperature_must_be_positive(self, temperature):
+        # at T = 0 the Boltzmann factor exp(-(w - w0)/T) is 0/0 at the ground level
+        c = small_composite()
+        with pytest.raises(ValueError, match="temperature"):
+            oracle.CompositeModel(h=c.h, couplings=c.couplings, env_h=c.env_h,
+                                  env_couplings=c.env_couplings, g=0.1, temperature=temperature)
+
+    def test_infinite_temperature_is_maximally_mixed(self):
+        c = small_composite()
+        c = oracle.CompositeModel(h=c.h, couplings=c.couplings, env_h=c.env_h,
+                                  env_couplings=c.env_couplings, g=0.1, temperature=np.inf)
+        assert np.array_equal(c.env_state, np.eye(8) / 8)
 
 
 class TestSpinChainEnvironment:
     def test_splitting_count_validation(self):
         with pytest.raises(ValueError, match="splitting"):
             oracle.spin_chain_environment(3, [1.0, 2.0])
+
+    @pytest.mark.parametrize("weights", [[0.5, 0.4], [0.5, 0.4, 0.3, 0.2]])
+    def test_site_weight_count_validation(self, weights):
+        with pytest.raises(ValueError, match="site_weights"):
+            oracle.spin_chain_environment(3, [1.0, 1.5, 2.0], site_weights=weights)
 
     def test_hermitian_outputs(self):
         env_h, l = oracle.spin_chain_environment(
@@ -80,6 +102,33 @@ class TestSpinChainEnvironment:
         for k in range(n):
             want_l += weights[k] * site_op(sx, k, n)
         env_h, l = oracle.spin_chain_environment(n, eps, chain_coupling=j, site_weights=weights)
+        assert np.array_equal(env_h, want_h) and np.array_equal(l, want_l)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("chain_coupling", [0.0, 0.13, -0.4])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bit_construction_matches_site_operator_krons(self, n, chain_coupling, weighted):
+        # the register as sums of 1 x op x 1 krons, sx x sx for a chain bond, accumulated in
+        # qubit order: the bit construction is equal to it entry for entry
+        def site_op(op, k, n):
+            left = np.eye(2**k, dtype=complex)
+            right = np.eye(2**n // (2**k * op.shape[0]), dtype=complex)
+            return np.kron(np.kron(left, op), right)
+
+        rng = np.random.default_rng(10 * n + weighted)
+        eps = rng.uniform(0.5, 2.5, n)
+        weights = rng.uniform(0.3, 1.0, n) / np.sqrt(n) if weighted else None
+        sx, sz = np.array([[0, 1], [1, 0]], dtype=complex), np.diag([1.0, -1.0]).astype(complex)
+        want_h = np.zeros((2**n, 2**n), dtype=complex)
+        for k in range(n):
+            want_h += 0.5 * eps[k] * site_op(sz, k, n)
+        for k in range(n - 1):
+            want_h += chain_coupling * site_op(np.kron(sx, sx), k, n)
+        want_l = np.zeros_like(want_h)
+        for k in range(n):
+            want_l += (1.0 if weights is None else weights[k]) * site_op(sx, k, n)
+        env_h, l = oracle.spin_chain_environment(n, eps, chain_coupling=chain_coupling,
+                                                 site_weights=weights)
         assert np.array_equal(env_h, want_h) and np.array_equal(l, want_l)
 
 
@@ -151,23 +200,52 @@ class TestExactAlpha:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_round_off_frequencies_dropped(self, seed):
-        # the parity selection rule of sum c_k sx_k leaves about half of the register's
-        # frequencies with round-off weights; without them alpha and A(t; w) move by at
-        # most 4 eps of their largest value
+        # E_a - E_b that are equal in exact arithmetic come out of eigh a few ulps apart;
+        # merged within 1024 eps max|E| (each at its group's mean), the register has 81
+        # frequencies, and the parity selection rule of sum c_k sx_k leaves 41 of them with
+        # round-off weights: without those, alpha and A(t; w) move by at most 4 eps of their
+        # largest value
+        eps = np.finfo(float).eps
         c = oracle.random_composite(seed)
         e, u = c.env_eig
         rho = np.diag(core.dag(u) @ c.env_state @ u).real
         l = core.dag(u) @ c.env_couplings[0] @ u
-        freqs, term = np.unique(np.subtract.outer(e, e), return_inverse=True)
+        f, weights = np.subtract.outer(e, e).ravel(), (rho[:, None] * l * l.T).ravel()
+        order = np.argsort(f)
+        start = np.diff(f[order], prepend=-np.inf) > 1024 * eps * np.max(np.abs(e))
+        heads = np.flatnonzero(start)
+        freqs = np.add.reduceat(f[order], heads) / np.diff(heads, append=f.size)
         table = np.zeros(freqs.size, dtype=complex)
-        np.add.at(table, term.ravel(), (rho[:, None] * l * l.T).ravel())
-        full = bath.ExponentialOU(c=table[:, None, None], lam=-1j * freqs)
+        np.add.at(table, np.cumsum(start) - 1, weights[order])
+        merged = bath.ExponentialOU(c=table[:, None, None], lam=-1j * freqs)
         pruned = oracle._environment_bath(c)
-        assert 100 <= pruned.lam.size <= 115 < 190 <= freqs.size
-        t, w = np.linspace(0.0, 5.0, 11), np.array([-1.3, 0.0, 0.4, 2.1])
-        for got, want in [(pruned.alpha_time(t), full.alpha_time(t)),
-                          (pruned.coefficient_full(t, w), full.coefficient_full(t, w))]:
-            assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
+        keep = np.abs(table) > eps * np.max(np.abs(table))
+        assert freqs.size == 81 and pruned.lam.size == 40
+        assert np.array_equal(pruned.lam, -1j * freqs[keep])
+        t, w = np.linspace(0.0, 6.0, 7), np.array([-1.3, 0.0, 0.4, 2.1])
+        got = [pruned.alpha_time(t)[..., 0, 0], pruned.coefficient_full(t, w)[..., 0, 0]]
+        for g, want in zip(got, [merged.alpha_time(t)[..., 0, 0],
+                                 merged.coefficient_full(t, w)[..., 0, 0]]):
+            assert np.max(np.abs(g - want)) <= 4 * eps * np.max(np.abs(want))
+        # against 40-digit sums over all 256 level pairs: the merge bound that
+        # _environment_bath states, 16 eps of max|alpha| and of max|A| at t <= 6
+        with mpmath.workdps(40):
+            mw, mf = [mpmath.mpc(x) for x in weights], [mpmath.mpf(x) for x in f]
+            alpha, coeff = [], []
+            for tk in t:
+                tm = mpmath.mpf(tk)
+                phases = [mpmath.expj(x * tm) for x in mf]
+                alpha.append(complex(mpmath.fsum(a * p for a, p in zip(mw, phases))))
+                row = []
+                for wk in w:
+                    wm = mpmath.mpf(wk)
+                    back = mpmath.expj(-wm * tm)
+                    row.append(complex(mpmath.fsum(
+                        a * (tm if x == wm else (p * back - 1) / (1j * (x - wm)))
+                        for a, x, p in zip(mw, mf, phases))))
+                coeff.append(row)
+        for g, want in zip(got, [np.array(alpha), np.array(coeff)]):
+            assert np.max(np.abs(g - want)) <= 16 * eps * np.max(np.abs(want))
 
     def test_reduced_bath_has_no_stationary_limit(self):
         b = oracle.reduced_model(small_composite()).bath
