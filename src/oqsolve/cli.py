@@ -1,8 +1,13 @@
 """Batch command-line front end.
 
 Reads a JSON model file describing the system, bath, and run parameters, and
-emits deterministic CSV (trajectories) or JSON (reports) suitable for plotting
-pipelines.  Exit codes: 0 success, 2 validation failure, 3 numerical failure.
+emits deterministic CSV (`simulate`'s trajectory) or a JSON report (every other
+subcommand) suitable for plotting pipelines.  Each `cmd_*` function returns its
+output; `main` puts `command` (and `tolerance`, for the subcommands that take
+`--tol`) at the head of a report, serializes it once and writes it atomically
+to `--out`, or to stdout without one.  Complex values are `[re, im]` pairs.
+Exit codes: 0 success, 2 validation failure (an unwritable `--out` included),
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -174,19 +179,12 @@ def _grid(run, default_tmax=10.0, default_n=101):
 # ---------------------------------------------------------------------------
 
 def _c(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _cmat(m):
-    m = np.asarray(m, dtype=complex)
-    return [[_c(z) for z in row] for row in m]
+    """A complex scalar, matrix or stack as nested [re, im] pairs: each
+    complex128 viewed as its two float64 halves."""
+    return np.array(z, dtype=complex)[..., None].view(float).tolist()
 
 
 def _emit(out_path, text):
-    if out_path is None:
-        sys.stdout.write(text)
-        return
     directory = os.path.dirname(os.path.abspath(out_path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".oqsolve-")
     try:
@@ -199,12 +197,9 @@ def _emit(out_path, text):
         raise
 
 
-def _emit_json(out_path, report):
-    _emit(out_path, json.dumps(report, indent=2) + "\n")
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report (simulate: its CSV text), and main
+# writes it
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(model, run, args):
@@ -221,38 +216,31 @@ def cmd_simulate(model, run, args):
         "trace": np.trace(states, axis1=1, axis2=2).real,
         "min_eig": np.linalg.eigvalsh(herm_part(states))[:, 0],
     })
-    _emit(args.out, buf.getvalue())
+    return buf.getvalue()
 
 
 def cmd_spectrum(model, run, args):
-    tol = args.tol
     spec = spectral.perturbative_spectrum(model)
     ortho = spectral.damping_basis_orthogonality(spec)
-    report = {
-        "command": "spectrum",
-        "tolerance": tol,
-        "energies": [float(x) for x in model.basis.energies],
+    return {
+        "energies": model.basis.energies.tolist(),
         "pairs": [list(p) for p in spec.pairs],
         "eigenvalues": {f"{i},{j}": _c(spec.f[(i, j)]) for (i, j) in spec.pairs},
         "degenerate_groups": [[list(p) for p in g] for g in spec.degenerate_groups],
         "orthogonality_residual": ortho,
-        "pauli_eigenvalues": [_c(z) for z in np.sort_complex(spec.pauli.eigenvalues)],
-        "checks": {"orthogonality": "pass" if ortho < max(tol, 1e-2) else "fail"},
+        "pauli_eigenvalues": _c(np.sort_complex(spec.pauli.eigenvalues)),
+        "checks": {"orthogonality": "pass" if ortho < max(args.tol, 1e-2) else "fail"},
     }
-    _emit_json(args.out, report)
 
 
 def cmd_pauli(model, run, args):
-    tol = args.tol
     ps = spectral.pauli_system(model)
     colsum = float(np.max(np.abs(ps.W.sum(axis=0))))
     checks = {"column_sums": "pass" if colsum < 1e-12 * max(1.0, np.max(np.abs(ps.W))) else "fail"}
     report = {
-        "command": "pauli",
-        "tolerance": tol,
-        "W": [[float(x) for x in row] for row in ps.W],
-        "stationary": [float(x) for x in ps.stationary],
-        "eigenvalues": [_c(z) for z in np.sort_complex(ps.eigenvalues)],
+        "W": ps.W.tolist(),
+        "stationary": ps.stationary.tolist(),
+        "eigenvalues": _c(np.sort_complex(ps.eigenvalues)),
         "multiple_stationary": bool(ps.multiple_stationary),
     }
     if model.bath.is_thermal():
@@ -265,19 +253,18 @@ def cmd_pauli(model, run, args):
             p = np.exp(-(w - w[0]) / temp)
             gibbs = p / p.sum()
             gerr = float(np.max(np.abs(gibbs - ps.stationary)))
-            report["gibbs"] = [float(x) for x in gibbs]
+            report["gibbs"] = gibbs.tolist()
             report["gibbs_residual"] = gerr
-            checks["gibbs"] = "pass" if gerr < tol else "fail"
+            checks["gibbs"] = "pass" if gerr < args.tol else "fail"
         balance = spectral.detailed_balance_residual(model, ps.stationary)
         report["detailed_balance_residual"] = balance
         if same:
-            checks["detailed_balance"] = "pass" if balance < max(tol, 1e-10) else "fail"
+            checks["detailed_balance"] = "pass" if balance < max(args.tol, 1e-10) else "fail"
     report["checks"] = checks
-    _emit_json(args.out, report)
+    return report
 
 
 def cmd_coefficients(model, run, args):
-    tol = args.tol
     b = model.bath
     tgrid = _grid(run, default_n=21)
     wgrid = _run_value(run, "frequencies", "run.frequencies", model.unique_gaps, ndim=1)
@@ -285,11 +272,11 @@ def cmd_coefficients(model, run, args):
         full = b.coefficient_full(tgrid, wgrid)
     except ValueError as exc:
         raise NumericalError(f"coefficient evaluation failed: {exc}")
-    stationary = b.coefficient_stationary(wgrid)
+    full, stationary = _c(full), _c(b.coefficient_stationary(wgrid))
     table = {
         repr(float(w)): {
-            "stationary": _cmat(stationary[j]),
-            "full_time": {repr(float(t)): _cmat(full[i, j]) for i, t in enumerate(tgrid)},
+            "stationary": stationary[j],
+            "full_time": {repr(float(t)): full[i][j] for i, t in enumerate(tgrid)},
         }
         for j, w in enumerate(wgrid)
     }
@@ -299,42 +286,30 @@ def cmd_coefficients(model, run, args):
     checks = {}
     if b.is_thermal():
         kms = bath_mod.kms_residual(b, kgrid)
-        checks["kms"] = "pass" if kms < max(tol, 1e-9) else "fail"
+        checks["kms"] = "pass" if kms < max(args.tol, 1e-9) else "fail"
     fdi = bath_mod.fdi_check(kern)
     checks["fdi"] = "pass" if fdi > -1e-12 else "fail"
-    report = {
-        "command": "coefficients",
-        "tolerance": tol,
+    return {
         "coefficients": table,
-        "kernels": {
-            "frequencies": [float(w) for w in kgrid],
-            "nu": [_cmat(x) for x in kern.nu],
-            "mu": [_cmat(x) for x in kern.mu],
-            "gamma": [_cmat(x) for x in kern.gamma],
-        },
+        "kernels": {"frequencies": kgrid.tolist(), "nu": _c(kern.nu), "mu": _c(kern.mu),
+                    "gamma": _c(kern.gamma)},
         "fdi_min_eigenvalue": fdi,
         "checks": checks,
     }
-    _emit_json(args.out, report)
 
 
 def cmd_cp_audit(model, run, args):
-    tol = args.tol
     if "superop_csv" in run:
         try:
             tgrid, samples = positivity.load_superop_samples(run["superop_csv"])
             weak = positivity.weak_cp_test(samples, tgrid)
         except (OSError, ValueError) as exc:
             raise ValidationError(f"run.superop_csv: {exc}")
-        report = {
-            "command": "cp-audit",
-            "tolerance": tol,
+        return {
             "source": "external-samples",
             "weak_test_min_eigenvalue": weak,
             "checks": {"weak_test": "pass" if weak >= -1e-8 else "fail"},
         }
-        _emit_json(args.out, report)
-        return
     tgrid = _grid(run, default_tmax=8.0, default_n=9)[1:]
     weak_points = _run_value(run, "weak_points", "run.weak_points", 2001, integer=True, above=1)
     gens = [positivity.magnus_phi2(model, float(t)) for t in tgrid]
@@ -345,10 +320,8 @@ def cmd_cp_audit(model, run, args):
     ]
     dense = np.linspace(0.0, float(tgrid[-1]), weak_points)
     weak = positivity.weak_test_min_eigenvalue(model, dense)
-    report = {
-        "command": "cp-audit",
-        "tolerance": tol,
-        "times": [float(t) for t in tgrid],
+    return {
+        "times": tgrid.tolist(),
         "magnus_choi_min": min(choi_mins),
         "magnus_choi_min_per_time": choi_mins,
         "delta_min_eigenvalue": min(delta_mins),
@@ -356,36 +329,31 @@ def cmd_cp_audit(model, run, args):
         "magnus_converged": all(g.converged for g in gens),
         "weak_test_min_eigenvalue": weak,
         "checks": {
-            "magnus_cp": "pass" if min(choi_mins) >= -tol else "fail",
+            "magnus_cp": "pass" if min(choi_mins) >= -args.tol else "fail",
             "magnus_quadrature": "pass" if all(g.converged for g in gens) else "fail",
-            "delta_psd": "pass" if min(delta_mins) >= -tol else "fail",
+            "delta_psd": "pass" if min(delta_mins) >= -args.tol else "fail",
             "weak_test": "pass" if weak >= -1e-8 else "fail",
         },
     }
-    _emit_json(args.out, report)
 
 
 def cmd_nonlocal(model, run, args):
     invert = run.get("invert", False)
     if type(invert) is not bool:
         raise ValidationError(f"run.invert must be true or false, got {invert!r}")
-    tol = args.tol
     spec = spectral.perturbative_spectrum(model)
     poles = memkernel.nonlocal_poles(model)
     residual = max(
         (abs(poles[p] - spec.f[p]) for p in spec.pairs), default=0.0
     )
     report = {
-        "command": "nonlocal",
-        "tolerance": tol,
         "poles": {f"{i},{j}": _c(v) for (i, j), v in sorted(poles.items())},
         "pole_match_max_residual": float(residual),
-        "checks": {"pole_match": "pass" if residual < tol else "fail"},
+        "checks": {"pole_match": "pass" if residual < args.tol else "fail"},
     }
     rho0 = _parse_state(run.get("rho0"), model.dim)
     try:
-        rho_inf = memkernel.asymptotic_state(model)
-        report["asymptotic_state"] = _cmat(rho_inf)
+        report["asymptotic_state"] = _c(memkernel.asymptotic_state(model))
     except ValueError as exc:
         report["asymptotic_state_error"] = str(exc)
     if invert:
@@ -394,11 +362,9 @@ def cmd_nonlocal(model, run, args):
         report["talbot_max_gap_time"] = gap_time
         in_range = gap_time <= memkernel.TALBOT_MAX_GAP_TIME
         report["checks"]["talbot_range"] = "pass" if in_range else "fail"
-        states = memkernel.laplace_trajectory(model, rho0, grid)
-        report["talbot_trajectory"] = {
-            repr(float(t)): _cmat(s) for t, s in zip(grid, states)
-        }
-    _emit_json(args.out, report)
+        states = _c(memkernel.laplace_trajectory(model, rho0, grid))
+        report["talbot_trajectory"] = {repr(float(t)): s for t, s in zip(grid, states)}
+    return report
 
 
 def cmd_qrt(model, run, args):
@@ -418,8 +384,7 @@ def cmd_qrt(model, run, args):
     except ValueError as exc:
         raise ValidationError(str(exc))
     corrected = bare + correction
-    report = {
-        "command": "qrt",
+    return {
         "t1": req.t1,
         "t2": req.t2,
         "mode": mode,
@@ -428,7 +393,6 @@ def cmd_qrt(model, run, args):
         "correction_single_time": _c(product),
         "corrected": _c(corrected),
     }
-    _emit_json(args.out, report)
 
 
 def cmd_oracle_compare(model, run, args):
@@ -442,8 +406,7 @@ def cmd_oracle_compare(model, run, args):
     rho0 = _parse_state(orun.get("rho0"), comp.dim, "run.oracle.rho0")
     errs = oracle.convergence_errors(comp, rho0, horizon, npoints=npoints)
     ratio = errs[0] / errs[1] if errs[1] > 0 else float("inf")
-    report = {
-        "command": "oracle-compare",
+    return {
         "seed": seed,
         "g": g,
         "horizon": horizon,
@@ -452,7 +415,6 @@ def cmd_oracle_compare(model, run, args):
         "ratio": ratio,
         "checks": {"convergence_order": "pass" if ratio >= 10.0 else "fail"},
     }
-    _emit_json(args.out, report)
 
 
 _COMMANDS = {
@@ -497,7 +459,7 @@ def main(argv=None) -> int:
 
     try:
         model, run = load_model(args.model)
-        _COMMANDS[args.command](model, run, args)
+        output = _COMMANDS[args.command](model, run, args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -506,6 +468,19 @@ def main(argv=None) -> int:
         # subcommand comes from the numerics (a pole, a tabulated grid's end or an undamped term)
         print(json.dumps({"error": "numerical-failure", "detail": str(exc)}), file=sys.stderr)
         return EXIT_NUMERICAL
+    if not isinstance(output, str):
+        header = {"command": args.command}
+        if args.command in _TOL_DEFAULTS:
+            header["tolerance"] = args.tol
+        output = json.dumps(header | output, indent=2) + "\n"
+    if args.out is None:
+        sys.stdout.write(output)
+        return 0
+    try:
+        _emit(args.out, output)
+    except OSError as exc:
+        print(f"error: cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     return 0
 
 

@@ -1097,6 +1097,23 @@ class TestKernels:
         for b in (thermal(), thermal_t0(), bath.ExponentialOU(c=[[0.3]], lam=1.2)):
             assert bath.fdi_check(bath.kernels(b, np.linspace(-6, 6, 25))) > -1e-12
 
+    @pytest.mark.parametrize("b", [
+        thermal(),
+        bath.ThermalLorentz(gamma0=[0.1, 0.05], cutoff=[5.0, 2.0], temperature=[0.25, 0.0],
+                            n_channels=2),
+        bath.ExponentialOU(c=[[0.3, 0.1], [0.1, 0.2]], lam=1.2),
+    ])
+    @pytest.mark.parametrize("wgrid", [np.linspace(-5, 5, 21), np.empty(0)], ids=["grid", "empty"])
+    def test_fdi_check_equals_per_frequency_loop(self, b, wgrid):
+        trip = bath.kernels(b, wgrid)
+        best = np.inf
+        for w, nu, gam in zip(trip.wgrid, trip.nu, trip.gamma):
+            nuh = (nu + np.conj(nu).T) / 2
+            gh = (gam + np.conj(gam).T) / 2
+            for sign in (+1.0, -1.0):
+                best = min(best, float(np.linalg.eigvalsh(nuh - sign * w * gh)[0]))
+        assert bath.fdi_check(trip) == best
+
     def test_sampled_positivity(self):
         b = bath.ExponentialOU(c=[[0.3]], lam=1.2)
         tgrid = np.linspace(0.0, 6.0, 25)

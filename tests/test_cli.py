@@ -455,6 +455,67 @@ class TestReports:
         assert report["checks"]["convergence_order"] == "pass"
 
 
+def _pairs_per_element(z):
+    """The per-element [re, im] encoding that cli._c replaced, as its reference."""
+    z = np.asarray(z, dtype=complex)
+    if z.ndim == 0:
+        z = complex(z)
+        return [z.real, z.imag]
+    return [_pairs_per_element(x) for x in z]
+
+
+class TestReportEnvelope:
+    JSON_COMMANDS = [c for c in cli._COMMANDS if c != "simulate"]
+
+    @pytest.mark.parametrize("command, superop_csv",
+                             [(c, False) for c in JSON_COMMANDS] + [("cp-audit", True)])
+    def test_header(self, tmp_path, command, superop_csv):
+        from oqsolve import positivity
+
+        sx = _pairs(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        run = {"t_max": 1.0, "n_points": 2, "weak_points": 11,
+               "qrt": {"x1": sx, "x2": sx, "t1": 1.0, "t2": 0.5},
+               "oracle": {"horizon": 1.0, "n_points": 3}}
+        if superop_csv:
+            grid = np.linspace(0.0, 1.0, 3)
+            positivity.save_superop_samples(tmp_path / "samples.csv", grid, np.zeros((3, 4, 4)))
+            run["superop_csv"] = "samples.csv"
+        out = tmp_path / "report.json"
+        argv = [command, "--model", write_model(tmp_path, qubit_doc(**run)), "--out", str(out)]
+        takes_tol = command in cli._TOL_DEFAULTS
+        assert takes_tol == (command not in ("qrt", "oracle-compare"))
+        assert cli.main(argv + (["--tol", "0.375"] if takes_tol else [])) == 0
+        report = json.loads(out.read_text())
+        assert (report.get("source") == "external-samples") == superop_csv
+        keys = list(report)
+        assert keys[0] == "command" and report["command"] == command
+        if takes_tol:
+            assert keys[1] == "tolerance" and report["tolerance"] == 0.375
+        else:
+            assert "tolerance" not in report
+
+    def test_complex_encoder_matches_per_element_form(self):
+        special = np.array([-0.0, 1.5, np.inf, -np.inf, np.nan, -2.5])
+        stack = np.resize(special, (3, 2, 2)).astype(complex)
+        stack.imag = np.resize(special[::-1], (3, 2, 2))
+        matrix = np.array([[complex(-0.0, np.nan), complex(np.inf, -0.0)],
+                           [complex(np.nan, -np.inf), complex(1e-300, -1e300)]])
+        for value in (np.complex128(complex(-0.0, -np.inf)), np.array(complex(np.nan, -0.0)),
+                      matrix, matrix.T, stack, stack.transpose(2, 0, 1)):
+            # repr, not ==: it tells -0.0 from 0.0, matches nan to nan and shows a numpy float
+            assert repr(cli._c(value)) == repr(_pairs_per_element(value))
+
+    @pytest.mark.parametrize("where", ["missing/report.json", "directory"])
+    def test_unwritable_out_exits_validation(self, tmp_path, capsys, where):
+        model = write_model(tmp_path, qubit_doc())
+        (tmp_path / "directory").mkdir()
+        out = tmp_path / where
+        assert cli.main(["pauli", "--model", model, "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: cannot write --out {out}: ")
+        assert [f for f in os.listdir(tmp_path) if f.startswith(".oqsolve-")] == []
+        assert os.listdir(tmp_path / "directory") == []
+
+
 class TestValidation:
     def test_missing_file(self, tmp_path):
         assert cli.main(
