@@ -131,14 +131,21 @@ def load_model(path):
         raise ValidationError(str(exc))
 
 
+def _parse_operator(node, dim, name):
+    """A finite (dim, dim) complex matrix; ValidationError naming it otherwise."""
+    op = _parse_complex_matrix(node, name)
+    if op.shape != (dim, dim):
+        raise ValidationError(f"{name}: shape {op.shape}, expected {(dim, dim)}")
+    if not np.isfinite(op).all():
+        raise ValidationError(f"{name} has a non-finite entry")
+    return op
+
+
 def _parse_state(node, dim, name="run.rho0"):
     if node is None:
         return np.eye(dim, dtype=complex) / dim
-    rho = _parse_complex_matrix(node, name)
-    if rho.shape != (dim, dim):
-        raise ValidationError(f"{name}: shape {rho.shape}, expected {(dim, dim)}")
     try:
-        return require_state(rho, name)
+        return require_state(_parse_operator(node, dim, name), name)
     except ValueError as exc:
         raise ValidationError(str(exc))
 
@@ -372,8 +379,7 @@ def cmd_qrt(model, run, args):
     for key in ("x1", "x2"):
         if key not in qrun:
             raise ValidationError(f"run.qrt.{key} is required")
-    x1 = _parse_complex_matrix(qrun["x1"], "run.qrt.x1")
-    x2 = _parse_complex_matrix(qrun["x2"], "run.qrt.x2")
+    x1, x2 = (_parse_operator(qrun[key], model.dim, f"run.qrt.{key}") for key in ("x1", "x2"))
     t1, t2 = (_run_value(qrun, key, f"run.qrt.{key}") for key in ("t1", "t2"))
     rho0 = _parse_state(qrun.get("rho0"), model.dim, "run.qrt.rho0")
     req = multitime.TwoTimeRequest(x1=x1, x2=x2, t1=t1, t2=t2, rho0=rho0)

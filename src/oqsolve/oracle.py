@@ -1,7 +1,7 @@
 """Exact-diagonalization reference for small system + environment composites.
 
 The environment is a register of a few qubits; the composite Hamiltonian
-H = H_S x 1 + 1 x H_E + g sum_n L_n x l_n is diagonalized once, and exact
+H = H_S x 1 + 1 x H_E + g sum_n L_n x l_n is diagonalized once per g, and exact
 reduced trajectories, correlation functions and two-time averages follow from
 phase evolution in the eigenbasis.  The environment correlation
 alpha_nm(t) = <l_n(t) l_m> is a finite sum of undamped exponentials, one per
@@ -13,7 +13,8 @@ an ExponentialOU bath, so both sides run the same microscopic physics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,7 +28,6 @@ __all__ = [
     "spin_chain_environment",
     "random_composite",
     "exact_reduced_trajectory",
-    "exact_alpha",
     "exact_two_time",
     "reduced_model",
     "convergence_errors",
@@ -40,7 +40,12 @@ _MERGE_ULPS = 1024
 
 @dataclass(eq=False)
 class CompositeModel:
-    """System + qubit-register environment with a global coupling scale g."""
+    """System + qubit-register environment with a global coupling scale g.
+
+    g enters only through `eig`.  The parts that do not depend on it are built once, after
+    validation: free_h = H_S x 1 + 1 x H_E and coupling_h = sum_n L_n x l_n (so that
+    H = free_h + g coupling_h), and the environment's eigenbasis env_eig, thermal state
+    env_state and correlation env_bath.  `with_coupling` copies share them by reference."""
 
     h: np.ndarray
     couplings: list
@@ -59,13 +64,29 @@ class CompositeModel:
                           for n, l in enumerate(self.couplings)]
         self.env_couplings = [require_hermitian(l, name=f"environment coupling {n}")
                               for n, l in enumerate(self.env_couplings)]
-        if len(self.couplings) != len(self.env_couplings):
-            raise ValueError("system and environment coupling lists must match")
-        if self.dim * self.env_dim > _MAX_DIM:
-            raise ValueError(
-                f"composite dimension {self.dim * self.env_dim} exceeds "
-                f"the exact-diagonalization cap {_MAX_DIM}"
-            )
+        if not self.couplings or len(self.couplings) != len(self.env_couplings):
+            raise ValueError("system and environment coupling lists must match and be non-empty")
+        for side, ops, h in (("system", self.couplings, self.h),
+                             ("environment", self.env_couplings, self.env_h)):
+            for n, l in enumerate(ops):
+                if l.shape != h.shape:
+                    raise ValueError(f"{side} coupling {n} has shape {l.shape}, "
+                                     f"but the {side} Hamiltonian has shape {h.shape}")
+        ds, de = self.dim, self.env_dim
+        if ds * de > _MAX_DIM:
+            raise ValueError(f"composite dimension {ds * de} exceeds "
+                             f"the exact-diagonalization cap {_MAX_DIM}")
+        self.free_h = np.kron(self.h, np.eye(de)) + np.kron(np.eye(ds), self.env_h)
+        self.coupling_h = sum(np.kron(l, e) for l, e in zip(self.couplings, self.env_couplings))
+        self.env_eig = np.linalg.eigh(self.env_h)
+        # exp(-H_E/T)/Z; maximally mixed at T = inf
+        if np.isinf(self.temperature):
+            self.env_state = np.eye(de) / de
+        else:
+            w, u = self.env_eig
+            p = np.exp(-(w - w[0]) / self.temperature)
+            self.env_state = (u * (p / p.sum())) @ dag(u)
+        self.env_bath = _environment_bath(self)
 
     @property
     def dim(self) -> int:
@@ -76,36 +97,15 @@ class CompositeModel:
         return self.env_h.shape[0]
 
     @cached_property
-    def env_state(self) -> np.ndarray:
-        """Thermal environment state exp(-H_E/T)/Z (maximally mixed at T=inf)."""
-        if np.isinf(self.temperature):
-            return np.eye(self.env_dim) / self.env_dim
-        w, u = self.env_eig
-        p = np.exp(-(w - w[0]) / self.temperature)
-        p /= p.sum()
-        return (u * p) @ dag(u)
-
-    @cached_property
-    def total_h(self) -> np.ndarray:
-        ds, de = self.dim, self.env_dim
-        h = np.kron(self.h, np.eye(de)) + np.kron(np.eye(ds), self.env_h)
-        for ln, en in zip(self.couplings, self.env_couplings):
-            h += self.g * np.kron(ln, en)
-        return h
-
-    @cached_property
     def eig(self):
-        return np.linalg.eigh(self.total_h)
-
-    @cached_property
-    def env_eig(self):
-        return np.linalg.eigh(self.env_h)
+        return np.linalg.eigh(self.free_h + self.g * self.coupling_h)
 
     def with_coupling(self, g: float) -> "CompositeModel":
-        """The same composite at coupling g; the environment's eigenbasis and thermal state,
-        which do not depend on g, carry over."""
-        out = replace(self, g=g)
-        out.env_eig, out.env_state = self.env_eig, self.env_state
+        """The same composite at coupling g: a copy that holds this model's validated
+        matrices and g-independent parts by reference and computes only its own `eig`."""
+        out = copy.copy(self)
+        out.g = g
+        vars(out).pop("eig", None)
         return out
 
 
@@ -158,23 +158,6 @@ def random_composite(seed: int, dim: int = 3, n_qubits: int = 4, g: float = 0.1,
                           temperature=temperature)
 
 
-def _partial_trace_env(rho: np.ndarray, ds: int, de: int) -> np.ndarray:
-    return rho.reshape(ds, de, ds, de).trace(axis1=1, axis2=3)
-
-
-def exact_reduced_trajectory(c: CompositeModel, rho0: np.ndarray, grid) -> np.ndarray:
-    """Reduced states Tr_E[U (rho0 x rho_E) U^dag] on a time grid."""
-    w, u = c.eig
-    rho_tot = np.kron(np.asarray(rho0, dtype=complex), c.env_state)
-    r = dag(u) @ rho_tot @ u
-    states = []
-    for t in grid:
-        phase = np.exp(-1j * w * t)
-        rt = u @ (r * np.outer(phase, np.conj(phase))) @ dag(u)
-        states.append(_partial_trace_env(rt, c.dim, c.env_dim))
-    return np.array(states)
-
-
 def _environment_bath(c: CompositeModel) -> ExponentialOU:
     """alpha_nm(t) = Tr_E[l_n(t) l_m rho_E] as its exact exponential sum.
 
@@ -213,31 +196,42 @@ def _environment_bath(c: CompositeModel) -> ExponentialOU:
     return ExponentialOU(c=table[keep], lam=-1j * freqs[keep])
 
 
-def exact_alpha(c: CompositeModel, tgrid) -> np.ndarray:
-    """alpha_nm(t) = Tr_E[l_n(t) l_m rho_E] with free environment evolution,
-    sampled on tgrid with shape (nt, n, n); stationary because the thermal
-    state commutes with H_E."""
-    return _environment_bath(c).alpha_time(np.asarray(tgrid, dtype=float))
+def _eigenbasis_state(c: CompositeModel, rho0: np.ndarray) -> np.ndarray:
+    """rho0 x rho_E in the eigenbasis of the composite Hamiltonian."""
+    u = c.eig[1]
+    return dag(u) @ np.kron(np.asarray(rho0, dtype=complex), c.env_state) @ u
+
+
+def exact_reduced_trajectory(c: CompositeModel, rho0: np.ndarray, grid) -> np.ndarray:
+    """Reduced states Tr_E[U (rho0 x rho_E) U^dag] on a 1-D time grid: one stacked
+    product u (r_ab e^{-i(w_a - w_b)t}) u^dag over the grid, then one partial trace.
+    Built in place and traced by einsum, it keeps the per-time product's bits (grouped as
+    (u e^{-iwt}) r (u e^{-iwt})^dag, it would move oracle-compare's g/2 error at horizon 1
+    by up to 1.5e-8 relative) and, at 9-13 times, its speed."""
+    w, u = c.eig
+    phase = np.exp(-1j * np.multiply.outer(np.asarray(grid, dtype=float), w))
+    r = phase[:, :, None] * np.conj(phase)[:, None, :]
+    np.multiply(_eigenbasis_state(c, rho0), r, out=r)
+    states = np.matmul(u @ r, dag(u), out=r)
+    return np.einsum("tikjk->tij", states.reshape(-1, c.dim, c.env_dim, c.dim, c.env_dim))
 
 
 def exact_two_time(c: CompositeModel, x1: np.ndarray, t1: float, x2: np.ndarray, t2: float,
                    rho0: np.ndarray) -> complex:
     """<X1(t1) X2(t2)> in the Heisenberg picture of the composite."""
     w, u = c.eig
-    de = c.env_dim
-    rho_tot = dag(u) @ np.kron(np.asarray(rho0, dtype=complex), c.env_state) @ u
 
     def heis(x, t):
-        xe = dag(u) @ np.kron(np.asarray(x, dtype=complex), np.eye(de)) @ u
+        xe = dag(u) @ np.kron(np.asarray(x, dtype=complex), np.eye(c.env_dim)) @ u
         phase = np.exp(1j * w * t)
         return (phase[:, None] * xe) * np.conj(phase)[None, :]
 
-    return complex(np.trace(heis(x1, t1) @ heis(x2, t2) @ rho_tot))
+    return complex(np.trace(heis(x1, t1) @ heis(x2, t2) @ _eigenbasis_state(c, rho0)))
 
 
 def reduced_model(c: CompositeModel) -> SystemModel:
     """Perturbative system model with couplings g L_n and the exact correlation."""
-    return SystemModel(h=c.h, couplings=[c.g * l for l in c.couplings], bath=_environment_bath(c))
+    return SystemModel(h=c.h, couplings=[c.g * l for l in c.couplings], bath=c.env_bath)
 
 
 def convergence_errors(c: CompositeModel, rho0: np.ndarray, horizon: float, npoints: int = 21):
@@ -245,10 +239,8 @@ def convergence_errors(c: CompositeModel, rho0: np.ndarray, horizon: float, npoi
     dynamics, at the model's coupling g and at g/2."""
     grid = np.linspace(0.0, horizon, npoints)
     errs = []
-    for fac in (1.0, 0.5):
-        cf = c.with_coupling(c.g * fac)
+    for cf in (c, c.with_coupling(0.5 * c.g)):
         exact = exact_reduced_trajectory(cf, rho0, grid)
-        m = reduced_model(cf)
-        approx = propagate(m, rho0, grid, mode="full-time").states
+        approx = propagate(reduced_model(cf), rho0, grid, mode="full-time").states
         errs.append(float(np.max(np.abs(approx - exact))))
     return errs

@@ -601,6 +601,21 @@ class TestValidation:
         assert cli.main([command, "--model", write_model(tmp_path, doc)]) == cli.EXIT_VALIDATION
         assert f"run.{key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, defect", [
+        ("x1", [[np.nan, 1.0], [1.0, 0.0]], "run.qrt.x1 has a non-finite entry"),
+        ("x1", np.eye(3), "run.qrt.x1: shape (3, 3), expected (2, 2)"),
+        ("x2", [[0.0, np.inf], [1.0, 0.0]], "run.qrt.x2 has a non-finite entry"),
+    ], ids=["x1-nan", "x1-3x3", "x2-inf"])
+    def test_qrt_observables_are_finite_d_by_d(self, tmp_path, capsys, key, value, defect):
+        # a NaN used to reach the report as bare NaN tokens, and a 3 x 3 observable on the
+        # qubit a numpy matmul message that named no key
+        sx = _pairs(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        doc = qubit_doc(qrt={"x1": sx, "x2": sx, "t1": 1.0, "t2": 0.5})
+        doc["run"]["qrt"][key] = _pairs(value)
+        assert cli.main(["qrt", "--model", write_model(tmp_path, doc)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {defect}" in captured.err
+
     @pytest.mark.parametrize("option, where", [(["--seed", "-1"], "--seed"), ([], "run.oracle.seed")])
     def test_negative_seed_exits_validation(self, tmp_path, capsys, option, where):
         doc = qubit_doc(oracle={"horizon": 1.0, "n_points": 3, "seed": -1})

@@ -1,3 +1,5 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -10,10 +12,30 @@ def small_composite(seed=5, g=0.1):
     return oracle.random_composite(seed, dim=3, n_qubits=3, g=g, temperature=2.0)
 
 
+def two_channel_composite():
+    base = small_composite()
+    env_l2 = core.herm_part(np.random.default_rng(8).normal(size=base.env_h.shape))
+    return oracle.CompositeModel(h=base.h, couplings=[base.couplings[0], base.h],
+                                 env_h=base.env_h, env_couplings=[base.env_couplings[0], env_l2],
+                                 g=0.1, temperature=2.0)
+
+
 def basis_state(d, k=0):
     rho = np.zeros((d, d), dtype=complex)
     rho[k, k] = 1.0
     return rho
+
+
+def loop_trajectory(c, rho0, grid):
+    """The per-time product that exact_reduced_trajectory stacks over the grid."""
+    w, u = c.eig
+    r = core.dag(u) @ np.kron(np.asarray(rho0, dtype=complex), c.env_state) @ u
+    states = []
+    for t in grid:
+        phase = np.exp(-1j * w * t)
+        rt = u @ (r * np.outer(phase, np.conj(phase))) @ core.dag(u)
+        states.append(rt.reshape(c.dim, c.env_dim, c.dim, c.env_dim).trace(axis1=1, axis2=3))
+    return np.array(states)
 
 
 class TestCompositeModel:
@@ -30,21 +52,67 @@ class TestCompositeModel:
         want /= np.trace(want)
         assert np.allclose(rho, want, atol=1e-10)
 
-    def test_coupling_list_mismatch_rejected(self):
+    @pytest.mark.parametrize("n_system", [1, 0])
+    def test_coupling_list_mismatch_rejected(self, n_system):
+        # an uncoupled composite has no environment correlation to hand on
         c = small_composite()
         with pytest.raises(ValueError, match="match"):
             oracle.CompositeModel(
-                h=c.h, couplings=c.couplings, env_h=c.env_h,
+                h=c.h, couplings=c.couplings[:n_system], env_h=c.env_h,
                 env_couplings=[], g=0.1,
             )
 
-    def test_with_coupling_rescales_only_g(self):
+    @pytest.mark.parametrize("kind, shape", [
+        ("system", (2, 2)), ("environment", (4, 4)),
+    ])
+    def test_coupling_shape_mismatch_rejected(self, kind, shape):
+        # a 2 x 2 system coupling on a 3-level h, a 4 x 4 environment coupling on a
+        # 16-level register: each is named at construction, not met later as a numpy error
+        c = oracle.random_composite(0)
+        l = np.zeros(shape, dtype=complex)
+        couplings = [l] if kind == "system" else c.couplings
+        env_couplings = [l] if kind == "environment" else c.env_couplings
+        message = re.escape(f"{kind} coupling 0 has shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            oracle.CompositeModel(h=c.h, couplings=couplings, env_h=c.env_h,
+                                  env_couplings=env_couplings, g=0.1)
+
+    def test_with_coupling_rescales_only_g(self, monkeypatch):
+        shared = ("h", "couplings", "env_h", "env_couplings", "free_h", "coupling_h",
+                  "env_eig", "env_state", "env_bath")
         c = small_composite(g=0.1)
-        c2 = c.with_coupling(0.05)
-        assert c2.g == 0.05
-        assert np.array_equal(c2.h, c.h)
-        # the environment does not depend on g: its eigenbasis and state carry over
-        assert c2.env_eig is c.env_eig and c2.env_state is c.env_state
+        before = c.with_coupling(0.05)
+        oracle.reduced_model(c)
+        oracle.exact_reduced_trajectory(c, basis_state(3), [1.0])
+        # the copies run no validation, copies of copies included
+        calls = []
+        monkeypatch.setattr(oracle, "require_hermitian", lambda *a, **k: calls.append(a))
+        after, again = c.with_coupling(0.05), before.with_coupling(0.2)
+        assert calls == []
+        for c2, g in ((before, 0.05), (after, 0.05), (again, 0.2)):
+            assert c2.g == g and c2.temperature == c.temperature
+            # the parts that do not depend on g are the same objects, whether or not the
+            # model had used them before the copy
+            for name in shared:
+                assert getattr(c2, name) is getattr(c, name), name
+            assert c2.eig is not c.eig
+            want = np.linalg.eigh(c.free_h + g * c.coupling_h)
+            assert np.array_equal(c2.eig[0], want[0]) and np.array_equal(c2.eig[1], want[1])
+        assert c.g == 0.1
+        assert np.array_equal(c.eig[0], np.linalg.eigh(c.free_h + 0.1 * c.coupling_h)[0])
+
+    def test_convergence_errors_diagonalizes_each_coupling_once(self, monkeypatch):
+        # one composite eigh at g and one at g/2; the register's was made at construction
+        c = oracle.random_composite(3, g=0.12)
+        shapes, eigh = [], np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        oracle.convergence_errors(c, np.eye(3) / 3, horizon=1.0, npoints=3)
+        assert shapes.count((48, 48)) == 2 and (16, 16) not in shapes
 
     @pytest.mark.parametrize("temperature", [0.0, -0.5, -np.inf, np.nan])
     def test_temperature_must_be_positive(self, temperature):
@@ -142,6 +210,25 @@ class TestExactDynamics:
             assert np.max(np.abs(rho - core.dag(rho))) < 1e-12
             assert np.linalg.eigvalsh(core.herm_part(rho))[0] > -1e-12
 
+    @pytest.mark.parametrize("composite", [
+        small_composite,
+        lambda: oracle.random_composite(2, dim=3, n_qubits=3, g=0.2, temperature=np.inf),
+        two_channel_composite,
+    ], ids=["T2", "Tinf", "two-channel"])
+    @pytest.mark.parametrize("grid", [[-1.5, 0.0, 0.3, 0.3, 2.0, 7.5], [2.3], [-0.4]])
+    def test_stacked_trajectory_matches_per_time_product(self, composite, grid):
+        c = composite()
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        rho0 = a @ core.dag(a) / np.trace(a @ core.dag(a))
+        got = oracle.exact_reduced_trajectory(c, rho0, grid)
+        want = loop_trajectory(c, rho0, grid)
+        assert got.shape == (len(grid), 3, 3)
+        assert np.max(np.abs(got - want)) <= 1e-13
+        # repeated times give the same state
+        if len(grid) > 3:
+            assert np.array_equal(got[2], got[3])
+
     def test_zero_coupling_reduces_to_unitary(self):
         c = small_composite().with_coupling(0.0)
         rho0 = basis_state(3)
@@ -160,19 +247,19 @@ class TestExactDynamics:
         assert got == pytest.approx(complex(np.trace(x1 @ x2 @ rho0)), abs=1e-12)
 
 
-class TestExactAlpha:
+class TestEnvironmentCorrelation:
     def test_stationarity_and_hermiticity(self):
-        c = small_composite()
-        a_fwd = oracle.exact_alpha(c, [0.7])
-        a_bwd = oracle.exact_alpha(c, [-0.7])
+        b = oracle.reduced_model(small_composite()).bath
+        a_fwd = b.alpha_time(np.array([0.7]))
+        a_bwd = b.alpha_time(np.array([-0.7]))
         assert np.allclose(a_fwd[0], core.dag(a_bwd[0]), atol=1e-12)
-        a0 = oracle.exact_alpha(c, [0.0])[0]
+        a0 = b.alpha_time(np.array([0.0]))[0]
         assert np.linalg.eigvalsh(core.herm_part(a0))[0] > -1e-12
 
     def test_matches_environment_two_time_average(self):
         c = small_composite()
         t = 1.1
-        a = oracle.exact_alpha(c, [t])[0, 0, 0]
+        a = oracle.reduced_model(c).bath.alpha_time(np.array([t]))[0, 0, 0]
         w, u = np.linalg.eigh(c.env_h)
         l = core.dag(u) @ c.env_couplings[0] @ u
         rho = core.dag(u) @ c.env_state @ u
@@ -183,11 +270,7 @@ class TestExactAlpha:
     def test_reduced_bath_matches_environment_trace_formula(self):
         # two channels: alpha_nm(t) = Tr_E[e^{iH_E t} l_n e^{-iH_E t} l_m rho_E],
         # propagated by expm, against the exponential sum of the reduced bath
-        base = small_composite()
-        env_l2 = core.herm_part(np.random.default_rng(8).normal(size=base.env_h.shape))
-        c = oracle.CompositeModel(h=base.h, couplings=[base.couplings[0], base.h],
-                                  env_h=base.env_h, env_couplings=[base.env_couplings[0], env_l2],
-                                  g=0.1, temperature=2.0)
+        c = two_channel_composite()
         b = oracle.reduced_model(c).bath
         assert isinstance(b, bath.ExponentialOU) and b.channels == 2
         assert np.all(b.lam.real == 0) and len(np.unique(b.lam)) == len(b.lam)
@@ -196,7 +279,6 @@ class TestExactAlpha:
             want = np.array([[np.trace(u @ ln @ u.conj().T @ lm @ c.env_state)
                               for lm in c.env_couplings] for ln in c.env_couplings])
             assert np.max(np.abs(b.alpha_time(t) - want)) <= 1e-13 * np.max(np.abs(want)), t
-            assert np.array_equal(oracle.exact_alpha(c, [t])[0], b.alpha_time(t))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_round_off_frequencies_dropped(self, seed):
@@ -218,7 +300,7 @@ class TestExactAlpha:
         table = np.zeros(freqs.size, dtype=complex)
         np.add.at(table, np.cumsum(start) - 1, weights[order])
         merged = bath.ExponentialOU(c=table[:, None, None], lam=-1j * freqs)
-        pruned = oracle._environment_bath(c)
+        pruned = c.env_bath
         keep = np.abs(table) > eps * np.max(np.abs(table))
         assert freqs.size == 81 and pruned.lam.size == 40
         assert np.array_equal(pruned.lam, -1j * freqs[keep])
