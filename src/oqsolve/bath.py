@@ -21,8 +21,11 @@ weights and rates.
 
 Each variant implements the evaluators as array forms only, on 1-D arrays of
 points that lead the result, so that one call serves every distinct gap and
-every time a caller knows; BathModel alone takes scalars, applies
-alpha(-t) = alpha(t)^dag and rejects t < 0 (see BathModel).
+every time a caller knows.  That holds for the gap-pair table too: one call
+gives every audit time's table, although the T > 0 thermal channel, whose
+Matsubara count grows as 1/t, forms them one time at a time.  BathModel alone
+takes scalars, applies alpha(-t) = alpha(t)^dag, rejects t < 0 and sets the
+tables at t = 0 (see BathModel).
 
 Real decomposition alpha = nu + i mu with damping kernel mu~ = i w gamma~;
 diagnostics: KMS symmetry, fluctuation-dissipation inequality.
@@ -146,26 +149,28 @@ def _over_i_nu(num, nu, limit, size):
     return np.where(small, limit, num / inu), np.where(small, 0, np.finfo(float).eps * size / abs(inu))
 
 
-def _exp_sum_table(c, z, t: float, w: np.ndarray, laplace_iw=None):
-    """Gap-pair table I[a, b] = int_0^t A(tau; w_a) e^{i(w_a + w_b) tau} dtau and its round-off
-    bound: c_k E(-p_k, tau), p_k = z_k + i w_a, integrates to (c_k/p_k)[E(i nu, t) - E(i w_b - z_k,
-    t)], nu = w_a + w_b, and at p_k = 0 (an undamped term at a gap) c_k tau to c_k (t e^{i nu t}
-    - E(i nu, t)) / (i nu).  laplace_iw = alpha^(i w_a) defaults to the sum of c_k / p_k over
-    p_k != 0 (p_k = inf there); the head is a BLAS product (rounds less than a sum)."""
+def _exp_sum_table(c, z, t: np.ndarray, w: np.ndarray, laplace_iw=None):
+    """Gap-pair tables I[a, b] = int_0^t A(tau; w_a) e^{i(w_a + w_b) tau} dtau at a 1-D array
+    of times, (nt, k, k, ...), and their round-off bounds, (nt,): c_k E(-p_k, tau), p_k = z_k +
+    i w_a, integrates to (c_k/p_k)[E(i nu, t) - E(i w_b - z_k, t)], nu = w_a + w_b, and at p_k = 0
+    (an undamped term at a gap) c_k tau to c_k (t e^{i nu t} - E(i nu, t)) / (i nu).
+    laplace_iw = alpha^(i w_a) defaults to the sum of c_k / p_k over p_k != 0 (p_k = inf there);
+    the head is a BLAS product (rounds less than a sum)."""
     iw = 1j * w[:, None]
     p = z + iw
     resonant = np.abs(p) <= _GAP_TOL
     p = np.where(resonant, np.inf, p)
     laplace_iw = (1 / p) @ c if laplace_iw is None else laplace_iw
-    head = (np.atleast_2d(c.T)[:, None, :] / p) @ _exp_integral(iw - z, t).T
-    e_nu = _exp_integral(iw + iw.T, t)
-    table, err = laplace_iw.T[..., None] * e_nu - head, 0.0
+    ts = t[:, None, None]
+    head = (np.atleast_2d(c.T)[:, None, :] / p) @ _exp_integral(iw - z, ts).swapaxes(1, 2)[:, None]
+    e_nu = _exp_integral(iw + iw.T, ts)
+    table, err = laplace_iw.T[..., None] * e_nu[:, None] - head, np.zeros(t.size)
     if resonant.any():
         nu = (iw + iw.T).imag
-        tau, bound = _over_i_nu(t * np.exp(1j * nu * t) - e_nu, nu, t * t / 2, 2 * t)
-        table += (resonant @ c).T[..., None] * tau
-        err = np.max((resonant @ np.abs(c)).T[..., None] * bound)
-    return table.transpose(1, 2, 0).reshape(e_nu.shape + c.shape[1:]), err
+        tau, bound = _over_i_nu(ts * np.exp(1j * nu * ts) - e_nu, nu, ts * ts / 2, 2 * ts)
+        table += (resonant @ c).T[..., None] * tau[:, None]
+        err = np.max((resonant @ np.abs(c)).T[..., None] * bound[:, None], axis=(1, 2, 3))
+    return table.transpose(0, 2, 3, 1).reshape(e_nu.shape + c.shape[1:]), err
 
 
 def _exp_tail(eps, n0: int, b: np.ndarray) -> np.ndarray:
@@ -185,10 +190,11 @@ class BathModel:
     """Common interface.  A variant implements array forms on 1-D arrays of points,
     which lead the result: _alpha_time(t) at t >= 0, _alpha_spectrum(w), _laplace(s),
     _coefficient_full(t, w) at t >= 0, (nt, k, n, n), _gamma_spectrum(w), and the closed
-    form _coefficient_integral(t, w) with its round-off bound; _coefficient_stationary(w)
-    is _laplace(iw) unless the variant overrides it.  The public evaluators,
-    here alone, take a scalar (an (n, n) result) or a 1-D array (the stack; times lead
-    frequencies), apply alpha(-t) = alpha(t)^dag and reject t < 0."""
+    form _coefficient_integral(t, w) at t > 0, (nt, k, k, n, n), with its round-off
+    bounds, (nt,); _coefficient_stationary(w) is _laplace(iw) unless the variant
+    overrides it.  The public evaluators, here alone, take a scalar (an (n, n) result)
+    or a 1-D array (the stack; times lead frequencies), apply alpha(-t) = alpha(t)^dag
+    and reject t < 0."""
 
     channels: int
 
@@ -237,18 +243,30 @@ class BathModel:
         return self._coefficient_full(ts, ws)[0 if t_scalar else slice(None),
                                               0 if w_scalar else slice(None)]
 
-    def coefficient_integral(self, t: float, w):
+    def coefficient_integral(self, t, w):
         """Gap-pair table I[a, b] = int_0^t A(tau; w_a) e^{i(w_a + w_b) tau} dtau
         over a 1-D array w, shaped (k, k, n, n), with an absolute error bound in
         the max norm; 0 at t = 0.  A bound within eps max|table| counts as 0, so
-        that callers skip their error propagation."""
-        if t < 0:
+        that callers skip their error propagation.  At a 1-D array of times the
+        tables lead, (nt, k, k, n, n), with one bound per time, (nt,)."""
+        ts, t_scalar = self._points(t)
+        ws, w_scalar = self._points(w)
+        first = min(ts.tolist(), default=0.0)
+        if first < 0:
             raise ValueError("coefficient_integral requires t >= 0")
-        ws, scalar = self._points(w)
-        table, err = (self._coefficient_integral(t, ws) if t else
-                      (np.zeros((ws.size, ws.size) + (self.channels,) * 2, dtype=complex), 0.0))
-        err = float(err) if err > np.finfo(float).eps * np.max(np.abs(table)) else 0.0
-        return (table[0, 0] if scalar else table), err
+        if first > 0:
+            table, err = self._coefficient_integral(ts, ws)
+        else:  # the tables are 0 at t = 0
+            table = np.zeros((ts.size, ws.size, ws.size) + (self.channels,) * 2, dtype=complex)
+            err = np.zeros(ts.size)
+            pos = np.flatnonzero(ts)
+            if pos.size:
+                table[pos], err[pos] = self._coefficient_integral(ts[pos], ws)
+        if err.any():
+            err = np.where(err > np.finfo(float).eps * np.abs(table).max(axis=(1, 2, 3, 4)), err, 0.0)
+        if w_scalar:
+            table = table[:, 0, 0]
+        return (table[0], float(err[0])) if t_scalar else (table, err)
 
     def gamma_spectrum(self, w) -> np.ndarray:
         """Damping kernel gamma~(w) = mu~(w)/(iw); w=0 taken as a limit."""
@@ -293,10 +311,10 @@ class WhiteNoise(BathModel):
         half = (self.c / 2.0 * (t != 0.0)[:, None, None]).astype(complex)
         return np.repeat(half[:, None], w.size, axis=1)
 
-    def _coefficient_integral(self, t: float, w: np.ndarray):
+    def _coefficient_integral(self, t: np.ndarray, w: np.ndarray):
         """A(tau; w) = c/2 for tau > 0: I[a, b] = (c/2) E(i nu, t)."""
         iw = 1j * w[:, None]
-        return _exp_integral(iw + iw.T, t)[..., None, None] * (self.c / 2), 0.0
+        return _exp_integral(iw + iw.T, t[:, None, None])[..., None, None] * (self.c / 2), np.zeros(t.size)
 
     def _gamma_spectrum(self, w: np.ndarray) -> np.ndarray:
         return np.zeros((w.size,) + self.c.shape, dtype=complex)
@@ -345,7 +363,7 @@ class _ExponentialSum(BathModel):
     def _coefficient_full(self, t: np.ndarray, w: np.ndarray) -> np.ndarray:
         return self._matrices(_exp_sum_coefficient(self._c, self._z, t, w, self._undamped))
 
-    def _coefficient_integral(self, t: float, w: np.ndarray):
+    def _coefficient_integral(self, t: np.ndarray, w: np.ndarray):
         table, err = _exp_sum_table(self._c, self._z, t, w)
         return self._matrices(table), err
 
@@ -498,31 +516,33 @@ class _ThermalChannelT0(_LorentzChannel):
         tail = self._k * (2j * w_e1 / (lam**2 + w**2) + np.exp(-1j * w * ts) * pole_terms)
         return np.where(pos, self.on_axis(w) - tail, 0j)
 
-    def coefficient_integral(self, t: float, w: np.ndarray):
-        """Gap-pair table in closed form, nu = u_a + u_b: coefficient_full's tail integrates term
-        by term (d/dtau [e^{a tau} E1(b tau) - E1((b - a) tau)] = a e^{a tau} E1(b tau), E1(z) ~
-        -gamma - ln z at 0, Ei(x) = -E1(-x + i0) - i pi) to I = A^(u_a) E(i nu, t) - K [2i u_a J1
-        / (Lam^2 + u_a^2) + J2 / (i u_a - Lam) + J3 / (i u_a + Lam)], with x, e1 and ei as there
-        and Q_b = -E1(-i u_b t) - ln(-i u_b) (gamma + ln t at u_b = 0): J2 = [e^{i u_b t} e1 +
-        ln Lam + Q_b] / (Lam + i u_b), J3 = [ln Lam + i pi + Q_b - e^{i u_b t} (ei + i pi e^{-x})]
-        / (i u_b - Lam) and J1 = [e^{i nu t} E1(i u_a t) + ln(i u_a) + Q_b] / (i nu), which is
-        t E1(i u_a t) + E(-i u_a, t) at nu = 0; the J1 term is 0 at u_a = 0.  The bound is on
-        the round-off of J1's quotient."""
+    def coefficient_integral(self, t: np.ndarray, w: np.ndarray):
+        """Gap-pair tables in closed form at a 1-D array of times t > 0, nu = u_a + u_b:
+        coefficient_full's tail integrates term by term (d/dtau [e^{a tau} E1(b tau) - E1((b -
+        a) tau)] = a e^{a tau} E1(b tau), E1(z) ~ -gamma - ln z at 0, Ei(x) = -E1(-x + i0) -
+        i pi) to I = A^(u_a) E(i nu, t) - K [2i u_a J1 / (Lam^2 + u_a^2) + J2 / (i u_a - Lam) +
+        J3 / (i u_a + Lam)], with x, e1 and ei as there and Q_b = -E1(-i u_b t) - ln(-i u_b)
+        (gamma + ln t at u_b = 0): J2 = [e^{i u_b t} e1 + ln Lam + Q_b] / (Lam + i u_b), J3 =
+        [ln Lam + i pi + Q_b - e^{i u_b t} (ei + i pi e^{-x})] / (i u_b - Lam) and J1 = [e^{i nu
+        t} E1(i u_a t) + ln(i u_a) + Q_b] / (i nu), which is t E1(i u_a t) + E(-i u_a, t) at
+        nu = 0; the J1 term is 0 at u_a = 0.  The bounds are on the round-off of J1's quotient."""
         lam, ua, nu = self.cutoff, w[:, None], w[:, None] + w
-        e1, ei = _scaled_exp_integrals(np.array([lam * t]))
+        tw, ts = t[:, None], t[:, None, None]
+        e1, ei = (f[:, None] for f in _scaled_exp_integrals(lam * t))
         with np.errstate(divide="ignore", invalid="ignore"):  # the w = 0 entries are set apart
-            e1w, logw = special.exp1(1j * w * t), np.log(1j * w)  # conjugated at -i w
-            q = np.where(w == 0, np.euler_gamma + np.log(t), -np.conj(e1w + logw))
+            e1w, logw = special.exp1(1j * w * tw), np.log(1j * w)  # conjugated at -i w
+            q = np.where(w == 0, np.euler_gamma + np.log(tw), -np.conj(e1w + logw))
             size = np.where(w == 0, np.abs(q), np.abs(e1w) + np.abs(logw))
-            j1, bound = _over_i_nu(np.exp(1j * nu * t) * e1w[:, None] + logw[:, None] + q, nu,
-                                   t * e1w[:, None] + _exp_integral(-1j * ua, t), size[:, None] + size)
+            j1, bound = _over_i_nu(np.exp(1j * nu * ts) * e1w[..., None] + logw[:, None] + q[:, None],
+                                   nu, ts * e1w[..., None] + _exp_integral(-1j * ua, ts),
+                                   size[..., None] + size[:, None])
             j1, bound = (np.where(ua == 0, 0, f * ua / (lam**2 + ua**2)) for f in (2j * j1, 2 * bound))
-        phase, log_lam = np.exp(1j * w * t), math.log(lam)
+        phase, log_lam = np.exp(1j * w * tw), math.log(lam)
         j2 = (phase * e1 + log_lam + q) / (lam + 1j * w)
-        j3 = (log_lam + 1j * np.pi + q - phase * (ei + 1j * np.pi * np.exp(-lam * t))) / (1j * w - lam)
-        table = self.on_axis(w)[:, None] * _exp_integral(1j * nu, t) - self._k * (
-            j1 + j2 / (1j * ua - lam) + j3 / (1j * ua + lam))
-        return table, self._k * np.max(np.abs(bound))
+        j3 = (log_lam + 1j * np.pi + q - phase * (ei + 1j * np.pi * np.exp(-lam * tw))) / (1j * w - lam)
+        table = self.on_axis(w)[:, None] * _exp_integral(1j * nu, ts) - self._k * (
+            j1 + j2[:, None] / (1j * ua - lam) + j3[:, None] / (1j * ua + lam))
+        return table, self._k * np.max(np.abs(bound), axis=(1, 2))
 
 
 class _ThermalChannel(_LorentzChannel):
@@ -678,7 +698,16 @@ class _ThermalChannel(_LorentzChannel):
         d = self._d * np.exp(-self.cutoff * t)[:, None]
         return out + d * (1 / p + self._e_delta(t)[:, None]) / (p - self._delta)
 
-    def coefficient_integral(self, t: float, w: np.ndarray):
+    def coefficient_integral(self, t: np.ndarray, w: np.ndarray):
+        """Gap-pair tables at a 1-D array of times t > 0, one time at a time: K(t) runs to
+        _MATSUBARA_TERMS at small t, so a stacked form would hold nt (k, K) term tables at
+        once, while this one holds one time's.  Each is _table's."""
+        table, err = np.empty((t.size, w.size, w.size), dtype=complex), np.empty(t.size)
+        for i, ti in enumerate(t.tolist()):
+            table[i], err[i] = self._table(ti, w)
+        return table, err
+
+    def _table(self, t: float, w: np.ndarray):
         """Gap-pair table in closed form: the first K table terms and the merged
         pair, -d [E(-q, t)/p + int_0^t e^{-q tau} E(delta, tau) dtau] / (p - delta)
         with p = Lam + ig, q = Lam - ih, exactly.  Past K, e^{-z_k t} is dropped
@@ -701,7 +730,7 @@ class _ThermalChannel(_LorentzChannel):
         iw = 1j * w[:, None]
         pg, qh = lam + iw, lam - iw.T
         pair = self._pair_integral(qh, t) - self._d * np.expm1(-qh * t) / (qh * pg)
-        table = _exp_sum_table(c, z, t, w, self.on_axis(w))[0] - pair / (pg - self._delta)
+        table = _exp_sum_table(c, z, np.array([t]), w, self.on_axis(w))[0][0] - pair / (pg - self._delta)
         # 1/((1 + i(g/a) x)(1 - i(h/a) x)) = sum_j x^j sum_{p+q=j} (-ig/a)^p (ih/a)^q
         n = 12
         gp = (-iw / a) ** np.arange(n)
@@ -780,9 +809,9 @@ class ThermalLorentz(BathModel):
     def _coefficient_full(self, t: np.ndarray, w: np.ndarray) -> np.ndarray:
         return self._diag([ch.coefficient_full(t, w) for ch in self._impl])
 
-    def _coefficient_integral(self, t: float, w: np.ndarray):
+    def _coefficient_integral(self, t: np.ndarray, w: np.ndarray):
         tables, errs = zip(*(ch.coefficient_integral(t, w) for ch in self._impl))
-        return self._diag(tables), max(errs)
+        return self._diag(tables), np.maximum.reduce(errs)
 
     def _gamma_spectrum(self, w: np.ndarray) -> np.ndarray:
         return self._diag([ch.gamma_tilde(w) for ch in self._impl])
@@ -858,8 +887,8 @@ class Tabulated(_ExponentialSum):
     def _coefficient_full(self, t: np.ndarray, w: np.ndarray) -> np.ndarray:
         return super()._coefficient_full(self._on_grid(t), w)
 
-    def _coefficient_integral(self, t: float, w: np.ndarray):
-        return super()._coefficient_integral(self._on_grid(np.array([t]))[0], w)
+    def _coefficient_integral(self, t: np.ndarray, w: np.ndarray):
+        return super()._coefficient_integral(self._on_grid(t), w)
 
     # -- CSV round-trip ------------------------------------------------------
 

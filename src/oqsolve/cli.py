@@ -319,26 +319,24 @@ def cmd_cp_audit(model, run, args):
         }
     tgrid = _grid(run, default_tmax=8.0, default_n=9)[1:]
     weak_points = _run_value(run, "weak_points", "run.weak_points", 2001, integer=True, above=1)
-    gens = [positivity.magnus_phi2(model, float(t)) for t in tgrid]
-    delta_mins = [float(np.linalg.eigvalsh(g.delta)[0]) for g in gens]
-    choi_mins = [
-        min_choi_eigenvalue(choi_rearrange(positivity.algebraic_propagator(model, g)))
-        for g in gens
-    ]
+    gen = positivity.magnus_phi2(model, tgrid)
+    delta_min = float(np.min(np.linalg.eigvalsh(gen.delta)[:, 0]))
+    choi_mins = min_choi_eigenvalue(choi_rearrange(positivity.algebraic_propagator(model, gen))).tolist()
+    converged = bool(np.all(gen.converged))
     dense = np.linspace(0.0, float(tgrid[-1]), weak_points)
     weak = positivity.weak_test_min_eigenvalue(model, dense)
     return {
         "times": tgrid.tolist(),
         "magnus_choi_min": min(choi_mins),
         "magnus_choi_min_per_time": choi_mins,
-        "delta_min_eigenvalue": min(delta_mins),
-        "magnus_change_per_time": [g.change for g in gens],
-        "magnus_converged": all(g.converged for g in gens),
+        "delta_min_eigenvalue": delta_min,
+        "magnus_change_per_time": gen.change.tolist(),
+        "magnus_converged": converged,
         "weak_test_min_eigenvalue": weak,
         "checks": {
             "magnus_cp": "pass" if min(choi_mins) >= -args.tol else "fail",
-            "magnus_quadrature": "pass" if all(g.converged for g in gens) else "fail",
-            "delta_psd": "pass" if min(delta_mins) >= -args.tol else "fail",
+            "magnus_quadrature": "pass" if converged else "fail",
+            "delta_psd": "pass" if delta_min >= -args.tol else "fail",
             "weak_test": "pass" if weak >= -1e-8 else "fail",
         },
     }

@@ -63,19 +63,21 @@ _PADE_B = {m: [math.factorial(2 * m - j) * math.factorial(m)
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a square matrix by Higham's 2005 scaling and squaring:
-    the [m/m] Pade approximant r = (V - U)^-1 (V + U) at the least m in 3, 5, 7, 9
-    whose theta_m bounds the 1-norm, else at m = 13 after halving a s times to within
-    theta_13, then squared s times.  r is formed as 1 + 2 (V - U)^-1 U: where
-    vec(1)^T a = 0 (a trace-annihilating generator), vec(1)^T U = 0 and the
-    column traces of the result keep the round-off of U, not of V + U."""
-    norm = float(np.max(np.abs(a).sum(axis=0), initial=0.0))
+    """Matrix exponential of a square matrix, or of each matrix of a (k, n, n) stack,
+    by Higham's 2005 scaling and squaring: the [m/m] Pade approximant
+    r = (V - U)^-1 (V + U) at the least m in 3, 5, 7, 9 whose theta_m bounds the
+    1-norm, else at m = 13 after halving a s times to within theta_13, then squared s
+    times.  A stack shares one m and s, chosen from its largest 1-norm.  r is formed
+    as 1 + 2 (V - U)^-1 U: where vec(1)^T a = 0 (a trace-annihilating generator),
+    vec(1)^T U = 0 and the column traces of the result keep the round-off of U, not
+    of V + U."""
+    norm = float(np.max(np.abs(a).sum(axis=-2), initial=0.0))
     if not math.isfinite(norm):
         raise ValueError("expm: the matrix has a non-finite entry")
     m = next((m for m in (3, 5, 7, 9) if norm <= _PADE_THETA[m]), 13)
     s = max(0, math.ceil(math.log2(norm / _PADE_THETA[13]))) if m == 13 else 0
     a = np.asarray(a) / 2.0**s
-    eye, b = np.eye(a.shape[0], dtype=a.dtype), _PADE_B[m]
+    eye, b = np.eye(a.shape[-1], dtype=a.dtype), _PADE_B[m]
     a2 = a @ a
     if m < 13:
         powers = [eye, a2]
@@ -124,10 +126,13 @@ def require_hermitian(x: np.ndarray, tol: float = 1e-12, name: str = "operator")
     x = np.asarray(x, dtype=complex)
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise ValueError(f"{name} must be a square matrix or a stack of them, got shape {x.shape}")
-    defect = np.max(np.abs(x - np.conj(x).swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
-    # max|X| is NaN or inf where X has a non-finite entry (or one whose modulus overflows)
-    scale = np.maximum(np.max(np.abs(x), axis=(-2, -1), initial=0.0), 1.0)
-    bad = np.flatnonzero(~np.isfinite(scale) | (defect > tol * scale))
+    # max|X| is NaN or inf where X has a non-finite entry (or one whose modulus overflows);
+    # such a matrix is zeroed for the defect, where inf - inf would warn
+    scale = np.maximum(np.abs(x).max(axis=(-2, -1), initial=0.0), 1.0)
+    nonfinite = ~np.isfinite(scale)
+    y = np.where(nonfinite[..., None, None], 0, x) if nonfinite.any() else x
+    defect = np.abs(y - np.conj(y).swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    bad = np.flatnonzero(nonfinite | (defect > tol * scale))
     if bad.size:
         k = bad[0]
         label = name if x.ndim == 2 else f"{name} {k}"
@@ -224,9 +229,11 @@ def choi_rearrange(s: np.ndarray) -> np.ndarray:
     return s.reshape(s.shape[:-2] + (d, d, d, d)).swapaxes(-3, -2).reshape(s.shape)
 
 
-def min_choi_eigenvalue(c: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitized Choi matrix."""
-    return float(np.linalg.eigvalsh(herm_part(c))[0])
+def min_choi_eigenvalue(c: np.ndarray):
+    """Smallest eigenvalue of the Hermitized Choi matrix; of each matrix of a
+    (k, d^2, d^2) stack, (k,), from one stacked eigvalsh."""
+    lowest = np.linalg.eigvalsh(herm_part(c))[..., 0]
+    return lowest if lowest.ndim else float(lowest)
 
 
 @dataclass(frozen=True)
@@ -299,7 +306,7 @@ def write_matrix_csv(fh, times, mats, name: str, extra=None) -> None:
     writer = csv.writer(fh)
     writer.writerow(["t"] + [f"{part}_{prefix}{i}_{j}" for i in range(n) for j in range(n)
                              for part in ("re", "im")] + list(extra))
-    writer.writerows([repr(x) for x in row] for row in body.tolist())
+    writer.writerows(body.tolist())  # csv writes a float as its repr
 
 
 def read_matrix_csv(path, name: str):

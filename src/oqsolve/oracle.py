@@ -36,6 +36,9 @@ __all__ = [
 _MAX_DIM = 512
 # E_a - E_b closer than this many eps max|E| are one frequency (see _environment_bath)
 _MERGE_ULPS = 1024
+# grid times per stacked product of exact_reduced_trajectory: past about 21 the stacked
+# product ran slower than a loop over times, and memory grows with the block
+_TIME_BLOCK = 16
 
 
 @dataclass(eq=False)
@@ -203,17 +206,23 @@ def _eigenbasis_state(c: CompositeModel, rho0: np.ndarray) -> np.ndarray:
 
 
 def exact_reduced_trajectory(c: CompositeModel, rho0: np.ndarray, grid) -> np.ndarray:
-    """Reduced states Tr_E[U (rho0 x rho_E) U^dag] on a 1-D time grid: one stacked
-    product u (r_ab e^{-i(w_a - w_b)t}) u^dag over the grid, then one partial trace.
-    Built in place and traced by einsum, it keeps the per-time product's bits (grouped as
+    """Reduced states Tr_E[U (rho0 x rho_E) U^dag] on a 1-D time grid: a stacked product
+    u (r_ab e^{-i(w_a - w_b)t}) u^dag, then a partial trace, over blocks of _TIME_BLOCK grid
+    times, so that memory stays at one block's (D, D) stacks however long the grid.  Built
+    in place and traced by einsum, it keeps the per-time product's bits (grouped as
     (u e^{-iwt}) r (u e^{-iwt})^dag, it would move oracle-compare's g/2 error at horizon 1
     by up to 1.5e-8 relative) and, at 9-13 times, its speed."""
     w, u = c.eig
-    phase = np.exp(-1j * np.multiply.outer(np.asarray(grid, dtype=float), w))
-    r = phase[:, :, None] * np.conj(phase)[:, None, :]
-    np.multiply(_eigenbasis_state(c, rho0), r, out=r)
-    states = np.matmul(u @ r, dag(u), out=r)
-    return np.einsum("tikjk->tij", states.reshape(-1, c.dim, c.env_dim, c.dim, c.env_dim))
+    ud, r0 = dag(u), _eigenbasis_state(c, rho0)
+    grid = np.asarray(grid, dtype=float)
+    out = np.empty((grid.size, c.dim, c.dim), dtype=complex)
+    for lo in range(0, grid.size, _TIME_BLOCK):
+        phase = np.exp(-1j * np.multiply.outer(grid[lo:lo + _TIME_BLOCK], w))
+        r = phase[:, :, None] * np.conj(phase)[:, None, :]
+        np.multiply(r0, r, out=r)
+        states = np.matmul(u @ r, ud, out=r).reshape(-1, c.dim, c.env_dim, c.dim, c.env_dim)
+        out[lo:lo + _TIME_BLOCK] = np.einsum("tikjk->tij", states)
+    return out
 
 
 def exact_two_time(c: CompositeModel, x1: np.ndarray, t1: float, x2: np.ndarray, t2: float,

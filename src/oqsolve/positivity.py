@@ -26,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    dag,
     expm,
     herm_part,
     read_matrix_csv,
     require_hermitian,
-    unitary_superop,
     vec,
     write_matrix_csv,
 )
@@ -56,34 +56,51 @@ _MAGNUS_TOL = 1e-9  # the bound on Phi2's error, relative to max(1, max|Phi2|), 
 class AlgebraicGenerator:
     """Phi2(t) and its Lindblad coefficient matrix Delta, with the bound on
     Phi2's error that the table's bound carries, relative to max(1, max|Phi2|),
-    and whether that met the tolerance."""
+    and whether that met the tolerance.  From a 1-D array of times every field
+    is stacked per time: t (nt,), phi2 and delta (nt, d^2, d^2), change and
+    converged (nt,)."""
 
-    t: float
+    t: float | np.ndarray
     phi2: np.ndarray
     delta: np.ndarray
-    change: float = 0.0
-    converged: bool = True
+    change: float | np.ndarray = 0.0
+    converged: bool | np.ndarray = True
 
 
-def magnus_phi2(m: SystemModel, t: float) -> AlgebraicGenerator:
+def magnus_phi2(m: SystemModel, t) -> AlgebraicGenerator:
     """Interaction-picture Magnus generator Phi2(t) = int_0^t L2_int(tau) dtau,
     the gap-pair contraction of the integrated table I[a, b](t) = int_0^t
     A(tau; u_a) e^{i(u_a + u_b) tau} dtau (in closed form, with a bound on its
-    round-off or truncation), and Delta, its traceless-gauge coefficient matrix."""
-    if t < 0:
+    round-off or truncation), and Delta, its traceless-gauge coefficient matrix.
+    t is a time or a 1-D array of them, whose generators come from one table call
+    and one stacked contraction."""
+    ts = np.asarray(t, dtype=float)
+    times = np.atleast_1d(ts)
+    if min(times.tolist(), default=0.0) < 0:
         raise ValueError("magnus_phi2 requires t >= 0")
-    table, err = m.bath.coefficient_integral(float(t), m.unique_gaps)
+    table, err = m.bath.coefficient_integral(times, m.unique_gaps)
     phi2 = _pair_superop(m, table)
-    change = m.pair_error_gain * err / max(1.0, float(np.max(np.abs(phi2)))) if err else 0.0
-    return AlgebraicGenerator(t=float(t), phi2=phi2, delta=herm_part(canonical_coefficient_matrix(phi2)),
-                              change=change, converged=change <= _MAGNUS_TOL)
+    change = np.zeros(err.size)
+    if err.any():  # only a table with a bound reads the error gain
+        change = m.pair_error_gain * err / np.maximum(1.0, np.abs(phi2).max(axis=(1, 2)))
+    gen = AlgebraicGenerator(t=ts, phi2=phi2, delta=herm_part(canonical_coefficient_matrix(phi2)),
+                             change=change, converged=change <= _MAGNUS_TOL)
+    if ts.ndim:
+        return gen
+    return AlgebraicGenerator(t=float(ts), phi2=phi2[0], delta=gen.delta[0],
+                              change=float(change[0]), converged=bool(gen.converged[0]))
 
 
 def algebraic_propagator(m: SystemModel, gen: AlgebraicGenerator) -> np.ndarray:
     """G(t) = G0(t) exp(Phi2(t)) from a computed generator, G0 from the model's
-    eigenbasis, U0(t) = V diag(e^{-iEt}) V^dag; exactly completely positive."""
-    u0 = m.basis.from_energy_basis(np.diag(np.exp(-1j * m.basis.energies * gen.t)))
-    return unitary_superop(u0) @ expm(gen.phi2)
+    eigenbasis, U0(t) = V diag(e^{-iEt}) V^dag; exactly completely positive.  A
+    stacked generator gives (nt, d^2, d^2), from one product for every U0 and one
+    expm of the stack."""
+    v = m.basis.vectors
+    u0 = (v * np.exp(-1j * np.multiply.outer(gen.t, m.basis.energies))[..., None, :]) @ dag(v)
+    # U0 rho U0^dag as S[(i,j),(i',j')] = U0[i,i'] conj(U0[j,j'])
+    g0 = u0[..., :, None, :, None] * np.conj(u0)[..., None, :, None, :]
+    return g0.reshape(gen.phi2.shape) @ expm(gen.phi2)
 
 
 def magnus_propagator(m: SystemModel, t: float) -> np.ndarray:

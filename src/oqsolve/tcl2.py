@@ -242,19 +242,22 @@ def interaction_L2(m: SystemModel, tau: float) -> np.ndarray:
 
 def _pair_superop(m: SystemModel, table: np.ndarray) -> np.ndarray:
     """Interaction-picture superoperator in the input basis, (d^2, d^2), from a
-    gap-pair table X (n_gaps, n_gaps, n, n): the terms B_n e_ij L_n - L_n B_n e_ij
-    of the second-order generator, carried to the interaction picture, a gather
-    of the d^4 n^2 and d^3 n^2 table entries they read, plus their partners
+    gap-pair table X (n_gaps, n_gaps, n, n), or a stack of them, (nt, d^2, d^2) from
+    (nt, n_gaps, n_gaps, n, n): the terms B_n e_ij L_n - L_n B_n e_ij of the
+    second-order generator, carried to the interaction picture, a gather of the
+    d^4 n^2 and d^3 n^2 table entries they read, plus their partners
     L_n e_ij Bd_n - e_ij Bd_n L_n, the Hermiticity-preserving conjugate
     S'[(x,y),(i,j)] = conj S[(y,x),(j,i)], which a basis change keeps."""
     d, g, l = m.dim, m.gap_index, m.couplings_eb
+    stack = table.reshape((-1,) + table.shape[-4:])
     # B_n e_ij L_n, entry (x, y): sum_nm L_m[x,i] X[g(x,i), g(j,y)]_nm L_n[j,y]
-    s = np.einsum("xiyjnm,mxi,njy->xyij", table[g[:, :, None, None], g.T], l, l)
+    s = np.einsum("txiyjnm,mxi,njy->txyij", stack[:, g[:, :, None, None], g.T], l, l)
     # -L_n B_n e_ij, entry (x, j): -sum_k L_n[x,k] X[g(k,i), g(x,k)]_nm L_m[k,i]
-    k = np.einsum("xkinm,nxk,mki->xi", table[g, g[:, :, None]], l, l)
-    s -= k[:, None, :, None] * np.eye(d)[:, None, :]
-    s = s + np.conj(s.transpose(1, 0, 3, 2))
-    return m.to_input @ s.reshape(d * d, d * d) @ m.to_energy
+    k = np.einsum("txkinm,nxk,mki->txi", stack[:, g, g[:, :, None]], l, l)
+    s -= k[:, :, None, :, None] * np.eye(d)[:, None, :]
+    s = s + np.conj(s.transpose(0, 2, 1, 4, 3))
+    s = m.to_input @ s.reshape(-1, d * d, d * d) @ m.to_energy
+    return s.reshape(table.shape[:-4] + (d * d, d * d))
 
 
 # ---------------------------------------------------------------------------

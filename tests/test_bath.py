@@ -719,6 +719,68 @@ class TestCoefficientIntegral:
                 b.coefficient_integral(-1.0, self.W)
 
 
+class TestTableTimeArrays:
+    """coefficient_integral at a 1-D array of times against one call per time, to 1e-14 of
+    the largest |table|, with the same bound per time."""
+
+    W = np.array([-1.0, 0.0, 0.4, 1.0])
+    TIMES = np.array([0.0, 1e-5, 0.3, 1.0, 2.5, 8.0])
+
+    @staticmethod
+    def tabulated():
+        t = np.linspace(0.0, 10.0, 201)
+        return bath.Tabulated(t, (0.3 * np.exp(-1.1 * t) * np.exp(-0.5j * t))[:, None, None])
+
+    CASES = {
+        "ou": lambda: bath.ExponentialOU(c=[[0.3]], lam=1.2),
+        "ou-two-channels": lambda: bath.ExponentialOU(c=[[0.3, 0.1 + 0.05j], [0.1 - 0.05j, 0.2]], lam=1.3),
+        "ou-complex-rates": lambda: bath.ExponentialOU(c=[[[0.2]], [[0.1]]], lam=[0.5 + 1j, 0.7 - 2j]),
+        "tabulated": tabulated,
+        "white-noise": lambda: bath.WhiteNoise(c=[[0.4, 0.1], [0.1, 0.3]]),
+        "thermal-t0": thermal_t0,
+        "thermal": thermal,
+        "thermal-mixed": lambda: bath.ThermalLorentz(gamma0=[0.1, 0.2], cutoff=[5.0, 1.0],
+                                                     temperature=[0.0, 0.3], n_channels=2),
+        # undamped terms at the environment frequencies +-1 meet the gaps -+1: the resonant branch
+        "undamped-resonant": lambda: bath.ExponentialOU(c=[[[0.05]], [[0.05]]], lam=[1j, -1j]),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_one_call_per_time(self, name):
+        b = self.CASES[name]()
+        self.check(b, self.TIMES, self.W)
+
+    def test_oracle_bath(self):
+        m = oracle.reduced_model(oracle.random_composite(0))
+        self.check(m.bath, self.TIMES, m.unique_gaps)
+
+    @staticmethod
+    def check(b, times, w):
+        got, err = b.coefficient_integral(times, w)
+        n, k = b.channels, w.size
+        assert got.shape == (times.size, k, k, n, n) and err.shape == (times.size,)
+        scale = np.max(np.abs(got))
+        for i, t in enumerate(times.tolist()):
+            want, want_err = b.coefficient_integral(t, w)
+            assert np.max(np.abs(got[i] - want)) <= 1e-14 * scale, t
+            assert err[i] == pytest.approx(want_err, rel=1e-12, abs=0.0), t
+        assert not got[0].any() and err[0] == 0.0
+        # a scalar w gives each time's (n, n) entry
+        col, _ = b.coefficient_integral(times, float(w[2]))
+        assert np.max(np.abs(col - got[:, 2, 2])) <= 1e-14 * scale
+
+    def test_bound_within_round_off_counts_as_zero_per_time(self):
+        # the resonant branch bounds its quotient's round-off; at t = 8 that is within eps of
+        # this time's table, so it reads 0 there and not at the earlier times
+        got, err = self.CASES["undamped-resonant"]().coefficient_integral(self.TIMES, self.W)
+        assert err[1:5].all() and err[5] == 0.0
+        assert np.all((err == 0) | (err > np.finfo(float).eps * np.max(np.abs(got), axis=(1, 2, 3, 4))))
+
+    def test_negative_time_in_an_array_rejected(self):
+        with pytest.raises(ValueError, match=r"^coefficient_integral requires t >= 0$"):
+            thermal().coefficient_integral(np.array([0.5, -1e-9]), self.W)
+
+
 class TestExponentialOU:
     def test_alpha_and_spectrum(self):
         b = bath.ExponentialOU(c=[[0.3]], lam=1.2)

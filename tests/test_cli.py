@@ -340,7 +340,7 @@ class TestReports:
         magnus = positivity.magnus_phi2
         monkeypatch.setattr(positivity, "magnus_phi2", lambda m, t: replace(
             magnus(m, t), delta=magnus(m, t).delta - 1e-6 * np.eye(4)))
-        monkeypatch.setattr(cli, "min_choi_eigenvalue", lambda c: -1e-6)
+        monkeypatch.setattr(cli, "min_choi_eigenvalue", lambda c: np.full(len(c), -1e-6))
         model = write_model(tmp_path, qubit_doc(t_max=1.0, n_points=2, weak_points=11))
         for extra, verdict in (([], "fail"), (["--tol", "1e-5"], "pass")):
             assert cli.main(["cp-audit", "--model", model, *extra]) == 0
@@ -615,6 +615,21 @@ class TestValidation:
         assert cli.main(["qrt", "--model", write_model(tmp_path, doc)]) == cli.EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.out == "" and f"error: {defect}" in captured.err
+
+    @pytest.mark.parametrize("key, where", [
+        ("hamiltonian", "system.hamiltonian"), ("couplings", "system.couplings[0]")])
+    def test_infinite_system_entry_prints_only_the_error(self, tmp_path, key, where):
+        # inf - inf in the Hermiticity defect used to print numpy's RuntimeWarning first
+        doc = qubit_doc()
+        node = doc["system"][key] if key == "hamiltonian" else doc["system"][key][0]
+        node[0][0] = [float("inf"), 0.0]
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(oqsolve.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "oqsolve.cli", "pauli", "--model",
+                               write_model(tmp_path, doc)], env=env, capture_output=True, text=True)
+        assert proc.returncode == cli.EXIT_VALIDATION and proc.stdout == ""
+        assert proc.stderr == f"error: {where} has a non-finite entry\n"
 
     @pytest.mark.parametrize("option, where", [(["--seed", "-1"], "--seed"), ([], "run.oracle.seed")])
     def test_negative_seed_exits_validation(self, tmp_path, capsys, option, where):

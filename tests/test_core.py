@@ -1,6 +1,8 @@
 import csv
 import io
+import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -217,6 +219,25 @@ class TestExpm:
         with pytest.raises(ValueError, match="non-finite"):
             core.expm(np.array([[0.0, np.nan], [0.0, 0.0]]))
 
+    def test_stack_matches_per_matrix_calls(self):
+        # 1-norms from 0.01 to 12: the stack takes degree 13 and s = 2 squarings from its
+        # largest, where the smaller matrices alone take lower degrees and no scaling
+        rng = np.random.default_rng(3)
+        a = _rand_op(rng, 6)[None] * rng.normal(size=(5, 1, 1)) + _rand_op(rng, 6)
+        a *= (np.array([0.01, 0.3, 1.0, 3.0, 12.0]) / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
+        assert math.ceil(math.log2(12.0 / core._PADE_THETA[13])) == 2
+        got = core.expm(a)
+        assert got.shape == a.shape
+        for x, want in zip(got, (core.expm(m) for m in a)):
+            assert np.max(np.abs(x - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_one_matrix_is_a_stack_of_one(self):
+        # a single matrix takes the same degree, scaling and products as a stack of one
+        for k in range(3):
+            m = _expm_models()[k]
+            for a in (tcl2.build_L2(m, None) * 3.0, positivity.magnus_phi2(m, 8.0).phi2):
+                assert np.array_equal(core.expm(a), core.expm(a[None])[0])
+
 
 class TestBasisChange:
     def test_round_trip_and_action(self):
@@ -279,6 +300,22 @@ class TestRequireState:
         with pytest.raises(ValueError, match=match):
             core.require_state(rho, "rho0")
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_entry_named_without_a_warning(self, bad, where):
+        # inf - inf in the Hermiticity defect would warn before the error
+        h = np.eye(3, dtype=complex)
+        h[where] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^H has a non-finite entry$"):
+                core.require_hermitian(h, name="H")
+            with pytest.raises(ValueError, match=r"^H 1 has a non-finite entry$"):
+                core.require_hermitian(np.array([np.eye(3), h]), name="H")
+            # the first failing matrix is still named first
+            with pytest.raises(ValueError, match=r"^H 0 is not Hermitian"):
+                core.require_hermitian(np.array([np.triu(np.ones((3, 3))), h]), name="H")
+
     def test_stacked_hermiticity_names_first_bad_matrix(self):
         stack = np.array([np.eye(2), [[1.0, 1e-6], [0.0, 1.0]]])
         with pytest.raises(ValueError, match="sample 1 is not Hermitian"):
@@ -336,6 +373,16 @@ class TestMatrixCSV:
                     row += [repr(float(m[i, j].real)), repr(float(m[i, j].imag))]
             writer.writerow(row + [repr(float(tr))])
         assert buf.getvalue() == ref.getvalue()
+
+    def test_pinned_bytes(self):
+        # each value is its float repr, -0.0 and the smallest subnormal included
+        mats = np.array([[[complex(-0.0, 5e-324)]], [[1e16 + 1j / 3]], [[1e-20 - 2.5e20j]]])
+        buf = io.StringIO()
+        core.write_matrix_csv(buf, [0.0, 1 / 3, 2.0], mats, "x", extra={"e": [1e20, -7e-21, 123456.789]})
+        assert buf.getvalue() == ("t,re_x_0_0,im_x_0_0,e\r\n"
+                                  "0.0,-0.0,5e-324,1e+20\r\n"
+                                  "0.3333333333333333,1e+16,0.3333333333333333,-7e-21\r\n"
+                                  "2.0,1e-20,-2.5e+20,123456.789\r\n")
 
     def test_missing_entries_stay_zero(self, tmp_path):
         path = self._write(tmp_path / "a.csv", "t,re_x_1_1,im_x_1_1\n0.0,2.0,-1.0\n")

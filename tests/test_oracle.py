@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -228,6 +229,28 @@ class TestExactDynamics:
         # repeated times give the same state
         if len(grid) > 3:
             assert np.array_equal(got[2], got[3])
+
+    @pytest.mark.parametrize("n", [3, 13, 100])
+    def test_blocked_trajectory_keeps_each_time_bits(self, n):
+        # blocks of grid times give each state the bits of that time alone
+        c = oracle.random_composite(3)
+        rho0 = basis_state(3)
+        grid = np.linspace(0.0, 5.0, n)
+        got = oracle.exact_reduced_trajectory(c, rho0, grid)
+        assert all(np.array_equal(got[k], oracle.exact_reduced_trajectory(c, rho0, [t])[0])
+                   for k, t in enumerate(grid.tolist()))
+
+    def test_long_grid_memory_stays_at_one_block(self):
+        # a 48-level composite: one (D, D) complex stack per grid time would be 74 MB at 1000
+        c = oracle.random_composite(3)
+        c.eig
+        tracemalloc.start()
+        try:
+            states = oracle.exact_reduced_trajectory(c, basis_state(3), np.linspace(0.0, 5.0, 1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert states.shape == (1000, 3, 3) and peak < 4e6
 
     def test_zero_coupling_reduces_to_unitary(self):
         c = small_composite().with_coupling(0.0)

@@ -221,6 +221,39 @@ class TestMagnusPropagator:
         assert diff(0.08) / diff(0.04) > 3.0
 
 
+class TestStackedMagnus:
+    """magnus_phi2 and algebraic_propagator at a 1-D array of times against one call per
+    time, to 1e-14 of max(1, the largest |entry|)."""
+
+    TIMES = np.array([0.0, 1e-3, 0.4, 1.0, 3.0, 8.0])
+    MODELS = {"thermal": qubit_model, "t0": t0_model, "tabulated": lambda: tabulated_model(),
+              "undamped": undamped_ou_model, "ou-d3": ou_model, "correlated-ou": correlated_ou_model}
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_matches_one_call_per_time(self, name):
+        m = self.MODELS[name]()
+        times = self.TIMES[self.TIMES <= 2.0] if name == "tabulated" else self.TIMES
+        gen = positivity.magnus_phi2(m, times)
+        props = positivity.algebraic_propagator(m, gen)
+        d2 = m.dim**2
+        assert gen.phi2.shape == gen.delta.shape == props.shape == (times.size, d2, d2)
+        assert np.array_equal(gen.t, times) and gen.change.shape == gen.converged.shape == times.shape
+        scale = max(1.0, np.max(np.abs(gen.phi2)))
+        for k, t in enumerate(times.tolist()):
+            one = positivity.magnus_phi2(m, t)
+            assert type(one.t) is float and type(one.change) is float and type(one.converged) is bool
+            assert np.max(np.abs(gen.phi2[k] - one.phi2)) <= 1e-14 * scale
+            assert np.max(np.abs(gen.delta[k] - one.delta)) <= 1e-14 * scale
+            assert gen.change[k] == pytest.approx(one.change, rel=1e-12, abs=0.0)
+            assert gen.converged[k] == one.converged
+            prop = positivity.magnus_propagator(m, t)
+            assert np.max(np.abs(props[k] - prop)) <= 1e-14 * max(1.0, np.max(np.abs(prop)))
+
+    def test_negative_time_in_an_array_rejected(self):
+        with pytest.raises(ValueError, match="magnus_phi2 requires t >= 0"):
+            positivity.magnus_phi2(qubit_model(), np.array([1.0, -0.5]))
+
+
 class TestDoubleTimeRoute:
     def test_matches_algebraic_delta(self):
         m = ou_model()
