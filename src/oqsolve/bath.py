@@ -51,7 +51,6 @@ __all__ = [
     "kernels",
     "kms_residual",
     "fdi_check",
-    "sampled_positivity",
 ]
 
 _MATSUBARA_TERMS = 120_000
@@ -570,6 +569,7 @@ class _ThermalChannel(_LorentzChannel):
         self._c0 = complex(pre * (special.digamma(1 - y) - special.digamma(1 + y) + 1 / (x + k)),
                            -np.pi * pre)
         self._k_pair, self._d, self._delta = k, -pre * 2 * k / (x + k) * a, a * y
+        self._shift = max(self._delta, 0.0)  # Lam - min(Lam, nu_k*); see _pair_factors
         psi_plus = special.digamma(1 + x)
         self._psi = (psi_plus - 1 / x, psi_plus)  # psi(x) = psi(1 + x) - 1/x
         # the head, which alpha_time and coefficient_full sum whole; they add the terms past
@@ -599,21 +599,27 @@ class _ThermalChannel(_LorentzChannel):
         c[self._k_pair] = 0
         return c, np.concatenate([[self.cutoff], self._a * k])
 
-    def _e_delta(self, t):
-        return np.expm1(self._delta * t) / self._delta if self._delta else t
+    def _pair_factors(self, p, t):
+        """e^{-pt} E(delta, t) as factors that only decay, e^{-(p - s) t} E(-|delta|, t) with
+        s = max(delta, 0) (exact at delta <= 0): at delta > 0 past t = 709 / delta, e^{-pt}
+        underflows and E(delta, t) overflows, and 0 inf is NaN."""
+        r = -abs(self._delta)
+        return np.exp(-(p - self._shift) * t), (np.expm1(r * t) / r if r else t)
 
     def _pair_integral(self, p, t: float):
         """d int_0^t e^{-p tau} E(delta, tau) dtau
         = d [E(-p, t) - e^{-pt} E(delta, t)] / (p - delta)."""
         e_p = -np.expm1(-p * t) / p
-        return self._d * (e_p - np.exp(-p * t) * self._e_delta(t)) / (p - self._delta)
+        decay, e = self._pair_factors(p, t)
+        return self._d * (e_p - decay * e) / (p - self._delta)
 
     def alpha_time(self, t: np.ndarray) -> np.ndarray:
         """alpha(t).  Past n0 the Matsubara terms are (2 gamma0 T Lam^2 / a) k / (k^2 - x^2)
         e^{-a k t}, a = 2 pi T, x = Lam / a, with k / (k^2 - x^2) = (1/2) sum_{b = +-x} 1/(k + b)."""
         if (t == 0.0).any():
             raise ValueError("thermal correlation is logarithmically divergent at t = 0")
-        pair = self._d * np.exp(-self.cutoff * t) * self._e_delta(t)
+        decay, e = self._pair_factors(self.cutoff, t)
+        pair = self._d * decay * e
         val = _exp_sum_alpha(self._c, self._z, t) + pair
         tailed = self._a * t * self._n0 < _LOG_1_EPS
         if tailed.any():
@@ -695,8 +701,9 @@ class _ThermalChannel(_LorentzChannel):
             out[tailed] += (2 * self.gamma0 * self.temperature * self.cutoff**2 / a**2
                             * (ib * (s_ib - h_plus) + x * h_minus) / (x * x - ib * ib))
         p = self.cutoff + iw
-        d = self._d * np.exp(-self.cutoff * t)[:, None]
-        return out + d * (1 / p + self._e_delta(t)[:, None]) / (p - self._delta)
+        decay, e = self._pair_factors(self.cutoff, t)
+        d = self._d * decay[:, None]  # times e^{-s t} is e^{-Lam t}
+        return out + d * (np.exp(-self._shift * t)[:, None] / p + e[:, None]) / (p - self._delta)
 
     def coefficient_integral(self, t: np.ndarray, w: np.ndarray):
         """Gap-pair tables at a 1-D array of times t > 0, one time at a time: K(t) runs to
@@ -959,13 +966,3 @@ def fdi_check(trip: KernelTriple) -> float:
     nuh, gh = herm_part(trip.nu), herm_part(trip.gamma)
     lam = np.linalg.eigvalsh(np.concatenate([nuh - w * gh, nuh + w * gh]))[:, 0]
     return float(lam.min(initial=np.inf))
-
-
-def sampled_positivity(b: BathModel, tgrid) -> float:
-    """Min eigenvalue of the block matrix [alpha(t_i - t_j)] over the grid."""
-    tgrid = np.asarray(tgrid, dtype=float)
-    k, n = tgrid.size, b.channels
-    blocks = b.alpha_time(np.subtract.outer(tgrid, tgrid).reshape(-1)).reshape(k, k, n, n)
-    big = blocks.transpose(0, 2, 1, 3).reshape(k * n, k * n)
-    big = (big + np.conj(big).T) / 2
-    return float(np.linalg.eigvalsh(big)[0])

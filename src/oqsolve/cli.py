@@ -55,6 +55,14 @@ def _parse_complex_matrix(node, name):
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _model_path(node, key, name, model_dir):
+    """node[key], which must be a JSON string, resolved against the model file's directory."""
+    path = node[key]
+    if not isinstance(path, str):
+        raise ValidationError(f"{name} must be a JSON string, got {path!r}")
+    return os.path.join(model_dir, path)
+
+
 def _build_bath(node, model_dir, n_channels):
     if not isinstance(node, dict) or "variant" not in node:
         raise ValidationError("bath: expected an object with a 'variant' tag")
@@ -72,7 +80,7 @@ def _build_bath(node, model_dir, n_channels):
         if variant == "white":
             return bath_mod.WhiteNoise(c=node["c"])
         if variant == "tabulated":
-            return bath_mod.Tabulated.from_csv(os.path.join(model_dir, node["path"]))
+            return bath_mod.Tabulated.from_csv(_model_path(node, "path", "bath.path", model_dir))
     except KeyError as exc:
         raise ValidationError(f"bath: missing parameter {exc} for variant {variant!r}")
     except (ValueError, OSError) as exc:
@@ -113,9 +121,8 @@ def load_model(path):
     sysnode = _section(doc, "system", "system")
     couplings_node = _section(sysnode, "couplings", "system.couplings", list)
     model_dir = os.path.dirname(os.path.abspath(path))
-    if "superop_csv" in run:
-        # resolved like bath.path; read by cp-audit
-        run["superop_csv"] = os.path.join(model_dir, str(run["superop_csv"]))
+    if "superop_csv" in run:  # read by cp-audit
+        run["superop_csv"] = _model_path(run, "superop_csv", "run.superop_csv", model_dir)
     try:
         h = require_hermitian(
             _parse_complex_matrix(sysnode.get("hamiltonian"), "system.hamiltonian"),
@@ -275,6 +282,8 @@ def cmd_coefficients(model, run, args):
     b = model.bath
     tgrid = _grid(run, default_n=21)
     wgrid = _run_value(run, "frequencies", "run.frequencies", model.unique_gaps, ndim=1)
+    if np.unique(wgrid).size < wgrid.size:  # each keys one table entry; 0.0 == -0.0
+        raise ValidationError(f"run.frequencies must not repeat a value, got {run['frequencies']!r}")
     try:
         full = b.coefficient_full(tgrid, wgrid)
     except ValueError as exc:

@@ -28,10 +28,6 @@ __all__ = [
     "superop_sandwich",
     "commutator_superop",
     "anticommutator_superop",
-    "dissipator_superop",
-    "unitary_superop",
-    "apply_superop",
-    "trace_preservation_defect",
     "hermiticity_preservation_defect",
     "choi_rearrange",
     "min_choi_eigenvalue",
@@ -111,7 +107,8 @@ def unvec(v: np.ndarray, d: int | None = None) -> np.ndarray:
 
 
 def dag(x: np.ndarray) -> np.ndarray:
-    return np.conj(x).T
+    """X^dag, matrix by matrix for a (k, n, n) stack."""
+    return np.conj(x).swapaxes(-1, -2)
 
 
 def herm_part(x: np.ndarray) -> np.ndarray:
@@ -159,16 +156,18 @@ def require_state(rho: np.ndarray, name: str = "state") -> np.ndarray:
 
 
 def superop_sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Superoperator for rho -> A rho B.
+    """Superoperator for rho -> A rho B; matrix by matrix for (k, d, d) stacks.
 
-    With row-major vec, vec(A rho B) = kron(A, B.T) vec(rho), so the matrix
-    element is S[(i,j),(i',j')] = A[i,i'] * B[j',j].
+    With row-major vec, vec(A rho B) = S vec(rho) with the matrix element
+    S[(i,j),(i',j')] = A[i,i'] * B[j',j], one broadcast product.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
+    if a.shape != b.shape or a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"dimension mismatch: A {a.shape} vs B {b.shape}")
-    return np.kron(a, b.T)
+    d = a.shape[-1]
+    s = a[..., :, None, :, None] * b.swapaxes(-1, -2)[..., None, :, None, :]
+    return s.reshape(a.shape[:-2] + (d * d, d * d))
 
 
 def commutator_superop(h: np.ndarray) -> np.ndarray:
@@ -183,36 +182,6 @@ def anticommutator_superop(a: np.ndarray) -> np.ndarray:
     d = a.shape[0]
     eye = np.eye(d)
     return superop_sandwich(a, eye) + superop_sandwich(eye, a)
-
-
-def dissipator_superop(ljump: np.ndarray, rate: float = 1.0) -> np.ndarray:
-    """GKS dissipator rate * (L rho L^dag - {L^dag L, rho}/2)."""
-    return rate * (
-        superop_sandwich(ljump, dag(ljump))
-        - 0.5 * anticommutator_superop(dag(ljump) @ ljump)
-    )
-
-
-def unitary_superop(u: np.ndarray) -> np.ndarray:
-    """Superoperator for rho -> U rho U^dag."""
-    return superop_sandwich(u, dag(u))
-
-
-def apply_superop(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    d = x.shape[0]
-    return unvec(s @ vec(x), d)
-
-
-def trace_preservation_defect(s: np.ndarray, generator: bool = False) -> float:
-    """max deviation of sum_i S[(i,i),(i',j')] from delta_{i'j'}.
-
-    For a generator (rather than a map) the column traces must vanish instead.
-    """
-    d = int(round(np.sqrt(s.shape[0])))
-    row = s.reshape(d, d, d * d)
-    traced = np.einsum("iik->k", row).reshape(d, d)
-    target = np.zeros((d, d)) if generator else np.eye(d)
-    return float(np.max(np.abs(traced - target)))
 
 
 def hermiticity_preservation_defect(s: np.ndarray) -> float:

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import require_hermitian, require_state, unvec, vec
-from .tcl2 import (SystemModel, _evolve, _require_mode, _second_order_ops_eb,
-                   second_order_operator)
+from .tcl2 import SystemModel, _evolve, _require_mode, _second_order_ops_eb
 
 __all__ = [
     "TwoTimeRequest",
@@ -43,10 +42,11 @@ class TwoTimeRequest:
 
 
 def two_time_operator(m: SystemModel, n: int, t1: float, t2: float) -> np.ndarray:
-    """B_n(t1, t2) = (A <> L)_n(t1) - (A <> L)_n(t1 - t2); requires t1 >= t2 >= 0."""
+    """B_n(t1, t2) = (A <> L)_n(t1) - (A <> L)_n(t1 - t2), from one bath call; t1 >= t2 >= 0."""
     if not (t1 >= t2 >= 0):
         raise ValueError("two_time_operator requires t1 >= t2 >= 0")
-    return second_order_operator(m, t1, n) - second_order_operator(m, t1 - t2, n)
+    b = _second_order_ops_eb(m, np.array([t1, t1 - t2]))[:, n]
+    return m.basis.from_energy_basis(b[0] - b[1])
 
 
 def _free_phase(m: SystemModel, t) -> np.ndarray:

@@ -31,7 +31,7 @@ from .core import (
     herm_part,
     read_matrix_csv,
     require_hermitian,
-    vec,
+    superop_sandwich,
     write_matrix_csv,
 )
 from .tcl2 import SystemModel, _pair_superop, _second_order_ops_eb, canonical_coefficient_matrix
@@ -41,7 +41,6 @@ __all__ = [
     "magnus_phi2",
     "magnus_propagator",
     "algebraic_propagator",
-    "delta_double_time",
     "weak_cp_test",
     "weak_test_min_eigenvalue",
     "interaction_dissipator_samples",
@@ -98,55 +97,12 @@ def algebraic_propagator(m: SystemModel, gen: AlgebraicGenerator) -> np.ndarray:
     expm of the stack."""
     v = m.basis.vectors
     u0 = (v * np.exp(-1j * np.multiply.outer(gen.t, m.basis.energies))[..., None, :]) @ dag(v)
-    # U0 rho U0^dag as S[(i,j),(i',j')] = U0[i,i'] conj(U0[j,j'])
-    g0 = u0[..., :, None, :, None] * np.conj(u0)[..., None, :, None, :]
-    return g0.reshape(gen.phi2.shape) @ expm(gen.phi2)
+    return superop_sandwich(u0, dag(u0)) @ expm(gen.phi2)
 
 
 def magnus_propagator(m: SystemModel, t: float) -> np.ndarray:
     """G(t) = G0(t) exp(Phi2(t)); exactly completely positive."""
     return algebraic_propagator(m, magnus_phi2(m, t))
-
-
-def delta_double_time(m: SystemModel, t: float, nodes: int = 48) -> np.ndarray:
-    """Independent route to Delta: the ordered double-time quadratic form
-
-    Delta = M + M^dag,
-    M_IJ = sum_nm int_0^t dtau int_0^tau dtau'
-           alpha_nm(tau - tau') vec(L_m_int(tau'))_I conj(vec(L_n_int(tau)))_J
-
-    on a nested Gauss-Legendre grid (outer over tau, inner over [0, tau], so the
-    correlation function is only evaluated at smooth positive arguments).
-    Both rules are graded as r^3, r Gauss-Legendre on [0, 1], towards tau = 0
-    and tau' = tau: a thermal correlation has a log singularity at zero lag,
-    which limits the plain rule to O(nodes^-2).
-    Positive semidefinite because the block kernel [alpha_nm] is; agrees with
-    magnus_phi2's Delta for traceless couplings and second-order operators
-    (else they differ by the commutator gauge).
-    """
-    d = m.dim
-    nch = len(m.couplings)
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    r = 0.5 * (x + 1.0)
-    x, w = r**3, 1.5 * r**2 * w  # graded nodes and weights on [0, 1]
-    gaps = m.basis.gaps
-
-    def lvec_int(tau):
-        """Interaction-picture couplings in the input basis, vectorized (n, I)."""
-        phase = np.exp(1j * gaps * tau)
-        return np.array(
-            [vec(m.basis.from_energy_basis(phase * leb)) for leb in m.couplings_eb]
-        )
-
-    mmat = np.zeros((d * d, d * d), dtype=complex)
-    for tau, wa in zip(t * x, t * w):
-        outer_l = lvec_int(tau)
-        tps, wps = tau * (1.0 - x), tau * w
-        inner = np.zeros((nch, d * d), dtype=complex)  # sum_m alpha_nm L_m term
-        for tp, wb in zip(tps, wps):
-            inner += wb * (m.bath.alpha_time(float(tau - tp)) @ lvec_int(tp))
-        mmat += wa * np.einsum("nI,nJ->IJ", inner, np.conj(outer_l))
-    return mmat + np.conj(mmat).T
 
 
 def _require_grid(grid, k: int) -> np.ndarray:

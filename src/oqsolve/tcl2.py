@@ -53,7 +53,6 @@ __all__ = [
     "SystemModel",
     "PseudoLindblad",
     "Trajectory",
-    "second_order_operator",
     "build_L2",
     "interaction_L2",
     "pseudo_lindblad",
@@ -121,13 +120,13 @@ class SystemModel:
 
     @cached_property
     def to_input(self) -> np.ndarray:
-        """Superoperator basis change energy -> input basis, kron(u, conj(u))."""
+        """Superoperator basis change energy -> input basis, rho -> u rho u^dag."""
         u = self.basis.vectors
         return superop_sandwich(u, dag(u))
 
     @cached_property
     def to_energy(self) -> np.ndarray:
-        """Superoperator basis change input -> energy basis, kron(u^dag, u^T)."""
+        """Superoperator basis change input -> energy basis, rho -> u^dag rho u."""
         u = self.basis.vectors
         return superop_sandwich(dag(u), u)
 
@@ -183,14 +182,6 @@ def _second_order_ops_eb(m: SystemModel, t) -> np.ndarray:
     (nt, n, d, d) at a 1-D array of times."""
     a = _coefficients(m, t)[..., m.gap_index, :, :]
     return np.einsum("...ijnm,mij->...nij", a, m.couplings_eb)
-
-
-def second_order_operator(m: SystemModel, t, n: int) -> np.ndarray:
-    """(A_{nm} <> L_m)(t) summed over m, in the input basis; t=None: stationary."""
-    if t is not None and t < 0:
-        raise ValueError("second_order_operator requires t >= 0")
-    b = _second_order_ops_eb(m, t)[n]
-    return m.basis.from_energy_basis(b)
 
 
 def _dissipative_superop_eb(m: SystemModel, t, tau=None) -> np.ndarray:
@@ -291,7 +282,7 @@ def canonical_coefficient_matrix(s: np.ndarray) -> np.ndarray:
     Components of the Choi matrix along vec(1) generate commutators and the
     zero map; projecting them out fixes the pseudo-Lindblad gauge.  A
     (k, d^2, d^2) stack is projected matrix by matrix.  The projection
-    commutes with the basis change kron(u, conj u).
+    commutes with the basis change rho -> u rho u^dag.
     """
     d = int(round(np.sqrt(s.shape[-1])))
     c = choi_rearrange(s)

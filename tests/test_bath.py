@@ -10,6 +10,8 @@ import pytest
 
 from oqsolve import bath, oracle
 
+import support
+
 
 def thermal():
     return bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=0.25)
@@ -430,6 +432,50 @@ def test_cutoff_at_and_near_matsubara_frequency_against_mpmath(k, rel):
             assert abs(b.coefficient_full(t, float(wj))[0, 0] - want) <= 1e-12 * sc, (t, wj)
         got = b.coefficient_integral(t, w)[0][:, :, 0, 0]
         assert np.max(np.abs(got - table)) <= 1e-12 * np.max(np.abs(table)), t
+
+
+class TestMergedPairLateTime:
+    """The merged pair's d e^{-pt} E(delta, t) at late times: with delta > 0, e^{-pt}
+    underflows and E(delta, t) overflows past t = 709 / delta, and their literal product,
+    0 inf, was NaN in alpha_time, coefficient_full and coefficient_integral."""
+
+    # (cutoff, temperature) and the sign of delta = Lam - 2 pi T k*: the shipped channel
+    # (delta = 0.288), one whose pair stays above the underflow to t = 3000, one below
+    # its Matsubara frequency, and Lam = 2 pi T k* exactly
+    CHANNELS = {"shipped": (5.0, 0.25, 1), "slow": (0.08, 0.01, 1), "below": (5.0, 0.05, -1),
+                "at": (2 * np.pi * 0.25 * 2, 0.25, 0)}
+
+    @pytest.mark.parametrize("name", CHANNELS)
+    def test_pair_against_mpmath(self, name):
+        cutoff, temp, sign = self.CHANNELS[name]
+        ch = bath.ThermalLorentz(gamma0=0.1, cutoff=cutoff, temperature=temp)._impl[0]
+        assert np.sign(ch._delta) == sign
+        times = np.geomspace(1e-6, 3000.0, 25)
+        eps = np.finfo(float).eps
+        for p in (ch.cutoff, ch.cutoff + 0.7j, ch.cutoff - 2.0j):
+            decay, e = ch._pair_factors(p, times)
+            got = ch._d * decay * e
+            with mpmath.workdps(40):
+                delta = mpmath.mpf(ch._delta)
+                want = [complex(ch._d * mpmath.exp(-mpmath.mpc(p) * t)
+                                * (mpmath.expm1(delta * t) / delta if delta else mpmath.mpf(t)))
+                        for t in times.tolist()]
+            # rounding p t alone moves e^{-pt} by eps |p| t relative
+            tol = (8 + 2 * abs(p) * times) * eps * np.abs(want) + 1e-300
+            assert np.all(np.abs(got - want) <= tol), name
+
+    @pytest.mark.parametrize("name", CHANNELS)
+    def test_evaluators_finite_at_late_times(self, name):
+        cutoff, temp, _ = self.CHANNELS[name]
+        b = bath.ThermalLorentz(gamma0=0.1, cutoff=cutoff, temperature=temp)
+        w = np.array([-1.0, 0.0, 1.0])
+        for t in (2500.0, 1e4):
+            assert np.all(np.isfinite(b.alpha_time(t))), t
+            assert np.all(np.isfinite(b.coefficient_full(t, w))), t
+            assert np.all(np.isfinite(b.coefficient_integral(t, w)[0])), t
+        if name == "shipped":  # every decaying term is below the underflow by t = 2500
+            for t in (2500.0, 1e4, 1e6):
+                assert np.array_equal(b.coefficient_full(t, w), b.coefficient_stationary(w)), t
 
 
 class TestThermalZeroTemperature:
@@ -1179,7 +1225,7 @@ class TestKernels:
     def test_sampled_positivity(self):
         b = bath.ExponentialOU(c=[[0.3]], lam=1.2)
         tgrid = np.linspace(0.0, 6.0, 25)
-        assert bath.sampled_positivity(b, tgrid) > -1e-10
+        assert support.sampled_positivity(b, tgrid) > -1e-10
 
 
 class TestTanhSeries:

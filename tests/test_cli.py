@@ -682,6 +682,30 @@ class TestValidation:
         assert cli.main(["pauli", "--model", model]) == cli.EXIT_VALIDATION
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("pauli", "bath", "path", 5), ("pauli", "bath", "path", None),
+        ("cp-audit", "run", "superop_csv", 5), ("cp-audit", "run", "superop_csv", ["a.csv"])])
+    def test_model_path_must_be_a_string(self, tmp_path, capsys, command, section, key, value):
+        # a non-string bath.path raised TypeError from os.path.join (exit 1), and a
+        # non-string run.superop_csv was turned by str() into a path
+        doc = qubit_doc()
+        if section == "bath":
+            doc["bath"] = {"variant": "tabulated", key: value}
+        else:
+            doc["run"][key] = value
+        assert cli.main([command, "--model", write_model(tmp_path, doc)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {section}.{key} must be a JSON string, got {value!r}" in captured.err
+
+    @pytest.mark.parametrize("frequencies", [[1.0, 1.0], [0.0, -0.0], [0.5, 1.0, 0.5]])
+    def test_repeated_frequency_exits_validation(self, tmp_path, capsys, frequencies):
+        # the table is keyed by frequency: a repeat used to leave one entry, and exit 0
+        doc = qubit_doc(t_max=1.0, n_points=2, frequencies=frequencies)
+        assert cli.main(["coefficients", "--model", write_model(tmp_path, doc)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and "run.frequencies must not repeat a value" in captured.err
+
     def test_coupling_shape_mismatch(self, tmp_path):
         doc = qubit_doc()
         doc["system"]["couplings"] = [_pairs(np.eye(3))]

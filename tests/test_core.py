@@ -13,6 +13,9 @@ from scipy.linalg import expm
 
 from oqsolve import bath, core, positivity, tcl2
 
+import support
+import test_positivity
+
 
 def _rand_op(rng, d):
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -66,30 +69,62 @@ class TestSandwich:
         with pytest.raises(ValueError):
             core.superop_sandwich(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stack_equals_kron_per_matrix(self, d):
+        # transposed views are not contiguous; np.kron(A, B^T) is the reference, exactly
+        rng = np.random.default_rng(d)
+        a = np.stack([_rand_op(rng, d) for _ in range(5)]).swapaxes(-1, -2)
+        b = np.stack([_rand_op(rng, d) for _ in range(5)]).swapaxes(-1, -2)
+        assert not a.flags.c_contiguous
+        s = core.superop_sandwich(a, b)
+        assert s.shape == (5, d * d, d * d)
+        for k in range(5):
+            assert np.array_equal(s[k], np.kron(a[k], b[k].T))
+            assert np.array_equal(core.superop_sandwich(a[k], b[k]), s[k])
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((3, 2, 2), (3, 3, 3)), ((3, 2, 2), (4, 2, 2)), ((3, 2, 3), (3, 2, 3)), ((4,), (4,))])
+    def test_stack_shape_mismatch_rejected(self, a_shape, b_shape):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            core.superop_sandwich(np.ones(a_shape), np.ones(b_shape))
+
+    @pytest.mark.parametrize("name", test_positivity.TestStackedMagnus.MODELS)
+    def test_algebraic_propagator_is_one_sandwich_per_time(self, name):
+        # G(t) = G0(t) exp(Phi2(t)) with G0 = U0 . U0^dag, bit for bit per time
+        stacked = test_positivity.TestStackedMagnus
+        m = stacked.MODELS[name]()
+        times = stacked.TIMES[stacked.TIMES <= 2.0] if name == "tabulated" else stacked.TIMES
+        gen = positivity.magnus_phi2(m, times)
+        props = positivity.algebraic_propagator(m, gen)
+        g, v = core.expm(gen.phi2), m.basis.vectors
+        for k, t in enumerate(times.tolist()):
+            u0 = (v * np.exp(-1j * (t * m.basis.energies))) @ core.dag(v)
+            assert np.array_equal(props[k], core.superop_sandwich(u0, core.dag(u0)) @ g[k]), t
+
     def test_commutator_action(self):
         rng = np.random.default_rng(5)
         h, x = _rand_herm(rng, 4), _rand_op(rng, 4)
-        got = core.apply_superop(core.commutator_superop(h), x)
+        got = support.apply_superop(core.commutator_superop(h), x)
         assert np.allclose(got, -1j * (h @ x - x @ h), atol=1e-12)
 
     def test_unitary_superop_is_trace_preserving(self):
         rng = np.random.default_rng(6)
         u = expm(1j * _rand_herm(rng, 3))
-        s = core.unitary_superop(u)
-        assert core.trace_preservation_defect(s) < 1e-10
+        s = support.unitary_superop(u)
+        assert support.trace_preservation_defect(s) < 1e-10
         assert core.hermiticity_preservation_defect(s) < 1e-10
 
 
 class TestDissipator:
     def test_trace_annihilated(self):
         rng = np.random.default_rng(7)
-        s = core.dissipator_superop(_rand_op(rng, 3), rate=0.7)
-        assert core.trace_preservation_defect(s, generator=True) < 1e-12
+        s = support.dissipator_superop(_rand_op(rng, 3), rate=0.7)
+        assert support.trace_preservation_defect(s, generator=True) < 1e-12
 
     def test_decay_channel_action(self):
         sm = np.array([[0.0, 1.0], [0.0, 0.0]])
         rho = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-        out = core.apply_superop(core.dissipator_superop(sm), rho)
+        out = support.apply_superop(support.dissipator_superop(sm), rho)
         assert np.allclose(out, np.diag([1.0, -1.0]), atol=1e-14)
 
 
@@ -112,7 +147,7 @@ class TestChoi:
     def test_unitary_channel_choi_rank_one(self):
         rng = np.random.default_rng(17)
         u = expm(1j * _rand_herm(rng, 3))
-        c = core.choi_rearrange(core.unitary_superop(u))
+        c = core.choi_rearrange(support.unitary_superop(u))
         evals = np.linalg.eigvalsh(core.herm_part(c))
         assert evals[-1] == pytest.approx(3.0, abs=1e-10)
         assert np.max(np.abs(evals[:-1])) < 1e-10
@@ -132,15 +167,15 @@ class TestChoi:
 class TestPreservationChecks:
     def test_generator_vs_map_targets(self):
         rng = np.random.default_rng(19)
-        gen = core.commutator_superop(_rand_herm(rng, 3)) + core.dissipator_superop(
+        gen = core.commutator_superop(_rand_herm(rng, 3)) + support.dissipator_superop(
             _rand_op(rng, 3)
         )
-        assert core.trace_preservation_defect(gen, generator=True) < 1e-12
-        assert core.trace_preservation_defect(expm(gen)) < 1e-10
+        assert support.trace_preservation_defect(gen, generator=True) < 1e-12
+        assert support.trace_preservation_defect(expm(gen)) < 1e-10
 
     def test_hermiticity_preservation(self):
         rng = np.random.default_rng(23)
-        gen = core.dissipator_superop(_rand_op(rng, 3))
+        gen = support.dissipator_superop(_rand_op(rng, 3))
         assert core.hermiticity_preservation_defect(gen) < 1e-12
         gen[0, 1] += 0.1
         assert core.hermiticity_preservation_defect(gen) > 0.01
@@ -249,11 +284,11 @@ class TestBasisChange:
         assert np.allclose(m.to_energy @ m.to_input, np.eye(9), atol=1e-12)
         s = _rand_op(rng, 9)
         rho = _rand_state(rng, 3)
-        assert np.allclose(core.apply_superop(m.to_energy, rho), core.dag(u) @ rho @ u,
+        assert np.allclose(support.apply_superop(m.to_energy, rho), core.dag(u) @ rho @ u,
                            atol=1e-12)
         # S carried to the energy basis acts as rho -> U^dag S{U rho U^dag} U
-        direct = core.dag(u) @ core.apply_superop(s, u @ rho @ core.dag(u)) @ u
-        assert np.allclose(core.apply_superop(m.to_energy @ s @ m.to_input, rho), direct,
+        direct = core.dag(u) @ support.apply_superop(s, u @ rho @ core.dag(u)) @ u
+        assert np.allclose(support.apply_superop(m.to_energy @ s @ m.to_input, rho), direct,
                            atol=1e-12)
 
 

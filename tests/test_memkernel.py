@@ -4,6 +4,8 @@ from scipy.linalg import expm
 
 from oqsolve import bath, core, memkernel, spectral, tcl2
 
+import support
+
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.diag([1.0, -1.0])
 
@@ -74,7 +76,7 @@ class TestKernelStructure:
         m = three_level_model()
         for s in (0.3, 0.5 + 1.2j):
             k = memkernel.kernel_K2(m, s)
-            assert core.trace_preservation_defect(k, generator=True) < 1e-10
+            assert support.trace_preservation_defect(k, generator=True) < 1e-10
 
     def test_white_noise_kernel_is_s_independent(self):
         m = tcl2.SystemModel(h=0.5 * SZ, couplings=[SX], bath=bath.WhiteNoise(c=[0.4]))

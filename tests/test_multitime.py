@@ -7,6 +7,8 @@ from scipy.linalg import expm
 
 from oqsolve import bath, multitime, tcl2
 
+import support
+
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SZ = np.diag([1.0, -1.0])
@@ -38,7 +40,7 @@ class TestTwoTimeOperator:
 
     def test_zero_separation_is_zero(self):
         b = multitime.two_time_operator(qubit_model(), 0, 2.0, 0.0)
-        full = tcl2.second_order_operator(qubit_model(), 2.0, 0)
+        full = support.second_order_operator(qubit_model(), 2.0, 0)
         assert np.allclose(b, np.zeros((2, 2)), atol=1e-15) or np.max(np.abs(b)) < 1e-15
         # and at t2 = t1 it equals the fully integrated operator
         b2 = multitime.two_time_operator(qubit_model(), 0, 2.0, 2.0)
@@ -63,8 +65,8 @@ class TestCorrections:
             total = 0j
             for n, l in enumerate(m.couplings):
                 ln = heisenberg(l, tau)
-                bn = heisenberg(tcl2.second_order_operator(m, tau, n)
-                                - tcl2.second_order_operator(m, tau - req.t2, n), tau)
+                bn = heisenberg(support.second_order_operator(m, tau, n)
+                                - support.second_order_operator(m, tau - req.t2, n), tau)
                 total -= np.trace((ln @ x1 - x1 @ ln) @ (bn @ x2 - x2 @ bn) @ req.rho0)
             return total
 
@@ -143,8 +145,8 @@ def reference_rate(m, req, tau):
     total = 0.0
     for n, l in enumerate(m.couplings):
         lnh = heisenberg(l, tau)
-        bh = heisenberg(tcl2.second_order_operator(m, tau, n)
-                        - tcl2.second_order_operator(m, tau - req.t2, n), tau)
+        bh = heisenberg(support.second_order_operator(m, tau, n)
+                        - support.second_order_operator(m, tau - req.t2, n), tau)
         total += np.trace((lnh @ x1h - x1h @ lnh) @ (bh @ x2h - x2h @ bh) @ req.rho0)
     return -total
 

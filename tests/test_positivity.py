@@ -7,6 +7,8 @@ from scipy.linalg import expm
 
 from oqsolve import bath, core, positivity, tcl2
 
+import support
+
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.diag([1.0, -1.0])
 
@@ -71,7 +73,7 @@ class TestMagnusGenerator:
 
     def test_phi2_annihilates_trace(self):
         gen = positivity.magnus_phi2(ou_model(), 2.0)
-        assert core.trace_preservation_defect(gen.phi2, generator=True) < 1e-9
+        assert support.trace_preservation_defect(gen.phi2, generator=True) < 1e-9
 
     def test_short_time_linearity(self):
         # Phi2(t) ~ t L2_int(0+) for small t; check first-order consistency
@@ -180,7 +182,7 @@ class TestMagnusClosedForm:
         m = tabulated_model()
         for t in (0.8, 1.5):
             gen = positivity.magnus_phi2(m, t)
-            d2 = positivity.delta_double_time(m, t, nodes=48)
+            d2 = support.delta_double_time(m, t, nodes=48)
             assert np.max(np.abs(d2 - gen.delta)) < 1e-8 * max(1.0, np.max(np.abs(gen.delta)))
 
 
@@ -189,7 +191,7 @@ class TestMagnusPropagator:
         for m in (qubit_model(), ou_model()):
             for t in (0.2, 1.0, 4.0, 15.0):
                 g = positivity.magnus_propagator(m, t)
-                assert core.trace_preservation_defect(g) < 1e-9
+                assert support.trace_preservation_defect(g) < 1e-9
                 assert core.min_choi_eigenvalue(core.choi_rearrange(g)) > -1e-10
 
     def test_free_part_is_the_unitary_evolution(self):
@@ -198,7 +200,7 @@ class TestMagnusPropagator:
         z = np.zeros((9, 9), dtype=complex)
         for t in (0.4, 3.0, 17.0):
             got = positivity.algebraic_propagator(m, positivity.AlgebraicGenerator(t, z, z))
-            assert np.max(np.abs(got - core.unitary_superop(expm(-1j * m.h * t)))) < 1e-13
+            assert np.max(np.abs(got - support.unitary_superop(expm(-1j * m.h * t)))) < 1e-13
 
     def test_agrees_with_direct_integration_at_second_order(self):
         m = qubit_model(gamma0=0.02)
@@ -258,7 +260,7 @@ class TestDoubleTimeRoute:
     def test_matches_algebraic_delta(self):
         m = ou_model()
         for t in (0.8, 2.5):
-            d2 = positivity.delta_double_time(m, t, nodes=48)
+            d2 = support.delta_double_time(m, t, nodes=48)
             gen = positivity.magnus_phi2(m, t)
             scale = max(1.0, np.max(np.abs(gen.delta)))
             assert np.max(np.abs(d2 - gen.delta)) < 1e-8 * scale
@@ -269,12 +271,12 @@ class TestDoubleTimeRoute:
         for t in (0.8, 1.5):
             gen = positivity.magnus_phi2(m, t)
             assert gen.converged
-            d2 = positivity.delta_double_time(m, t, nodes=48)
+            d2 = support.delta_double_time(m, t, nodes=48)
             assert np.max(np.abs(d2 - gen.delta)) < 1e-8 * max(1.0, np.max(np.abs(gen.delta)))
 
     def test_positive_semidefinite_by_construction(self):
         m = ou_model(seed=3)
-        d2 = positivity.delta_double_time(m, 1.7, nodes=48)
+        d2 = support.delta_double_time(m, 1.7, nodes=48)
         assert np.linalg.eigvalsh(d2)[0] > -1e-12
 
 
