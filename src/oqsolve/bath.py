@@ -22,10 +22,10 @@ weights and rates.
 Each variant implements the evaluators as array forms only, on 1-D arrays of
 points that lead the result, so that one call serves every distinct gap and
 every time a caller knows.  That holds for the gap-pair table too: one call
-gives every audit time's table, although the T > 0 thermal channel, whose
-Matsubara count grows as 1/t, forms them one time at a time.  BathModel alone
-takes scalars, applies alpha(-t) = alpha(t)^dag, rejects t < 0 and sets the
-tables at t = 0 (see BathModel).
+gives every audit time's table; the T > 0 thermal channel, whose Matsubara
+count grows as 1/t, forms them per distinct term count, not per time.
+BathModel alone takes scalars, applies alpha(-t) = alpha(t)^dag, rejects t < 0
+and sets the tables at t = 0 (see BathModel).
 
 Real decomposition alpha = nu + i mu with damping kernel mu~ = i w gamma~;
 diagnostics: KMS symmetry, fluctuation-dissipation inequality.
@@ -58,6 +58,13 @@ _LOG_1_EPS = math.log(1 / np.finfo(float).eps)
 # alpha_time and coefficient_full of a T > 0 channel sum c0 and the Matsubara terms up to
 # n0 = ceil(Lam / 2 pi T) + _TAIL_MARGIN and take the rest in closed form (_exp_tail)
 _TAIL_MARGIN = 32
+# terms of the x = 1/k series that sums the T > 0 gap-pair table past its K terms, where
+# (-ig/a)^p (ih/a)^q weighs x^j by (Lam/a)^e, e = j - p - q even >= 0 (else _SERIES: by 0)
+_SERIES = 12
+_SERIES_POWER = np.arange(_SERIES) - np.add.outer(np.arange(_SERIES), np.arange(_SERIES))[..., None]
+_SERIES_POWER[(_SERIES_POWER < 0) | (_SERIES_POWER % 2 == 1)] = _SERIES
+# the (time, gap, term) entries of one _exp_sum_table call there
+_TABLE_ENTRIES = 1 << 20
 # Euler-Maclaurin terms of _exp_tail: eps^m u^-i weighs B_n / (n m!), n = i + m <= 12,
 # m = 0 .. 11, i = 1 .. 12
 _EM_M, _EM_I = np.arange(12), np.arange(1, 13)[:, None]
@@ -576,6 +583,8 @@ class _ThermalChannel(_LorentzChannel):
         # it by _exp_tail while a t n0 < ln(1/eps), and later those are below round-off (and
         # e^{eps b} in _exp_tail could overflow at large eps x)
         self._c, self._z = self.terms(self._n0 + 1)
+        # the weights of coefficient_integral's tail series (see _SERIES_POWER)
+        self._series = np.append(x ** np.arange(_SERIES), 0.0)[_SERIES_POWER]
 
     def spectrum(self, w: np.ndarray) -> np.ndarray:
         T = self.temperature
@@ -706,24 +715,18 @@ class _ThermalChannel(_LorentzChannel):
         return out + d * (np.exp(-self._shift * t)[:, None] / p + e[:, None]) / (p - self._delta)
 
     def coefficient_integral(self, t: np.ndarray, w: np.ndarray):
-        """Gap-pair tables at a 1-D array of times t > 0, one time at a time: K(t) runs to
-        _MATSUBARA_TERMS at small t, so a stacked form would hold nt (k, K) term tables at
-        once, while this one holds one time's.  Each is _table's."""
-        table, err = np.empty((t.size, w.size, w.size), dtype=complex), np.empty(t.size)
-        for i, ti in enumerate(t.tolist()):
-            table[i], err[i] = self._table(ti, w)
-        return table, err
-
-    def _table(self, t: float, w: np.ndarray):
-        """Gap-pair table in closed form: the first K table terms and the merged
-        pair, -d [E(-q, t)/p + int_0^t e^{-q tau} E(delta, tau) dtau] / (p - delta)
-        with p = Lam + ig, q = Lam - ih, exactly.  Past K, e^{-z_k t} is dropped
-        (the error bound) and X_k = c_k / ((z_k + ig)(z_k - ih)) is summed by its
-        expansion in x = 1/k, a = 2 pi T, in Hurwitz zetas zeta(3 + j, K + 1):
+        """Gap-pair tables at a 1-D array of times t > 0 in closed form: the first K table
+        terms and the merged pair, -d [E(-q, t)/p + int_0^t e^{-q tau} E(delta, tau) dtau] /
+        (p - delta) with p = Lam + ig, q = Lam - ih, exactly.  Past K, e^{-z_k t} is dropped
+        (the error bound) and X_k = c_k / ((z_k + ig)(z_k - ih)) is summed by its expansion
+        in x = 1/k, a = 2 pi T, in Hurwitz zetas zeta(3 + j, K + 1):
         X_k = (2 gamma0 T Lam^2 / a^3) x^3 / ((1 - (Lam/a)^2 x^2)(1 + i(g/a) x)(1 - i(h/a) x)).
-        K is at least 64 max(Lam, |w|) / a, where 12 terms of the series reach
-        round-off, and ln(1/eps) / (a t), at most _MATSUBARA_TERMS: this is the one
-        table that runs past the head.  No step divides by nu.
+        K(t) is at least 64 max(Lam, |w|) / a, where 12 terms of the series reach round-off,
+        and ln(1/eps) / (a t), at most _MATSUBARA_TERMS: this is the one table that runs past
+        the head.  The tables are formed per distinct K, not per time: all times that share
+        a K come from one _exp_sum_table call (split past _TABLE_ENTRIES entries), and from
+        t = ln(1/eps) / (64 max(Lam, |w|)) on, K is the same at every t.  No step divides
+        by nu.
         """
         lam, a = self.cutoff, self._a
         r = max(lam, float(np.max(np.abs(w)))) / a
@@ -732,30 +735,34 @@ class _ThermalChannel(_LorentzChannel):
         # table.  The cap at _MATSUBARA_TERMS breaks that bound for t < ln(1/eps) / (a
         # _MATSUBARA_TERMS), and err counts those terms.  K >= ceil(64 x) >= k* keeps the pair's
         # zero slot out of the tail.  c holds c0 and Matsubara terms 1 .. k-1 (K = k - 1).
-        k = math.ceil(min(_MATSUBARA_TERMS, max(_LOG_1_EPS / (a * t), 64 * r))) + 1
-        c, z = self.terms(k)
+        ks = np.ceil(np.minimum(_MATSUBARA_TERMS, np.maximum(_LOG_1_EPS / (a * t), 64 * r)))
+        ks = ks.astype(int) + 1
         iw = 1j * w[:, None]
         pg, qh = lam + iw, lam - iw.T
-        pair = self._pair_integral(qh, t) - self._d * np.expm1(-qh * t) / (qh * pg)
-        table = _exp_sum_table(c, z, np.array([t]), w, self.on_axis(w))[0][0] - pair / (pg - self._delta)
-        # 1/((1 + i(g/a) x)(1 - i(h/a) x)) = sum_j x^j sum_{p+q=j} (-ig/a)^p (ih/a)^q
-        n = 12
-        gp = (-iw / a) ** np.arange(n)
-        hq = (iw / a) ** np.arange(n)
-        d = np.zeros((w.size, w.size, n), dtype=complex)
-        for p in range(n):
-            d[:, :, p:] += gp[:, None, p, None] * hq[None, :, :n - p]
-        for j in range(2, n):  # times 1/(1 - (Lam/a)^2 x^2): f_j = e_j + (Lam/a)^2 f_{j-2}
-            d[:, :, j] += (lam / a) ** 2 * d[:, :, j - 2]
+        ts = t[:, None, None]
+        pair = self._pair_integral(qh, ts) - self._d * np.expm1(-qh * ts) / (qh * pg)
+        pair /= pg - self._delta
+        lap = self.on_axis(w)
+        # 1/((1 + i(g/a) x)(1 - i(h/a) x)) = sum_{p,q} (-ig/a)^p (ih/a)^q x^(p+q), and
+        # 1/(1 - (Lam/a)^2 x^2) weighs x^(p+q) into x^j, j - p - q even, by _series
+        gp, hq = (-iw / a) ** np.arange(_SERIES), (iw / a) ** np.arange(_SERIES)
         tail_c = 2 * self.gamma0 * self.temperature * lam**2 / a**3
-        zetas = special.zeta(3 + np.arange(n), k)
-        table -= tail_c * (d @ zetas)
-        # dropped X_k e^{(ih - z_k) t}, k >= k: |X_k| <= (tail_c / k^3) / (1 - (Lam / nu_k)^2),
-        # nu_k > Lam; and the series past x^n: |d_j| <= (j + 1)^2 r^j
-        rho = r / k
-        err = tail_c * zetas[0] * (
-            np.exp(-a * k * t) / (1 - (lam / (a * k)) ** 2)
-            + (np.inf if rho >= 0.5 else (n + 1) ** 2 * rho**n / (1 - rho) ** 3))
+        table, err = np.empty_like(pair), np.empty(t.size)
+        for k in np.unique(ks).tolist():
+            group = np.flatnonzero(ks == k)
+            c, z = self.terms(k)
+            zetas = special.zeta(3 + np.arange(_SERIES), k)
+            series = tail_c * (gp @ (self._series @ zetas) @ hq.T)
+            # K reaches _MATSUBARA_TERMS at small t, so one call takes at most about
+            # _TABLE_ENTRIES (time, gap, term) entries
+            for at in np.array_split(group, -(-group.size * k * w.size // _TABLE_ENTRIES)):
+                table[at] = _exp_sum_table(c, z, t[at], w, lap)[0] - pair[at] - series
+            # dropped X_k e^{(ih - z_k) t}, k >= k: |X_k| <= (tail_c / k^3) / (1 - (Lam / nu_k)^2),
+            # nu_k > Lam; and the series past x^n: |d_j| <= (j + 1)^2 r^j
+            rho = r / k
+            err[group] = tail_c * zetas[0] * (
+                np.exp(-a * k * t[group]) / (1 - (lam / (a * k)) ** 2)
+                + (np.inf if rho >= 0.5 else (_SERIES + 1) ** 2 * rho**_SERIES / (1 - rho) ** 3))
         return table, err
 
 

@@ -225,6 +225,8 @@ def cmd_simulate(model, run, args):
     except ValueError as exc:
         raise ValidationError(str(exc))
     states = traj.states
+    if not np.isfinite(states).all():
+        raise NumericalError("the trajectory has a non-finite entry")
     buf = io.StringIO()
     write_matrix_csv(buf, traj.times, states, "rho", extra={
         "trace": np.trace(states, axis1=1, axis2=2).real,
@@ -392,7 +394,7 @@ def cmd_qrt(model, run, args):
     req = multitime.TwoTimeRequest(x1=x1, x2=x2, t1=t1, t2=t2, rho0=rho0)
     mode = qrun.get("mode", "stationary")
     try:
-        bare = multitime.qrt_correlation(model, req, mode=mode, include_correction=False)
+        bare = multitime.qrt_correlation(model, req, mode=mode)
         correction, product = multitime.qrt_corrections(model, req)
     except ValueError as exc:
         raise ValidationError(str(exc))
@@ -402,7 +404,7 @@ def cmd_qrt(model, run, args):
         "t2": req.t2,
         "mode": mode,
         "regression": _c(bare),
-        "correction": _c(corrected - bare),
+        "correction": _c(correction),
         "correction_single_time": _c(product),
         "corrected": _c(corrected),
     }
@@ -473,19 +475,21 @@ def main(argv=None) -> int:
     try:
         model, run = load_model(args.model)
         output = _COMMANDS[args.command](model, run, args)
+        if not isinstance(output, str):
+            header = {"command": args.command}
+            if args.command in _TOL_DEFAULTS:
+                header["tolerance"] = args.tol
+            # a NaN or inf is not JSON: allow_nan=False raises ValueError for it
+            output = json.dumps(header | output, indent=2, allow_nan=False) + "\n"
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericalError, ValueError) as exc:
-        # input errors are ValidationError by now: a ValueError that escapes a
-        # subcommand comes from the numerics (a pole, a tabulated grid's end or an undamped term)
+        # input errors are ValidationError by now: a ValueError that escapes a subcommand
+        # comes from the numerics (a pole, a tabulated grid's end, an undamped term or a
+        # non-finite number in the report)
         print(json.dumps({"error": "numerical-failure", "detail": str(exc)}), file=sys.stderr)
         return EXIT_NUMERICAL
-    if not isinstance(output, str):
-        header = {"command": args.command}
-        if args.command in _TOL_DEFAULTS:
-            header["tolerance"] = args.tol
-        output = json.dumps(header | output, indent=2) + "\n"
     if args.out is None:
         sys.stdout.write(output)
         return 0

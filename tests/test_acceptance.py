@@ -204,10 +204,8 @@ def test_criterion_10_regression_correction():
         m = oracle.reduced_model(cf)
         exact = oracle.exact_two_time(cf, SX, t1, SX, t2, rho0)
         req = multitime.TwoTimeRequest(x1=SX, x2=SX, t1=t1, t2=t2, rho0=rho0)
-        bare = multitime.qrt_correlation(m, req, mode="full-time",
-                                         include_correction=False)
-        corr = multitime.qrt_correlation(m, req, mode="full-time",
-                                         include_correction=True)
+        bare = multitime.qrt_correlation(m, req, mode="full-time")
+        corr = bare + multitime.qrt_corrections(m, req)[0]
         return abs(bare - exact), abs(corr - exact)
 
     b1, c1 = errors(0.15)

@@ -815,6 +815,30 @@ class TestTableTimeArrays:
         col, _ = b.coefficient_integral(times, float(w[2]))
         assert np.max(np.abs(col - got[:, 2, 2])) <= 1e-14 * scale
 
+    @pytest.mark.parametrize("temperature", [0.05, 0.25, 1.0])
+    def test_thermal_tables_per_term_count(self, temperature, monkeypatch):
+        # the T > 0 tables come per term count K(t), which grows as 1/t and is capped at
+        # _MATSUBARA_TERMS: the small times span the cap and the 1/t regime, and from t = 0.11
+        # on (at T = 0.25) every time shares one K; the stacked tables equal one call per time
+        b = bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=temperature)
+        times = np.array([1e-5, 0.5, 1e-5, 2e-5, 1e-3, 0.05, 2.0, 0.5, 1.5, 20.0, 700.0])
+        calls, table_call = [], bath._exp_sum_table
+        monkeypatch.setattr(bath, "_exp_sum_table", lambda c, z, t, *rest: (
+            calls.append((c.size, t.size)) or table_call(c, z, t, *rest)))
+        got, err = b.coefficient_integral(times, self.W)
+        monkeypatch.undo()
+        # one call per term count, split only past _TABLE_ENTRIES (time, gap, term) entries
+        counts = {}
+        for k, nt in calls:
+            counts.setdefault(k, []).append(nt)
+        assert sum(map(sum, counts.values())) == times.size
+        for k, sizes in counts.items():
+            assert len(sizes) == -(-sum(sizes) * k * self.W.size // bath._TABLE_ENTRIES), k
+        for i, t in enumerate(times.tolist()):
+            want, want_err = b.coefficient_integral(t, self.W)
+            assert np.max(np.abs(got[i] - want)) <= 1e-15 * np.max(np.abs(want)), t
+            assert err[i] == want_err, t
+
     def test_bound_within_round_off_counts_as_zero_per_time(self):
         # the resonant branch bounds its quotient's round-off; at t = 8 that is within eps of
         # this time's table, so it reads 0 there and not at the earlier times

@@ -747,6 +747,40 @@ class TestNumericalFailure:
         model = write_model(tmp_path, doc)
         assert cli.main(["coefficients", "--model", model]) == cli.EXIT_NUMERICAL
 
+    @staticmethod
+    def _nan_run(tmp_path, capsys, command, doc, out):
+        # a NaN is no JSON number and no trajectory value: exit 3, nothing on stdout, no --out
+        target = tmp_path / "out"
+        argv = [command, "--model", write_model(tmp_path, doc)]
+        argv += ["--out", str(target)] if out else []
+        assert cli.main(argv) == cli.EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "numerical-failure"
+        assert sorted(os.listdir(tmp_path)) == ["model.json"]
+
+    @pytest.mark.parametrize("out", [False, True])
+    def test_non_finite_report_exits_numerical(self, tmp_path, capsys, monkeypatch, out):
+        from oqsolve import multitime
+
+        monkeypatch.setattr(multitime, "nm_correction_integrated", lambda m, req: complex(np.nan, 0))
+        sx = _pairs(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        doc = qubit_doc(qrt={"x1": sx, "x2": sx, "t1": 2.0, "t2": 0.5})
+        self._nan_run(tmp_path, capsys, "qrt", doc, out)
+
+    @pytest.mark.parametrize("out", [False, True])
+    def test_non_finite_trajectory_exits_numerical(self, tmp_path, capsys, monkeypatch, out):
+        from oqsolve import tcl2
+
+        propagate = tcl2.propagate
+
+        def with_nan(*args, **kwargs):
+            traj = propagate(*args, **kwargs)
+            traj.states[-1, 0, 0] = np.nan
+            return traj
+
+        monkeypatch.setattr(tcl2, "propagate", with_nan)
+        self._nan_run(tmp_path, capsys, "simulate", qubit_doc(t_max=2.0, n_points=3), out)
 
     @pytest.mark.parametrize("command", ["nonlocal", "pauli", "spectrum", "coefficients"])
     def test_tabulated_failed_tail_fit_exits_numerical(self, tmp_path, capsys, command):
