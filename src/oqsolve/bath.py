@@ -65,7 +65,7 @@ _SERIES_POWER = np.arange(_SERIES) - np.add.outer(np.arange(_SERIES), np.arange(
 _SERIES_POWER[(_SERIES_POWER < 0) | (_SERIES_POWER % 2 == 1)] = _SERIES
 # the (time, gap, term) entries of one _exp_sum_table call there
 _TABLE_ENTRIES = 1 << 20
-# Euler-Maclaurin terms of _exp_tail: eps^m u^-i weighs B_n / (n m!), n = i + m <= 12,
+# Euler-Maclaurin terms of _exp_tail_weights: eps^m u^-i weighs B_n / (n m!), n = i + m <= 12,
 # m = 0 .. 11, i = 1 .. 12
 _EM_M, _EM_I = np.arange(12), np.arange(1, 13)[:, None]
 _EM_WEIGHTS = np.where((_EM_I + _EM_M >= 2) & (_EM_I + _EM_M <= 12),
@@ -179,17 +179,26 @@ def _exp_sum_table(c, z, t: np.ndarray, w: np.ndarray, laplace_iw=None):
     return table.transpose(0, 2, 3, 1).reshape(e_nu.shape + c.shape[1:]), err
 
 
-def _exp_tail(eps, n0: int, b: np.ndarray) -> np.ndarray:
-    """sum_{k > n0} e^{-eps k} / (k + b) for eps > 0 and a 1-D array of poles b, each with
-    |n0 + b| >= 32 and Re(n0 + b) > 0, by Euler-Maclaurin with u = n0 + b, z = eps u:
-    e^{-eps n0} [e^z E1(z) - 1/2u + sum_{n=2..12} (B_n / n) sum_{m<n} eps^m u^{m-n} / m!],
-    the integral, the half endpoint and the Bernoulli terms to B_12; the remainder is at
-    most about (6 / (e pi |u|))^12 < 1e-20 of 1/|u|.  A 1-D array of eps leads the result."""
-    eps = np.asarray(eps, dtype=float)[..., None]
+def _exp_tail_weights(n0: int, b: np.ndarray, r: np.ndarray):
+    """(u, R) for the tails sum_j r_jl sum_{k > n0} e^{-eps k} / (k + b_j), eps > 0, over a
+    1-D array of poles b, each with |n0 + b| >= 32 and Re(n0 + b) > 0, weighed by r (len(b),
+    m).  Euler-Maclaurin with u = n0 + b, z = eps u gives each pole's sum as e^{-eps n0}
+    [e^z E1(z) - 1/2u + sum_{n=2..12} (B_n / n) sum_{m<n} eps^m u^{m-n} / m!], with a
+    remainder of at most about (6 / (e pi |u|))^12 < 1e-20 of 1/|u|.  R, (len(b) + 12, m),
+    takes the row [e^z E1(z) at z = eps u, eps^0 .. eps^11] to the weighted sums before
+    e^{-eps n0}: r, then the half-endpoint and Bernoulli terms weighed by r."""
     u = n0 + b
-    z = eps * u
-    corr = (eps**_EM_M @ _EM_WEIGHTS.T) @ (1 / u) ** _EM_I
-    return np.exp(-eps * n0) * (special.exp1_scaled(z) - 0.5 / u + corr)
+    powers = _EM_WEIGHTS.T @ (1 / u) ** _EM_I @ r
+    powers[0] -= (0.5 / u) @ r
+    return u, np.vstack([r, powers])
+
+
+def _exp_tail(eps: np.ndarray, n0: int, u: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The weighted tails of _exp_tail_weights at a 1-D array of eps > 0, (len(eps), m), from
+    its (u, R): one exp, one exp1_scaled on (len(eps), len(u)) and one matrix product."""
+    eps = eps[:, None]
+    terms = np.hstack([special.exp1_scaled(eps * u), eps**_EM_M])
+    return np.exp(-eps * n0) * (terms @ weights)
 
 
 class BathModel:
@@ -421,22 +430,29 @@ def _as_channel_array(x, n: int, name: str) -> np.ndarray:
 
 class _LorentzChannel:
     """What both temperature regimes share: the Lorentzian damping kernel, and
-    alpha^(iw) kept for the last gap array that coefficient_full saw."""
+    the values that depend on the gaps alone, kept for the last gap array seen."""
 
-    _axis_key = None
-    _axis_value = None
+    _gaps_key = None
+    _gaps_kept = None
 
     def gamma_tilde(self, w: float) -> float:
         return self.gamma0 / (1.0 + (w / self.cutoff) ** 2)
 
-    def on_axis(self, w: np.ndarray) -> np.ndarray:
-        """A(w) = alpha^(iw + 0+).  It does not depend on t, and every generator
-        build of one model asks for it at the same gaps, so the value for the
-        last array w is kept, keyed by its dtype, shape and bytes."""
+    def _kept(self, w: np.ndarray) -> dict:
+        """The values kept for the gap array w, by name.  Every generator build of one
+        model asks at the same gaps, so they are kept for the last array w, keyed by its
+        dtype, shape and bytes; another array starts an empty dict."""
         key = (w.dtype.str, w.shape, w.tobytes())
-        if key != self._axis_key:
-            self._axis_key, self._axis_value = key, self.laplace(1j * w)
-        return self._axis_value
+        if key != self._gaps_key:
+            self._gaps_key, self._gaps_kept = key, {}
+        return self._gaps_kept
+
+    def on_axis(self, w: np.ndarray) -> np.ndarray:
+        """A(w) = alpha^(iw + 0+), which does not depend on t (kept, see _kept)."""
+        kept = self._kept(w)
+        if "on_axis" not in kept:
+            kept["on_axis"] = self.laplace(1j * w)
+        return kept["on_axis"]
 
 
 def _scaled_exp_integrals(x):
@@ -632,8 +648,9 @@ class _ThermalChannel(_LorentzChannel):
         val = _exp_sum_alpha(self._c, self._z, t) + pair
         tailed = self._a * t * self._n0 < _LOG_1_EPS
         if tailed.any():
-            sums = _exp_tail(self._a * t[tailed], self._n0, np.array([-self._x, self._x]))
-            val[tailed] += self.gamma0 * self.temperature * self.cutoff**2 / self._a * sums.sum(-1)
+            weight = np.full((2, 1), self.gamma0 * self.temperature * self.cutoff**2 / self._a)
+            tail = _exp_tail_weights(self._n0, np.array([-self._x, self._x]), weight)
+            val[tailed] += _exp_tail(self._a * t[tailed], self._n0, *tail)[:, 0]
         return val
 
     def _regular_point(self, s: complex) -> complex:
@@ -689,30 +706,42 @@ class _ThermalChannel(_LorentzChannel):
         (2 gamma0 T Lam^2 / a^2) k / ((k^2 - x^2)(k + i beta)), a = 2 pi T, x = Lam / a,
         beta = w / a, is sum_b r_b / (k + b) over b = -x, x, i beta with
         r = 1/2(x + i beta), -1/2(x - i beta), i beta / (x^2 + beta^2)."""
-        iw = 1j * w
         out = np.zeros((t.size, w.size), dtype=complex)
         pos = np.flatnonzero(t > 0)
         if pos.size:
-            out[pos] = self.on_axis(w) - np.exp(-t[pos, None] * iw) * self._tail(t[pos], iw)
+            out[pos] = self.on_axis(w) - np.exp(-t[pos, None] * (1j * w)) * self._tail(t[pos], w)
         return out
 
-    def _tail(self, t: np.ndarray, iw: np.ndarray) -> np.ndarray:
-        """sum_k c_k e^{-z_k t} / (z_k + iw) with the pair term, (nt, nw), at times t > 0."""
-        out = np.exp(-np.multiply.outer(t, self._z)) @ (self._c[:, None] / (self._z[:, None] + iw))
+    def _tail(self, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """sum_k c_k e^{-z_k t} / (z_k + iw) with the pair term, (nt, nw), at times t > 0.
+        What depends on the gaps alone is kept (_kept): the head weights c_k / (z_k + iw),
+        the pair's 1/p and 1/(p - delta), p = Lam + iw, and, from the first call with a
+        tailed time on, _tail_weights."""
+        kept = self._kept(w)
+        if "head" not in kept:
+            p = self.cutoff + 1j * w
+            kept["head"] = (self._c[:, None] / (self._z[:, None] + 1j * w), 1 / p,
+                            1 / (p - self._delta))
+        head, inv_p, inv_p_delta = kept["head"]
+        out = np.exp(-np.multiply.outer(t, self._z)) @ head
         tailed = self._a * t * self._n0 < _LOG_1_EPS
         if tailed.any():
-            a, x = self._a, self._x
-            ib = iw / a
-            sums = _exp_tail(a * t[tailed], self._n0, np.append(ib, (-x, x)))
-            s_ib = sums[:, :-2]
-            # sum_b r_b S_b over the common denominator (x + i beta)(x - i beta)
-            h_plus, h_minus = (sums[:, -2:-1] + sums[:, -1:]) / 2, (sums[:, -2:-1] - sums[:, -1:]) / 2
-            out[tailed] += (2 * self.gamma0 * self.temperature * self.cutoff**2 / a**2
-                            * (ib * (s_ib - h_plus) + x * h_minus) / (x * x - ib * ib))
-        p = self.cutoff + iw
+            if "tail" not in kept:
+                kept["tail"] = self._tail_weights(w)
+            out[tailed] += _exp_tail(self._a * t[tailed], self._n0, *kept["tail"])
         decay, e = self._pair_factors(self.cutoff, t)
         d = self._d * decay[:, None]  # times e^{-s t} is e^{-Lam t}
-        return out + d * (np.exp(-self._shift * t)[:, None] / p + e[:, None]) / (p - self._delta)
+        return out + d * (np.exp(-self._shift * t)[:, None] * inv_p + e[:, None]) * inv_p_delta
+
+    def _tail_weights(self, w: np.ndarray):
+        """_exp_tail_weights for the terms past n0 in _tail: the poles b = i beta (one per
+        gap), -x, x, and per gap the r_b of coefficient_full times 2 gamma0 T Lam^2 / a^2."""
+        ib, x = 1j * w / self._a, self._x
+        r = np.zeros((w.size + 2, w.size), dtype=complex)
+        r[np.arange(w.size), np.arange(w.size)] = ib / (x * x - ib * ib)
+        r[-2], r[-1] = 0.5 / (x + ib), -0.5 / (x - ib)
+        r *= 2 * self.gamma0 * self.temperature * self.cutoff**2 / self._a**2
+        return _exp_tail_weights(self._n0, np.append(ib, (-x, x)), r)
 
     def coefficient_integral(self, t: np.ndarray, w: np.ndarray):
         """Gap-pair tables at a 1-D array of times t > 0 in closed form: the first K table

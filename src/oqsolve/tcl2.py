@@ -19,11 +19,13 @@ depend on the state, so all stage times of a DOP853 step are known once its
 size is: each step builds its stage generators from one bath call over those
 times and one contraction.  The free part -i[H, .] is diagonal in the energy
 basis and is applied exactly: DOP853 steps the interaction-picture state under
-the second-order part alone (see _evolve).
+the second-order part alone, or a stack of states under multiples of it in one
+pass (see _evolve).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -470,8 +472,11 @@ def solve_ivp(generators, grid: np.ndarray, y0: np.ndarray, rtol: float, atol: f
     Each step asks for the generators at all its stage times t + C[1:] h at once.
     The tableau, the error norm, the step control and the first step are those of
     scipy's solve_ivp(method="DOP853") at the same rtol and atol.  The state and
-    the stages share one array, and the tableau is scaled by h once per step, so
-    each stage is one row-times-block product and one matrix-vector product.
+    the stages share one array, and the tableau is scaled by h once per step into
+    one array whose stage rows are views made once, so each stage is one
+    row-times-block product and one matrix-vector product.  The error scale is
+    formed in place, from |y| carried over from the accepted step, and the error
+    norm in Python floats.
     Steps are shortened to land on the grid points, so there is no dense output;
     the step after a shortened one starts from the size proposed before it was
     shortened if that is larger."""
@@ -490,12 +495,14 @@ def solve_ivp(generators, grid: np.ndarray, y0: np.ndarray, rtol: float, atol: f
     # w holds y, the 12 stages k_0 = f .. k_11 and f at the step's end, one row each
     w = np.empty((_B.size + 2, y.size), dtype=complex)
     w[0], w[1] = y, f
-    # stage s reads the block w[:s + 1] and writes row s + 1
-    blocks = [(s, w[:s + 1], w[s + 1]) for s in range(1, _B.size)]
-    ys = [y]
+    # step holds _STEP scaled by h; stage s takes row s of it times the block w[:s + 1]
+    # and writes row s + 1 of w
+    step = np.empty_like(_STEP)
+    stage_rows = [(step[s, :s + 1], w[:s + 1], w[s + 1]) for s in range(1, _B.size)]
+    ys, abs_y, scale = [y], np.abs(y), np.empty(y.size)
     for t_end in grid[1:].tolist():
         while t != t_end:
-            min_step = 10 * abs(np.nextafter(t, direction * np.inf) - t)
+            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
             h_abs = max(h_abs, min_step)
             rejected = False
             while True:
@@ -507,17 +514,21 @@ def solve_ivp(generators, grid: np.ndarray, y0: np.ndarray, rtol: float, atol: f
                 proposed, h = h_abs, t_new - t
                 h_abs = abs(h)
                 stages = generators(t + _C[1:] * h)
-                step = _STEP * h
+                np.multiply(_STEP, h, out=step)
                 step[:, 0] = 1.0
-                for (s, block, k), g in zip(blocks, stages):
-                    np.dot(g, np.dot(step[s, :s + 1], block), out=k)
+                for (row, block, k), g in zip(stage_rows, stages):
+                    np.dot(g, np.dot(row, block), out=k)
                 y_new = step[-1] @ w[:-1]
                 np.dot(stages[-1], y_new, out=w[-1])
                 nfev += _B.size
-                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-                err = _ERRORS @ w[1:] / scale
-                e5, e3 = (err.real**2 + err.imag**2).sum(1)
-                norm = 0.0 if e5 == 0 and e3 == 0 else h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * y.size)
+                abs_new = np.abs(y_new)
+                np.maximum(abs_y, abs_new, out=scale)
+                scale *= rtol
+                scale += atol
+                err = _ERRORS @ w[1:]
+                err /= scale
+                e5, e3 = (err.real**2 + err.imag**2).sum(1).tolist()
+                norm = 0.0 if e5 == 0 and e3 == 0 else h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * y.size)
                 if norm < 1:
                     factor = _MAX_FACTOR if norm == 0 else min(_MAX_FACTOR, _SAFETY * norm**_ERROR_EXPONENT)
                     h_abs *= min(1.0, factor) if rejected else factor
@@ -526,7 +537,7 @@ def solve_ivp(generators, grid: np.ndarray, y0: np.ndarray, rtol: float, atol: f
                     break
                 h_abs *= max(_MIN_FACTOR, _SAFETY * norm**_ERROR_EXPONENT)
                 rejected = True
-            t, y = t_new, y_new
+            t, y, abs_y = t_new, y_new, abs_new
             w[0], w[1] = y, w[-1]
         ys.append(y)
     return _Solution(y=np.array(ys), nfev=nfev)
@@ -553,7 +564,7 @@ def _step_classes(steps: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _evolve(m: SystemModel, y0: np.ndarray, grid: np.ndarray, mode: str,
-            rtol: float = 1e-10, atol: float = 1e-12) -> np.ndarray:
+            rtol: float = 1e-10, atol: float = 1e-12, multiples=(1.0,)) -> np.ndarray:
     """The vectors y(t) on grid, (len(grid), d^2), from y(grid[0]) = y0 under
     dy/dt = L y, L the TCL2 generator (see _grid_steps for what grid may be).
 
@@ -563,8 +574,10 @@ def _evolve(m: SystemModel, y0: np.ndarray, grid: np.ndarray, mode: str,
     of its members, so that the steps still add up to the grid's span: core.expm,
     Pade scaling and squaring on numpy's BLAS, accurate to round-off, whose step
     maps keep their column traces to round-off; rtol and atol are not used.
+
     Full-time mode: adaptive DOP853 at rtol and atol (solve_ivp) in the
-    interaction picture.  In the energy basis the free part is F = -i diag(w_xy),
+    interaction picture, on a grid at t >= 0 (else ValueError: the bath's A(t; w)
+    starts at t = 0).  In the energy basis the free part is F = -i diag(w_xy),
     so with tau = t - grid[0] DOP853 integrates y_I = e^{-F tau} y under the
     stage generators e^{-F tau} S(t) e^{F tau} of the second-order part S alone
     (_dissipative_superop_eb with tau), each step from one bath call; the
@@ -573,14 +586,20 @@ def _evolve(m: SystemModel, y0: np.ndarray, grid: np.ndarray, mode: str,
     norm read the same magnitudes and rtol and atol keep their meaning.  The
     steps follow the bath, not the free oscillation: on the perfbench
     time-dependent jobs (seed 3) the evaluations fall from 974 to 242 (d = 4 OU
-    dephasing), 326 to 230 (thermal dephasing) and 184 to 148 (OU qrt), and
-    rise from 172 to 220 for oracle-compare's 3-level model, over a horizon of
-    1: from grid[0] = 0 the first stage is L(0) y_I = 0 (A(0; w) = 0), so the
-    first step is 1e-4, 100 times the first-step rule's 1e-6 probe, and the next
-    few grow tenfold.  Against an rtol
-    1e-13 run the defaults are off by 1.2e-11 on the shipped model's 201 points
-    from a coherent state and by 1.3e-13 on a d = 3 two-channel OU relaxation,
-    against 1.5e-10 and 3.5e-12 when DOP853 also stepped -i[H, .]."""
+    dephasing), 326 to 230 (thermal dephasing) and 184 to 148 (OU qrt).  Against
+    an rtol 1e-13 run the defaults are off by 1.2e-11 on the shipped model's 201
+    points from a coherent state and by 1.3e-13 on a d = 3 two-channel OU
+    relaxation, against 1.5e-10 and 3.5e-12 when DOP853 also stepped -i[H, .].
+
+    y0 is one vector, or in full-time mode a stack (k, d^2), vector j evolving
+    under F + multiples[j] S; grid leads the result, (len(grid),) + y0.shape.  One
+    DOP853 pass steps the stack, with block-diagonal stage generators from one bath
+    call and one contraction per step and one error norm over the stacked vector, so
+    only the step sequence is shared; a single vector is the stack of one with
+    multiple 1, whose generators are S itself.  oracle.convergence_errors steps g
+    and g/2 as one pass (multiples 1 and 1/4): 98-110 evaluations over perfbench's
+    seeds 1-10, against 184-220 as two passes (from grid[0] = 0, L(0) y_I = 0, so
+    the first step is 1e-4, 100 times the first-step rule's probe)."""
     _require_mode(mode)
     steps = _grid_steps(grid)
     if mode == "stationary":
@@ -592,14 +611,26 @@ def _evolve(m: SystemModel, y0: np.ndarray, grid: np.ndarray, mode: str,
             ys.append(maps[c] @ ys[-1])
         return np.array(ys)
 
-    t0 = float(grid[0])
+    if grid.min() < 0:
+        raise ValueError(f"full-time mode needs a time grid at t >= 0; this grid reaches "
+                         f"t = {grid.min():g}")
+    t0, n, scales = float(grid[0]), m.dim**2, np.asarray(multiples, dtype=float)
+    k, plain = scales.size, scales.tolist() == [1.0]
 
     def generators(times):
-        return _dissipative_superop_eb(m, np.maximum(times, 0.0), times - t0)
+        # the clamp takes up a decreasing grid's round-off undershoot of its end at 0
+        s = _dissipative_superop_eb(m, np.maximum(times, 0.0), times - t0)
+        if plain:
+            return s
+        blocks = np.zeros((times.size, k, n, k, n), dtype=complex)
+        blocks[:, np.arange(k), :, np.arange(k)] = scales[:, None, None, None] * s
+        return blocks.reshape(times.size, k * n, k * n)
 
-    sol = solve_ivp(generators, grid, m.to_energy @ y0, rtol, atol)
+    y = np.concatenate([m.to_energy @ v for v in np.reshape(y0, (k, n))])
+    sol = solve_ivp(generators, grid, y, rtol, atol)
     free = np.exp(-1j * np.multiply.outer(grid - t0, m.basis.gaps.reshape(-1)))
-    return (sol.y * free) @ m.to_input.T
+    ys = (sol.y.reshape(grid.size, k, n) * free[:, None]).reshape(-1, n) @ m.to_input.T
+    return ys.reshape(grid.shape + np.shape(y0))
 
 
 def propagate(m: SystemModel, rho0: np.ndarray, grid, mode: str = "stationary",

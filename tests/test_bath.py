@@ -253,6 +253,46 @@ def test_matsubara_head_agrees_with_longer_tables():
         assert all(np.array_equal(x[:ch._n0 + 1], y) for x, y in zip(longer, head))
 
 
+class TestThermalGapConstants:
+    """A T > 0 channel keeps what depends on the gaps alone for the last gap array it
+    was given; the tail constants from the first call with a tailed time on."""
+
+    A = np.array([-1.0, 0.0, 1.0])
+    B = np.array([-3.0, -0.4, 0.0, 0.4, 3.0])
+
+    @staticmethod
+    def channel(temp=0.25):
+        return bath.ThermalLorentz(gamma0=0.1, cutoff=5.0, temperature=temp)._impl[0]
+
+    @pytest.mark.parametrize("temp", [0.05, 0.25, 2.0])
+    def test_switching_gap_arrays_matches_fresh_channels(self, temp):
+        ch = self.channel(temp)
+        times = _channel_times(ch)
+        for w in (self.A, self.B, self.A):
+            assert np.array_equal(ch.coefficient_full(times, w),
+                                  self.channel(temp).coefficient_full(times, w))
+
+    @pytest.mark.parametrize("temp", [0.05, 0.25, 2.0])
+    def test_stacked_call_across_tail_switch_matches_per_time_calls(self, temp):
+        # each on a fresh channel: the stacked call builds the tail constants at once, the
+        # per-time calls, latest time first, at their first tailed time
+        times = np.sort(_channel_times(self.channel(temp)))[::-1]
+        got = self.channel(temp).coefficient_full(times, self.B)
+        ch = self.channel(temp)
+        want = np.array([ch.coefficient_full(np.array([t]), self.B)[0] for t in times])
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(ch.on_axis(self.B)))
+
+    def test_tail_constants_wait_for_a_tailed_time(self):
+        # the shipped qrt's times t1 = 2 and t1 - t2 = 1.5 lie past the tail, which stops
+        # at 2 pi T t n0 = ln(1/eps), t = 0.64 here
+        ch = self.channel()
+        assert bath._LOG_1_EPS / (ch._a * ch._n0) < 1.5
+        ch.coefficient_full(np.array([2.0, 1.5]), self.A)
+        assert set(ch._kept(self.A)) == {"on_axis", "head"}
+        ch.coefficient_full(np.array([0.3]), self.A)
+        assert set(ch._kept(self.A)) == {"on_axis", "head", "tail"}
+
+
 class TestMatsubaraTruncation:
     """The time-dependent Matsubara sums keep the first n0 terms and add the rest in
     closed form; compare them with the infinite sums: the first N terms written out

@@ -103,7 +103,8 @@ class TestCompositeModel:
         assert np.array_equal(c.eig[0], np.linalg.eigh(c.free_h + 0.1 * c.coupling_h)[0])
 
     def test_convergence_errors_diagonalizes_each_coupling_once(self, monkeypatch):
-        # one composite eigh at g and one at g/2; the register's was made at construction
+        # one composite eigh at g and one at g/2, and one of the 3 x 3 system Hamiltonian
+        # for the one reduced model; the register's was made at construction
         c = oracle.random_composite(3, g=0.12)
         shapes, eigh = [], np.linalg.eigh
 
@@ -113,7 +114,8 @@ class TestCompositeModel:
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
         oracle.convergence_errors(c, np.eye(3) / 3, horizon=1.0, npoints=3)
-        assert shapes.count((48, 48)) == 2 and (16, 16) not in shapes
+        assert shapes.count((48, 48)) == 2 and shapes.count((3, 3)) == 1
+        assert (16, 16) not in shapes
 
     @pytest.mark.parametrize("temperature", [0.0, -0.5, -np.inf, np.nan])
     def test_temperature_must_be_positive(self, temperature):
@@ -373,6 +375,53 @@ class TestConvergence:
         assert isinstance(m, tcl2.SystemModel)
         assert isinstance(m.bath, bath.ExponentialOU)
         assert np.allclose(m.couplings[0], c.g * c.couplings[0])
+
+    def test_convergence_errors_make_one_stepper_pass(self, monkeypatch):
+        # g and g/2 share one DOP853 pass over a stack of two states: 110 evaluations,
+        # where two lone passes took 110 each at this seed
+        solve, calls = tcl2.solve_ivp, []
+
+        def counted(generators, grid, y0, rtol, atol):
+            sol = solve(generators, grid, y0, rtol, atol)
+            calls.append((y0.size, sol.nfev))
+            return sol
+
+        monkeypatch.setattr(tcl2, "solve_ivp", counted)
+        oracle.convergence_errors(oracle.random_composite(3, g=0.12), np.eye(3) / 3,
+                                  horizon=1.0, npoints=3)
+        assert calls == [(18, 110)]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_half_coupling_trajectory_matches_lone_propagate(self, seed, monkeypatch):
+        # both trajectories of the stacked pass, g/2 included, against lone propagates (the
+        # step sequences differ), and the errors against those the two trajectories give
+        c = oracle.random_composite(seed, g=0.12)
+        rho0, grid = np.eye(3) / 3, np.linspace(0.0, 5.0, 9)
+        evolve, runs = oracle._evolve, []
+
+        def recorded(*args, **kwargs):
+            runs.append(evolve(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(oracle, "_evolve", recorded)
+        errs = oracle.convergence_errors(c, rho0, horizon=5.0, npoints=9)
+        approx = runs[0].reshape(9, 2, 3, 3)
+        for j, cf in enumerate((c, c.with_coupling(0.5 * c.g))):
+            lone = tcl2.propagate(oracle.reduced_model(cf), rho0, grid, mode="full-time").states
+            assert np.max(np.abs(approx[:, j] - lone)) <= 1e-10
+            exact = oracle.exact_reduced_trajectory(cf, rho0, grid)
+            assert errs[j] == float(np.max(np.abs(approx[:, j] - exact)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_half_coupling_second_order_part_is_a_quarter(self, seed):
+        # halving the couplings is exact in floating point, so the g/2 model's
+        # second-order part is 1/4 of the g model's bit for bit, with phases too
+        c = oracle.random_composite(seed, g=0.12)
+        full, half = (oracle.reduced_model(cf) for cf in (c, c.with_coupling(0.5 * c.g)))
+        t = 0.3 + tcl2._C[1:] * 0.2
+        for tau in (None, t - 0.1):
+            assert np.array_equal(tcl2._dissipative_superop_eb(half, t, tau),
+                                  0.25 * tcl2._dissipative_superop_eb(full, t, tau))
 
     def test_error_ratio_shows_fourth_order_convergence(self):
         c = small_composite(seed=11, g=0.12)

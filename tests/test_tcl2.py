@@ -283,6 +283,44 @@ class TestPropagate:
         back = tcl2.propagate(m, rho0, [1.0, 0.5, 0.0], mode=mode)
         assert back.states.shape == (3, 2, 2)
 
+    @pytest.mark.parametrize("grid", [[-1.0, 0.0], [0.0, -1.0], [-2.0, -1.0], [0.5, -0.5, -1.0]])
+    def test_full_time_rejects_negative_times(self, grid):
+        # A(t; w) starts at t = 0: such a grid used to return free evolution, populations
+        # fixed at 0.6 and 0.4; stationary mode takes any grid
+        m = relaxation_model()
+        rho0 = np.diag([0.6, 0.4]).astype(complex)
+        with pytest.raises(ValueError, match="grid"):
+            tcl2.propagate(m, rho0, grid, mode="full-time")
+        assert tcl2.propagate(m, rho0, grid).states.shape == (len(grid), 2, 2)
+
+    def test_full_time_backwards_to_zero(self):
+        # [1, 0] still integrates backwards: back from the forward run's end to rho0
+        m = relaxation_model()
+        rho0 = np.diag([0.6, 0.4]).astype(complex)
+        end = tcl2.propagate(m, rho0, [0.0, 1.0], mode="full-time").states[-1]
+        assert abs(end[0, 0].real - 0.6) > 1e-3
+        back = tcl2.propagate(m, end, [1.0, 0.0], mode="full-time").states[-1]
+        assert np.max(np.abs(back - rho0)) <= 1e-9
+
+    def test_stacked_pass_matches_lone_runs(self):
+        # a stack under multiples 1 and 1/4 of the second-order part against lone runs of
+        # the model and of its half-coupling copy, whose part is exactly 1/4 of it; only
+        # the step sequence is shared
+        m = random_model(seed=3, d=3, nch=2)
+        half = tcl2.SystemModel(h=m.h, couplings=[0.5 * l for l in m.couplings], bath=m.bath)
+        rho0, rho1 = TestInteractionPicture.coherent_state(3), np.eye(3) / 3
+        grid = np.linspace(0.0, 4.0, 9)
+        stack = tcl2._evolve(m, np.array([core.vec(rho0), core.vec(rho1)]), grid, "full-time",
+                             multiples=(1.0, 0.25))
+        assert stack.shape == (9, 2, 9)
+        for got, model, rho in ((stack[:, 0], m, rho0), (stack[:, 1], half, rho1)):
+            lone = tcl2.propagate(model, rho, grid, mode="full-time").states.reshape(9, 9)
+            assert np.max(np.abs(got - lone)) <= 1e-10
+        # a stack of one under multiple 1 is propagate's own pass, bit for bit
+        one = tcl2._evolve(m, core.vec(rho0)[None], grid, "full-time")
+        assert np.array_equal(one[:, 0], tcl2.propagate(m, rho0, grid, mode="full-time")
+                              .states.reshape(9, 9))
+
     def test_full_time_ou_dephasing_matches_closed_form(self):
         # sigma_z coupling to c e^{-lam t}: A(t; 0) = c (1 - e^{-lam t}) / lam, so
         # rho_01(t) = rho_01(0) e^{-it - 4G(t)}, G(t) = (c / lam) (t - (1 - e^{-lam t}) / lam)
